@@ -55,12 +55,8 @@ def main(argv=None):
               f"(h > 0: {status}, max |Im| {metric.imag_max:.1e})")
 
         # the lambda -> 0 net, exported as a flat mesh in R^2 x {0}
-        net_verts = []
-        pts = grid.points()
-        for idx in grid.indices():
-            X0 = frame.evaluate(pts[idx], 0.0)[1]
-            net_verts.append((X0[0].real, X0[1].real))
-        lines = [f"v {x:.17g} {y:.17g} 0" for x, y in net_verts]
+        X0 = frame.evaluate(grid.points(), 0.0)[1].reshape(-1, 2)
+        lines = [f"v {x.real:.17g} {y.real:.17g} 0" for x, y in X0]
         m = grid.shape[1]
         for ia in range(grid.shape[0] - 1):
             for ib in range(m - 1):

@@ -21,10 +21,9 @@ from .geometry import (EgoroffMetric, Grid, ImmersionSample,
                        check_darboux_egoroff, check_lagrangian,
                        check_partial_invariance, check_sphere, hopf_project,
                        limit_net, sample_immersion, sphere_center)
-from .dressing import (DressedEEvaluator, DressingRecord, OnePoleRecord,
-                       SphericalFamily, TranslationRecord, dress_extended,
-                       dress_frame_E, dress_permuted, dress_real,
-                       dress_spherical, dress_spherical_family,
+from .dressing import (DressingRecord, OnePoleRecord, SphericalFamily,
+                       TranslationRecord, dress_extended, dress_permuted,
+                       dress_real, dress_spherical, dress_spherical_family,
                        dress_translation, dress_two_pole)
 from .oracle import (BfIntegration, OracleResult, PathSpec, estimate_order,
                      integrate_bf, integrate_frame, integrate_frame_with_order,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -86,6 +87,14 @@ class Scenario:
     export: dict | None
     reality_samples: int
     raw: dict = field(repr=False, default_factory=dict)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_count(value, least: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
 def _complex_pair(value, rule: str) -> complex:
@@ -230,11 +239,16 @@ def validate_scenario(raw: dict) -> Scenario:
     if not isinstance(grid_spec, list) or len(grid_spec) != n:
         raise ValidationError(f"grid: need {n} per-axis [min, max, points] triples")
     for j, g in enumerate(grid_spec):
-        if not isinstance(g, list) or len(g) != 3 or g[0] >= g[1] or int(g[2]) < 2:
-            raise ValidationError(f"grid[{j}]: expected [min, max, points] with min < max, points >= 2")
+        if (not isinstance(g, list) or len(g) != 3
+                or not all(_is_number(x) and math.isfinite(x) for x in g[:2])
+                or g[0] >= g[1] or not _is_count(g[2], 3)):
+            raise ValidationError(
+                f"grid[{j}]: expected [min, max, points] with finite min < max and an "
+                "integer points >= 3 (rule: at least 3 grid points per axis, as the "
+                "2nd-order finite differences need)")
         if not g[0] <= 0.0 <= g[1]:
             raise ValidationError(f"grid[{j}]: grid must contain the origin (path integrals anchor at u = 0)")
-    grid = Grid.from_specs([(g[0], g[1], int(g[2])) for g in grid_spec])
+    grid = Grid.from_specs(grid_spec)
 
     lambdas_spec = raw.get("lambdas", [[1.0, 0.0]])
     lambdas = [_complex_pair(v, "lambdas") for v in lambdas_spec]
@@ -257,9 +271,15 @@ def validate_scenario(raw: dict) -> Scenario:
         raise ValidationError("checks: must be an object of name -> bool toggles")
     tolerances = dict(DEFAULT_TOLERANCES)
     tol_spec = checks_spec.get("tolerances", {})
+    if not isinstance(tol_spec, dict):
+        raise ValidationError("checks.tolerances: must be an object of tolerance name -> "
+                              "number (rule: tolerances by name)")
     for k, v in tol_spec.items():
         if k not in DEFAULT_TOLERANCES:
             raise ValidationError(f"checks.tolerances.{k}: unknown tolerance name")
+        if not _is_number(v) or not math.isfinite(v) or v <= 0:
+            raise ValidationError(f"checks.tolerances.{k}: got {v!r} "
+                                  "(rule: tolerances are finite positive numbers)")
         tolerances[k] = float(v)
     # tri-state toggles: True/False when the scenario says so, None = decide
     # from applicability (sphere-type checks need a partial-invariant chain)
@@ -303,7 +323,10 @@ def validate_scenario(raw: dict) -> Scenario:
                 raise ValidationError(f"export.obj_components: need two component indices in [0, {n})")
             export["obj_components"] = comps
 
-    reality_samples = int(raw.get("reality_samples", 50))
+    reality_samples = raw.get("reality_samples", 50)
+    if not _is_count(reality_samples, 1):
+        raise ValidationError(f"reality_samples: got {reality_samples!r} "
+                              "(rule: reality_samples is a positive integer)")
 
     return Scenario(n=n, seed=seed, grid=grid, lambdas=lambdas, chain=chain,
                     checks=enabled, tolerances=tolerances, export=export,
@@ -381,15 +404,12 @@ def _position_equation_check(frame, grid, lambdas, tol) -> VerificationReport:
     lam = lams[0].real if isinstance(lams[0], complex) else float(lams[0])
     sample = sample_immersion(frame, grid, lam)
     pts = grid.points()
+    E = frame.E(pts, lam)
+    h = frame.h(pts)
     worst = 0.0
-    n = grid.n
-    for axis in range(n):
+    for axis in range(grid.n):
         dX = np.gradient(sample.X, grid.spacing(axis), axis=axis, edge_order=2)
-        for idx in grid.indices():
-            u = pts[idx]
-            E = frame.E(u, lam)
-            h = frame.h(u)
-            worst = max(worst, max_abs(dX[idx] - h[axis] * E[:, axis]))
+        worst = max(worst, max_abs(dX - h[..., axis, None] * E[..., :, axis]))
     report.add("position_equation", worst, tol, lam=lam)
     return report
 
@@ -413,7 +433,10 @@ def _pde_frame_check(frame, grid, lambdas, tol, path_tol, step) -> VerificationR
 
 
 def run_verification(scenario: Scenario, frame: ExtendedFrame,
-                     tol_scale: float = 1.0, step: float | None = None) -> VerificationReport:
+                     tol_scale: float = 1.0, step: float | None = None,
+                     metric=None) -> VerificationReport:
+    """Run the enabled checks on the dressed frame; ``metric`` is the frame's
+    metric on the scenario grid when the caller has already built it."""
     tols = {k: v * tol_scale for k, v in scenario.tolerances.items()}
     step = 1e-2 if step is None else step
     report = VerificationReport()
@@ -426,7 +449,8 @@ def run_verification(scenario: Scenario, frame: ExtendedFrame,
         if checks.get(name) is None:
             checks[name] = frame.is_partial_invariant
 
-    metric = metric_from_frame(frame, grid)
+    if metric is None:
+        metric = metric_from_frame(frame, grid)
 
     if checks.get("reality"):
         report.extend(_reality_check(frame, scenario, tols["reality"]))
@@ -480,18 +504,17 @@ def run_verification(scenario: Scenario, frame: ExtendedFrame,
     return report
 
 
-def _slice_points(grid: Grid, slice_axes, fixed):
-    """Grid points of the slice: free coordinates run over the listed axes,
-    the rest sit at their fixed values (default 0)."""
+def _slice_points(grid: Grid, slice_axes, fixed) -> np.ndarray:
+    """Grid points of the slice, shape (m, n), the last slice axis running
+    fastest: free coordinates run over the listed axes, the rest sit at their
+    fixed values (default 0)."""
     free = list(slice_axes)
-    shape = tuple(grid.axes[a].size for a in free)
-    for idx in np.ndindex(shape):
-        u = np.zeros(grid.n)
-        for axis, val in fixed.items():
-            u[axis] = val
-        for a, i in zip(free, idx):
-            u[a] = grid.axes[a][i]
-        yield u
+    U = np.zeros(tuple(grid.axes[a].size for a in free) + (grid.n,))
+    for axis, val in fixed.items():
+        U[..., axis] = val
+    for a, coord in zip(free, np.meshgrid(*[grid.axes[a] for a in free], indexing="ij")):
+        U[..., a] = coord
+    return U.reshape(-1, grid.n)
 
 
 def export_immersion_csv(frame, grid: Grid, lam: complex, slice_axes, fixed, path) -> int:
@@ -500,8 +523,8 @@ def export_immersion_csv(frame, grid: Grid, lam: complex, slice_axes, fixed, pat
     for j in range(n):
         header += [f"ReX{j + 1}", f"ImX{j + 1}"]
     lines = [",".join(header)]
-    for u in _slice_points(grid, slice_axes, fixed):
-        X = frame.evaluate(u, lam)[1]
+    U = _slice_points(grid, slice_axes, fixed)
+    for u, X in zip(U, frame.evaluate(U, lam)[1]):
         row = [_fmt(c) for c in u]
         for j in range(n):
             row += [_fmt(X[j].real), _fmt(X[j].imag)]
@@ -512,21 +535,11 @@ def export_immersion_csv(frame, grid: Grid, lam: complex, slice_axes, fixed, pat
 
 def export_immersion_obj(frame, grid, lam, slice_axes, fixed, components, path) -> int:
     a, b = slice_axes
-    ax_a, ax_b = grid.axes[a], grid.axes[b]
     p, q = components
-    verts = []
-    for ia in range(ax_a.size):
-        for ib in range(ax_b.size):
-            u = np.zeros(grid.n)
-            for axis, val in fixed.items():
-                u[axis] = val
-            u[a] = ax_a[ia]
-            u[b] = ax_b[ib]
-            X = frame.evaluate(u, lam)[1]
-            verts.append((X[p].real, X[p].imag, X[q].real))
-    lines = [f"v {_fmt(x)} {_fmt(y)} {_fmt(z)}" for x, y, z in verts]
-    m = ax_b.size
-    for ia in range(ax_a.size - 1):
+    X = frame.evaluate(_slice_points(grid, slice_axes, fixed), lam)[1]
+    lines = [f"v {_fmt(x[p].real)} {_fmt(x[p].imag)} {_fmt(x[q].real)}" for x in X]
+    m = grid.axes[b].size
+    for ia in range(grid.axes[a].size - 1):
         for ib in range(m - 1):
             v00 = ia * m + ib + 1
             v01 = v00 + 1
@@ -535,7 +548,7 @@ def export_immersion_obj(frame, grid, lam, slice_axes, fixed, components, path) 
             lines.append(f"f {v00} {v10} {v11}")
             lines.append(f"f {v00} {v11} {v01}")
     Path(path).write_text("\n".join(lines) + "\n")
-    return len(verts)
+    return len(X)
 
 
 def export_metric_csv(metric, path) -> int:
@@ -577,9 +590,9 @@ def export_sweep_csv(frame, grid, lambdas, path) -> int:
         header += [f"ReX{j + 1}", f"ImX{j + 1}"]
     lines = [",".join(header)]
     for lam in lambdas:
+        Xs = frame.evaluate(pts, lam)[1]
         for idx in grid.indices():
-            u = pts[idx]
-            X = frame.evaluate(u, lam)[1]
+            u, X = pts[idx], Xs[idx]
             row = [_fmt(lam.real), _fmt(lam.imag)] + [_fmt(c) for c in u]
             for j in range(n):
                 row += [_fmt(X[j].real), _fmt(X[j].imag)]
@@ -634,10 +647,12 @@ def cmd_verify(scenario: Scenario, out_dir: Path, args) -> int:
     return 0
 
 
-def cmd_export(scenario: Scenario, out_dir: Path, args) -> int:
+def cmd_export(scenario: Scenario, out_dir: Path, args,
+               frame: ExtendedFrame | None = None) -> int:
     if scenario.export is None:
         raise ValidationError("export: scenario has no export block")
-    frame = apply_chain(scenario)
+    if frame is None:
+        frame = apply_chain(scenario)
     spec = scenario.export
     lam = spec["lambda"]
     out_path = out_dir / spec.get("path", f"immersion.{spec['format']}")
@@ -659,10 +674,7 @@ def cmd_sweep(scenario: Scenario, out_dir: Path, args) -> int:
           f"-> {out_dir / 'sweep.csv'}")
     for lam in scenario.lambdas:
         if lam == 0:
-            worst = 0.0
-            pts = scenario.grid.points()
-            for idx in scenario.grid.indices():
-                worst = max(worst, max_abs(frame.evaluate(pts[idx], 0.0)[1].imag))
+            worst = max_abs(frame.evaluate(scenario.grid.points(), 0.0)[1].imag)
             print(f"lambda=0 slice max |Im X| = {worst:.3e}")
     return 0
 
@@ -692,8 +704,9 @@ def cmd_run(scenario: Scenario, out_dir: Path, args) -> int:
     metric = metric_from_frame(frame, scenario.grid)
     export_metric_csv(metric, out_dir / "metric.csv")
     if scenario.export is not None:
-        cmd_export(scenario, out_dir, args)
-    report = run_verification(scenario, frame, tol_scale=args.tol_scale, step=args.step)
+        cmd_export(scenario, out_dir, args, frame)
+    report = run_verification(scenario, frame, tol_scale=args.tol_scale, step=args.step,
+                              metric=metric)
     _write_report(report, out_dir, "report.json", _grid_meta(scenario))
     print(report)
     if not report.passed:

@@ -16,11 +16,17 @@ are expanded and the (vanishing) residues at lambda = z and lambda = conj(z)
 are removed symbolically, leaving difference quotients of functions that are
 holomorphic at the poles.  This keeps evaluation pole-free; within 1e-6 of a
 pole the quotient itself is evaluated from a small sampling circle.
+
+Records are immutable.  A record's pole data (pi_tilde, eta and the prefix
+frame at the poles) are
+computed by ``pole_data`` for a whole point set at once, as arrays stacked
+over the points, and the frame memoises them per point set; ``point_data``
+is the one-point view.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -37,26 +43,30 @@ from .report import VerificationReport
 # distance from the pole (handles exact pole hits).
 TAYLOR_BELOW = 1e-6
 CIRCLE_NODES = 16
+_THETA = 2.0 * np.pi * np.arange(CIRCLE_NODES) / CIRCLE_NODES
 
 
-def _taylor_dq(fn, pole: complex, radius: float, d: complex):
+def _mv(A, x):
+    """Matrix-vector products over a point set: A (..., n, n), x (..., n)."""
+    return (A @ x[..., None])[..., 0]
+
+
+def _circle_values(prefix_fn, pole: complex, radius: float):
+    """Prefix-frame (E, X) at the sampling circle |w - pole| = radius,
+    stacked on a leading node axis; one batch serves every quotient taken
+    around this pole."""
+    Es, Xs = zip(*(prefix_fn(pole + radius * p) for p in np.exp(1j * _THETA)))
+    return np.stack(Es), np.stack(Xs)
+
+
+def _taylor_dq(vals, radius: float, d: complex):
     """(f(pole + d) - f(pole)) / d for holomorphic f via the first two Taylor
-    coefficients, read off a sampling circle |w - pole| = radius."""
-    theta = 2.0 * np.pi * np.arange(CIRCLE_NODES) / CIRCLE_NODES
-    phase = np.exp(1j * theta)
-    vals = np.stack([np.asarray(fn(pole + radius * p)) for p in phase])
-    w1 = np.exp(-1j * theta) / (CIRCLE_NODES * radius)
-    w2 = np.exp(-2j * theta) / (CIRCLE_NODES * radius ** 2)
+    coefficients, read off the circle samples ``vals`` of f."""
+    w1 = np.exp(-1j * _THETA) / (CIRCLE_NODES * radius)
+    w2 = np.exp(-2j * _THETA) / (CIRCLE_NODES * radius ** 2)
     a1 = np.tensordot(w1, vals, axes=(0, 0))
     a2 = np.tensordot(w2, vals, axes=(0, 0))
     return a1 + d * a2
-
-
-def _stable_dq(num, d: complex, fn, pole: complex, radius: float):
-    """num / d where num = f(lambda) - f(pole), stable down to d = 0."""
-    if abs(d) >= TAYLOR_BELOW:
-        return num / d
-    return _taylor_dq(fn, pole, radius, d)
 
 
 def _circle_radius(pole: complex, existing_points) -> float:
@@ -70,36 +80,36 @@ def _circle_radius(pole: complex, existing_points) -> float:
     return r
 
 
-def _one_pole_E_update(E, lam, z, projection, pi_tilde, E_z, E_zbar,
-                       fn_E, radius_z, radius_zbar):
-    zb = np.conj(z)
-    c = zb - z
-    Pi, Pp = projection.matrix, projection.complement
-    Pt, Ptp = pi_tilde.matrix, pi_tilde.complement
-    dq_z = _stable_dq(E - E_z, lam - z, fn_E, z, radius_z)
-    dq_zb = _stable_dq(E - E_zbar, lam - zb, fn_E, zb, radius_zbar)
-    return E + c * (Pi @ dq_zb @ Ptp) - c * (Pp @ dq_z @ Pt)
+def _point_data(record, frame: ExtendedFrame, index: int, u):
+    """Pole data of ``record`` (the frame's record ``index``) at the single
+    point u: the one-point view of the stacked data the frame memoises."""
+    U = np.asarray(u, dtype=float).reshape(1, frame.n)
+    data = frame.pole_data(U, index + 1)[index]
+    return type(data)(*(getattr(data, f.name)[0] for f in fields(data)))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class _OnePoleData:
+    """Per-point pole data of a one-pole record, stacked over a point set."""
+
     pi_tilde: HermitianProjection
+    complement: np.ndarray  # I - pi_tilde
     eta: np.ndarray
-    pe: np.ndarray      # pi_tilde @ eta
+    pe: np.ndarray          # pi_tilde @ eta
     E_z: np.ndarray
     E_zbar: np.ndarray
-    X_zbar: np.ndarray
-    G_zbar: np.ndarray  # X(zbar) - E(zbar) pe
+    G_zbar: np.ndarray      # X(zbar) - E(zbar) pe
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class OnePoleRecord:
     """One application of the pole-z simple element to the extended frame.
 
     ``eta_at_conjugate`` selects where X is evaluated in eta; the default
     (the conjugate point) is the variant consistent with holomorphy of the
     dressed X --- the alternative is kept for comparison and fails the
-    residue-vanishing invariant.
+    residue-vanishing invariant.  ``sphere_preserving`` is set by
+    :func:`dress_spherical`: the record provably preserves |h| = const.
     """
 
     z: complex
@@ -107,9 +117,10 @@ class OnePoleRecord:
     radius_z: float
     radius_zbar: float
     eta_at_conjugate: bool = True
-    # set by dress_spherical: the record provably preserves |h| = const
     sphere_preserving: bool = False
-    _cache: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_complement", self.projection.complement)
 
     @property
     def zbar(self) -> complex:
@@ -131,45 +142,43 @@ class OnePoleRecord:
     def has_closed_potential(self) -> bool:
         return self.is_sigma_compatible
 
-    def point_data(self, frame: ExtendedFrame, index: int, u: np.ndarray) -> _OnePoleData:
-        key = u.tobytes()
-        data = self._cache.get(key)
-        if data is not None:
-            return data
-        E_zbar, X_zbar = frame.evaluate(u, self.zbar, depth=index)
-        E_z, X_z = frame.evaluate(u, self.z, depth=index)
+    def pole_data(self, frame: ExtendedFrame, index: int, U: np.ndarray) -> _OnePoleData:
+        """Pole data over the (P, n) point set U, from the frame's first
+        ``index`` records."""
+        E_zbar, X_zbar = frame.evaluate(U, self.zbar, depth=index)
+        E_z, X_z = frame.evaluate(U, self.z, depth=index)
         # tau-reality gives E(u, z)^{-1} = E(u, zbar)*, so the transported
         # image of pi is spanned by E(u, zbar)* span(pi)
-        U = adjoint(E_zbar) @ self.projection.span
-        pi_tilde = project_onto_span(U)
+        pi_tilde = project_onto_span(adjoint(E_zbar) @ self.projection.span)
         eta = solve_linear(E_zbar, X_zbar if self.eta_at_conjugate else X_z)
-        pe = pi_tilde.matrix @ eta
-        data = _OnePoleData(pi_tilde, eta, pe, E_z, E_zbar, X_zbar,
-                            X_zbar - E_zbar @ pe)
-        self._cache[key] = data
-        return data
+        pe = _mv(pi_tilde.matrix, eta)
+        return _OnePoleData(pi_tilde, pi_tilde.complement, eta, pe, E_z, E_zbar,
+                            X_zbar - _mv(E_zbar, pe))
+
+    point_data = _point_data
 
     def apply(self, E, X, lam, data: _OnePoleData, prefix_fn):
         z, zb = complex(self.z), self.zbar
         c = zb - z
-        Pi, Pp = self.projection.matrix, self.projection.complement
-        Pt = data.pi_tilde.matrix
-
-        def fn_E(w):
-            return prefix_fn(w)[0]
-
-        E_new = _one_pole_E_update(E, lam, z, self.projection, data.pi_tilde,
-                                   data.E_z, data.E_zbar, fn_E,
-                                   self.radius_z, self.radius_zbar)
-
-        def fn_G(w):
-            Ew, Xw = prefix_fn(w)
-            return Xw - Ew @ data.pe
-
-        dq_z = _stable_dq(E - data.E_z, lam - z, fn_E, z, self.radius_z)
-        dq_G = _stable_dq((X - E @ data.pe) - data.G_zbar, lam - zb, fn_G,
-                          zb, self.radius_zbar)
-        X_new = X - c * (Pp @ (dq_z @ data.pe)) + c * (Pi @ dq_G)
+        Pi, Pp = self.projection.matrix, self._complement
+        Pt, Ptp = data.pi_tilde.matrix, data.complement
+        pe = data.pe
+        d_z, d_zb = lam - z, lam - zb
+        if abs(d_z) >= TAYLOR_BELOW:
+            dq_z = (E - data.E_z) / d_z
+        else:
+            Es, _ = _circle_values(prefix_fn, z, self.radius_z)
+            dq_z = _taylor_dq(Es, self.radius_z, d_z)
+        # G = X - E pe; its quotient at zbar shares the circle samples of E
+        if abs(d_zb) >= TAYLOR_BELOW:
+            dq_zb = (E - data.E_zbar) / d_zb
+            dq_G = ((X - _mv(E, pe)) - data.G_zbar) / d_zb
+        else:
+            Es, Xs = _circle_values(prefix_fn, zb, self.radius_zbar)
+            dq_zb = _taylor_dq(Es, self.radius_zbar, d_zb)
+            dq_G = _taylor_dq(Xs - _mv(Es, pe), self.radius_zbar, d_zb)
+        E_new = E + c * (Pi @ dq_zb @ Ptp) - c * (Pp @ dq_z @ Pt)
+        X_new = X - c * _mv(Pp, _mv(dq_z, pe)) + c * _mv(Pi, dq_G)
         return E_new, X_new
 
     def apply_h(self, h, data: _OnePoleData):
@@ -179,19 +188,16 @@ class OnePoleRecord:
         return beta + 1j * (self.z - self.zbar) * star_reduce(data.pi_tilde.matrix)
 
     def apply_phi(self, phi, data: _OnePoleData):
-        if not self.has_closed_potential:
-            return None
         alpha = self.z.imag
-        return phi - 2.0 * alpha * float(np.real(data.eta @ data.pe))
+        return phi - 2.0 * alpha * np.real(np.sum(data.eta * data.pe, axis=-1))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class _TranslationData:
     y: np.ndarray
-    E_pole: np.ndarray
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class TranslationRecord:
     """Dressing by the translation-block factor with pole i alpha and real b:
     shifts X by i (b - E(u, lambda) y(u)) / (lambda - i alpha) with
@@ -201,7 +207,6 @@ class TranslationRecord:
     b: np.ndarray
     radius: float
     sphere_preserving: bool = False
-    _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def pole(self) -> complex:
@@ -223,25 +228,21 @@ class TranslationRecord:
     def has_closed_potential(self) -> bool:
         return False
 
-    def point_data(self, frame: ExtendedFrame, index: int, u: np.ndarray) -> _TranslationData:
-        key = u.tobytes()
-        data = self._cache.get(key)
-        if data is not None:
-            return data
-        E_pole, _ = frame.evaluate(u, self.pole, depth=index)
-        y = solve_linear(E_pole, self.b.astype(complex))
-        data = _TranslationData(y, E_pole)
-        self._cache[key] = data
-        return data
+    def pole_data(self, frame: ExtendedFrame, index: int, U: np.ndarray) -> _TranslationData:
+        E_pole, _ = frame.evaluate(U, self.pole, depth=index)
+        b = np.broadcast_to(self.b.astype(complex), U.shape)
+        return _TranslationData(solve_linear(E_pole, b))
+
+    point_data = _point_data
 
     def apply(self, E, X, lam, data: _TranslationData, prefix_fn):
         b = self.b.astype(complex)
-
-        def fn_B(w):
-            return prefix_fn(w)[0] @ data.y - b
-
-        dq_B = _stable_dq(E @ data.y - b, lam - self.pole, fn_B, self.pole,
-                          self.radius)
+        d = lam - self.pole
+        if abs(d) >= TAYLOR_BELOW:
+            dq_B = (_mv(E, data.y) - b) / d
+        else:
+            Es, _ = _circle_values(prefix_fn, self.pole, self.radius)
+            dq_B = _taylor_dq(_mv(Es, data.y) - b, self.radius, d)
         return E, X - 1j * dq_B
 
     def apply_h(self, h, data: _TranslationData):
@@ -249,9 +250,6 @@ class TranslationRecord:
 
     def apply_beta(self, beta, data: _TranslationData):
         return beta
-
-    def apply_phi(self, phi, data: _TranslationData):
-        return None
 
 
 DressingRecord = OnePoleRecord | TranslationRecord
@@ -271,6 +269,27 @@ def _no_pole_collision(frame: ExtendedFrame, new_poles):
                     f"new pole {p} collides with existing history pole {q}")
 
 
+def _one_pole_record(frame: ExtendedFrame, z: complex,
+                     projection: HermitianProjection, **flags) -> OnePoleRecord:
+    if abs(z.imag) < 1e-12:
+        raise ValueError("dressing pole must lie off the real axis")
+    _require_dimension(frame, projection)
+    _no_pole_collision(frame, (z,))
+    pts = frame.sensitive_points()
+    return OnePoleRecord(z=z, projection=projection,
+                         radius_z=_circle_radius(z, pts),
+                         radius_zbar=_circle_radius(np.conj(z), pts), **flags)
+
+
+def _real_pole(alpha: float, projection: HermitianProjection) -> complex:
+    alpha = float(alpha)
+    if alpha == 0.0:
+        raise ValueError("alpha must be nonzero")
+    if not projection.is_real:
+        raise ValueError("real one-pole dressing needs a real projection")
+    return 1j * alpha
+
+
 def dress_extended(frame: ExtendedFrame, z: complex,
                    projection: HermitianProjection,
                    eta_at_conjugate: bool = True) -> ExtendedFrame:
@@ -278,17 +297,8 @@ def dress_extended(frame: ExtendedFrame, z: complex,
     axis).  The dressed frame's connection keeps the Lax shape with the
     updated beta and h; that is verified numerically by the oracle module,
     not assumed."""
-    z = complex(z)
-    if abs(z.imag) < 1e-12:
-        raise ValueError("dressing pole must lie off the real axis")
-    _require_dimension(frame, projection)
-    _no_pole_collision(frame, (z,))
-    pts = frame.sensitive_points()
-    rec = OnePoleRecord(z=z, projection=projection,
-                        radius_z=_circle_radius(z, pts),
-                        radius_zbar=_circle_radius(np.conj(z), pts),
-                        eta_at_conjugate=eta_at_conjugate)
-    return frame.with_record(rec)
+    return frame.with_record(_one_pole_record(frame, complex(z), projection,
+                                              eta_at_conjugate=eta_at_conjugate))
 
 
 def dress_real(frame: ExtendedFrame, alpha: float,
@@ -296,12 +306,7 @@ def dress_real(frame: ExtendedFrame, alpha: float,
     """Sigma-compatible one-pole dressing: pole i alpha with a real
     projection.  h, beta, eta, pi_tilde all stay real and the potential gets
     the closed update phi - 2 alpha eta^t pi_tilde eta."""
-    alpha = float(alpha)
-    if alpha == 0.0:
-        raise ValueError("alpha must be nonzero")
-    if not projection.is_real:
-        raise ValueError("real one-pole dressing needs a real projection")
-    return dress_extended(frame, 1j * alpha, projection)
+    return dress_extended(frame, _real_pole(alpha, projection), projection)
 
 
 def dress_spherical(frame: ExtendedFrame, alpha: float,
@@ -320,9 +325,9 @@ def dress_spherical(frame: ExtendedFrame, alpha: float,
             if viol < 1e-6 else ""
         raise SphericalViolationError(
             f"projection image not orthogonal to h(0): |pi h(0)| = {viol:.3e}{band}")
-    dressed = dress_real(frame, alpha, projection)
-    dressed.history[-1].sphere_preserving = True
-    return dressed
+    z = _real_pole(alpha, projection)
+    return frame.with_record(_one_pole_record(frame, z, projection,
+                                              sphere_preserving=True))
 
 
 def dress_translation(frame: ExtendedFrame, alpha: float, b) -> ExtendedFrame:
@@ -380,16 +385,12 @@ def dress_permuted(frame: ExtendedFrame, z1: complex, pi1: HermitianProjection,
 
     pts = grid.points()
     r_frame = 0.0
-    r_h = 0.0
-    r_beta = 0.0
-    for idx in grid.indices():
-        u = pts[idx]
-        for lam in lam_samples:
-            Ea, Xa = f12.evaluate(u, lam)
-            Eb, Xb = f21.evaluate(u, lam)
-            r_frame = max(r_frame, max_abs(Ea - Eb), max_abs(Xa - Xb))
-        r_h = max(r_h, max_abs(f12.h(u) - f21.h(u)))
-        r_beta = max(r_beta, max_abs(f12.beta(u) - f21.beta(u)))
+    for lam in lam_samples:
+        Ea, Xa = f12.evaluate(pts, lam)
+        Eb, Xb = f21.evaluate(pts, lam)
+        r_frame = max(r_frame, max_abs(Ea - Eb), max_abs(Xa - Xb))
+    r_h = max_abs(f12.h(pts) - f21.h(pts))
+    r_beta = max_abs(f12.beta(pts) - f21.beta(pts))
 
     report = VerificationReport()
     report.add("permutability_frame", r_frame, tol,
@@ -397,61 +398,6 @@ def dress_permuted(frame: ExtendedFrame, z1: complex, pi1: HermitianProjection,
     report.add("permutability_h", r_h, tol)
     report.add("permutability_beta", r_beta, tol)
     return f12, f21, report
-
-
-@dataclass(eq=False)
-class DressedEEvaluator:
-    """Closed-form dressed evaluator for the n x n frame block alone:
-    E -> g_{z,pi} E g_{z,pi_tilde}^{-1} with pi_tilde transported through the
-    base evaluator.  Composable: instances are callables usable as the base
-    of a further dressing."""
-
-    base: object  # callable (u, lam) -> matrix
-    z: complex
-    projection: HermitianProjection
-    radius_z: float
-    radius_zbar: float
-    _cache: dict = field(default_factory=dict, repr=False)
-
-    def point_data(self, u: np.ndarray):
-        key = u.tobytes()
-        data = self._cache.get(key)
-        if data is not None:
-            return data
-        zb = np.conj(self.z)
-        E_zbar = np.asarray(self.base(u, zb))
-        E_z = np.asarray(self.base(u, self.z))
-        pi_tilde = project_onto_span(adjoint(E_zbar) @ self.projection.span)
-        data = (pi_tilde, E_z, E_zbar)
-        self._cache[key] = data
-        return data
-
-    def projection_at(self, u) -> HermitianProjection:
-        return self.point_data(np.asarray(u, dtype=float))[0]
-
-    def __call__(self, u, lam: complex) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        lam = complex(lam)
-        pi_tilde, E_z, E_zbar = self.point_data(u)
-        E = np.asarray(self.base(u, lam))
-
-        def fn_E(w):
-            return np.asarray(self.base(u, w))
-
-        return _one_pole_E_update(E, lam, self.z, self.projection, pi_tilde,
-                                  E_z, E_zbar, fn_E, self.radius_z, self.radius_zbar)
-
-
-def dress_frame_E(E_fn, z: complex, projection: HermitianProjection,
-                  sensitive=()) -> DressedEEvaluator:
-    """Dress an E-evaluator (any callable (u, lam) -> matrix satisfying the
-    tau-reality condition) by the pole-z simple element."""
-    z = complex(z)
-    if abs(z.imag) < 1e-12:
-        raise ValueError("dressing pole must lie off the real axis")
-    return DressedEEvaluator(base=E_fn, z=z, projection=projection,
-                             radius_z=_circle_radius(z, sensitive),
-                             radius_zbar=_circle_radius(np.conj(z), sensitive))
 
 
 @dataclass(eq=False)
@@ -514,19 +460,11 @@ def dress_spherical_family(frame: ExtendedFrame,
     if c.shape != (frame.n,):
         raise ValueError(f"c_tilde must be a real vector of length {frame.n}")
 
-    def base(u, lam):
-        return frame.E(u, lam)
-
-    sensitive = frame.sensitive_points()
     if isinstance(factor, RealOnePoleFactor):
-        chain = [(1j * factor.alpha, factor.projection)]
+        dressed = dress_extended(frame, factor.z, factor.projection)
     elif isinstance(factor, TwoPoleFactor):
-        chain = [(factor.z, factor.projection), (-np.conj(factor.z), factor.rho)]
+        dressed = dress_extended(dress_extended(frame, factor.z, factor.projection),
+                                 -np.conj(factor.z), factor.rho)
     else:
         raise ValueError("spherical family dressing supports the one-pole and two-pole generators")
-
-    ev = base
-    for zz, pp in chain:
-        ev = dress_frame_E(ev, zz, pp, sensitive=sensitive)
-        sensitive = tuple(sensitive) + (complex(zz), complex(np.conj(zz)))
-    return SphericalFamily(c=c, E_fn=ev)
+    return SphericalFamily(c=c, E_fn=dressed.E)

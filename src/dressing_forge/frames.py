@@ -4,11 +4,16 @@ A frame is a vacuum seed (diagonal exponential E, per-axis profile integrals
 X) plus an ordered dressing history.  Evaluation applies each record's
 closed-form update in order, so no PDE is ever integrated here; the PDE route
 lives in :mod:`dressing_forge.oracle` as an independent cross-check.
+
+Evaluation works on whole point sets at once: every update is a stacked
+array operation over the points, so a grid costs a few numpy calls per
+record rather than a Python loop per point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
@@ -24,14 +29,25 @@ QUAD_TOL = 1e-10
 CLAMP_MIN = 1e-8
 
 
-def _stable_exp_integral(u: float, lam: complex) -> complex:
+def _stable_exp_integral(u, lam: complex):
     """int_0^u e^{i lam t} dt = e^{i lam u / 2} * 2 sin(lam u / 2) / lam,
-    which is cancellation-free for small |lam u| (limit u at lam = 0)."""
+    elementwise in u, which is cancellation-free for small |lam u| (limit u
+    at lam = 0)."""
+    u = np.asarray(u, dtype=float)
     if lam == 0:
-        return complex(u)
+        return u + 0j
     w = 0.5 * lam * u
     return np.exp(1j * w) * 2.0 * np.sin(w) / lam
 
+
+def _per_point(fn, u, dtype):
+    """Apply a scalar function to every entry of u (scalar in, scalar out)."""
+    u = np.asarray(u, dtype=float)
+    return np.array([fn(t) for t in u.ravel()], dtype=dtype).reshape(u.shape)[()]
+
+
+# Profiles evaluate elementwise: t and u may be scalars or arrays of any shape.
+# ``domain`` is the closed interval of t on which the profile is defined.
 
 @dataclass(frozen=True, eq=False)
 class ConstantProfile:
@@ -43,17 +59,16 @@ class ConstantProfile:
         if not self.r > 0:
             raise ValueError("constant profile needs r > 0")
 
-    def contains(self, t: float) -> bool:
-        return True
+    domain = (-np.inf, np.inf)
 
-    def value(self, t: float) -> float:
-        return self.r
+    def value(self, t):
+        return np.full(np.shape(t), float(self.r))[()]
 
-    def position_integral(self, u: float, lam: complex) -> complex:
+    def position_integral(self, u, lam: complex):
         return self.r * _stable_exp_integral(u, lam)
 
-    def energy_integral(self, u: float) -> float:
-        return self.r ** 2 * u
+    def energy_integral(self, u):
+        return self.r ** 2 * np.asarray(u, dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,46 +87,60 @@ class PolynomialProfile:
         if np.any(np.polynomial.polynomial.polyval(ts, self.coeffs) <= 0):
             raise ValueError("polynomial profile must stay positive on its domain")
 
-    def contains(self, t: float) -> bool:
-        lo, hi = self.domain
-        return lo - 1e-12 <= t <= hi + 1e-12
+    def value(self, t):
+        return np.polynomial.polynomial.polyval(t, self.coeffs)
 
-    def value(self, t: float) -> float:
-        return float(np.polynomial.polynomial.polyval(t, self.coeffs))
+    def position_integral(self, u, lam: complex):
+        u = np.asarray(u, dtype=float)
+        lam = complex(lam)
+        # the series branch is taken per point where |lam| max(1, |u|) is small
+        series = abs(lam) * np.maximum(1.0, np.abs(u)) < 0.5
+        out = np.empty(u.shape, dtype=complex)
+        if np.any(series):
+            out[series] = self._series_integral(u[series], lam)
+        if not np.all(series):
+            out[~series] = self._by_parts_integral(u[~series], lam)
+        return out[()]
 
-    def position_integral(self, u: float, lam: complex) -> complex:
-        if abs(lam) * max(1.0, abs(u)) < 0.5:
-            # series in lam: sum_k (i lam)^k / k! * int_0^u t^k p(t) dt
-            total = 0.0 + 0.0j
-            term_pow = 1.0 + 0.0j
-            for k in range(80):
-                moment = sum(a * u ** (m + k + 1) / (m + k + 1)
-                             for m, a in enumerate(self.coeffs))
-                term = term_pow * moment
-                total += term
-                term_pow *= 1j * lam / (k + 1)
-                if abs(term) < 1e-18 * (abs(total) + 1.0) and k > 4:
+    def _series_integral(self, u, lam):
+        """sum_k (i lam)^k / k! * int_0^u t^k p(t) dt, each point summed until
+        its own terms fall below roundoff."""
+        total = np.zeros(u.shape, dtype=complex)
+        active = np.ones(u.shape, dtype=bool)
+        term_pow = 1.0 + 0.0j
+        for k in range(80):
+            moment = sum(a * u ** (m + k + 1) / (m + k + 1)
+                         for m, a in enumerate(self.coeffs))
+            term = term_pow * moment
+            total = np.where(active, total + term, total)
+            term_pow *= 1j * lam / (k + 1)
+            if k > 4:
+                active &= ~(np.abs(term) < 1e-18 * (np.abs(total) + 1.0))
+                if not active.any():
                     break
-            return total
-        # integration by parts: I_m = (u^m e^{i lam u} - m I_{m-1}) / (i lam)
+        return total
+
+    def _by_parts_integral(self, u, lam):
+        """I_m = (u^m e^{i lam u} - m I_{m-1}) / (i lam), summed against the
+        coefficients."""
         I = _stable_exp_integral(u, lam)
         total = self.coeffs[0] * I
         e = np.exp(1j * lam * u)
         for m in range(1, len(self.coeffs)):
             I = (u ** m * e - m * I) / (1j * lam)
-            total += self.coeffs[m] * I
+            total = total + self.coeffs[m] * I
         return total
 
-    def energy_integral(self, u: float) -> float:
+    def energy_integral(self, u):
         sq = np.polynomial.polynomial.polymul(self.coeffs, self.coeffs)
         anti = np.polynomial.polynomial.polyint(sq)
-        return float(np.polynomial.polynomial.polyval(u, anti))
+        return np.polynomial.polynomial.polyval(u, anti)
 
 
 @dataclass(frozen=True, eq=False)
 class SampledProfile:
     """Positive samples on knots, cubic-spline interpolated and clamped
-    positive; integrals by adaptive quadrature to QUAD_TOL."""
+    positive; integrals by adaptive quadrature to QUAD_TOL, one per point."""
 
     knots: tuple
     values: tuple
@@ -131,23 +160,29 @@ class SampledProfile:
         object.__setattr__(self, "values", tuple(values))
         object.__setattr__(self, "_spline", CubicSpline(knots, values))
 
-    def contains(self, t: float) -> bool:
-        return self.knots[0] - 1e-12 <= t <= self.knots[-1] + 1e-12
+    @property
+    def domain(self) -> tuple:
+        return (self.knots[0], self.knots[-1])
 
-    def value(self, t: float) -> float:
-        return max(float(self._spline(t)), CLAMP_MIN)
+    def value(self, t):
+        return np.maximum(self._spline(t), CLAMP_MIN)
 
-    def position_integral(self, u: float, lam: complex) -> complex:
+    def position_integral(self, u, lam: complex):
         lam = complex(lam)
-        re = quad(lambda t: (self.value(t) * np.exp(1j * lam * t)).real,
-                  0.0, u, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200)[0]
-        im = quad(lambda t: (self.value(t) * np.exp(1j * lam * t)).imag,
-                  0.0, u, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200)[0]
-        return re + 1j * im
 
-    def energy_integral(self, u: float) -> float:
-        return quad(lambda t: self.value(t) ** 2, 0.0, u,
-                    epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200)[0]
+        def one(t):
+            re = quad(lambda s: (self.value(s) * np.exp(1j * lam * s)).real,
+                      0.0, t, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200)[0]
+            im = quad(lambda s: (self.value(s) * np.exp(1j * lam * s)).imag,
+                      0.0, t, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200)[0]
+            return re + 1j * im
+
+        return _per_point(one, u, complex)
+
+    def energy_integral(self, u):
+        return _per_point(lambda t: quad(lambda s: self.value(s) ** 2, 0.0, t,
+                                         epsabs=QUAD_TOL, epsrel=QUAD_TOL,
+                                         limit=200)[0], u, float)
 
 
 Profile = ConstantProfile | PolynomialProfile | SampledProfile
@@ -159,10 +194,18 @@ class VacuumSeed:
 
     E(u, lambda) = diag(e^{i lambda u_j}); X_j = int_0^{u_j} h_j(t) e^{i lambda t} dt;
     phi = sum_j int_0^{u_j} h_j(t)^2 dt.  The seed is spherical exactly when
-    every profile is constant.
+    every profile is constant.  Points are arrays of shape (..., n); results
+    carry the same leading shape.
     """
 
     profiles: tuple
+
+    def __post_init__(self):
+        lo, hi = np.array([p.domain for p in self.profiles], dtype=float).reshape(-1, 2).T
+        object.__setattr__(self, "_bounds", (lo - 1e-12, hi + 1e-12))
+        # constant profiles are evaluated on all axes at once
+        radii = np.array([p.r for p in self.profiles]) if self.is_spherical else None
+        object.__setattr__(self, "_radii", radii)
 
     @property
     def n(self) -> int:
@@ -180,26 +223,47 @@ class VacuumSeed:
         return np.array([p.value(0.0) for p in self.profiles])
 
     def _check_domain(self, u: np.ndarray) -> None:
-        for j, p in enumerate(self.profiles):
-            if not p.contains(u[j]):
-                raise OutOfDomainError(f"u_{j + 1} = {u[j]} outside the seed profile domain")
+        if self._radii is not None:
+            return  # constant profiles are defined on the whole axis
+        lo, hi = self._bounds
+        inside = (lo <= u) & (u <= hi)
+        if not inside.all():
+            j = int(np.argmin(inside.reshape(-1, self.n).all(axis=0)))
+            bad = np.asarray(u)[..., j][~inside[..., j]].flat[0]
+            raise OutOfDomainError(f"u_{j + 1} = {bad} outside the seed profile domain")
 
     def h(self, u: np.ndarray) -> np.ndarray:
         self._check_domain(u)
-        return np.array([p.value(u[j]) for j, p in enumerate(self.profiles)])
+        if self._radii is not None:
+            return np.broadcast_to(self._radii, np.shape(u)).copy()
+        out = np.empty(np.shape(u))
+        for j, p in enumerate(self.profiles):
+            out[..., j] = p.value(u[..., j])
+        return out
 
     def E(self, u: np.ndarray, lam: complex) -> np.ndarray:
+        u = np.asarray(u, dtype=float)
         self._check_domain(u)
-        return np.diag(np.exp(1j * lam * np.asarray(u, dtype=float)))
+        out = np.zeros(u.shape + (self.n,), dtype=complex)
+        diag = np.arange(self.n)
+        out[..., diag, diag] = np.exp(1j * lam * u)
+        return out
 
     def X(self, u: np.ndarray, lam: complex) -> np.ndarray:
         self._check_domain(u)
-        return np.array([p.position_integral(u[j], lam)
-                         for j, p in enumerate(self.profiles)])
+        if self._radii is not None:
+            return self._radii * _stable_exp_integral(u, lam)
+        out = np.empty(np.shape(u), dtype=complex)
+        for j, p in enumerate(self.profiles):
+            out[..., j] = p.position_integral(u[..., j], lam)
+        return out
 
-    def phi(self, u: np.ndarray) -> float:
+    def phi(self, u: np.ndarray):
         self._check_domain(u)
-        return float(sum(p.energy_integral(u[j]) for j, p in enumerate(self.profiles)))
+        total = 0.0
+        for j, p in enumerate(self.profiles):
+            total = total + p.energy_integral(u[..., j])
+        return total
 
 
 def vacuum_E(seed: VacuumSeed, u, lam: complex) -> np.ndarray:
@@ -212,17 +276,33 @@ def vacuum_X(seed: VacuumSeed, u, lam: complex) -> np.ndarray:
     return seed.X(np.asarray(u, dtype=float), complex(lam))
 
 
+# Number of most recent point sets whose pole data a frame keeps.
+MEMO_POINT_SETS = 4
+
+
 @dataclass(frozen=True, eq=False)
 class ExtendedFrame:
     """A vacuum seed plus an ordered tuple of dressing records.
 
-    Frames are immutable; dressing returns a new frame sharing the prefix
-    records (and their per-point caches).  ``evaluate`` is pure and safe to
-    call concurrently.
+    Every evaluator takes a point set: ``u`` of shape (P, n), or of any shape
+    (..., n), with results of shape (..., n, n) and (..., n).  A single point
+    of shape (n,) is the one-point case and gives (n, n) and (n,).  Each
+    record's pole data (the transported projection and friends) are stacked
+    arrays over the whole point set, computed once; the frame keeps them for
+    its ``MEMO_POINT_SETS`` most recent point sets, so memory is bounded by
+    the point sets, not by how many calls were made.
+
+    Frames and records are immutable; dressing returns a new frame sharing
+    the prefix records, with an empty memo.  The memo changes only how much
+    work a call repeats, never its result, and a lock guards it, so one frame
+    may be evaluated from several threads.
     """
 
     seed: VacuumSeed
     history: tuple = ()
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
+    # re-entrant: computing one record's pole data evaluates the prefix frame
+    _lock: threading.RLock = field(default_factory=threading.RLock, init=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -234,6 +314,11 @@ class ExtendedFrame:
         record sphere-preserving."""
         return self.seed.is_spherical and all(
             getattr(rec, "sphere_preserving", False) for rec in self.history)
+
+    @property
+    def has_closed_potential(self) -> bool:
+        """Whether every record carries a closed-form potential update."""
+        return all(rec.has_closed_potential for rec in self.history)
 
     def with_record(self, record) -> "ExtendedFrame":
         return ExtendedFrame(self.seed, self.history + (record,))
@@ -250,25 +335,48 @@ class ExtendedFrame:
             pts.extend(rec.sensitive_points)
         return tuple(pts)
 
-    def _prefix_fn(self, depth: int, u: np.ndarray):
+    def _point_set(self, u):
+        """(P, n) contiguous float points plus the caller's leading shape."""
+        u = np.asarray(u, dtype=float)
+        if u.ndim == 0 or u.shape[-1] != self.n:
+            raise ValueError(f"points need {self.n} coordinates, got shape {u.shape}")
+        return np.ascontiguousarray(u.reshape(-1, self.n)), u.shape[:-1]
+
+    def pole_data(self, U: np.ndarray, depth: int) -> list:
+        """Pole data of the first ``depth`` records at the (P, n) point set U,
+        computed in record order (each record's data come from evaluating the
+        prefix before it) and memoised per point set."""
+        key = U.tobytes()
+        with self._lock:
+            data = self._memo.pop(key, None)
+            if data is None:
+                data = []
+            self._memo[key] = data
+            if len(self._memo) > MEMO_POINT_SETS:
+                del self._memo[next(iter(self._memo))]
+            for k in range(len(data), depth):
+                data.append(self.history[k].pole_data(self, k, U))
+            return data
+
+    def _prefix_fn(self, depth: int, U: np.ndarray):
         def fn(w):
-            return self.evaluate(u, w, depth=depth)
+            return self.evaluate(U, w, depth=depth)
         return fn
 
     def evaluate(self, u, lam: complex, depth: int | None = None):
-        """Dressed (E, X) at (u, lambda); holomorphic in lambda across the
-        dressing poles (each update is applied in its residue-subtracted
-        form)."""
-        u = np.asarray(u, dtype=float)
+        """Dressed (E, X) at the points u and one lambda; holomorphic in
+        lambda across the dressing poles (each update is applied in its
+        residue-subtracted form).  ``depth`` evaluates the prefix frame of
+        the first ``depth`` records."""
+        U, lead = self._point_set(u)
         lam = complex(lam)
-        E = self.seed.E(u, lam)
-        X = self.seed.X(u, lam)
         upto = len(self.history) if depth is None else depth
+        E = self.seed.E(U, lam)
+        X = self.seed.X(U, lam)
+        data = self.pole_data(U, upto)
         for k in range(upto):
-            rec = self.history[k]
-            data = rec.point_data(self, k, u)
-            E, X = rec.apply(E, X, lam, data, self._prefix_fn(k, u))
-        return E, X
+            E, X = self.history[k].apply(E, X, lam, data[k], self._prefix_fn(k, U))
+        return E.reshape(lead + E.shape[1:]), X.reshape(lead + X.shape[1:])
 
     def E(self, u, lam: complex) -> np.ndarray:
         return self.evaluate(u, lam)[0]
@@ -277,31 +385,32 @@ class ExtendedFrame:
         return self.evaluate(u, lam)[1]
 
     def h(self, u) -> np.ndarray:
-        """Metric coefficient vector, accumulated through the history."""
-        u = np.asarray(u, dtype=float)
-        h = self.seed.h(u).astype(complex)
-        for k, rec in enumerate(self.history):
-            h = rec.apply_h(h, rec.point_data(self, k, u))
-        return h
+        """Metric coefficient vectors, accumulated through the history."""
+        U, lead = self._point_set(u)
+        h = self.seed.h(U).astype(complex)
+        for rec, data in zip(self.history, self.pole_data(U, len(self.history))):
+            h = rec.apply_h(h, data)
+        return h.reshape(lead + (self.n,))
 
     def beta(self, u) -> np.ndarray:
-        """Rotation coefficient matrix, accumulated through the history."""
-        u = np.asarray(u, dtype=float)
-        beta = np.zeros((self.n, self.n), dtype=complex)
-        for k, rec in enumerate(self.history):
-            beta = rec.apply_beta(beta, rec.point_data(self, k, u))
-        return beta
+        """Rotation coefficient matrices, accumulated through the history."""
+        U, lead = self._point_set(u)
+        beta = np.zeros((len(U), self.n, self.n), dtype=complex)
+        for rec, data in zip(self.history, self.pole_data(U, len(self.history))):
+            beta = rec.apply_beta(beta, data)
+        return beta.reshape(lead + (self.n, self.n))
 
-    def phi(self, u) -> float | None:
-        """Closed-form potential, or None when some record has no closed
-        update (translations, general complex poles)."""
-        u = np.asarray(u, dtype=float)
-        val = self.seed.phi(u)
-        for k, rec in enumerate(self.history):
-            if val is None:
-                return None
-            val = rec.apply_phi(val, rec.point_data(self, k, u))
-        return val
+    def phi(self, u):
+        """Closed-form potential (a float at a single point), or None when
+        some record has no closed update (translations, general complex
+        poles)."""
+        if not self.has_closed_potential:
+            return None
+        U, lead = self._point_set(u)
+        val = self.seed.phi(U)
+        for rec, data in zip(self.history, self.pole_data(U, len(self.history))):
+            val = rec.apply_phi(val, data)
+        return val.reshape(lead) if lead else float(val[0])
 
     def lax_connection(self) -> "LaxConnection":
         return LaxConnection(self.n, self.beta, self.h)
@@ -332,8 +441,8 @@ class LaxConnection:
 
 
 def frame_dlambda_at_zero(frame: ExtendedFrame, u, step: float = 1e-3) -> np.ndarray:
-    """dE/dlambda at lambda = 0 by 4th-order central differences with one
-    Richardson extrapolation level."""
+    """dE/dlambda at lambda = 0 on the points u, by 4th-order central
+    differences with one Richardson extrapolation level."""
     u = np.asarray(u, dtype=float)
 
     def central(s):
@@ -348,24 +457,17 @@ def frame_dlambda_at_zero(frame: ExtendedFrame, u, step: float = 1e-3) -> np.nda
     return (16 * fine - coarse) / 15
 
 
-def _cumulative_segment_integral(f, knots: np.ndarray) -> np.ndarray:
-    """F(t_j) = int_0^{t_j} f(t) dt on the knots, per-cell Simpson on the
-    knots augmented with 0 (the evaluator is exact off-grid, so midpoints are
-    free)."""
-    aug = np.union1d(knots, [0.0])
-    mids = 0.5 * (aug[:-1] + aug[1:])
-    fa = np.array([f(t) for t in aug], dtype=complex)
-    fm = np.array([f(t) for t in mids], dtype=complex)
-    seg = (np.diff(aug) / 6.0) * (fa[:-1] + 4.0 * fm + fa[1:])
-    cum = np.concatenate([[0.0 + 0.0j], np.cumsum(seg)])
-    cum -= cum[int(np.searchsorted(aug, 0.0))]
-    return cum[np.searchsorted(aug, knots)]
-
-
 def potential_on_grid(frame: ExtendedFrame, grid: Grid, axis_order=None) -> np.ndarray:
     """Potential phi on the grid by integrating d phi = sum_i h_i^2 du_i along
     axis-ordered staircase paths from the origin.  Flatness makes the result
-    independent of ``axis_order`` (tested, not assumed)."""
+    independent of ``axis_order`` (tested, not assumed).
+
+    Each sweep axis is one point set: every staircase line of that sweep (one
+    per grid point of the axes already swept) on the axis knots augmented
+    with 0, plus the cell midpoints (the evaluator is exact off-grid, so
+    they are free).  Per-cell Simpson sums are then accumulated along the
+    lines.
+    """
     n = grid.n
     order = tuple(range(n)) if axis_order is None else tuple(axis_order)
     if sorted(order) != list(range(n)):
@@ -373,20 +475,22 @@ def potential_on_grid(frame: ExtendedFrame, grid: Grid, axis_order=None) -> np.n
     phi = np.zeros(grid.shape, dtype=complex)
     for pos, axis in enumerate(order):
         prior = order[:pos]
-        prior_shape = tuple(grid.shape[a] for a in prior)
         knots = grid.axes[axis]
-        part = np.zeros(prior_shape + (knots.size,), dtype=complex)
-        for pidx in (np.ndindex(prior_shape) if prior_shape else [()]):
-            base = np.zeros(n)
-            for a, i in zip(prior, pidx):
-                base[a] = grid.axes[a][i]
-
-            def line(t):
-                u = base.copy()
-                u[axis] = t
-                return frame.h(u)[axis] ** 2
-
-            part[pidx] = _cumulative_segment_integral(line, knots)
+        aug = np.union1d(knots, [0.0])
+        ts = np.concatenate([aug, 0.5 * (aug[:-1] + aug[1:])])
+        # points indexed (prior..., t): prior axes on the grid, the swept
+        # axis at ts, the rest at 0
+        mesh = np.meshgrid(*[grid.axes[a] for a in prior], ts, indexing="ij")
+        U = np.zeros(mesh[-1].shape + (n,))
+        for a, coord in zip(prior + (axis,), mesh):
+            U[..., a] = coord
+        f = frame.h(U)[..., axis] ** 2
+        fa, fm = f[..., :aug.size], f[..., aug.size:]
+        seg = (np.diff(aug) / 6.0) * (fa[..., :-1] + 4.0 * fm + fa[..., 1:])
+        cum = np.concatenate([np.zeros(seg.shape[:-1] + (1,), dtype=complex),
+                              np.cumsum(seg, axis=-1)], axis=-1)
+        cum -= cum[..., int(np.searchsorted(aug, 0.0))][..., None]
+        part = cum[..., np.searchsorted(aug, knots)]
         # part dims follow (prior..., axis); sort them into grid axis order,
         # then insert size-1 dims for the axes not yet visited
         src_axes = list(prior) + [axis]
@@ -407,23 +511,11 @@ def metric_from_frame(frame: ExtendedFrame, grid: Grid, strict: bool = False,
     Nonpositive h on the grid marks the metric (``h_positive=False``) --- the
     immersion chart has been left --- and raises only with ``strict=True``.
     """
-    n = grid.n
-    shape = grid.shape
     pts = grid.points()
-    h = np.empty(shape + (n,), dtype=complex)
-    beta = np.empty(shape + (n, n), dtype=complex)
-    for idx in grid.indices():
-        u = pts[idx]
-        h[idx] = frame.h(u)
-        beta[idx] = frame.beta(u)
-
+    h = frame.h(pts)
+    beta = frame.beta(pts)
     phi = potential_on_grid(frame, grid, axis_order)
-
-    phi_closed = None
-    if frame.phi(np.zeros(n)) is not None:
-        phi_closed = np.empty(shape, dtype=float)
-        for idx in grid.indices():
-            phi_closed[idx] = frame.phi(pts[idx])
+    phi_closed = frame.phi(pts)
 
     imag_max = max(max_abs(h.imag), max_abs(beta.imag))
     is_real = imag_max < 1e-9
@@ -431,7 +523,7 @@ def metric_from_frame(frame: ExtendedFrame, grid: Grid, strict: bool = False,
     if strict and is_real and not h_positive:
         raise NonPositiveError("metric coefficient h_i <= 0 somewhere on the grid")
 
-    c = frame.h(np.zeros(n))
+    c = frame.h(np.zeros(grid.n))
     return EgoroffMetric(grid=grid, h=h, phi=phi, beta=beta, c=c,
                          is_real=is_real, h_positive=h_positive,
                          imag_max=imag_max, phi_closed=phi_closed)

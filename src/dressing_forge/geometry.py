@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChartSingularError, NonRealError
-from .linalg import max_abs
+from .linalg import adjoint, max_abs
 from .report import VerificationReport
 
 
@@ -112,13 +112,7 @@ class ImmersionSample:
 
 
 def sample_immersion(frame, grid: Grid, lam: complex) -> ImmersionSample:
-    shape = grid.shape
-    n = grid.n
-    X = np.empty(shape + (n,), dtype=complex)
-    pts = grid.points()
-    for idx in grid.indices():
-        X[idx] = frame.evaluate(pts[idx], lam)[1]
-    return ImmersionSample(complex(lam), grid, X)
+    return ImmersionSample(complex(lam), grid, frame.evaluate(grid.points(), lam)[1])
 
 
 def sphere_center(c: np.ndarray, lam: float) -> np.ndarray:
@@ -188,19 +182,13 @@ def check_lagrangian(sample: ImmersionSample, frame, tol: float = 1e-10,
     if abs(lam.imag) > 1e-14:
         report.add("lagrangian_skipped_nonreal_lambda", 0.0, None, lam=str(lam))
         return report
-    grid = sample.grid
-    pts = grid.points()
-    n = grid.n
-    r_sympl = 0.0
-    r_metric = 0.0
-    for idx in grid.indices():
-        u = pts[idx]
-        E, _ = frame.evaluate(u, lam.real)
-        h = frame.h(u)
-        T = E * h[None, :]  # column i = tangent along u_i
-        G = T.conj().T @ T
-        r_sympl = max(r_sympl, max_abs(G.imag))
-        r_metric = max(r_metric, max_abs(np.diag(G).real - np.abs(h) ** 2))
+    pts = sample.grid.points()
+    E, _ = frame.evaluate(pts, lam.real)
+    h = frame.h(pts)
+    T = E * h[..., None, :]  # column i = tangent along u_i
+    G = adjoint(T) @ T
+    r_sympl = max_abs(G.imag)
+    r_metric = max_abs(np.diagonal(G, axis1=-2, axis2=-1).real - np.abs(h) ** 2)
     report.add("lagrangian_symplectic", r_sympl, tol)
     report.add("lagrangian_metric", r_metric, metric_tol)
     return report
@@ -272,22 +260,20 @@ def limit_net(frame, grid: Grid, tol: float = 1e-10,
     from .frames import frame_dlambda_at_zero  # local import to avoid a cycle
 
     pts = grid.points()
-    net = np.empty(grid.shape + (grid.n,), dtype=float)
-    imag_max = 0.0
+    X0 = frame.evaluate(pts, 0.0)[1]
+    imag = np.max(np.abs(X0.imag), axis=-1)
+    imag_max = max_abs(imag)
+    if imag_max > tol:
+        first = np.unravel_index(np.argmax(imag > tol), imag.shape)
+        raise NonRealError(
+            f"X(u, 0) has imaginary part {imag[first]:.2e} > {tol:.1e} at u={pts[first]}")
+    net = X0.real
     cross_max = 0.0
     spherical = getattr(frame, "is_partial_invariant", False)
-    for idx in grid.indices():
-        u = pts[idx]
-        X0 = frame.evaluate(u, 0.0)[1]
-        imag_max = max(imag_max, max_abs(X0.imag))
-        if imag_max > tol:
-            raise NonRealError(
-                f"X(u, 0) has imaginary part {imag_max:.2e} > {tol:.1e} at u={u}")
-        net[idx] = X0.real
-        if spherical:
-            dE = frame_dlambda_at_zero(frame, u)
-            alt = -1j * dE @ frame.h(u)
-            cross_max = max(cross_max, max_abs(alt - X0))
+    if spherical:
+        dE = frame_dlambda_at_zero(frame, pts)
+        alt = -1j * (dE @ frame.h(pts)[..., None])[..., 0]
+        cross_max = max_abs(alt - X0)
     report = VerificationReport()
     report.add("limit_net_imag", imag_max, tol)
     if spherical:

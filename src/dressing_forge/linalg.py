@@ -1,7 +1,9 @@
 """Dense complex matrix arithmetic and Hermitian projections.
 
 Everything is a plain complex128 ``numpy.ndarray`` at small fixed dimension
-(n = 2..8 at desk scale); there is no sparse or blocked structure.  The one
+(n = 2..8 at desk scale); there is no sparse or blocked structure.  Matrix
+routines accept stacks of shape (..., n, n), one matrix per point of a point
+set, and apply their checks to every matrix in the stack.  The one
 structured value is :class:`HermitianProjection`, which is re-validated on
 every construction because a projection that silently fails pi^2 = pi or
 pi = pi* corrupts every downstream transformation formula.
@@ -26,53 +28,70 @@ COND_MAX = 1e13
 def cmat(data) -> np.ndarray:
     """Coerce to a finite complex128 array."""
     a = np.asarray(data, dtype=complex)
-    if not np.all(np.isfinite(a.view(float))):
+    if not np.isfinite(a.view(float)).all():
         raise ValueError("matrix entries must be finite")
     return a
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return a.swapaxes(-1, -2).conj()
 
 
 def max_abs(a) -> float:
     """Entrywise max-norm; the residual norm used everywhere."""
     a = np.asarray(a)
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    return float(np.abs(a).max()) if a.size else 0.0
+
+
+def _require_square(a: np.ndarray, name: str) -> None:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"{name} expects a square matrix, got {a.shape}")
 
 
 def star_reduce(xi: np.ndarray) -> np.ndarray:
-    """Zero the diagonal of a square matrix, keeping off-diagonal entries."""
+    """Zero the diagonal of a square matrix (of each matrix in a stack),
+    keeping off-diagonal entries."""
     xi = np.asarray(xi)
-    if xi.ndim != 2 or xi.shape[0] != xi.shape[1]:
-        raise ValueError(f"star_reduce expects a square matrix, got {xi.shape}")
+    _require_square(xi, "star_reduce")
     out = xi.copy()
-    np.fill_diagonal(out, 0)
+    diag = np.arange(xi.shape[-1])
+    out[..., diag, diag] = 0
     return out
 
 
 def solve_linear(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve A X = B for a small well-conditioned square A.
+    """Solve A X = B for a small well-conditioned square A, or for each
+    matrix of a stack A of shape (..., n, n).  B holds one right-hand side
+    vector per matrix (shape (..., n)) or one block (shape (..., n, k)).
 
-    Raises :class:`SingularError` when the SVD condition estimate exceeds
-    ``COND_MAX`` (covers exactly singular pivots as well).
+    Raises :class:`SingularError` when the SVD condition estimate of any
+    matrix exceeds ``COND_MAX`` (covers exactly singular pivots as well).
     """
     A = cmat(A)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"solve_linear expects a square matrix, got {A.shape}")
+    _require_square(A, "solve_linear")
     s = np.linalg.svd(A, compute_uv=False)
-    if s[-1] == 0.0 or s[0] / s[-1] > COND_MAX:
-        raise SingularError(f"matrix condition {s[0] / max(s[-1], 1e-300):.3e} exceeds {COND_MAX:.1e}")
-    return np.linalg.solve(A, np.asarray(B, dtype=complex))
+    smin = s[..., -1]
+    cond = s[..., 0] / np.maximum(smin, 1e-300)
+    if smin.min() == 0.0 or cond.max() > COND_MAX:
+        worst = np.where(smin == 0.0, np.inf, cond).max()
+        raise SingularError(f"matrix condition {worst:.3e} exceeds {COND_MAX:.1e}")
+    B = np.asarray(B, dtype=complex)
+    if A.ndim > 2 and B.ndim == A.ndim - 1:
+        return np.linalg.solve(A, B[..., None])[..., 0]
+    return np.linalg.solve(A, B)
 
 
 @dataclass(frozen=True, eq=False)
 class HermitianProjection:
-    """An n x n complex matrix pi with pi^2 = pi and pi = pi*.
+    """An n x n complex matrix pi with pi^2 = pi and pi = pi*, or a stack of
+    them of shape (..., n, n) sharing one rank (one projection per point of a
+    point set; indexing the stack gives the projection at one point).
 
     ``span`` holds an orthonormal basis of the image; transported images are
     computed by mapping the span and re-projecting, which is numerically
-    stabler than conjugating the matrix itself.
+    stabler than conjugating the matrix itself.  ``is_real`` holds for a
+    stack when every matrix in it is real.
     """
 
     matrix: np.ndarray
@@ -82,8 +101,8 @@ class HermitianProjection:
 
     def __post_init__(self):
         pi = self.matrix
-        n = pi.shape[0]
-        if pi.shape != (n, n):
+        n = pi.shape[-1]
+        if pi.ndim < 2 or pi.shape[-2] != n:
             raise ValueError("projection matrix must be square")
         idem = max_abs(pi @ pi - pi)
         herm = max_abs(pi - adjoint(pi))
@@ -93,18 +112,23 @@ class HermitianProjection:
             )
         if self.is_real and max_abs(pi.imag) >= PROJECTION_TOL:
             raise RankDeficientError(f"projection marked real has |Im pi|={max_abs(pi.imag):.2e}")
-        if self.rank != int(round(float(pi.trace().real))):
+        if (np.rint(pi.trace(axis1=-2, axis2=-1).real) != self.rank).any():
             raise RankDeficientError("projection rank disagrees with trace")
-        if self.span.shape != (n, self.rank):
+        if self.span.shape != pi.shape[:-1] + (self.rank,):
             raise ValueError("span must be n x rank")
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     @property
     def complement(self) -> np.ndarray:
         return np.eye(self.n) - self.matrix
+
+    def __getitem__(self, index) -> "HermitianProjection":
+        """The projection (or sub-stack) at ``index`` of a stack."""
+        pi = self.matrix[index]
+        return HermitianProjection(pi, self.rank, not np.any(pi.imag), self.span[index])
 
     def conjugate(self) -> "HermitianProjection":
         """The projection onto the conjugated image (pi bar)."""
@@ -120,32 +144,38 @@ class HermitianProjection:
 
 
 def project_onto_span(V: np.ndarray) -> HermitianProjection:
-    """Hermitian projection onto the column span of V, i.e. V (V*V)^-1 V*.
+    """Hermitian projection onto the column span of V, i.e. V (V*V)^-1 V*;
+    for a stack V of shape (..., n, k), the stack of projections onto the
+    column span of each matrix.
 
     Computed through an SVD orthonormal basis Q as Q Q*, which agrees with the
     Gram form to machine precision and is invariant under right-multiplication
     of V by any invertible matrix.  Raises :class:`RankDeficientError` when
-    sigma_min(V) <= RANK_TOL_FACTOR * sigma_max(V).
+    sigma_min(V) <= RANK_TOL_FACTOR * sigma_max(V) for any matrix.  Each
+    projection whose imaginary part is below ``PROJECTION_TOL`` is snapped to
+    real.
     """
     V = cmat(V)
     if V.ndim == 1:
         V = V[:, None]
-    n, k = V.shape
+    n, k = V.shape[-2:]
     if k == 0:
-        return HermitianProjection.zero(n)
+        zero = np.zeros(V.shape[:-1] + (n,), dtype=complex)
+        return HermitianProjection(zero, 0, True, V)
     if k > n:
         raise RankDeficientError(f"{k} columns cannot be independent in dimension {n}")
     Q, s, _ = np.linalg.svd(V, full_matrices=False)
-    if s[-1] <= RANK_TOL_FACTOR * s[0]:
+    dependent = s[..., -1] <= RANK_TOL_FACTOR * s[..., 0]
+    if dependent.any():
+        ratio = np.min(s[..., -1] / s[..., 0])
         raise RankDeficientError(
-            f"spanning columns are dependent: sigma_min/sigma_max = {s[-1] / s[0]:.2e}"
+            f"spanning columns are dependent: sigma_min/sigma_max = {ratio:.2e}"
         )
     pi = Q @ adjoint(Q)
     pi = 0.5 * (pi + adjoint(pi))  # enforce Hermitian symmetry exactly up to roundoff
-    is_real = max_abs(pi.imag) < PROJECTION_TOL
-    if is_real:
-        pi = pi.real.astype(complex)
-    return HermitianProjection(pi, k, is_real, Q)
+    real = np.abs(pi.imag).max(axis=(-2, -1)) < PROJECTION_TOL
+    pi = np.where(real[..., None, None], pi.real, pi)
+    return HermitianProjection(pi, k, bool(real.all()), Q)
 
 
 def projection_distance(p: HermitianProjection, q: HermitianProjection) -> float:

@@ -58,6 +58,22 @@ def test_validation_error_names_rule(tmp_path, capsys):
     assert "origin" in err
 
 
+@pytest.mark.parametrize("overrides, rule", [
+    ({"reality_samples": "abc"}, "reality_samples is a positive integer"),
+    ({"reality_samples": -5}, "reality_samples is a positive integer"),
+    ({"checks": {"tolerances": [1]}}, "tolerances by name"),
+    ({"checks": {"tolerances": {"reality": -1e-10}}}, "finite positive numbers"),
+    ({"grid": [[-0.5, 0.5, "x"], [-0.5, 0.5, 7]]}, "at least 3 grid points per axis"),
+    ({"grid": [[-0.5, 0.5, 7], [-0.5, 0.5, 2]]}, "at least 3 grid points per axis"),
+], ids=["samples-text", "samples-negative", "tolerances-list", "tolerance-negative",
+        "grid-points-text", "grid-two-points"])
+def test_malformed_scenario_exits_3_naming_rule(tmp_path, capsys, overrides, rule):
+    path = write_scenario(tmp_path, base_scenario(**overrides))
+    assert run_cli("run", path, tmp_path / "out") == 3
+    err = capsys.readouterr().err
+    assert "validation error" in err and rule in err
+
+
 def test_spherical_violation_refused_names_condition(tmp_path, capsys):
     raw = base_scenario(chain=[{
         "type": "spherical", "alpha": 0.8,

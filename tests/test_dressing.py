@@ -1,10 +1,12 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
 from dressing_forge import (Grid, HermitianProjection,
                             PoleCollisionError, RealOnePoleFactor,
                             SphericalViolationError, VacuumSeed, check_sphere,
-                            dress_extended, dress_frame_E, dress_permuted,
+                            dress_extended, dress_permuted,
                             dress_real, dress_spherical,
                             dress_spherical_family, dress_translation,
                             dress_two_pole, max_abs, project_onto_span,
@@ -222,6 +224,20 @@ def test_spherical_dressing(torus_frame, pi_perp_torus, rng):
         assert report.passed, str(report)
 
 
+def test_records_are_frozen(torus_frame, pi_diag, pi_perp_torus):
+    frame = dress_spherical(torus_frame, 0.8, pi_perp_torus)
+    frame = dress_translation(dress_real(frame, 0.6, pi_diag), 1.3, [0.1, 0.2])
+    # dress_spherical sets the flag when it builds the record
+    assert [rec.sphere_preserving for rec in frame.history] == [True, False, False]
+    for rec in frame.history:
+        with pytest.raises(FrozenInstanceError):
+            rec.sphere_preserving = True
+    with pytest.raises(FrozenInstanceError):
+        frame.history[1].z = 0.5j
+    with pytest.raises(FrozenInstanceError):
+        frame.history[2].b = np.zeros(2)
+
+
 def test_spherical_violation_refused(torus_frame, pi_diag):
     # pi_diag's image is not orthogonal to h(0) = (1, 0.7)
     with pytest.raises(SphericalViolationError):
@@ -378,22 +394,25 @@ def test_group_action_undo(torus_frame):
 
 
 def test_dress_frame_E_unit(torus_frame, pi_diag, rng):
-    ev = dress_frame_E(lambda u, lam: torus_frame.E(u, lam), 0.6j, pi_diag)
-    assert projection_distance(ev.projection_at(np.zeros(2)), pi_diag) < 1e-12
+    """The E-block of a one-pole dressed frame: pinned projection at the base
+    point, both reality conditions, and no change under the identity
+    projection."""
+    frame = dress_extended(torus_frame, 0.6j, pi_diag)
+    pi_at_origin = frame.history[0].point_data(frame, 0, np.zeros(2)).pi_tilde
+    assert projection_distance(pi_at_origin, pi_diag) < 1e-12
     eye = np.eye(2)
     for _ in range(8):
         u = rng.uniform(-0.7, 0.7, size=2)
         lam = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
         if min(abs(lam - 0.6j), abs(lam + 0.6j)) < 0.05:
             continue
-        E = ev(u, lam)
-        assert max_abs(np.asarray(ev(u, np.conj(lam))).conj().T @ E - eye) < 1e-10
-        assert max_abs(E.T @ np.asarray(ev(u, -lam)) - eye) < 1e-10
+        E = frame.E(u, lam)
+        assert max_abs(frame.E(u, np.conj(lam)).conj().T @ E - eye) < 1e-10
+        assert max_abs(E.T @ frame.E(u, -lam) - eye) < 1e-10
     # identity projection leaves E untouched
-    ev_id = dress_frame_E(lambda u, lam: torus_frame.E(u, lam), 0.6j,
-                          HermitianProjection.identity(2))
+    frame_id = dress_extended(torus_frame, 0.6j, HermitianProjection.identity(2))
     u = np.array([0.3, 0.2])
-    assert max_abs(ev_id(u, 1.1) - torus_frame.E(u, 1.1)) < 1e-12
+    assert max_abs(frame_id.E(u, 1.1) - torus_frame.E(u, 1.1)) < 1e-12
 
 
 def test_spherical_family_trivial(torus_frame):

@@ -1,13 +1,19 @@
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from dressing_forge import (ConstantProfile, ExtendedFrame, Grid,
                             OutOfDomainError, PolynomialProfile,
-                            SampledProfile, VacuumSeed, dress_real,
-                            frame_dlambda_at_zero, max_abs, metric_from_frame,
-                            potential_on_grid, project_onto_span,
-                            sample_immersion, vacuum_E, vacuum_X)
+                            SampledProfile, VacuumSeed, dress_extended,
+                            dress_real, dress_spherical, dress_translation,
+                            dress_two_pole, frame_dlambda_at_zero, max_abs,
+                            metric_from_frame, potential_on_grid,
+                            project_onto_span, sample_immersion, vacuum_E,
+                            vacuum_X)
 
 
 def quad_position_oracle(profile, u, lam):
@@ -253,3 +259,135 @@ def test_lax_connection_vacuum_block(torus_frame):
     expect[0, 0] = 1.5j
     expect[0, 2] = 1.0
     assert max_abs(block - expect) < 1e-15
+
+
+# -- array-form evaluation over point sets -----------------------------------
+
+_KNOTS = np.linspace(-1.0, 1.0, 9)
+SEEDS = {
+    "constant": lambda: VacuumSeed.constant([1.0, 0.7]),
+    "polynomial": lambda: VacuumSeed((PolynomialProfile((1.0, 0.3, -0.2), (-1.0, 1.0)),
+                                      ConstantProfile(0.8))),
+    "sampled": lambda: VacuumSeed((SampledProfile(tuple(_KNOTS), tuple(1.0 + 0.3 * np.sin(_KNOTS))),
+                                   ConstantProfile(0.9))),
+}
+COMPLEX_Z = 0.3 + 0.9j
+TRANSLATION_ALPHA = 1.7
+
+
+def _chain(seed, closed_only):
+    """Every record type on the seed: spherical (constant seed only), real
+    one-pole, and unless ``closed_only`` complex one-pole, two-pole and
+    translation."""
+    frame = ExtendedFrame(seed)
+    if seed.is_spherical:
+        frame = dress_spherical(frame, 0.8, project_onto_span(np.array([0.7, -1.0])))
+    frame = dress_real(frame, 0.6, project_onto_span(np.array([1.0, 1.0])))
+    if not closed_only:
+        frame = dress_extended(frame, COMPLEX_Z, project_onto_span(np.array([1.0, 0.5 + 0.3j])))
+        frame = dress_two_pole(frame, 0.5 + 1.3j, project_onto_span(np.array([1.0, 0.2 - 0.4j])))
+        frame = dress_translation(frame, TRANSLATION_ALPHA, [0.1, -0.2])
+    return frame
+
+
+# off-pole (real and complex), lambda = 0, and within 1e-8 of chain poles
+# (real one-pole pole, complex conjugate pole, translation pole)
+LAMBDAS = [0.9, 0.3 - 0.4j, 0.0, 0.6j + 3e-9, np.conj(COMPLEX_Z) + 3e-9j,
+           1j * TRANSLATION_ALPHA - 3e-9]
+
+
+@pytest.mark.parametrize("closed_only", [True, False], ids=["closed", "all-records"])
+@pytest.mark.parametrize("seed_name", list(SEEDS))
+def test_batched_evaluation_matches_single_points(seed_name, closed_only):
+    frame = _chain(SEEDS[seed_name](), closed_only)
+    U = np.random.default_rng(11).uniform(-0.6, 0.6, size=(4, 2))
+    for lam in LAMBDAS if not closed_only else LAMBDAS[:4]:
+        E, X = frame.evaluate(U, lam)
+        assert E.shape == (4, 2, 2) and X.shape == (4, 2)
+        for p, u in enumerate(U):
+            E1, X1 = frame.evaluate(u, lam)
+            assert E1.shape == (2, 2) and X1.shape == (2,)
+            assert max_abs(E[p] - E1) < 1e-13
+            assert max_abs(X[p] - X1) < 1e-13
+    h, beta, phi = frame.h(U), frame.beta(U), frame.phi(U)
+    assert h.shape == (4, 2) and beta.shape == (4, 2, 2)
+    assert (phi is None) == (not closed_only)
+    for p, u in enumerate(U):
+        assert max_abs(h[p] - frame.h(u)) < 1e-13
+        assert max_abs(beta[p] - frame.beta(u)) < 1e-13
+        if closed_only:
+            assert isinstance(frame.phi(u), float)
+            assert abs(phi[p] - frame.phi(u)) < 1e-13
+
+
+def test_batched_evaluation_keeps_leading_shape(torus_frame, pi_diag):
+    frame = dress_real(torus_frame, 0.6, pi_diag)
+    pts = Grid.from_specs([(-0.4, 0.4, 3), (-0.4, 0.4, 5)]).points()
+    E, X = frame.evaluate(pts, 0.9)
+    assert E.shape == (3, 5, 2, 2) and X.shape == (3, 5, 2)
+    assert frame.h(pts).shape == (3, 5, 2) and frame.phi(pts).shape == (3, 5)
+    assert max_abs(E[2, 1] - frame.E(pts[2, 1], 0.9)) < 1e-13
+
+
+def test_out_of_domain_row_fails_whole_batch():
+    frame = _chain(SEEDS["polynomial"](), closed_only=False)
+    U = np.array([[0.2, 0.1], [1.5, 0.0], [-0.3, 0.4]])
+    for call in (lambda: frame.evaluate(U, 0.9), lambda: frame.h(U),
+                 lambda: frame.beta(U)):
+        with pytest.raises(OutOfDomainError, match="u_1 = 1.5"):
+            call()
+    assert frame.h(U[[0, 2]]).shape == (2, 2)
+
+
+def test_scalar_calls_keep_memory_bounded(torus_frame, pi_diag):
+    """Many single-point calls at distinct points must not accumulate
+    per-point state: the frame keeps only its most recent point sets."""
+    frame = dress_real(torus_frame, 0.6, pi_diag)
+    pts = np.random.default_rng(3).uniform(-0.5, 0.5, size=(10_000, 2))
+    for u in pts[:9_000]:
+        frame.h(u)
+    # trace only the last calls (tracing slows every allocation): what they
+    # leave behind must not grow with the number of calls
+    tracemalloc.start()
+    try:
+        for u in pts[9_000:9_500]:
+            frame.h(u)
+        warm = tracemalloc.get_traced_memory()[0]
+        for u in pts[9_500:]:
+            frame.h(u)
+        grown = tracemalloc.get_traced_memory()[0] - warm
+    finally:
+        tracemalloc.stop()
+    assert grown < 16 * 1024
+
+
+def test_threads_sharing_a_frame_get_single_thread_results(torus_frame, pi_diag):
+    """The per-frame memo is shared state: threads that evaluate one frame at
+    more point sets than the memo holds must see the single-thread values."""
+    frame = dress_real(dress_real(torus_frame, 0.6, pi_diag), 1.1,
+                       project_onto_span(np.array([1.0, -0.3])))
+    sets = [np.random.default_rng(k).uniform(-0.5, 0.5, size=(3, 2)) for k in range(12)]
+    reference = [dress_real(dress_real(torus_frame, 0.6, pi_diag), 1.1,
+                            project_onto_span(np.array([1.0, -0.3]))).evaluate(U, 0.7)[1]
+                 for U in sets]
+    failures = []
+
+    def worker(offset):
+        for rep in range(10):
+            for k in range(len(sets)):
+                i = (k + offset) % len(sets)
+                if max_abs(frame.evaluate(sets[i], 0.7)[1] - reference[i]) > 1e-13:
+                    failures.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not failures
