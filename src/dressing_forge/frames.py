@@ -203,9 +203,6 @@ class VacuumSeed:
     def __post_init__(self):
         lo, hi = np.array([p.domain for p in self.profiles], dtype=float).reshape(-1, 2).T
         object.__setattr__(self, "_bounds", (lo - 1e-12, hi + 1e-12))
-        # constant profiles are evaluated on all axes at once
-        radii = np.array([p.r for p in self.profiles]) if self.is_spherical else None
-        object.__setattr__(self, "_radii", radii)
 
     @property
     def n(self) -> int:
@@ -223,8 +220,6 @@ class VacuumSeed:
         return np.array([p.value(0.0) for p in self.profiles])
 
     def _check_domain(self, u: np.ndarray) -> None:
-        if self._radii is not None:
-            return  # constant profiles are defined on the whole axis
         lo, hi = self._bounds
         inside = (lo <= u) & (u <= hi)
         if not inside.all():
@@ -234,8 +229,6 @@ class VacuumSeed:
 
     def h(self, u: np.ndarray) -> np.ndarray:
         self._check_domain(u)
-        if self._radii is not None:
-            return np.broadcast_to(self._radii, np.shape(u)).copy()
         out = np.empty(np.shape(u))
         for j, p in enumerate(self.profiles):
             out[..., j] = p.value(u[..., j])
@@ -251,8 +244,6 @@ class VacuumSeed:
 
     def X(self, u: np.ndarray, lam: complex) -> np.ndarray:
         self._check_domain(u)
-        if self._radii is not None:
-            return self._radii * _stable_exp_integral(u, lam)
         out = np.empty(np.shape(u), dtype=complex)
         for j, p in enumerate(self.profiles):
             out[..., j] = p.position_integral(u[..., j], lam)

@@ -73,7 +73,8 @@ def solve_linear(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     s = np.linalg.svd(A, compute_uv=False)
     smin = s[..., -1]
     cond = s[..., 0] / np.maximum(smin, 1e-300)
-    if smin.min() == 0.0 or cond.max() > COND_MAX:
+    # an empty stack has nothing to check
+    if smin.size and (smin.min() == 0.0 or cond.max() > COND_MAX):
         worst = np.where(smin == 0.0, np.inf, cond).max()
         raise SingularError(f"matrix condition {worst:.3e} exceeds {COND_MAX:.1e}")
     B = np.asarray(B, dtype=complex)

@@ -327,6 +327,10 @@ def test_batched_evaluation_keeps_leading_shape(torus_frame, pi_diag):
     assert E.shape == (3, 5, 2, 2) and X.shape == (3, 5, 2)
     assert frame.h(pts).shape == (3, 5, 2) and frame.phi(pts).shape == (3, 5)
     assert max_abs(E[2, 1] - frame.E(pts[2, 1], 0.9)) < 1e-13
+    empty = np.empty((0, 2))
+    assert frame.evaluate(empty, 0.9)[0].shape == (0, 2, 2)
+    assert frame.h(empty).shape == (0, 2) and frame.beta(empty).shape == (0, 2, 2)
+    assert frame.phi(empty).shape == (0,)
 
 
 def test_out_of_domain_row_fails_whole_batch():
