@@ -16,7 +16,7 @@ from .report import CheckResult, VerificationReport
 from .frames import (ConstantProfile, ExtendedFrame, LaxConnection,
                      PolynomialProfile, SampledProfile, VacuumSeed,
                      frame_dlambda_at_zero, metric_from_frame,
-                     potential_on_grid, vacuum_E, vacuum_X)
+                     potential_on_grid)
 from .geometry import (EgoroffMetric, Grid, ImmersionSample,
                        check_darboux_egoroff, check_lagrangian,
                        check_partial_invariance, check_sphere, hopf_project,

@@ -727,6 +727,14 @@ COMMANDS = {
 }
 
 
+def positive_float(text: str) -> float:
+    """argparse type: a finite number > 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number > 0")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dressing-forge",
@@ -736,10 +744,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--scenario", required=True, help="path to a JSON scenario file")
         p.add_argument("--out", default="out", help="output directory (default: ./out)")
-        p.add_argument("--step", type=float, default=None,
-                       help="RK4 step for the PDE cross-checks (default 1e-2)")
-        p.add_argument("--tol-scale", type=float, default=1.0, dest="tol_scale",
-                       help="multiply every verification tolerance by this factor")
+        p.add_argument("--step", type=positive_float, default=None,
+                       help="RK4 step for the PDE cross-checks, > 0 (default 1e-2)")
+        p.add_argument("--tol-scale", type=positive_float, default=1.0, dest="tol_scale",
+                       help="multiply every verification tolerance by this factor (> 0)")
     return parser
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import PoleCollisionError, SphericalViolationError
-from .frames import ExtendedFrame
+from .frames import ExtendedFrame, frame_dlambda_at_zero
 from .geometry import Grid
 from .linalg import (HermitianProjection, adjoint, max_abs, project_onto_span,
                      solve_linear, star_reduce)
@@ -434,13 +434,7 @@ class SphericalFamily:
 
     def net(self, u, step: float = 1e-3) -> np.ndarray:
         """lambda -> 0 limit: -i dE/dlambda(u, 0) h(u), real."""
-        u = np.asarray(u, dtype=float)
-
-        def central(s):
-            return (-np.asarray(self.E_fn(u, 2 * s)) + 8 * np.asarray(self.E_fn(u, s))
-                    - 8 * np.asarray(self.E_fn(u, -s)) + np.asarray(self.E_fn(u, -2 * s))) / (12 * s)
-
-        dE = (16 * central(step / 2) - central(step)) / 15
+        dE = frame_dlambda_at_zero(self.E_fn, u, step)
         return (-1j * dE @ self.h(u).astype(complex)).real
 
     def radius(self, lam: float) -> float:

@@ -21,7 +21,7 @@ from scipy.interpolate import CubicSpline
 
 from .errors import NonPositiveError, OutOfDomainError
 from .geometry import EgoroffMetric, Grid
-from .linalg import max_abs
+from .linalg import lax_block, max_abs
 
 # Adaptive quadrature target for sampled profiles.
 QUAD_TOL = 1e-10
@@ -257,16 +257,6 @@ class VacuumSeed:
         return total
 
 
-def vacuum_E(seed: VacuumSeed, u, lam: complex) -> np.ndarray:
-    """diag(e^{i lambda u_j}): the frame of the zero rotation-coefficient Lax form."""
-    return seed.E(np.asarray(u, dtype=float), complex(lam))
-
-
-def vacuum_X(seed: VacuumSeed, u, lam: complex) -> np.ndarray:
-    """Componentwise plane-curve integrals int_0^{u_j} h_j(t) e^{i lambda t} dt."""
-    return seed.X(np.asarray(u, dtype=float), complex(lam))
-
-
 # Number of most recent point sets whose pole data a frame keeps.
 MEMO_POINT_SETS = 4
 
@@ -418,29 +408,17 @@ class LaxConnection:
     h_fn: object
 
     def axis_block(self, u, lam: complex, axis: int) -> np.ndarray:
-        n = self.n
-        beta = self.beta_fn(u)
-        h = self.h_fn(u)
-        out = np.zeros((n + 1, n + 1), dtype=complex)
-        block = np.zeros((n, n), dtype=complex)
-        block[axis, :] += beta[axis, :]
-        block[:, axis] -= beta[:, axis]
-        block[axis, axis] += 1j * lam
-        out[:n, :n] = block
-        out[axis, n] = h[axis]
-        return out
+        return lax_block(self.beta_fn(u), axis, lam, self.h_fn(u))
 
 
-def frame_dlambda_at_zero(frame: ExtendedFrame, u, step: float = 1e-3) -> np.ndarray:
+def frame_dlambda_at_zero(E_fn, u, step: float = 1e-3) -> np.ndarray:
     """dE/dlambda at lambda = 0 on the points u, by 4th-order central
-    differences with one Richardson extrapolation level."""
+    differences with one Richardson extrapolation level; ``E_fn(u, lam)`` is
+    the frame block evaluator (``frame.E`` for an extended frame)."""
     u = np.asarray(u, dtype=float)
 
     def central(s):
-        Ep2 = frame.evaluate(u, 2 * s)[0]
-        Ep1 = frame.evaluate(u, s)[0]
-        Em1 = frame.evaluate(u, -s)[0]
-        Em2 = frame.evaluate(u, -2 * s)[0]
+        Ep2, Ep1, Em1, Em2 = (np.asarray(E_fn(u, k * s)) for k in (2, 1, -1, -2))
         return (-Ep2 + 8 * Ep1 - 8 * Em1 + Em2) / (12 * s)
 
     coarse = central(step)

@@ -271,7 +271,7 @@ def limit_net(frame, grid: Grid, tol: float = 1e-10,
     cross_max = 0.0
     spherical = getattr(frame, "is_partial_invariant", False)
     if spherical:
-        dE = frame_dlambda_at_zero(frame, pts)
+        dE = frame_dlambda_at_zero(frame.E, pts)
         alt = -1j * (dE @ frame.h(pts)[..., None])[..., 0]
         cross_max = max_abs(alt - X0)
     report = VerificationReport()

@@ -60,6 +60,26 @@ def star_reduce(xi: np.ndarray) -> np.ndarray:
     return out
 
 
+def lax_block(M: np.ndarray, axis: int, lam: complex | None = None,
+              h: np.ndarray | None = None) -> np.ndarray:
+    """The axis commutator [e_aa, M] of each matrix in a stack (..., n, n).
+
+    With ``lam`` and ``h`` (..., n) it is instead the (n+1) x (n+1) Lax
+    coefficient along u_axis of the flat connection attached to rotation
+    coefficients M = beta and metric coefficients h:
+    [[i lam e_aa + [e_aa, beta], h_a e_a], [0, 0]]."""
+    M = np.asarray(M)
+    n = M.shape[-1]
+    size = n if lam is None else n + 1
+    out = np.zeros(M.shape[:-2] + (size, size), dtype=complex)
+    out[..., axis, :n] += M[..., axis, :]
+    out[..., :n, axis] -= M[..., :, axis]
+    if lam is not None:
+        out[..., axis, axis] += 1j * lam
+        out[..., axis, n] = h[..., axis]
+    return out
+
+
 def solve_linear(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Solve A X = B for a small well-conditioned square A, or for each
     matrix of a stack A of shape (..., n, n).  B holds one right-hand side

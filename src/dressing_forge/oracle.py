@@ -14,9 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ProjectionDriftError, StepTooLargeError
-from .linalg import max_abs
+from .linalg import lax_block, max_abs
 
-RK4_ORDER = 4.0
+# Most RK4 steps whose stage points one point-set call evaluates, so memory
+# stays bounded however small the step is.
+RK4_CHUNK_STEPS = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,14 +82,27 @@ def _segment_steps(t0: float, t1: float, step: float) -> int:
     return max(1, int(math.ceil(abs(t1 - t0) / step - 1e-12)))
 
 
-def _rk4(state, rhs, t0: float, t1: float, m: int, post_step=None):
-    dt = (t1 - t0) / m
+def _stage_chunks(u_start, axis: int, t0: float, t1: float, step: float):
+    """Yield (U, dt, m) for consecutive chunks of at most RK4_CHUNK_STEPS of
+    the segment's RK4 steps: U is the (2m + 1, n) point set of the chunk's
+    stage points, spaced dt / 2 along the axis from the chunk's first step."""
+    total = _segment_steps(t0, t1, step)
+    dt = (t1 - t0) / total
+    for first in range(0, total, RK4_CHUNK_STEPS):
+        m = min(RK4_CHUNK_STEPS, total - first)
+        U = np.repeat(u_start[None, :], 2 * m + 1, axis=0)
+        U[:, axis] = t0 + (2 * first + np.arange(2 * m + 1)) * (0.5 * dt)
+        yield U, dt, m
+
+
+def _rk4(state, rhs, dt: float, m: int, post_step=None):
+    """m classical RK4 steps of size dt; rhs(k, state) is the right-hand side
+    at stage point k = 0..2m of a chunk (step i starts at k = 2i)."""
     for i in range(m):
-        t = t0 + i * dt
-        k1 = rhs(t, state)
-        k2 = rhs(t + 0.5 * dt, _axpy(state, 0.5 * dt, k1))
-        k3 = rhs(t + 0.5 * dt, _axpy(state, 0.5 * dt, k2))
-        k4 = rhs(t + dt, _axpy(state, dt, k3))
+        k1 = rhs(2 * i, state)
+        k2 = rhs(2 * i + 1, _axpy(state, 0.5 * dt, k1))
+        k3 = rhs(2 * i + 1, _axpy(state, 0.5 * dt, k2))
+        k4 = rhs(2 * i + 2, _axpy(state, dt, k3))
         state = _combine(state, dt, k1, k2, k3, k4)
         if post_step is not None:
             state = post_step(state)
@@ -111,31 +126,19 @@ def integrate_frame(n: int, beta_fn, h_fn, lam: complex, path: PathSpec,
                     step: float):
     """Path-ordered RK4 solution of F^{-1} dF = theta_lambda, F(0) = I, along
     the given staircase; returns (E, X) blocks at the path end.  beta_fn and
-    h_fn are point evaluators (closed-form when the metric came from
-    dressing; spline interpolants for external grids)."""
+    h_fn are point-set evaluators, (S, n) -> (S, n, n) and (S, n)
+    (closed-form when the metric came from dressing; spline interpolants for
+    external grids).  Each segment's stage points are evaluated as point
+    sets, in chunks of at most RK4_CHUNK_STEPS steps."""
     lam = complex(lam)
     F = np.eye(n + 1, dtype=complex)
 
     for u_start, axis, t0, t1 in path.waypoints(n):
         if t0 == t1:
             continue
-        u_seg = u_start.copy()
-
-        def rhs(t, F_now, axis=axis, u_seg=u_seg):
-            u_seg = u_seg.copy()
-            u_seg[axis] = t
-            beta = beta_fn(u_seg)
-            h = h_fn(u_seg)
-            theta = np.zeros((n + 1, n + 1), dtype=complex)
-            block = np.zeros((n, n), dtype=complex)
-            block[axis, :] += beta[axis, :]
-            block[:, axis] -= beta[:, axis]
-            block[axis, axis] += 1j * lam
-            theta[:n, :n] = block
-            theta[axis, n] = h[axis]
-            return F_now @ theta
-
-        F = _rk4(F, rhs, t0, t1, _segment_steps(t0, t1, step))
+        for U, dt, m in _stage_chunks(u_start, axis, t0, t1, step):
+            theta = lax_block(beta_fn(U), axis, lam, h_fn(U))
+            F = _rk4(F, lambda k, F_now: F_now @ theta[k], dt, m)
 
     return F[:n, :n], F[:n, n]
 
@@ -206,31 +209,6 @@ def integrate_bf(n: int, beta_fn, h_fn, alpha: float, pi0: np.ndarray,
     for u_start, axis, t0, t1 in path.waypoints(n):
         if t0 == t1:
             continue
-        m = _segment_steps(t0, t1, step)
-        total_steps += m
-
-        def rhs(t, state, axis=axis, u_start=u_start):
-            pi_now, y_now = state
-            u = u_start.copy()
-            u[axis] = t
-            beta = beta_fn(u)
-            h = h_fn(u)
-            Ba = np.zeros((n, n), dtype=complex)
-            Ba[axis, :] += beta[axis, :]
-            Ba[:, axis] -= beta[:, axis]
-            comm_a = np.zeros((n, n), dtype=complex)
-            comm_a[axis, :] += pi_now[axis, :]
-            comm_a[:, axis] -= pi_now[:, axis]
-            d_pi = pi_now @ Ba - Ba @ pi_now + alpha * (np.eye(n) - 2 * pi_now) @ comm_a
-            # [delta, beta - 2 alpha pi] along the segment axis
-            C = beta - 2 * alpha * pi_now
-            Ca = np.zeros((n, n), dtype=complex)
-            Ca[axis, :] += C[axis, :]
-            Ca[:, axis] -= C[:, axis]
-            d_y = -Ca @ y_now + h[axis] * pi_now[:, axis]
-            d_y[axis] -= alpha * y_now[axis]
-            return (d_pi, d_y)
-
         corrections = []
 
         def post(state):
@@ -239,8 +217,25 @@ def integrate_bf(n: int, beta_fn, h_fn, alpha: float, pi0: np.ndarray,
             corrections.append(corr)
             return (fixed, y_now)
 
-        pi, y = _rk4((pi, y), rhs, t0, t1, m, post_step=post)
-        seg_max = max(corrections) if corrections else 0.0
+        for U, dt, m in _stage_chunks(u_start, axis, t0, t1, step):
+            total_steps += m
+            # [delta, beta] and h along the segment axis at every stage point
+            Ba = lax_block(beta_fn(U), axis)
+            ha = h_fn(U)[:, axis]
+
+            def rhs(k, state):
+                pi_now, y_now = state
+                comm_a = lax_block(pi_now, axis)
+                d_pi = (pi_now @ Ba[k] - Ba[k] @ pi_now
+                        + alpha * (np.eye(n) - 2 * pi_now) @ comm_a)
+                # [delta, beta - 2 alpha pi] along the segment axis
+                Ca = Ba[k] - 2 * alpha * comm_a
+                d_y = -Ca @ y_now + ha[k] * pi_now[:, axis]
+                d_y[axis] -= alpha * y_now[axis]
+                return (d_pi, d_y)
+
+            pi, y = _rk4((pi, y), rhs, dt, m, post_step=post)
+        seg_max = max(corrections)
         if seg_max > drift_tol:
             raise ProjectionDriftError(
                 f"projection correction {seg_max:.3e} exceeds {drift_tol:.1e}")
@@ -250,10 +245,12 @@ def integrate_bf(n: int, beta_fn, h_fn, alpha: float, pi0: np.ndarray,
 
 
 def metric_interpolators(metric):
-    """Cubic-spline point evaluators (beta_fn, h_fn) for an externally
-    supplied gridded metric.  Metrics that came from dressing should use the
-    frame's closed-form evaluators instead; interpolation caps the achievable
-    integration accuracy at the interpolation error."""
+    """Cubic-spline point-set evaluators (beta_fn, h_fn) for an externally
+    supplied gridded metric: points (..., n) give (..., n, n) and (..., n),
+    with one interpolator call per component over all the points.  Metrics
+    that came from dressing should use the frame's closed-form evaluators
+    instead; interpolation caps the achievable integration accuracy at the
+    interpolation error."""
     from scipy.interpolate import RegularGridInterpolator
 
     axes = metric.grid.axes
@@ -265,14 +262,14 @@ def metric_interpolators(metric):
                   for i in range(n) for j in range(n) if i != j}
 
     def h_fn(u):
-        pt = np.asarray(u, dtype=float)[None, :]
-        return np.array([h_parts[j](pt)[0] for j in range(n)])
+        u = np.asarray(u, dtype=float)
+        return np.stack([part(u) for part in h_parts], axis=-1).reshape(u.shape)
 
     def beta_fn(u):
-        pt = np.asarray(u, dtype=float)[None, :]
-        out = np.zeros((n, n), dtype=complex)
-        for (i, j), interp in beta_parts.items():
-            out[i, j] = interp(pt)[0]
+        u = np.asarray(u, dtype=float)
+        out = np.zeros(u.shape[:-1] + (n, n), dtype=complex)
+        for (i, j), part in beta_parts.items():
+            out[..., i, j] = part(u).reshape(u.shape[:-1])
         return out
 
     return beta_fn, h_fn

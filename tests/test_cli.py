@@ -100,6 +100,21 @@ def test_tol_scale_rescues_tight_tolerance(tmp_path):
     assert run_cli("verify", path, tmp_path / "out2", "--tol-scale", "1e8") == 0
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--step", "0"), ("--step", "nan"), ("--step", "-0.01"), ("--step", "inf"),
+    ("--step", "abc"), ("--tol-scale", "-1"), ("--tol-scale", "0"),
+    ("--tol-scale", "nan"), ("--tol-scale", "inf"),
+])
+def test_nonpositive_or_nonfinite_flag_exits_2(tmp_path, capsys, flag, value):
+    path = write_scenario(tmp_path, base_scenario())
+    with pytest.raises(SystemExit) as exc:
+        run_cli("verify", path, tmp_path / "out", f"{flag}={value}")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert flag in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_one_soliton_export_row_count(tmp_path):
     raw = base_scenario(
         grid=[[-0.5, 0.5, 9], [-0.5, 0.5, 11]],

@@ -12,8 +12,7 @@ from dressing_forge import (ConstantProfile, ExtendedFrame, Grid,
                             dress_real, dress_spherical, dress_translation,
                             dress_two_pole, frame_dlambda_at_zero, max_abs,
                             metric_from_frame, potential_on_grid,
-                            project_onto_span, sample_immersion, vacuum_E,
-                            vacuum_X)
+                            project_onto_span, sample_immersion)
 
 
 def quad_position_oracle(profile, u, lam):
@@ -26,31 +25,31 @@ def quad_position_oracle(profile, u, lam):
 
 
 def test_vacuum_E_examples(torus_seed):
-    assert max_abs(vacuum_E(torus_seed, [0.0, 0.0], 0.77) - np.eye(2)) == 0.0
-    E = vacuum_E(torus_seed, [0.4, -0.9], 1.3)
+    assert max_abs(torus_seed.E(np.array([0.0, 0.0]), 0.77) - np.eye(2)) == 0.0
+    E = torus_seed.E(np.array([0.4, -0.9]), 1.3)
     assert max_abs(E.conj().T @ E - np.eye(2)) < 1e-15
-    E2 = vacuum_E(torus_seed, [np.pi, 0.0], 1.0)
+    E2 = torus_seed.E(np.array([np.pi, 0.0]), 1.0)
     assert max_abs(E2 - np.diag([-1.0, 1.0])) < 1e-14
 
 
 def test_vacuum_X_basics(torus_seed):
-    assert max_abs(vacuum_X(torus_seed, [0.0, 0.0], 0.9)) == 0.0
+    assert max_abs(torus_seed.X(np.array([0.0, 0.0]), 0.9)) == 0.0
     # the lambda -> 0 limit is the standard orthogonal net r_j u_j
     u = np.array([0.3, -0.5])
-    X0 = vacuum_X(torus_seed, u, 0.0)
+    X0 = torus_seed.X(u, 0.0)
     assert max_abs(X0.imag) == 0.0
     assert max_abs(X0.real - np.array([1.0, 0.7]) * u) < 1e-15
     # closed form r_j (e^{i lam u_j} - 1) / (i lam)
     lam = 0.8
     expected = np.array([1.0, 0.7]) * (np.exp(1j * lam * u) - 1) / (1j * lam)
-    assert max_abs(vacuum_X(torus_seed, u, lam) - expected) < 1e-14
+    assert max_abs(torus_seed.X(u, lam) - expected) < 1e-14
 
 
 def test_vacuum_X_small_lambda_branch(torus_seed):
     u = np.array([0.7, 0.2])
     lam = 1e-9
     series = np.array([1.0, 0.7]) * u * (1 + 1j * lam * u / 2 - (lam * u) ** 2 / 6)
-    assert max_abs(vacuum_X(torus_seed, u, lam) - series) < 1e-15
+    assert max_abs(torus_seed.X(u, lam) - series) < 1e-15
 
 
 @pytest.mark.parametrize("lam", [0.9, -1.7, 0.4 + 0.6j, 1e-5])
@@ -198,15 +197,15 @@ def test_near_pole_evaluation_holomorphy(torus_frame, pi_diag):
 def test_frame_dlambda_at_zero(torus_frame, pi_perp_torus):
     u = np.array([0.3, -0.2])
     # vacuum: dE/dlambda(u, 0) = i diag(u)
-    D = frame_dlambda_at_zero(torus_frame, u)
+    D = frame_dlambda_at_zero(torus_frame.E, u)
     assert max_abs(D - 1j * np.diag(u)) < 1e-10
     # Richardson self-consistency on a dressed frame
     frame = dress_real(torus_frame, 0.8, pi_perp_torus)
-    D1 = frame_dlambda_at_zero(frame, u, step=1e-3)
-    D2 = frame_dlambda_at_zero(frame, u, step=5e-4)
+    D1 = frame_dlambda_at_zero(frame.E, u, step=1e-3)
+    D2 = frame_dlambda_at_zero(frame.E, u, step=5e-4)
     assert max_abs(D1 - D2) < 1e-8
     # -i dE/dlambda(u,0) h(u) is real for spherical seeds
-    net = -1j * frame_dlambda_at_zero(frame, u) @ frame.h(u)
+    net = -1j * frame_dlambda_at_zero(frame.E, u) @ frame.h(u)
     assert max_abs(net.imag) < 1e-9
 
 

@@ -3,10 +3,11 @@ import pytest
 
 from dressing_forge import (PathSpec,
                             ProjectionDriftError, StepTooLargeError,
-                            dress_real, dress_translation, estimate_order,
-                            integrate_bf, integrate_frame,
+                            dress_real, dress_translation, dress_two_pole,
+                            estimate_order, integrate_bf, integrate_frame,
                             integrate_frame_with_order, max_abs,
                             project_onto_span, solve_linear)
+from dressing_forge.oracle import RK4_CHUNK_STEPS
 
 
 def test_pathspec_staircase_and_endpoint():
@@ -172,3 +173,117 @@ def test_estimate_order_values():
         return abs((g(0.001 + h) - g(0.001 - h)) / (2 * h) - 1.0)
     assert estimate_order(fd_bad(1e-2), fd_bad(5e-3)) < 1.2
     assert estimate_order(1.0, 0.0) == np.inf
+
+
+# -- batched stage points against a per-point RK4 reference ------------------
+
+def _reference_rk4(state, rhs, n, path, step, post=lambda s: s):
+    """Classical RK4 along the path, one point per stage: rhs(u, axis, state)
+    evaluates beta/h at the single point u.  States are tuples of arrays."""
+    def axpy(s, a, k):
+        return tuple(si + a * ki for si, ki in zip(s, k))
+
+    for u_start, axis, t0, t1 in path.waypoints(n):
+        if t0 == t1:
+            continue
+        m = max(1, int(np.ceil(abs(t1 - t0) / step - 1e-12)))
+        dt = (t1 - t0) / m
+
+        def f(t, s, u_start=u_start, axis=axis):
+            u = u_start.copy()
+            u[axis] = t
+            return rhs(u, axis, s)
+
+        for i in range(m):
+            t = t0 + i * dt
+            k1 = f(t, state)
+            k2 = f(t + 0.5 * dt, axpy(state, 0.5 * dt, k1))
+            k3 = f(t + 0.5 * dt, axpy(state, 0.5 * dt, k2))
+            k4 = f(t + dt, axpy(state, dt, k3))
+            state = post(tuple(s + dt / 6.0 * (a + 2 * b + 2 * c + d)
+                               for s, a, b, c, d in zip(state, k1, k2, k3, k4)))
+    return state
+
+
+def _commutator(M, axis):
+    """[e_aa, M] written out entry by entry."""
+    out = np.zeros(M.shape, dtype=complex)
+    for j in range(M.shape[0]):
+        out[axis, j] += M[axis, j]
+        out[j, axis] -= M[j, axis]
+    return out
+
+
+def _reference_frame(frame, lam, path, step):
+    n = frame.n
+
+    def rhs(u, axis, state):
+        theta = np.zeros((n + 1, n + 1), dtype=complex)
+        theta[:n, :n] = _commutator(frame.beta(u), axis)
+        theta[axis, axis] += 1j * lam
+        theta[axis, n] = frame.h(u)[axis]
+        return (state[0] @ theta,)
+
+    (F,) = _reference_rk4((np.eye(n + 1, dtype=complex),), rhs, n, path, step)
+    return F[:n, :n], F[:n, n]
+
+
+def _reference_bf(frame, alpha, pi0, b, path, step):
+    n = frame.n
+
+    def rhs(u, axis, state):
+        pi, y = state
+        Ba = _commutator(frame.beta(u), axis)
+        comm = _commutator(pi, axis)
+        d_pi = pi @ Ba - Ba @ pi + alpha * (np.eye(n) - 2 * pi) @ comm
+        d_y = (-_commutator(frame.beta(u) - 2 * alpha * pi, axis) @ y
+               + frame.h(u)[axis] * pi[:, axis])
+        d_y[axis] -= alpha * y[axis]
+        return (d_pi, d_y)
+
+    def post(state):
+        vals, vecs = np.linalg.eigh(0.5 * (state[0] + state[0].conj().T))
+        Q = vecs[:, vals > 0.5]
+        return (Q @ Q.conj().T, state[1])
+
+    start = (np.asarray(pi0, dtype=complex), np.asarray(b, dtype=complex))
+    return _reference_rk4(start, rhs, n, path, step, post)
+
+
+def _oracle_chain(torus_frame):
+    frame = dress_real(torus_frame, 0.6, project_onto_span(np.array([1.0, 1.0])))
+    frame = dress_two_pole(frame, 0.5 + 1.3j, project_onto_span(np.array([1.0, 0.2 - 0.4j])))
+    return dress_translation(frame, 1.7, [0.1, -0.2])
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["forward", "reversed"])
+@pytest.mark.parametrize("chain", [False, True], ids=["constant-seed", "dressed-chain"])
+def test_batched_oracles_match_per_point_reference(torus_frame, chain, order):
+    frame = _oracle_chain(torus_frame) if chain else torus_frame
+    path = PathSpec.staircase(np.array([0.5, -0.4]), order=order)
+    for lam in (0.9, 0.3 - 0.4j):
+        E, X = integrate_frame(2, frame.beta, frame.h, lam, path, 2e-2)
+        E_ref, X_ref = _reference_frame(frame, lam, path, 2e-2)
+        assert max(max_abs(E - E_ref), max_abs(X - X_ref)) < 1e-13
+    pi0 = project_onto_span(np.array([1.0, 1.0])).matrix
+    out = integrate_bf(2, frame.beta, frame.h, 0.6, pi0, np.array([0.3, -0.1]), path, 2e-2)
+    pi_ref, y_ref = _reference_bf(frame, 0.6, pi0, np.array([0.3, -0.1]), path, 2e-2)
+    assert max(max_abs(out.pi_tilde - pi_ref), max_abs(out.y - y_ref)) < 1e-13
+
+
+def test_long_segment_is_evaluated_in_bounded_chunks(torus_frame, pi_diag):
+    frame = dress_real(torus_frame, 0.6, pi_diag)
+    sizes = []
+
+    def beta_spy(U):
+        sizes.append(len(U))
+        return frame.beta(U)
+
+    path = PathSpec(((0, 0.06),))
+    E, X = integrate_frame(2, beta_spy, frame.h, 0.9, path, 1e-4)
+    # 600 steps, split into chunks of at most RK4_CHUNK_STEPS steps
+    assert len(sizes) == -(-600 // RK4_CHUNK_STEPS) > 1
+    assert max(sizes) <= 2 * RK4_CHUNK_STEPS + 1
+    assert sum((s - 1) // 2 for s in sizes) == 600
+    E_ref, X_ref = _reference_frame(frame, 0.9, path, 1e-4)
+    assert max(max_abs(E - E_ref), max_abs(X - X_ref)) < 1e-13
