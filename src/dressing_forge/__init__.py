@@ -10,7 +10,7 @@ from .errors import (AtPoleError, ChartSingularError, DressingForgeError,
 from .linalg import (HermitianProjection, max_abs, project_onto_span,
                      projection_distance, solve_linear, star_reduce)
 from .loops import (RealOnePoleFactor, TranslationFactor, TwoPointFactor,
-                    TwoPoleFactor, check_reality, eval_factor, invert_factor,
+                    TwoPoleFactor, check_reality, invert_factor,
                     one_pole_factor, permute_factors, two_pole_factor)
 from .report import CheckResult, VerificationReport
 from .frames import (ConstantProfile, ExtendedFrame, LaxConnection,
@@ -22,9 +22,10 @@ from .geometry import (EgoroffMetric, Grid, ImmersionSample,
                        check_partial_invariance, check_sphere, hopf_project,
                        limit_net, sample_immersion, sphere_center)
 from .dressing import (DressingRecord, OnePoleRecord, SphericalFamily,
-                       TranslationRecord, dress_extended, dress_permuted,
-                       dress_real, dress_spherical, dress_spherical_family,
-                       dress_translation, dress_two_pole)
+                       TranslationRecord, TwoPoleRecord, dress_extended,
+                       dress_permuted, dress_real, dress_spherical,
+                       dress_spherical_family, dress_translation,
+                       dress_two_pole)
 from .oracle import (BfIntegration, OracleResult, PathSpec, estimate_order,
                      integrate_bf, integrate_frame, integrate_frame_with_order,
                      metric_interpolators)

@@ -15,10 +15,11 @@ Exit codes: 0 all enabled checks pass; 1 check failure; 2 parse error;
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,11 +30,12 @@ from .errors import (DressingForgeError, RankDeficientError,
                      SphericalViolationError)
 from .frames import (ExtendedFrame, PolynomialProfile, SampledProfile,
                      VacuumSeed, metric_from_frame)
-from .geometry import (Grid, check_darboux_egoroff, check_lagrangian,
-                       check_partial_invariance, check_sphere, limit_net,
-                       sample_immersion)
+from .geometry import (Grid, axis_gradient, check_darboux_egoroff,
+                       check_lagrangian, check_partial_invariance,
+                       check_sphere, limit_net, sample_immersion)
 from .linalg import max_abs, project_onto_span
-from .loops import pole_tol
+from .loops import (RealOnePoleFactor, TranslationFactor, one_pole_factor,
+                    pole_tol, two_pole_factor)
 from .oracle import PathSpec, integrate_frame
 from .report import VerificationReport
 
@@ -86,11 +88,12 @@ class Scenario:
     tolerances: dict
     export: dict | None
     reality_samples: int
-    raw: dict = field(repr=False, default_factory=dict)
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite JSON number; booleans are not numbers here."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _is_count(value, least: int) -> bool:
@@ -99,8 +102,9 @@ def _is_count(value, least: int) -> bool:
 
 def _complex_pair(value, rule: str) -> complex:
     if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(isinstance(v, (int, float)) for v in value)):
-        raise ValidationError(f"{rule}: complex numbers are [re, im] pairs, got {value!r}")
+            or not all(_is_number(v) for v in value)):
+        raise ValidationError(f"{rule}: complex numbers are [re, im] pairs of finite "
+                              f"numbers, got {value!r}")
     return complex(float(value[0]), float(value[1]))
 
 
@@ -140,7 +144,7 @@ def _build_seed(n: int, spec) -> VacuumSeed:
         radii = spec.get("radii")
         if not isinstance(radii, list) or len(radii) != n:
             raise ValidationError(f"seed.radii: need {n} positive radii")
-        if any(not isinstance(r, (int, float)) or r <= 0 for r in radii):
+        if any(not _is_number(r) or r <= 0 for r in radii):
             raise ValidationError("seed.radii: radii must be positive numbers")
         return VacuumSeed.constant(radii)
     if kind in ("polynomial", "sampled"):
@@ -160,23 +164,9 @@ def _build_seed(n: int, spec) -> VacuumSeed:
     raise ValidationError(f"seed.type: unknown seed type {kind!r}")
 
 
-def _chain_poles(chain) -> list:
-    poles = []
-    for entry in chain:
-        kind = entry["type"]
-        if kind in ("real_one_pole", "spherical"):
-            poles.append(1j * entry["alpha"])
-        elif kind == "one_pole":
-            poles.append(entry["z"])
-        elif kind == "two_pole":
-            poles.append(entry["z"])
-            poles.append(-np.conj(entry["z"]))
-        elif kind == "translation":
-            poles.append(1j * entry["alpha"])
-    return poles
-
-
 def _validate_chain(n: int, chain_spec) -> list:
+    """The chain as (type, loop factor) pairs.  Entry fields are checked for
+    shape here; the factor rules are the loop-factor constructors'."""
     if chain_spec is None:
         return []
     if not isinstance(chain_spec, list):
@@ -187,13 +177,17 @@ def _validate_chain(n: int, chain_spec) -> list:
         if not isinstance(entry, dict) or "type" not in entry:
             raise ValidationError(f"{where}: each factor spec needs a 'type'")
         kind = entry["type"]
-        out = {"type": kind}
+        if kind not in ("real_one_pole", "spherical", "one_pole", "two_pole", "translation"):
+            raise ValidationError(f"{where}.type: unknown factor type {kind!r}")
         if kind in ("real_one_pole", "spherical", "translation"):
             alpha = entry.get("alpha")
-            if not isinstance(alpha, (int, float)) or alpha == 0:
-                raise ValidationError(f"{where}.alpha: must be nonzero real (rule: alpha != 0)")
-            out["alpha"] = float(alpha)
-        if kind in ("real_one_pole", "spherical", "one_pole", "two_pole"):
+            if not _is_number(alpha):
+                raise ValidationError(f"{where}.alpha: got {alpha!r} (rule: alpha is a finite number)")
+        if kind == "translation":
+            b = entry.get("b")
+            if not isinstance(b, list) or len(b) != n or not all(_is_number(x) for x in b):
+                raise ValidationError(f"{where}.b: must be a real vector of length {n}")
+        else:
             span = _complex_matrix(entry.get("span"), f"{where}.span")
             if span.shape[0] != n:
                 raise ValidationError(f"{where}.span: need {n} rows, got {span.shape[0]}")
@@ -201,27 +195,20 @@ def _validate_chain(n: int, chain_spec) -> list:
                 projection = project_onto_span(span)
             except RankDeficientError as exc:
                 raise ValidationError(f"{where}.span: {exc} (rule: projection well-formed)") from exc
-            if kind in ("real_one_pole", "spherical") and not projection.is_real:
-                raise ValidationError(
-                    f"{where}.span: real one-pole factors need a real projection "
-                    "(rule: conjugation-invariant image)")
-            out["projection"] = projection
         if kind in ("one_pole", "two_pole"):
             z = _complex_pair(entry.get("z"), f"{where}.z")
-            if abs(z.imag) < 1e-12:
-                raise ValidationError(f"{where}.z: pole must lie off the real axis")
-            if kind == "two_pole" and abs(z.real) < 1e-12:
-                raise ValidationError(f"{where}.z: two-pole factor needs Re z != 0 and Im z != 0")
-            out["z"] = z
-        if kind == "translation":
-            b = entry.get("b")
-            if (not isinstance(b, list) or len(b) != n
-                    or any(not isinstance(x, (int, float)) for x in b)):
-                raise ValidationError(f"{where}.b: must be a real vector of length {n}")
-            out["b"] = np.asarray(b, dtype=float)
-        if kind not in ("real_one_pole", "spherical", "one_pole", "two_pole", "translation"):
-            raise ValidationError(f"{where}.type: unknown factor type {kind!r}")
-        chain.append(out)
+        try:
+            if kind == "translation":
+                factor = TranslationFactor(float(alpha), b)
+            elif kind == "one_pole":
+                factor = one_pole_factor(z, projection)
+            elif kind == "two_pole":
+                factor = two_pole_factor(z, projection)
+            else:
+                factor = RealOnePoleFactor(float(alpha), projection)
+        except (ValueError, DressingForgeError) as exc:
+            raise ValidationError(f"{where}: {exc}") from exc
+        chain.append((kind, factor))
     return chain
 
 
@@ -240,7 +227,7 @@ def validate_scenario(raw: dict) -> Scenario:
         raise ValidationError(f"grid: need {n} per-axis [min, max, points] triples")
     for j, g in enumerate(grid_spec):
         if (not isinstance(g, list) or len(g) != 3
-                or not all(_is_number(x) and math.isfinite(x) for x in g[:2])
+                or not all(_is_number(x) for x in g[:2])
                 or g[0] >= g[1] or not _is_count(g[2], 3)):
             raise ValidationError(
                 f"grid[{j}]: expected [min, max, points] with finite min < max and an "
@@ -251,10 +238,13 @@ def validate_scenario(raw: dict) -> Scenario:
     grid = Grid.from_specs(grid_spec)
 
     lambdas_spec = raw.get("lambdas", [[1.0, 0.0]])
+    if not isinstance(lambdas_spec, list):
+        raise ValidationError(f"lambdas: got {lambdas_spec!r} "
+                              "(rule: lambdas is a list of [re, im] pairs)")
     lambdas = [_complex_pair(v, "lambdas") for v in lambdas_spec]
 
     chain = _validate_chain(n, raw.get("chain"))
-    poles = _chain_poles(chain)
+    poles = [p for _, factor in chain for p in factor.poles()]
     for i, p in enumerate(poles):
         for q in poles[:i]:
             if abs(p - q) <= pole_tol(p):
@@ -277,7 +267,7 @@ def validate_scenario(raw: dict) -> Scenario:
     for k, v in tol_spec.items():
         if k not in DEFAULT_TOLERANCES:
             raise ValidationError(f"checks.tolerances.{k}: unknown tolerance name")
-        if not _is_number(v) or not math.isfinite(v) or v <= 0:
+        if not _is_number(v) or v <= 0:
             raise ValidationError(f"checks.tolerances.{k}: got {v!r} "
                                   "(rule: tolerances are finite positive numbers)")
         tolerances[k] = float(v)
@@ -306,20 +296,21 @@ def validate_scenario(raw: dict) -> Scenario:
         export["lambda"] = lam
         slice_axes = export.get("slice_axes", list(range(min(2, n))))
         if (not isinstance(slice_axes, list)
-                or any(not isinstance(a, int) or not 0 <= a < n for a in slice_axes)):
+                or any(not _is_count(a, 0) or a >= n for a in slice_axes)):
             raise ValidationError(f"export.slice_axes: axis indices must lie in [0, {n})")
         export["slice_axes"] = slice_axes
-        fixed = {int(k): float(v) for k, v in export.get("fixed", {}).items()}
-        for a in fixed:
-            if not 0 <= a < n:
-                raise ValidationError(f"export.fixed: axis {a} out of range (referenced axes < n)")
-        export["fixed"] = fixed
+        fixed = export.get("fixed", {})
+        if not isinstance(fixed, dict) or not all(
+                str(k).isdecimal() and int(k) < n and _is_number(v) for k, v in fixed.items()):
+            raise ValidationError(f"export.fixed: got {fixed!r} "
+                                  "(rule: fixed maps axis indices < n to finite numbers)")
+        export["fixed"] = {int(k): float(v) for k, v in fixed.items()}
         if fmt == "obj":
             if len(slice_axes) != 2:
                 raise ValidationError("export.slice_axes: OBJ export needs exactly two slice axes")
             comps = export.get("obj_components", [0, min(1, n - 1)])
             if (not isinstance(comps, list) or len(comps) != 2
-                    or any(not isinstance(c, int) or not 0 <= c < n for c in comps)):
+                    or any(not _is_count(c, 0) or c >= n for c in comps)):
                 raise ValidationError(f"export.obj_components: need two component indices in [0, {n})")
             export["obj_components"] = comps
 
@@ -330,7 +321,7 @@ def validate_scenario(raw: dict) -> Scenario:
 
     return Scenario(n=n, seed=seed, grid=grid, lambdas=lambdas, chain=chain,
                     checks=enabled, tolerances=tolerances, export=export,
-                    reality_samples=reality_samples, raw=raw)
+                    reality_samples=reality_samples)
 
 
 def load_scenario(path) -> Scenario:
@@ -339,19 +330,18 @@ def load_scenario(path) -> Scenario:
 
 def apply_chain(scenario: Scenario) -> ExtendedFrame:
     frame = ExtendedFrame(scenario.seed)
-    for i, entry in enumerate(scenario.chain):
-        kind = entry["type"]
+    for i, (kind, factor) in enumerate(scenario.chain):
         try:
             if kind == "real_one_pole":
-                frame = dress_real(frame, entry["alpha"], entry["projection"])
+                frame = dress_real(frame, factor.alpha, factor.projection)
             elif kind == "spherical":
-                frame = dress_spherical(frame, entry["alpha"], entry["projection"])
+                frame = dress_spherical(frame, factor.alpha, factor.projection)
             elif kind == "one_pole":
-                frame = dress_extended(frame, entry["z"], entry["projection"])
+                frame = dress_extended(frame, factor.alpha1, factor.projection)
             elif kind == "two_pole":
-                frame = dress_two_pole(frame, entry["z"], entry["projection"])
-            elif kind == "translation":
-                frame = dress_translation(frame, entry["alpha"], entry["b"])
+                frame = dress_two_pole(frame, factor.z, factor.projection)
+            else:
+                frame = dress_translation(frame, factor.alpha, factor.b)
         except SphericalViolationError as exc:
             raise ValidationError(
                 f"chain[{i}]: sphere-preservation condition violated: {exc} "
@@ -398,19 +388,14 @@ def _reality_check(frame, scenario, tol) -> VerificationReport:
     return report
 
 
-def _position_equation_check(frame, grid, lambdas, tol) -> VerificationReport:
+def _position_equation_check(sample, h, tol) -> VerificationReport:
+    """Finite-difference dX/du_i against h_i E e_i on the sample's grid."""
     report = VerificationReport()
-    lams = [lam for lam in lambdas if abs(lam.imag) < 1e-14] or [1.0]
-    lam = lams[0].real if isinstance(lams[0], complex) else float(lams[0])
-    sample = sample_immersion(frame, grid, lam)
-    pts = grid.points()
-    E = frame.E(pts, lam)
-    h = frame.h(pts)
     worst = 0.0
-    for axis in range(grid.n):
-        dX = np.gradient(sample.X, grid.spacing(axis), axis=axis, edge_order=2)
-        worst = max(worst, max_abs(dX - h[..., axis, None] * E[..., :, axis]))
-    report.add("position_equation", worst, tol, lam=lam)
+    for axis in range(sample.grid.n):
+        dX = axis_gradient(sample.X, sample.grid, axis)
+        worst = max(worst, max_abs(dX - h[..., axis, None] * sample.E[..., :, axis]))
+    report.add("position_equation", worst, tol, lam=sample.lam.real)
     return report
 
 
@@ -451,6 +436,9 @@ def run_verification(scenario: Scenario, frame: ExtendedFrame,
 
     if metric is None:
         metric = metric_from_frame(frame, grid)
+    # one immersion sample per real lambda, shared by the checks that need it
+    sample = functools.cache(lambda lam: sample_immersion(frame, grid, lam))
+    real_lams = [lam.real for lam in scenario.lambdas if abs(lam.imag) <= 1e-14]
 
     if checks.get("reality"):
         report.extend(_reality_check(frame, scenario, tols["reality"]))
@@ -464,24 +452,21 @@ def run_verification(scenario: Scenario, frame: ExtendedFrame,
         report.extend(check_darboux_egoroff(
             metric, tols["darboux_egoroff"], symmetric=_chain_sigma_compatible(frame)))
     if checks.get("lagrangian"):
-        for lam in scenario.lambdas:
-            if abs(lam.imag) > 1e-14:
-                continue
-            sample = sample_immersion(frame, grid, lam.real)
-            sub = check_lagrangian(sample, frame, tols["lagrangian"], tols["lagrangian_metric"])
-            report.extend(sub, prefix=f"lam={lam.real:g}/")
+        for lam in real_lams:
+            sub = check_lagrangian(sample(lam), metric.h, tols["lagrangian"],
+                                   tols["lagrangian_metric"])
+            report.extend(sub, prefix=f"lam={lam:g}/")
     if checks.get("sphere"):
-        c = frame.h(np.zeros(frame.n)).real
-        for lam in scenario.lambdas:
-            if abs(lam.imag) > 1e-14 or lam == 0:
-                continue
-            sample = sample_immersion(frame, grid, lam.real)
-            report.extend(check_sphere(sample, c, tols["sphere"]), prefix=f"lam={lam.real:g}/")
+        for lam in real_lams:
+            if lam != 0:
+                report.extend(check_sphere(sample(lam), metric.c.real, tols["sphere"]),
+                              prefix=f"lam={lam:g}/")
     if checks.get("partial_invariance"):
         report.extend(check_partial_invariance(metric, tols["partial_invariance"],
                                                tols["norm_constancy"]))
     if checks.get("position_equation"):
-        report.extend(_position_equation_check(frame, grid, scenario.lambdas,
+        lam = real_lams[0] if real_lams else 1.0
+        report.extend(_position_equation_check(sample(lam), metric.h,
                                                tols["position_equation"]))
     if checks.get("potential"):
         if metric.phi_closed is not None:
@@ -517,20 +502,27 @@ def _slice_points(grid: Grid, slice_axes, fixed) -> np.ndarray:
     return U.reshape(-1, grid.n)
 
 
-def export_immersion_csv(frame, grid: Grid, lam: complex, slice_axes, fixed, path) -> int:
-    n = grid.n
-    header = [f"u{j + 1}" for j in range(n)]
-    for j in range(n):
-        header += [f"ReX{j + 1}", f"ImX{j + 1}"]
-    lines = [",".join(header)]
-    U = _slice_points(grid, slice_axes, fixed)
-    for u, X in zip(U, frame.evaluate(U, lam)[1]):
-        row = [_fmt(c) for c in u]
-        for j in range(n):
-            row += [_fmt(X[j].real), _fmt(X[j].imag)]
-        lines.append(",".join(row))
+def _write_csv(path, header: list, table: np.ndarray) -> int:
+    """Write the header line and one line per row of the float table, every
+    value at 17 significant digits; returns the row count."""
+    lines = [",".join(header)] + [",".join(map(_fmt, row)) for row in table.tolist()]
     Path(path).write_text("\n".join(lines) + "\n")
-    return len(lines) - 1
+    return len(table)
+
+
+def _re_im(name: str, labels, values) -> tuple:
+    """Header names and float columns of complex values with one column per
+    label: the real and the imaginary part of each, interleaved."""
+    values = np.asarray(values).reshape(-1, len(labels))
+    names = [f"{part}{name}{label}" for label in labels for part in ("Re", "Im")]
+    return names, np.stack([values.real, values.imag], axis=-1).reshape(len(values), len(names))
+
+
+def export_immersion_csv(frame, grid: Grid, lam: complex, slice_axes, fixed, path) -> int:
+    axes = range(1, grid.n + 1)
+    U = _slice_points(grid, slice_axes, fixed)
+    names, X = _re_im("X", axes, frame.evaluate(U, lam)[1])
+    return _write_csv(path, [f"u{j}" for j in axes] + names, np.hstack([U, X]))
 
 
 def export_immersion_obj(frame, grid, lam, slice_axes, fixed, components, path) -> int:
@@ -552,53 +544,29 @@ def export_immersion_obj(frame, grid, lam, slice_axes, fixed, components, path) 
 
 
 def export_metric_csv(metric, path) -> int:
-    grid = metric.grid
-    n = grid.n
-    pts = grid.points()
-    header = [f"u{j + 1}" for j in range(n)]
-    for j in range(n):
-        header += [f"Reh{j + 1}", f"Imh{j + 1}"]
-    header += ["Rephi", "Imphi"]
+    n = metric.n
+    axes = range(1, n + 1)
+    h_names, h = _re_im("h", axes, metric.h)
+    phi_names, phi = _re_im("phi", [""], metric.phi)
+    header = [f"u{j}" for j in axes] + h_names + phi_names
+    columns = [metric.grid.points().reshape(-1, n), h, phi]
     if metric.phi_closed is not None:
         header.append("phi_closed")
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                header += [f"Rebeta{i + 1}{j + 1}", f"Imbeta{i + 1}{j + 1}"]
-    lines = [",".join(header)]
-    for idx in grid.indices():
-        row = [_fmt(c) for c in pts[idx]]
-        for j in range(n):
-            row += [_fmt(metric.h[idx][j].real), _fmt(metric.h[idx][j].imag)]
-        row += [_fmt(metric.phi[idx].real), _fmt(metric.phi[idx].imag)]
-        if metric.phi_closed is not None:
-            row.append(_fmt(metric.phi_closed[idx]))
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    row += [_fmt(metric.beta[idx][i, j].real), _fmt(metric.beta[idx][i, j].imag)]
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")
-    return len(lines) - 1
+        columns.append(metric.phi_closed.reshape(-1, 1))
+    rows, cols = np.nonzero(~np.eye(n, dtype=bool))  # off-diagonal, row-major
+    beta_names, beta = _re_im("beta", [f"{i + 1}{j + 1}" for i, j in zip(rows, cols)],
+                              metric.beta[..., rows, cols])
+    return _write_csv(path, header + beta_names, np.hstack(columns + [beta]))
 
 
 def export_sweep_csv(frame, grid, lambdas, path) -> int:
-    n = grid.n
-    pts = grid.points()
-    header = ["lam_re", "lam_im"] + [f"u{j + 1}" for j in range(n)]
-    for j in range(n):
-        header += [f"ReX{j + 1}", f"ImX{j + 1}"]
-    lines = [",".join(header)]
-    for lam in lambdas:
-        Xs = frame.evaluate(pts, lam)[1]
-        for idx in grid.indices():
-            u, X = pts[idx], Xs[idx]
-            row = [_fmt(lam.real), _fmt(lam.imag)] + [_fmt(c) for c in u]
-            for j in range(n):
-                row += [_fmt(X[j].real), _fmt(X[j].imag)]
-            lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")
-    return len(lines) - 1
+    axes = range(1, grid.n + 1)
+    pts = grid.points().reshape(-1, grid.n)
+    lams = np.repeat(np.asarray(lambdas, dtype=complex), len(pts))
+    X = np.array([frame.evaluate(pts, lam)[1] for lam in lambdas]).reshape(-1, grid.n)
+    names, X = _re_im("X", axes, X)
+    table = np.column_stack([lams.real, lams.imag, np.tile(pts, (len(lambdas), 1)), X])
+    return _write_csv(path, ["lam_re", "lam_im"] + [f"u{j}" for j in axes] + names, table)
 
 
 def _write_report(report: VerificationReport, out_dir: Path, name: str, meta: dict):
@@ -635,9 +603,8 @@ def cmd_dress(scenario: Scenario, out_dir: Path, args) -> int:
     return 0
 
 
-def cmd_verify(scenario: Scenario, out_dir: Path, args) -> int:
-    frame = apply_chain(scenario)
-    report = run_verification(scenario, frame, tol_scale=args.tol_scale, step=args.step)
+def _verdict(scenario: Scenario, out_dir: Path, report: VerificationReport) -> int:
+    """Write and print the verification report; the exit code it implies."""
     _write_report(report, out_dir, "report.json", _grid_meta(scenario))
     print(report)
     if not report.passed:
@@ -645,6 +612,12 @@ def cmd_verify(scenario: Scenario, out_dir: Path, args) -> int:
         print(f"FAILED checks: {failing}", file=sys.stderr)
         return 1
     return 0
+
+
+def cmd_verify(scenario: Scenario, out_dir: Path, args) -> int:
+    frame = apply_chain(scenario)
+    report = run_verification(scenario, frame, tol_scale=args.tol_scale, step=args.step)
+    return _verdict(scenario, out_dir, report)
 
 
 def cmd_export(scenario: Scenario, out_dir: Path, args,
@@ -680,17 +653,15 @@ def cmd_sweep(scenario: Scenario, out_dir: Path, args) -> int:
 
 
 def cmd_permute_check(scenario: Scenario, out_dir: Path, args) -> int:
-    one_pole_entries = [e for e in scenario.chain
-                        if e["type"] in ("real_one_pole", "spherical", "one_pole")]
-    if len(one_pole_entries) < 2:
+    one_pole = [factor for kind, factor in scenario.chain
+                if kind in ("real_one_pole", "spherical", "one_pole")]
+    if len(one_pole) < 2:
         raise ValidationError("permute-check: scenario chain needs at least two one-pole factors")
-    e1, e2 = one_pole_entries[:2]
-    z1 = e1.get("z", 1j * e1.get("alpha", 0.0))
-    z2 = e2.get("z", 1j * e2.get("alpha", 0.0))
+    f1, f2 = one_pole[:2]
     frame = ExtendedFrame(scenario.seed)
     tol = scenario.tolerances["permutability"] * args.tol_scale
-    f12, f21, report = dress_permuted(frame, z1, e1["projection"], z2, e2["projection"],
-                                      tol=tol)
+    f12, f21, report = dress_permuted(frame, f1.poles()[0], f1.projection,
+                                      f2.poles()[0], f2.projection, tol=tol)
     _write_report(report, out_dir, "permute_report.json", _grid_meta(scenario))
     print("permutability discrepancy table:")
     for c in report.checks:
@@ -707,13 +678,7 @@ def cmd_run(scenario: Scenario, out_dir: Path, args) -> int:
         cmd_export(scenario, out_dir, args, frame)
     report = run_verification(scenario, frame, tol_scale=args.tol_scale, step=args.step,
                               metric=metric)
-    _write_report(report, out_dir, "report.json", _grid_meta(scenario))
-    print(report)
-    if not report.passed:
-        failing = ", ".join(c.name for c in report.failures())
-        print(f"FAILED checks: {failing}", file=sys.stderr)
-        return 1
-    return 0
+    return _verdict(scenario, out_dir, report)
 
 
 COMMANDS = {

@@ -17,11 +17,12 @@ are removed symbolically, leaving difference quotients of functions that are
 holomorphic at the poles.  This keeps evaluation pole-free; within 1e-6 of a
 pole the quotient itself is evaluated from a small sampling circle.
 
-Records are immutable.  A record's pole data (pi_tilde, eta and the prefix
-frame at the poles) are
-computed by ``pole_data`` for a whole point set at once, as arrays stacked
-over the points, and the frame memoises them per point set; ``point_data``
-is the one-point view.
+The history holds one immutable record per loop factor: one-pole, two-pole
+or translation.  A record's pole data (pi_tilde, eta and the prefix frame at
+the poles) are computed by ``pole_data`` from the prefix evaluator
+``w -> (E, X)`` over a whole point set at once, as arrays stacked over the
+points, and the frame memoises them per point set; ``point_data`` is the
+one-point view.
 """
 
 from __future__ import annotations
@@ -35,8 +36,9 @@ from .frames import ExtendedFrame, frame_dlambda_at_zero
 from .geometry import Grid
 from .linalg import (HermitianProjection, adjoint, max_abs, project_onto_span,
                      solve_linear, star_reduce)
-from .loops import (RealOnePoleFactor, TwoPoleFactor, permute_factors,
-                    pole_tol, two_pole_factor)
+from .loops import (RealOnePoleFactor, TranslationFactor, TwoPoleFactor,
+                    one_pole_factor, permute_factors, pole_tol,
+                    two_pole_factor)
 from .report import VerificationReport
 
 # Difference quotients switch to circle-sampled Taylor data below this
@@ -84,7 +86,12 @@ def _point_data(record, frame: ExtendedFrame, index: int, u):
     """Pole data of ``record`` (the frame's record ``index``) at the single
     point u: the one-point view of the stacked data the frame memoises."""
     U = np.asarray(u, dtype=float).reshape(1, frame.n)
-    data = frame.pole_data(U, index + 1)[index]
+    return _first_point(frame.pole_data(U, index + 1)[index])
+
+
+def _first_point(data):
+    if isinstance(data, tuple):  # a two-pole record's (first, second) data
+        return tuple(map(_first_point, data))
     return type(data)(*(getattr(data, f.name)[0] for f in fields(data)))
 
 
@@ -142,11 +149,11 @@ class OnePoleRecord:
     def has_closed_potential(self) -> bool:
         return self.is_sigma_compatible
 
-    def pole_data(self, frame: ExtendedFrame, index: int, U: np.ndarray) -> _OnePoleData:
-        """Pole data over the (P, n) point set U, from the frame's first
-        ``index`` records."""
-        E_zbar, X_zbar = frame.evaluate(U, self.zbar, depth=index)
-        E_z, X_z = frame.evaluate(U, self.z, depth=index)
+    def pole_data(self, prefix_fn) -> _OnePoleData:
+        """Pole data over a point set, from the prefix evaluator
+        ``prefix_fn(w) -> (E, X)`` stacked over that set."""
+        E_zbar, X_zbar = prefix_fn(self.zbar)
+        E_z, X_z = prefix_fn(self.z)
         # tau-reality gives E(u, z)^{-1} = E(u, zbar)*, so the transported
         # image of pi is spanned by E(u, zbar)* span(pi)
         pi_tilde = project_onto_span(adjoint(E_zbar) @ self.projection.span)
@@ -208,6 +215,9 @@ class TranslationRecord:
     radius: float
     sphere_preserving: bool = False
 
+    is_sigma_compatible = True
+    has_closed_potential = False
+
     @property
     def pole(self) -> complex:
         return 1j * self.alpha
@@ -220,17 +230,9 @@ class TranslationRecord:
     def sensitive_points(self) -> tuple:
         return (self.pole,)
 
-    @property
-    def is_sigma_compatible(self) -> bool:
-        return True
-
-    @property
-    def has_closed_potential(self) -> bool:
-        return False
-
-    def pole_data(self, frame: ExtendedFrame, index: int, U: np.ndarray) -> _TranslationData:
-        E_pole, _ = frame.evaluate(U, self.pole, depth=index)
-        b = np.broadcast_to(self.b.astype(complex), U.shape)
+    def pole_data(self, prefix_fn) -> _TranslationData:
+        E_pole, _ = prefix_fn(self.pole)
+        b = np.broadcast_to(self.b.astype(complex), E_pole.shape[:-1])
         return _TranslationData(solve_linear(E_pole, b))
 
     point_data = _point_data
@@ -252,42 +254,86 @@ class TranslationRecord:
         return beta
 
 
-DressingRecord = OnePoleRecord | TranslationRecord
+@dataclass(frozen=True, eq=False)
+class TwoPoleRecord:
+    """Dressing by the two-pole factor f_{z,pi} = g_{-conj(z),rho} g_{z,pi}:
+    its one-pole parts ``first`` (pole z, pi) and ``second`` (pole -conj(z),
+    rho) applied in order.  Each part alone is only tau-real; the product is
+    sigma-real, so the record is sigma-compatible.  Its pole data are the
+    pair (first part's, second part's)."""
+
+    first: OnePoleRecord
+    second: OnePoleRecord
+
+    is_sigma_compatible = True
+    has_closed_potential = False
+
+    @property
+    def factor_poles(self) -> tuple:
+        return self.first.factor_poles + self.second.factor_poles
+
+    @property
+    def sensitive_points(self) -> tuple:
+        return self.first.sensitive_points + self.second.sensitive_points
+
+    def _middle_fn(self, prefix_fn, first: _OnePoleData):
+        """Evaluator of the prefix frame dressed by the first part."""
+        def fn(w):
+            E, X = prefix_fn(w)
+            return self.first.apply(E, X, w, first, prefix_fn)
+        return fn
+
+    def pole_data(self, prefix_fn) -> tuple:
+        first = self.first.pole_data(prefix_fn)
+        return first, self.second.pole_data(self._middle_fn(prefix_fn, first))
+
+    point_data = _point_data
+
+    def apply(self, E, X, lam, data: tuple, prefix_fn):
+        E, X = self.first.apply(E, X, lam, data[0], prefix_fn)
+        return self.second.apply(E, X, lam, data[1], self._middle_fn(prefix_fn, data[0]))
+
+    def apply_h(self, h, data: tuple):
+        return self.second.apply_h(self.first.apply_h(h, data[0]), data[1])
+
+    def apply_beta(self, beta, data: tuple):
+        return self.second.apply_beta(self.first.apply_beta(beta, data[0]), data[1])
 
 
-def _require_dimension(frame: ExtendedFrame, projection: HermitianProjection):
-    if projection.n != frame.n:
+DressingRecord = OnePoleRecord | TranslationRecord | TwoPoleRecord
+
+
+def _one_pole_record(points, z: complex, projection: HermitianProjection,
+                     **flags) -> OnePoleRecord:
+    """The pole-z record, its sampling circles clear of ``points``."""
+    return OnePoleRecord(z=z, projection=projection,
+                         radius_z=_circle_radius(z, points),
+                         radius_zbar=_circle_radius(np.conj(z), points), **flags)
+
+
+def _dress(frame: ExtendedFrame, factor, **flags) -> ExtendedFrame:
+    """Append the record of one loop factor, refusing a factor of the wrong
+    dimension or with a pole on one of the frame's factor poles; ``flags``
+    go to a one-pole record."""
+    if factor.n != frame.n:
         raise ValueError(
-            f"projection dimension {projection.n} does not match frame dimension {frame.n}")
-
-
-def _no_pole_collision(frame: ExtendedFrame, new_poles):
-    for p in new_poles:
+            f"factor dimension {factor.n} does not match frame dimension {frame.n}")
+    for p in factor.poles():
         for q in frame.factor_poles():
             if abs(complex(p) - complex(q)) <= pole_tol(p):
                 raise PoleCollisionError(
                     f"new pole {p} collides with existing history pole {q}")
-
-
-def _one_pole_record(frame: ExtendedFrame, z: complex,
-                     projection: HermitianProjection, **flags) -> OnePoleRecord:
-    if abs(z.imag) < 1e-12:
-        raise ValueError("dressing pole must lie off the real axis")
-    _require_dimension(frame, projection)
-    _no_pole_collision(frame, (z,))
-    pts = frame.sensitive_points()
-    return OnePoleRecord(z=z, projection=projection,
-                         radius_z=_circle_radius(z, pts),
-                         radius_zbar=_circle_radius(np.conj(z), pts), **flags)
-
-
-def _real_pole(alpha: float, projection: HermitianProjection) -> complex:
-    alpha = float(alpha)
-    if alpha == 0.0:
-        raise ValueError("alpha must be nonzero")
-    if not projection.is_real:
-        raise ValueError("real one-pole dressing needs a real projection")
-    return 1j * alpha
+    points = frame.sensitive_points()
+    if isinstance(factor, TranslationFactor):
+        record = TranslationRecord(factor.alpha, factor.b,
+                                   _circle_radius(factor.poles()[0], points))
+    elif isinstance(factor, TwoPoleFactor):
+        first = _one_pole_record(points, factor.z, factor.projection)
+        record = TwoPoleRecord(first, _one_pole_record(
+            points + first.sensitive_points, complex(-np.conj(factor.z)), factor.rho))
+    else:
+        record = _one_pole_record(points, factor.poles()[0], factor.projection, **flags)
+    return frame.with_record(record)
 
 
 def dress_extended(frame: ExtendedFrame, z: complex,
@@ -297,8 +343,7 @@ def dress_extended(frame: ExtendedFrame, z: complex,
     axis).  The dressed frame's connection keeps the Lax shape with the
     updated beta and h; that is verified numerically by the oracle module,
     not assumed."""
-    return frame.with_record(_one_pole_record(frame, complex(z), projection,
-                                              eta_at_conjugate=eta_at_conjugate))
+    return _dress(frame, one_pole_factor(z, projection), eta_at_conjugate=eta_at_conjugate)
 
 
 def dress_real(frame: ExtendedFrame, alpha: float,
@@ -306,7 +351,7 @@ def dress_real(frame: ExtendedFrame, alpha: float,
     """Sigma-compatible one-pole dressing: pole i alpha with a real
     projection.  h, beta, eta, pi_tilde all stay real and the potential gets
     the closed update phi - 2 alpha eta^t pi_tilde eta."""
-    return dress_extended(frame, _real_pole(alpha, projection), projection)
+    return _dress(frame, RealOnePoleFactor(float(alpha), projection))
 
 
 def dress_spherical(frame: ExtendedFrame, alpha: float,
@@ -316,8 +361,7 @@ def dress_spherical(frame: ExtendedFrame, alpha: float,
     refused rather than silently repaired."""
     if not frame.seed.is_spherical:
         raise ValueError("spherical dressing needs a spherical (constant-profile) seed")
-    if not projection.is_real:
-        raise ValueError("spherical dressing needs a real projection")
+    factor = RealOnePoleFactor(float(alpha), projection)
     h0 = frame.h(np.zeros(frame.n)).real
     viol = max_abs(projection.matrix @ h0)
     if viol >= 1e-10:
@@ -325,39 +369,25 @@ def dress_spherical(frame: ExtendedFrame, alpha: float,
             if viol < 1e-6 else ""
         raise SphericalViolationError(
             f"projection image not orthogonal to h(0): |pi h(0)| = {viol:.3e}{band}")
-    z = _real_pole(alpha, projection)
-    return frame.with_record(_one_pole_record(frame, z, projection,
-                                              sphere_preserving=True))
+    return _dress(frame, factor, sphere_preserving=True)
 
 
 def dress_translation(frame: ExtendedFrame, alpha: float, b) -> ExtendedFrame:
     """Dressing by the translation-block factor: h -> h + E(u, i alpha)^{-1} b
     with beta untouched (bit-for-bit: the record forwards it unchanged)."""
-    alpha = float(alpha)
-    if alpha == 0.0:
-        raise ValueError("alpha must be nonzero")
-    b = np.asarray(b, dtype=float)
-    if b.shape != (frame.n,):
+    factor = TranslationFactor(float(alpha), b)
+    if factor.b.shape != (frame.n,):
         raise ValueError(f"b must be a real vector of length {frame.n}")
-    rec = TranslationRecord(alpha=alpha, b=b,
-                            radius=_circle_radius(1j * alpha, frame.sensitive_points()))
-    return frame.with_record(rec)
+    return _dress(frame, factor)
 
 
 def dress_two_pole(frame: ExtendedFrame, z: complex,
                    projection: HermitianProjection) -> ExtendedFrame:
-    """Complex Ribaucour transformation: the two-pole factor applied as its
-    two one-pole parts in sequence (pole z with pi, then pole -conj(z) with
-    the derived rho).  Sigma-reality of the product forces the accumulated h
-    and beta back to real values."""
-    z = complex(z)
-    if abs(z.real) < 1e-12 or abs(z.imag) < 1e-12:
-        raise ValueError("two-pole dressing needs z off both axes")
-    _require_dimension(frame, projection)
-    factor = two_pole_factor(z, projection)
-    _no_pole_collision(frame, factor.poles())
-    step1 = dress_extended(frame, z, projection)
-    return dress_extended(step1, -np.conj(z), factor.rho)
+    """Complex Ribaucour transformation: one record for the two-pole factor,
+    which applies its two one-pole parts in sequence (pole z with pi, then
+    pole -conj(z) with the derived rho).  Sigma-reality of the product forces
+    the accumulated h and beta back to real values."""
+    return _dress(frame, two_pole_factor(z, projection))
 
 
 _PERMUTE_LAMBDAS = (0.9, -1.4, 0.35 + 0.6j, -0.2 - 1.1j, 1.8 + 0.25j,
@@ -454,11 +484,6 @@ def dress_spherical_family(frame: ExtendedFrame,
     if c.shape != (frame.n,):
         raise ValueError(f"c_tilde must be a real vector of length {frame.n}")
 
-    if isinstance(factor, RealOnePoleFactor):
-        dressed = dress_extended(frame, factor.z, factor.projection)
-    elif isinstance(factor, TwoPoleFactor):
-        dressed = dress_extended(dress_extended(frame, factor.z, factor.projection),
-                                 -np.conj(factor.z), factor.rho)
-    else:
+    if not isinstance(factor, (RealOnePoleFactor, TwoPoleFactor)):
         raise ValueError("spherical family dressing supports the one-pole and two-pole generators")
-    return SphericalFamily(c=c, E_fn=dressed.E)
+    return SphericalFamily(c=c, E_fn=_dress(frame, factor).E)

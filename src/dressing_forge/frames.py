@@ -336,7 +336,7 @@ class ExtendedFrame:
             if len(self._memo) > MEMO_POINT_SETS:
                 del self._memo[next(iter(self._memo))]
             for k in range(len(data), depth):
-                data.append(self.history[k].pole_data(self, k, U))
+                data.append(self.history[k].pole_data(self._prefix_fn(k, U)))
             return data
 
     def _prefix_fn(self, depth: int, U: np.ndarray):

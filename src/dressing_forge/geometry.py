@@ -95,24 +95,21 @@ class EgoroffMetric:
     def n(self) -> int:
         return self.grid.n
 
-    def h_real(self) -> np.ndarray:
-        return self.h.real
-
-    def beta_real(self) -> np.ndarray:
-        return self.beta.real
-
 
 @dataclass(eq=False)
 class ImmersionSample:
-    """One member of the associated family sampled on a grid."""
+    """One member of the associated family sampled on a grid, with the frame
+    block E it came from when it was sampled from a frame."""
 
     lam: complex
     grid: Grid
     X: np.ndarray  # (*shape, n) complex
+    E: np.ndarray | None = None  # (*shape, n, n) complex
 
 
 def sample_immersion(frame, grid: Grid, lam: complex) -> ImmersionSample:
-    return ImmersionSample(complex(lam), grid, frame.evaluate(grid.points(), lam)[1])
+    E, X = frame.evaluate(grid.points(), lam)
+    return ImmersionSample(complex(lam), grid, X, E)
 
 
 def sphere_center(c: np.ndarray, lam: float) -> np.ndarray:
@@ -167,25 +164,23 @@ def check_darboux_egoroff(metric: EgoroffMetric, tol: float = 1e-4,
     return report
 
 
-def check_lagrangian(sample: ImmersionSample, frame, tol: float = 1e-10,
+def check_lagrangian(sample: ImmersionSample, h: np.ndarray, tol: float = 1e-10,
                      metric_tol: float = 1e-10) -> VerificationReport:
     """Symplectic-form and induced-metric residuals from exact tangents.
 
-    Tangents are h_i(u) E(u, lam) e_i, so for real lam the Hermitian products
-    (d_i X)* (d_j X) should be h_i h_j delta_ij up to roundoff: the imaginary
-    part is the symplectic form evaluation, the diagonal real part the metric.
-    Skipped with an explanatory entry for non-real lam (the frame is not
-    unitary off the real axis).
+    Tangents are h_i(u) E(u, lam) e_i, with E the sample's frame block and h
+    the metric coefficient vectors on the sample's grid, so for real lam the
+    Hermitian products (d_i X)* (d_j X) should be h_i h_j delta_ij up to
+    roundoff: the imaginary part is the symplectic form evaluation, the
+    diagonal real part the metric.  Skipped with an explanatory entry for
+    non-real lam (the frame is not unitary off the real axis).
     """
     report = VerificationReport()
     lam = sample.lam
     if abs(lam.imag) > 1e-14:
         report.add("lagrangian_skipped_nonreal_lambda", 0.0, None, lam=str(lam))
         return report
-    pts = sample.grid.points()
-    E, _ = frame.evaluate(pts, lam.real)
-    h = frame.h(pts)
-    T = E * h[..., None, :]  # column i = tangent along u_i
+    T = sample.E * h[..., None, :]  # column i = tangent along u_i
     G = adjoint(T) @ T
     r_sympl = max_abs(G.imag)
     r_metric = max_abs(np.diagonal(G, axis1=-2, axis2=-1).real - np.abs(h) ** 2)

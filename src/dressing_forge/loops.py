@@ -10,6 +10,10 @@ satisfies g(conj(lambda))* g(lambda) = I (tau condition).  The factors that in
 addition satisfy g(-lambda)^t g(lambda) = I (sigma condition) are the
 generators implemented here: one imaginary pole with a real projection, and
 the two-pole product f_{z,pi} = g_{-conj(z),rho} g_{z,pi}.
+
+The factor constructors hold the rules on factor data (alpha != 0, a real
+projection, poles off the axes, the pole list); dressing and the scenario
+loader build factors here and rely on those checks.
 """
 
 from __future__ import annotations
@@ -64,7 +68,10 @@ class TwoPointFactor:
 
 def one_pole_factor(z: complex, projection: HermitianProjection) -> TwoPointFactor:
     """The tau-real simple element g_{z,pi} (pole z, zero conj(z))."""
-    return TwoPointFactor(complex(z), complex(np.conj(z)), projection)
+    z = complex(z)
+    if abs(z.imag) < 1e-12:
+        raise ValueError("one-pole factor needs z off the real axis (rule: Im z != 0)")
+    return TwoPointFactor(z, complex(np.conj(z)), projection)
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,9 +84,10 @@ class RealOnePoleFactor:
 
     def __post_init__(self):
         if self.alpha == 0.0:
-            raise ValueError("alpha must be nonzero")
+            raise ValueError("alpha must be nonzero (rule: alpha != 0)")
         if not self.projection.is_real:
-            raise ValueError("real one-pole factor needs a real projection")
+            raise ValueError("real one-pole factor needs a real projection "
+                             "(rule: conjugation-invariant image)")
 
     @property
     def n(self) -> int:
@@ -100,17 +108,22 @@ class RealOnePoleFactor:
 class TwoPoleFactor:
     """f_{z,pi}: the sigma-compatible generator with poles at z and -conj(z).
 
-    rho is derived: the Hermitian projection onto g_{z,pi}(-conj(z)) applied to
-    the image of conj(pi).  Use :func:`two_pole_factor` to construct.
+    rho is derived on construction: the Hermitian projection onto
+    g_{z,pi}(-conj(z)) applied to the image of conj(pi).
     """
 
     z: complex
     projection: HermitianProjection
-    rho: HermitianProjection = field(repr=False)
+    rho: HermitianProjection = field(init=False, repr=False)
 
     def __post_init__(self):
-        if abs(self.z.real) < 1e-12 or abs(self.z.imag) < 1e-12:
-            raise ValueError("two-pole factor needs z off both the real and imaginary axes")
+        z = complex(self.z)
+        if abs(z.real) < 1e-12 or abs(z.imag) < 1e-12:
+            raise ValueError("two-pole factor needs z off both the real and imaginary axes "
+                             "(rule: Re z != 0 and Im z != 0)")
+        g_at = _simple_eval(self.projection.matrix, z, np.conj(z), -np.conj(z))
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "rho", project_onto_span(g_at @ self.projection.span.conj()))
 
     @property
     def n(self) -> int:
@@ -128,12 +141,7 @@ class TwoPoleFactor:
 
 def two_pole_factor(z: complex, projection: HermitianProjection) -> TwoPoleFactor:
     """Build f_{z,pi} = g_{-conj(z),rho} g_{z,pi} with the derived rho."""
-    z = complex(z)
-    if abs(z.real) < 1e-12 or abs(z.imag) < 1e-12:
-        raise ValueError("two-pole factor needs z off both the real and imaginary axes")
-    g_at = _simple_eval(projection.matrix, z, np.conj(z), -np.conj(z))
-    rho = project_onto_span(g_at @ projection.span.conj())
-    return TwoPoleFactor(z, projection, rho)
+    return TwoPoleFactor(z, projection)
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,7 +153,7 @@ class TranslationFactor:
 
     def __post_init__(self):
         if self.alpha == 0.0:
-            raise ValueError("alpha must be nonzero")
+            raise ValueError("alpha must be nonzero (rule: alpha != 0)")
         b = np.asarray(self.b, dtype=float)
         object.__setattr__(self, "b", b)
 
@@ -169,11 +177,6 @@ class TranslationFactor:
 
 
 LoopFactor = TwoPointFactor | RealOnePoleFactor | TwoPoleFactor | TranslationFactor
-
-
-def eval_factor(factor: LoopFactor, lam: complex) -> np.ndarray:
-    """Evaluate a loop factor at lambda (identity at lambda = infinity)."""
-    return factor(lam)
 
 
 def invert_factor(factor: TwoPointFactor) -> TwoPointFactor:

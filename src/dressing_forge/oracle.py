@@ -13,12 +13,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ProjectionDriftError, StepTooLargeError
+from .errors import DressingForgeError, ProjectionDriftError, StepTooLargeError
 from .linalg import lax_block, max_abs
 
 # Most RK4 steps whose stage points one point-set call evaluates, so memory
 # stays bounded however small the step is.
 RK4_CHUNK_STEPS = 256
+# Most RK4 steps one path segment may take: a step so small that it needs
+# more is refused rather than integrated for days.
+MAX_SEGMENT_STEPS = 10 ** 6
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,7 +82,11 @@ def estimate_order(residual_coarse: float, residual_fine: float) -> float:
 
 
 def _segment_steps(t0: float, t1: float, step: float) -> int:
-    return max(1, int(math.ceil(abs(t1 - t0) / step - 1e-12)))
+    steps = abs(t1 - t0) / step
+    if not steps <= MAX_SEGMENT_STEPS:  # also refuses an overflow to inf
+        raise DressingForgeError(
+            f"RK4 step {step!r} needs more than {MAX_SEGMENT_STEPS} steps on one path segment")
+    return max(1, int(math.ceil(steps - 1e-12)))
 
 
 def _stage_chunks(u_start, axis: int, t0: float, t1: float, step: float):

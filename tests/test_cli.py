@@ -4,7 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dressing_forge.cli import (ValidationError, apply_chain, load_scenario,
+from dressing_forge import (ExtendedFrame, Grid, VacuumSeed, dress_real,
+                            metric_from_frame, project_onto_span)
+from dressing_forge.cli import (DEFAULT_TOLERANCES, ValidationError,
+                                apply_chain, export_metric_csv, load_scenario,
                                 main, validate_scenario)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -65,8 +68,16 @@ def test_validation_error_names_rule(tmp_path, capsys):
     ({"checks": {"tolerances": {"reality": -1e-10}}}, "finite positive numbers"),
     ({"grid": [[-0.5, 0.5, "x"], [-0.5, 0.5, 7]]}, "at least 3 grid points per axis"),
     ({"grid": [[-0.5, 0.5, 7], [-0.5, 0.5, 2]]}, "at least 3 grid points per axis"),
+    ({"lambdas": 5}, "lambdas is a list of [re, im] pairs"),
+    ({"lambdas": [[float("nan"), 0.0]]}, "pairs of finite numbers"),
+    ({"lambdas": [[True, 0.0]]}, "pairs of finite numbers"),
+    ({"export": {"format": "csv", "fixed": [1]}}, "fixed maps axis indices < n"),
+    ({"export": {"format": "csv", "fixed": {"a": 1}}}, "fixed maps axis indices < n"),
+    ({"chain": [{"type": "real_one_pole", "alpha": float("nan"),
+                 "span": [[[1.0, 0.0]], [[1.0, 0.0]]]}]}, "alpha is a finite number"),
 ], ids=["samples-text", "samples-negative", "tolerances-list", "tolerance-negative",
-        "grid-points-text", "grid-two-points"])
+        "grid-points-text", "grid-two-points", "lambdas-number", "lambda-nan",
+        "lambda-bool", "fixed-list", "fixed-text-key", "alpha-nan"])
 def test_malformed_scenario_exits_3_naming_rule(tmp_path, capsys, overrides, rule):
     path = write_scenario(tmp_path, base_scenario(**overrides))
     assert run_cli("run", path, tmp_path / "out") == 3
@@ -113,6 +124,13 @@ def test_nonpositive_or_nonfinite_flag_exits_2(tmp_path, capsys, flag, value):
     err = capsys.readouterr().err
     assert flag in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_step_too_small_for_rk4_exits_3(tmp_path, capsys):
+    path = write_scenario(tmp_path, base_scenario())
+    assert run_cli("verify", path, tmp_path / "out", "--step=5e-324") == 3
+    err = capsys.readouterr().err
+    assert "RK4 step 5e-324" in err and "Traceback" not in err
 
 
 def test_one_soliton_export_row_count(tmp_path):
@@ -176,6 +194,12 @@ def test_sweep_final_slice_real(tmp_path, capsys):
     assert worst < 1e-10
 
 
+def test_sweep_without_lambdas_writes_header_only(tmp_path):
+    path = write_scenario(tmp_path, base_scenario(lambdas=[]))
+    assert run_cli("sweep", path, tmp_path / "out") == 0
+    assert (tmp_path / "out" / "sweep.csv").read_text() == "lam_re,lam_im,u1,u2,ReX1,ImX1,ReX2,ImX2\n"
+
+
 def test_permute_check(tmp_path, capsys):
     path = str(SCENARIOS / "permute_pair.json")
     out = tmp_path / "out"
@@ -204,6 +228,47 @@ def test_shipped_scenarios_verify(tmp_path):
                  "breather_chain.json"):
         out = tmp_path / ("out_" + name)
         assert run_cli("verify", str(SCENARIOS / name), out) == 0, name
+
+
+def test_breather_two_pole_factor_runs_sigma_checks(tmp_path):
+    out = tmp_path / "out"
+    assert run_cli("verify", str(SCENARIOS / "breather_chain.json"), out) == 0
+    checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
+    # only the potential check skips: a translation has no closed-form potential
+    assert [name for name in checks if name.endswith("_skipped")] == ["potential_skipped"]
+    for name, tol in (("reality_sigma", "reality"), ("metric_real", "metric_real"),
+                      ("limit_net_imag", "lambda_zero")):
+        assert checks[name]["passed"] is True
+        assert checks[name]["tolerance"] == DEFAULT_TOLERANCES[tol]
+    assert checks["darboux_egoroff_pair"]["details"]["symmetric_product"] is True
+
+
+def test_metric_csv_layout(tmp_path):
+    frame = dress_real(ExtendedFrame(VacuumSeed.constant([1.0, 0.7, 1.3])), 0.6,
+                       project_onto_span(np.ones(3) / np.sqrt(3.0)))
+    grid = Grid.from_specs([(-0.3, 0.3, 3)] * 3)
+    metric = metric_from_frame(frame, grid)
+    assert export_metric_csv(metric, tmp_path / "metric.csv") == 27
+    lines = (tmp_path / "metric.csv").read_text().splitlines()
+    assert len(lines) == 28
+    assert lines[0].split(",") == [
+        "u1", "u2", "u3", "Reh1", "Imh1", "Reh2", "Imh2", "Reh3", "Imh3",
+        "Rephi", "Imphi", "phi_closed",
+        "Rebeta12", "Imbeta12", "Rebeta13", "Imbeta13", "Rebeta21", "Imbeta21",
+        "Rebeta23", "Imbeta23", "Rebeta31", "Imbeta31", "Rebeta32", "Imbeta32"]
+    # grid points run row-major; 17 significant digits round-trip exactly
+    idx = (2, 0, 1)
+    row = [float(x) for x in lines[1 + 2 * 9 + 0 * 3 + 1].split(",")]
+    h, phi, beta = metric.h[idx], metric.phi[idx], metric.beta[idx]
+    expected = list(grid.points()[idx])
+    for j in range(3):
+        expected += [h[j].real, h[j].imag]
+    expected += [phi.real, phi.imag, metric.phi_closed[idx]]
+    for i in range(3):
+        for j in range(3):
+            if i != j:
+                expected += [beta[i, j].real, beta[i, j].imag]
+    assert row == expected
 
 
 def test_lambda_on_pole_rejected(tmp_path):

@@ -236,6 +236,13 @@ def test_records_are_frozen(torus_frame, pi_diag, pi_perp_torus):
         frame.history[1].z = 0.5j
     with pytest.raises(FrozenInstanceError):
         frame.history[2].b = np.zeros(2)
+    # a two-pole factor is one record, frozen like its one-pole parts
+    pi = project_onto_span(np.array([1.0, 0.5 - 0.25j]))
+    (rec,) = dress_two_pole(torus_frame, 0.4 + 0.8j, pi).history
+    assert rec.is_sigma_compatible and not rec.has_closed_potential
+    for owner, attr in ((rec, "first"), (rec, "is_sigma_compatible"), (rec.second, "z")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(owner, attr, None)
 
 
 def test_spherical_violation_refused(torus_frame, pi_diag):
@@ -273,10 +280,9 @@ def test_two_pole_matches_transport_formulas(torus_frame):
     zb = np.conj(z)
     pi = project_onto_span(np.array([1.0, 0.5 - 0.25j]))
     frame = dress_two_pole(torus_frame, z, pi)
-    rec1, rec2 = frame.history
+    (rec,) = frame.history
     for u in (np.array([0.3, -0.5]), np.array([-0.2, 0.6])):
-        d1 = rec1.point_data(frame, 0, u)
-        d2 = rec2.point_data(frame, 1, u)
+        d1, d2 = rec.point_data(frame, 0, u)
         # rho_tilde transport
         E_mzb = torus_frame.E(u, -zb)
         span = solve_linear(E_mzb, pi.span.conj())
@@ -304,9 +310,8 @@ def test_two_pole_equals_loop_factor_on_E(torus_frame, rng):
     lam = 1.3 + 0.4j
     E_direct = frame.E(u, lam)
     # left product: f_{z,pi}(lam) E(u,lam) [transported factors]^{-1}
-    rec1, rec2 = frame.history
-    d1 = rec1.point_data(frame, 0, u)
-    d2 = rec2.point_data(frame, 1, u)
+    (rec,) = frame.history
+    d1, d2 = rec.point_data(frame, 0, u)
     left = factor(lam) @ torus_frame.E(u, lam)
     right = (simple_eval(d2.pi_tilde.matrix, -np.conj(z), -z, lam)
              @ simple_eval(d1.pi_tilde.matrix, z, np.conj(z), lam))

@@ -91,7 +91,7 @@ def test_darboux_egoroff_nonsymmetric_complex_dressing(torus3_frame):
 def test_lagrangian_vacuum_and_dressed(torus_frame):
     grid = Grid.from_specs([(-0.5, 0.5, 6)] * 2)
     sample = sample_immersion(torus_frame, grid, 0.9)
-    report = check_lagrangian(sample, torus_frame)
+    report = check_lagrangian(sample, torus_frame.h(grid.points()))
     assert report["lagrangian_symplectic"].residual < 1e-12
     assert report["lagrangian_metric"].residual < 1e-12
 
@@ -99,7 +99,7 @@ def test_lagrangian_vacuum_and_dressed(torus_frame):
                            0.4 + 0.8j, project_onto_span(np.array([1.0, 0.5j])))
     chain = dress_translation(chain, 0.9, np.array([0.1, -0.2]))
     sample = sample_immersion(chain, grid, 0.9)
-    report = check_lagrangian(sample, chain)
+    report = check_lagrangian(sample, chain.h(grid.points()))
     assert report["lagrangian_symplectic"].residual < 1e-10
     assert report["lagrangian_metric"].residual < 1e-10
 
@@ -107,7 +107,7 @@ def test_lagrangian_vacuum_and_dressed(torus_frame):
 def test_lagrangian_skips_complex_lambda(torus_frame):
     grid = Grid.from_specs([(-0.3, 0.3, 3)] * 2)
     sample = sample_immersion(torus_frame, grid, 0.9 + 0.2j)
-    report = check_lagrangian(sample, torus_frame)
+    report = check_lagrangian(sample, torus_frame.h(grid.points()))
     assert report.checks[0].name == "lagrangian_skipped_nonreal_lambda"
     assert report.passed
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from dressing_forge import (AtPoleError, HermitianProjection,
                             PoleCollisionError, RealOnePoleFactor,
                             TranslationFactor, TwoPointFactor, check_reality,
-                            eval_factor, invert_factor, max_abs,
+                            invert_factor, max_abs,
                             one_pole_factor, permute_factors,
                             project_onto_span, projection_distance,
                             two_pole_factor)
@@ -19,9 +19,9 @@ def pi_of(v):
 
 def test_normalization_at_infinity():
     g = one_pole_factor(0.3 + 0.7j, pi_of([1.0, 1.0j]))
-    assert max_abs(eval_factor(g, np.inf) - np.eye(2)) < 1e-10
+    assert max_abs(g(np.inf) - np.eye(2)) < 1e-10
     # probe: deviation from I at |lambda| = 1e8 scales like the pole-zero gap
-    probe = eval_factor(g, 1e8 * (1 + 0.3j))
+    probe = g(1e8 * (1 + 0.3j))
     gap = abs(g.alpha1 - g.alpha2)
     assert max_abs(probe - np.eye(2)) < 10 * gap / 1e8
 
@@ -30,20 +30,20 @@ def test_eval_at_conjugate_point_gives_projection():
     pi = pi_of([1.0, -0.5 + 0.2j])
     z = 0.4 + 0.9j
     g = one_pole_factor(z, pi)
-    assert max_abs(eval_factor(g, np.conj(z)) - pi.matrix) < 1e-13
+    assert max_abs(g(np.conj(z)) - pi.matrix) < 1e-13
 
 
 def test_real_one_pole_at_zero_is_reflection():
     pi = pi_of([1.0, 1.0])
     g = RealOnePoleFactor(0.7, pi)
     expected = pi.matrix - pi.complement
-    assert max_abs(eval_factor(g, 0.0) - expected) < 1e-13
+    assert max_abs(g(0.0) - expected) < 1e-13
 
 
 def test_at_pole_guard():
     g = one_pole_factor(0.5j, pi_of([1.0, 0.0]))
     with pytest.raises(AtPoleError):
-        eval_factor(g, 0.5j + 1e-12)
+        g(0.5j + 1e-12)
 
 
 def test_invert_is_involution_and_pointwise_inverse(rng):
@@ -52,7 +52,7 @@ def test_invert_is_involution_and_pointwise_inverse(rng):
     ginv = invert_factor(g)
     assert invert_factor(ginv).alpha1 == g.alpha1
     for lam in random_lambda_samples(10, [g.alpha1, g.alpha2], rng):
-        prod = eval_factor(g, lam) @ eval_factor(ginv, lam)
+        prod = g(lam) @ ginv(lam)
         assert max_abs(prod - np.eye(2)) < 1e-12
 
 
@@ -60,8 +60,8 @@ def test_trivial_projection_makes_constant_factor(rng):
     g = one_pole_factor(0.3 + 0.7j, HermitianProjection.identity(2))
     ginv = invert_factor(g)
     for lam in random_lambda_samples(5, [g.alpha1], rng):
-        assert max_abs(eval_factor(g, lam) - np.eye(2)) < 1e-14
-        assert max_abs(eval_factor(ginv, lam) - np.eye(2)) < 1e-14
+        assert max_abs(g(lam) - np.eye(2)) < 1e-14
+        assert max_abs(ginv(lam) - np.eye(2)) < 1e-14
 
 
 def test_reality_real_one_pole(rng):
@@ -97,20 +97,20 @@ def test_two_pole_reality_and_alternate_factorization(rng):
     left = one_pole_factor(z, f.rho.conjugate())
     right = one_pole_factor(-np.conj(z), pi.conjugate())
     for lam in random_lambda_samples(10, f.poles(), rng):
-        alt = eval_factor(left, lam) @ eval_factor(right, lam)
-        assert max_abs(eval_factor(f, lam) - alt) < 1e-10
+        alt = left(lam) @ right(lam)
+        assert max_abs(f(lam) - alt) < 1e-10
 
 
 def test_translation_factor_blocks_and_reality(rng):
     k = TranslationFactor(0.9, np.array([0.2, -0.4]))
     lam = 1.3 + 0.2j
-    K = eval_factor(k, lam)
+    K = k(lam)
     assert max_abs(K[:2, :2] - np.eye(2)) == 0.0
     assert max_abs(K[:2, 2] - 1j * k.b / (lam - 0.9j)) < 1e-15
     assert K[2, 2] == 1.0
     report = check_reality(k, random_lambda_samples(8, k.poles(), rng))
     assert report.passed
-    assert max_abs(eval_factor(k, np.inf) - np.eye(3)) == 0.0
+    assert max_abs(k(np.inf) - np.eye(3)) == 0.0
 
 
 def test_permute_factors_product_identity(rng):
@@ -120,8 +120,8 @@ def test_permute_factors_product_identity(rng):
     g1, g2 = one_pole_factor(z1, pi1), one_pole_factor(z2, pi2)
     gr1, gr2 = one_pole_factor(z1, rho1), one_pole_factor(z2, rho2)
     for lam in random_lambda_samples(20, [z1, z2], rng):
-        lhs = eval_factor(gr2, lam) @ eval_factor(g1, lam)
-        rhs = eval_factor(gr1, lam) @ eval_factor(g2, lam)
+        lhs = gr2(lam) @ g1(lam)
+        rhs = gr1(lam) @ g2(lam)
         assert max_abs(lhs - rhs) < 1e-10
 
 
@@ -169,8 +169,8 @@ def test_factor_normalization_property(seed):
     v = rng.normal(size=3) + 1j * rng.normal(size=3)
     z = complex(rng.uniform(0.2, 1.5), rng.uniform(0.2, 1.5))
     g = one_pole_factor(z, project_onto_span(v))
-    assert max_abs(eval_factor(g, np.inf) - np.eye(3)) < 1e-10
+    assert max_abs(g(np.inf) - np.eye(3)) < 1e-10
     lam = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
     if abs(lam - z) > 0.05:
-        prod = eval_factor(g, np.conj(lam)).conj().T @ eval_factor(g, lam)
+        prod = g(np.conj(lam)).conj().T @ g(lam)
         assert max_abs(prod - np.eye(3)) < 1e-12

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from dressing_forge import (PathSpec,
+from dressing_forge import (DressingForgeError, PathSpec,
                             ProjectionDriftError, StepTooLargeError,
                             dress_real, dress_translation, dress_two_pole,
                             estimate_order, integrate_bf, integrate_frame,
                             integrate_frame_with_order, max_abs,
                             project_onto_span, solve_linear)
-from dressing_forge.oracle import RK4_CHUNK_STEPS
+from dressing_forge.oracle import RK4_CHUNK_STEPS, _segment_steps
 
 
 def test_pathspec_staircase_and_endpoint():
@@ -18,6 +18,14 @@ def test_pathspec_staircase_and_endpoint():
     assert np.allclose(wps[1][0], [0.5, 0.0])
     with pytest.raises(ValueError):
         PathSpec(((3, 1.0),)).waypoints(2)
+
+
+def test_segment_step_count_is_bounded():
+    assert _segment_steps(0.0, 0.3, 1e-2) == 30
+    # 3e299 steps, or an overflow to inf, are refused rather than attempted
+    for step in (1e-300, 5e-324):
+        with pytest.raises(DressingForgeError, match="RK4 step"):
+            _segment_steps(0.0, 0.3, step)
 
 
 def test_integrate_frame_vacuum_closed_form(torus_frame):
