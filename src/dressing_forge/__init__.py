@@ -3,7 +3,8 @@ rational loop-group dressing of explicit vacuum seeds, with numerical
 verification of every structural invariant."""
 
 from .errors import (AtPoleError, ChartSingularError, DressingForgeError,
-                     NonPositiveError, NonRealError, OutOfDomainError,
+                     NonFiniteError, NonPositiveError, NonRealError,
+                     OutOfDomainError,
                      PoleCollisionError, ProjectionDriftError,
                      RankDeficientError, SingularError,
                      SphericalViolationError, StepTooLargeError)

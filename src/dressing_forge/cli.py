@@ -151,15 +151,22 @@ def _build_seed(n: int, spec) -> VacuumSeed:
         profs = spec.get("profiles")
         if not isinstance(profs, list) or len(profs) != n:
             raise ValidationError(f"seed.profiles: need {n} per-axis profiles")
+        profile, names = ((PolynomialProfile, ("coeffs", "domain")) if kind == "polynomial"
+                          else (SampledProfile, ("knots", "values")))
         built = []
         for j, p in enumerate(profs):
+            where = f"seed.profiles[{j}]"
+            if not isinstance(p, dict):
+                raise ValidationError(f"{where}: must be an object with {' and '.join(names)}")
+            for name in names:
+                values = p.get(name)
+                if not isinstance(values, list) or not all(_is_number(v) for v in values):
+                    raise ValidationError(f"{where}.{name}: got {values!r} "
+                                          f"(rule: profile {name} is a list of finite numbers)")
             try:
-                if kind == "polynomial":
-                    built.append(PolynomialProfile(tuple(p["coeffs"]), tuple(p["domain"])))
-                else:
-                    built.append(SampledProfile(tuple(p["knots"]), tuple(p["values"])))
-            except (KeyError, ValueError, TypeError) as exc:
-                raise ValidationError(f"seed.profiles[{j}]: {exc}") from exc
+                built.append(profile(*(tuple(p[name]) for name in names)))
+            except ValueError as exc:
+                raise ValidationError(f"{where}: {exc}") from exc
         return VacuumSeed(tuple(built))
     raise ValidationError(f"seed.type: unknown seed type {kind!r}")
 
@@ -214,7 +221,7 @@ def _validate_chain(n: int, chain_spec) -> list:
 
 def validate_scenario(raw: dict) -> Scenario:
     version = raw.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
         raise ValidationError(f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
     n = raw.get("n")
     if not isinstance(n, int) or not 2 <= n <= 8:
@@ -305,6 +312,11 @@ def validate_scenario(raw: dict) -> Scenario:
             raise ValidationError(f"export.fixed: got {fixed!r} "
                                   "(rule: fixed maps axis indices < n to finite numbers)")
         export["fixed"] = {int(k): float(v) for k, v in fixed.items()}
+        name = export.get("path", f"immersion.{fmt}")
+        if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
+            raise ValidationError(f"export.path: got {name!r} "
+                                  "(rule: export path is a file name in the output directory)")
+        export["path"] = name
         if fmt == "obj":
             if len(slice_axes) != 2:
                 raise ValidationError("export.slice_axes: OBJ export needs exactly two slice axes")
@@ -358,29 +370,30 @@ def _fmt(x: float) -> str:
 
 
 def _reality_check(frame, scenario, tol) -> VerificationReport:
+    """tau-reality E(u, conj(lam))* E(u, lam) = I and, for sigma-compatible
+    chains, sigma-reality E(u, lam)^t E(u, -lam) = I at random (u, lam)
+    samples, lam kept clear of every sensitive point.  All samples form one
+    point set with one lambda per point."""
     rng = np.random.default_rng(REALITY_SAMPLE_SEED)
     guard = [p for q in frame.sensitive_points()
              for p in (q, -q, np.conj(q), -np.conj(q))]
     lo = [a[0] for a in scenario.grid.axes]
     hi = [a[-1] for a in scenario.grid.axes]
-    tau = 0.0
-    sigma = 0.0
-    sigma_ok = _chain_sigma_compatible(frame)
-    eye = np.eye(frame.n)
-    count = 0
-    while count < scenario.reality_samples:
+    lams, points = [], []
+    while len(lams) < scenario.reality_samples:
         lam = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         if any(abs(lam - p) < 0.05 for p in guard):
             continue
-        u = np.array([rng.uniform(l, h) for l, h in zip(lo, hi)])
-        E = frame.E(u, lam)
-        tau = max(tau, max_abs(frame.E(u, np.conj(lam)).conj().T @ E - eye))
-        if sigma_ok:
-            sigma = max(sigma, max_abs(E.T @ frame.E(u, -lam) - eye))
-        count += 1
+        lams.append(lam)
+        points.append([rng.uniform(l, h) for l, h in zip(lo, hi)])
+    U, lams = np.array(points), np.array(lams)
+    eye = np.eye(frame.n)
+    E = frame.E(U, lams)
+    tau = max_abs(frame.E(U, lams.conj()).conj().swapaxes(-1, -2) @ E - eye)
     report = VerificationReport()
     report.add("reality_tau", tau, tol, samples=scenario.reality_samples)
-    if sigma_ok:
+    if _chain_sigma_compatible(frame):
+        sigma = max_abs(E.swapaxes(-1, -2) @ frame.E(U, -lams) - eye)
         report.add("reality_sigma", sigma, tol, samples=scenario.reality_samples)
     else:
         report.add("reality_sigma_skipped", 0.0, None,
@@ -559,14 +572,16 @@ def export_metric_csv(metric, path) -> int:
     return _write_csv(path, header + beta_names, np.hstack(columns + [beta]))
 
 
-def export_sweep_csv(frame, grid, lambdas, path) -> int:
+def export_sweep_csv(frame, grid, lambdas, path) -> tuple:
+    """Write X at every grid point for each lambda; returns the row count and
+    the X it wrote, shape (len(lambdas), points, n)."""
     axes = range(1, grid.n + 1)
     pts = grid.points().reshape(-1, grid.n)
     lams = np.repeat(np.asarray(lambdas, dtype=complex), len(pts))
-    X = np.array([frame.evaluate(pts, lam)[1] for lam in lambdas]).reshape(-1, grid.n)
-    names, X = _re_im("X", axes, X)
-    table = np.column_stack([lams.real, lams.imag, np.tile(pts, (len(lambdas), 1)), X])
-    return _write_csv(path, ["lam_re", "lam_im"] + [f"u{j}" for j in axes] + names, table)
+    X = np.array([frame.evaluate(pts, lam)[1] for lam in lambdas]).reshape(-1, len(pts), grid.n)
+    names, cols = _re_im("X", axes, X)
+    table = np.column_stack([lams.real, lams.imag, np.tile(pts, (len(lambdas), 1)), cols])
+    return _write_csv(path, ["lam_re", "lam_im"] + [f"u{j}" for j in axes] + names, table), X
 
 
 def _write_report(report: VerificationReport, out_dir: Path, name: str, meta: dict):
@@ -628,7 +643,7 @@ def cmd_export(scenario: Scenario, out_dir: Path, args,
         frame = apply_chain(scenario)
     spec = scenario.export
     lam = spec["lambda"]
-    out_path = out_dir / spec.get("path", f"immersion.{spec['format']}")
+    out_path = out_dir / spec["path"]
     if spec["format"] == "csv":
         count = export_immersion_csv(frame, scenario.grid, lam,
                                      spec["slice_axes"], spec["fixed"], out_path)
@@ -642,13 +657,12 @@ def cmd_export(scenario: Scenario, out_dir: Path, args,
 
 def cmd_sweep(scenario: Scenario, out_dir: Path, args) -> int:
     frame = apply_chain(scenario)
-    count = export_sweep_csv(frame, scenario.grid, scenario.lambdas, out_dir / "sweep.csv")
+    count, X = export_sweep_csv(frame, scenario.grid, scenario.lambdas, out_dir / "sweep.csv")
     print(f"sweep written: {count} rows over {len(scenario.lambdas)} lambda values "
           f"-> {out_dir / 'sweep.csv'}")
-    for lam in scenario.lambdas:
+    for lam, X_lam in zip(scenario.lambdas, X):
         if lam == 0:
-            worst = max_abs(frame.evaluate(scenario.grid.points(), 0.0)[1].imag)
-            print(f"lambda=0 slice max |Im X| = {worst:.3e}")
+            print(f"lambda=0 slice max |Im X| = {max_abs(X_lam.imag):.3e}")
     return 0
 
 

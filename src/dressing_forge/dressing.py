@@ -14,8 +14,9 @@ update
 The updates are implemented in residue-subtracted form: the rational factors
 are expanded and the (vanishing) residues at lambda = z and lambda = conj(z)
 are removed symbolically, leaving difference quotients of functions that are
-holomorphic at the poles.  This keeps evaluation pole-free; within 1e-6 of a
-pole the quotient itself is evaluated from a small sampling circle.
+holomorphic at the poles.  This keeps evaluation pole-free; at a point whose
+lambda lies within 1e-6 of a pole the quotient itself is evaluated from a small
+sampling circle.
 
 The history holds one immutable record per loop factor: one-pole, two-pole
 or translation.  A record's pole data (pi_tilde, eta and the prefix frame at
@@ -61,7 +62,7 @@ def _circle_values(prefix_fn, pole: complex, radius: float):
     return np.stack(Es), np.stack(Xs)
 
 
-def _taylor_dq(vals, radius: float, d: complex):
+def _taylor_dq(vals, radius: float, d):
     """(f(pole + d) - f(pole)) / d for holomorphic f via the first two Taylor
     coefficients, read off the circle samples ``vals`` of f."""
     w1 = np.exp(-1j * _THETA) / (CIRCLE_NODES * radius)
@@ -69,6 +70,30 @@ def _taylor_dq(vals, radius: float, d: complex):
     a1 = np.tensordot(w1, vals, axes=(0, 0))
     a2 = np.tensordot(w2, vals, axes=(0, 0))
     return a1 + d * a2
+
+
+def _near(d) -> bool:
+    """Whether the offset d = lambda - pole, one complex or an array with
+    one per point, puts some point below TAYLOR_BELOW: then the pole's
+    sampling circle is needed."""
+    if isinstance(d, complex):
+        return abs(d) < TAYLOR_BELOW
+    return bool((np.abs(d) < TAYLOR_BELOW).any())
+
+
+def _quotient(f, f_pole, d, radius: float, samples):
+    """(f - f_pole) / d for f holomorphic at the pole, d = lambda - pole one
+    complex or an array with one per point of f: the direct quotient where
+    |d| >= TAYLOR_BELOW, elsewhere the Taylor quotient from ``samples``, f on
+    the pole's sampling circle of ``radius`` (None when no point is near)."""
+    if isinstance(d, complex):
+        return (f - f_pole) / d if samples is None else _taylor_dq(samples, radius, d)
+    d = d.reshape(d.shape + (1,) * (f.ndim - d.ndim))
+    if samples is None:
+        return (f - f_pole) / d
+    near = np.abs(d) < TAYLOR_BELOW
+    return np.where(near, _taylor_dq(samples, radius, d),
+                    (f - f_pole) / np.where(near, 1.0, d))
 
 
 def _circle_radius(pole: complex, existing_points) -> float:
@@ -131,7 +156,7 @@ class OnePoleRecord:
 
     @property
     def zbar(self) -> complex:
-        return complex(np.conj(self.z))
+        return complex(self.z).conjugate()
 
     @property
     def factor_poles(self) -> tuple:
@@ -171,19 +196,15 @@ class OnePoleRecord:
         Pt, Ptp = data.pi_tilde.matrix, data.complement
         pe = data.pe
         d_z, d_zb = lam - z, lam - zb
-        if abs(d_z) >= TAYLOR_BELOW:
-            dq_z = (E - data.E_z) / d_z
-        else:
-            Es, _ = _circle_values(prefix_fn, z, self.radius_z)
-            dq_z = _taylor_dq(Es, self.radius_z, d_z)
+        Es = _circle_values(prefix_fn, z, self.radius_z)[0] if _near(d_z) else None
+        dq_z = _quotient(E, data.E_z, d_z, self.radius_z, Es)
         # G = X - E pe; its quotient at zbar shares the circle samples of E
-        if abs(d_zb) >= TAYLOR_BELOW:
-            dq_zb = (E - data.E_zbar) / d_zb
-            dq_G = ((X - _mv(E, pe)) - data.G_zbar) / d_zb
-        else:
+        Es = Gs = None
+        if _near(d_zb):
             Es, Xs = _circle_values(prefix_fn, zb, self.radius_zbar)
-            dq_zb = _taylor_dq(Es, self.radius_zbar, d_zb)
-            dq_G = _taylor_dq(Xs - _mv(Es, pe), self.radius_zbar, d_zb)
+            Gs = Xs - _mv(Es, pe)
+        dq_zb = _quotient(E, data.E_zbar, d_zb, self.radius_zbar, Es)
+        dq_G = _quotient(X - _mv(E, pe), data.G_zbar, d_zb, self.radius_zbar, Gs)
         E_new = E + c * (Pi @ dq_zb @ Ptp) - c * (Pp @ dq_z @ Pt)
         X_new = X - c * _mv(Pp, _mv(dq_z, pe)) + c * _mv(Pi, dq_G)
         return E_new, X_new
@@ -238,14 +259,14 @@ class TranslationRecord:
     point_data = _point_data
 
     def apply(self, E, X, lam, data: _TranslationData, prefix_fn):
+        # B = E y - b vanishes at the pole: y = E(pole)^{-1} b
         b = self.b.astype(complex)
         d = lam - self.pole
-        if abs(d) >= TAYLOR_BELOW:
-            dq_B = (_mv(E, data.y) - b) / d
-        else:
+        Bs = None
+        if _near(d):
             Es, _ = _circle_values(prefix_fn, self.pole, self.radius)
-            dq_B = _taylor_dq(_mv(Es, data.y) - b, self.radius, d)
-        return E, X - 1j * dq_B
+            Bs = _mv(Es, data.y) - b
+        return E, X - 1j * _quotient(_mv(E, data.y) - b, 0.0, d, self.radius, Bs)
 
     def apply_h(self, h, data: _TranslationData):
         return h + data.y

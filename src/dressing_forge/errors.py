@@ -5,6 +5,10 @@ class DressingForgeError(Exception):
     """Base class for all package errors."""
 
 
+class NonFiniteError(DressingForgeError, ValueError):
+    """A matrix has non-finite entries (an input or an evaluation overflowed)."""
+
+
 class RankDeficientError(DressingForgeError):
     """Spanning columns are (numerically) linearly dependent."""
 

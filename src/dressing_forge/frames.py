@@ -29,25 +29,42 @@ QUAD_TOL = 1e-10
 CLAMP_MIN = 1e-8
 
 
-def _stable_exp_integral(u, lam: complex):
-    """int_0^u e^{i lam t} dt = e^{i lam u / 2} * 2 sin(lam u / 2) / lam,
-    elementwise in u, which is cancellation-free for small |lam u| (limit u
-    at lam = 0)."""
-    u = np.asarray(u, dtype=float)
-    if lam == 0:
-        return u + 0j
+def _exp_integral(u, lam):
     w = 0.5 * lam * u
     return np.exp(1j * w) * 2.0 * np.sin(w) / lam
 
 
-def _per_point(fn, u, dtype):
-    """Apply a scalar function to every entry of u (scalar in, scalar out)."""
+def _stable_exp_integral(u, lam):
+    """int_0^u e^{i lam t} dt = e^{i lam u / 2} * 2 sin(lam u / 2) / lam,
+    elementwise in u, which is cancellation-free for small |lam u| (limit u
+    at lam = 0).  ``lam`` is one number, or an array of lambdas
+    broadcasting against u."""
     u = np.asarray(u, dtype=float)
-    return np.array([fn(t) for t in u.ravel()], dtype=dtype).reshape(u.shape)[()]
+    if isinstance(lam, np.ndarray):
+        zero = lam == 0
+        return np.where(zero, u, _exp_integral(u, np.where(zero, 1.0, lam)))
+    if lam == 0:
+        return u + 0j
+    return _exp_integral(u, lam)
+
+
+def _per_point(fn, dtype, *args):
+    """Apply a scalar function to every entry of the broadcast arrays
+    ``args``, one argument from each (scalars in, scalar out)."""
+    args = np.broadcast_arrays(*args)
+    out = np.array([fn(*xs) for xs in zip(*(a.ravel() for a in args))], dtype=dtype)
+    return out.reshape(args[0].shape)[()]
+
+
+def _at(lam, mask):
+    """The lambdas of the masked points: one number stays itself."""
+    return lam[mask] if isinstance(lam, np.ndarray) else lam
 
 
 # Profiles evaluate elementwise: t and u may be scalars or arrays of any shape.
-# ``domain`` is the closed interval of t on which the profile is defined.
+# ``position_integral`` takes one lambda (a number) or an array of lambdas
+# broadcasting against u, one per point.  ``domain`` is the closed interval
+# of t on which the profile is defined.
 
 @dataclass(frozen=True, eq=False)
 class ConstantProfile:
@@ -64,11 +81,11 @@ class ConstantProfile:
     def value(self, t):
         return np.full(np.shape(t), float(self.r))[()]
 
-    def position_integral(self, u, lam: complex):
+    def position_integral(self, u, lam):
         return self.r * _stable_exp_integral(u, lam)
 
     def energy_integral(self, u):
-        return self.r ** 2 * np.asarray(u, dtype=float)
+        return self.r * self.r * np.asarray(u, dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,6 +97,10 @@ class PolynomialProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        if (not self.coeffs or len(self.domain) != 2
+                or not np.isfinite(self.coeffs + tuple(self.domain)).all()):
+            raise ValueError("polynomial profile needs at least one coefficient and a "
+                             "[lo, hi] domain, all finite")
         lo, hi = self.domain
         if not (lo <= 0.0 <= hi and lo < hi):
             raise ValueError("profile domain must contain 0")
@@ -90,16 +111,19 @@ class PolynomialProfile:
     def value(self, t):
         return np.polynomial.polynomial.polyval(t, self.coeffs)
 
-    def position_integral(self, u, lam: complex):
+    def position_integral(self, u, lam):
         u = np.asarray(u, dtype=float)
-        lam = complex(lam)
+        if isinstance(lam, np.ndarray):
+            u, lam = np.broadcast_arrays(u, lam)
+        else:
+            lam = complex(lam)
         # the series branch is taken per point where |lam| max(1, |u|) is small
         series = abs(lam) * np.maximum(1.0, np.abs(u)) < 0.5
         out = np.empty(u.shape, dtype=complex)
         if np.any(series):
-            out[series] = self._series_integral(u[series], lam)
+            out[series] = self._series_integral(u[series], _at(lam, series))
         if not np.all(series):
-            out[~series] = self._by_parts_integral(u[~series], lam)
+            out[~series] = self._by_parts_integral(u[~series], _at(lam, ~series))
         return out[()]
 
     def _series_integral(self, u, lam):
@@ -167,22 +191,21 @@ class SampledProfile:
     def value(self, t):
         return np.maximum(self._spline(t), CLAMP_MIN)
 
-    def position_integral(self, u, lam: complex):
-        lam = complex(lam)
-
-        def one(t):
+    def position_integral(self, u, lam):
+        def one(t, lam):
+            lam = complex(lam)
             re = quad(lambda s: (self.value(s) * np.exp(1j * lam * s)).real,
                       0.0, t, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200)[0]
             im = quad(lambda s: (self.value(s) * np.exp(1j * lam * s)).imag,
                       0.0, t, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200)[0]
             return re + 1j * im
 
-        return _per_point(one, u, complex)
+        return _per_point(one, complex, np.asarray(u, dtype=float), lam)
 
     def energy_integral(self, u):
         return _per_point(lambda t: quad(lambda s: self.value(s) ** 2, 0.0, t,
                                          epsabs=QUAD_TOL, epsrel=QUAD_TOL,
-                                         limit=200)[0], u, float)
+                                         limit=200)[0], float, np.asarray(u, dtype=float))
 
 
 Profile = ConstantProfile | PolynomialProfile | SampledProfile
@@ -195,7 +218,8 @@ class VacuumSeed:
     E(u, lambda) = diag(e^{i lambda u_j}); X_j = int_0^{u_j} h_j(t) e^{i lambda t} dt;
     phi = sum_j int_0^{u_j} h_j(t)^2 dt.  The seed is spherical exactly when
     every profile is constant.  Points are arrays of shape (..., n); results
-    carry the same leading shape.
+    carry the same leading shape.  ``lam`` is one lambda (a number) for every
+    point, or an array of the points' leading shape with one per point.
     """
 
     profiles: tuple
@@ -234,15 +258,17 @@ class VacuumSeed:
             out[..., j] = p.value(u[..., j])
         return out
 
-    def E(self, u: np.ndarray, lam: complex) -> np.ndarray:
+    def E(self, u: np.ndarray, lam) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         self._check_domain(u)
+        if isinstance(lam, np.ndarray):
+            lam = lam[..., None]
         out = np.zeros(u.shape + (self.n,), dtype=complex)
         diag = np.arange(self.n)
         out[..., diag, diag] = np.exp(1j * lam * u)
         return out
 
-    def X(self, u: np.ndarray, lam: complex) -> np.ndarray:
+    def X(self, u: np.ndarray, lam) -> np.ndarray:
         self._check_domain(u)
         out = np.empty(np.shape(u), dtype=complex)
         for j, p in enumerate(self.profiles):
@@ -257,6 +283,22 @@ class VacuumSeed:
         return total
 
 
+def _lambdas(lam, lead: tuple):
+    """One lambda for every point as a Python complex, or one per point as
+    a flat complex array: ``lam`` broadcast against the leading shape
+    ``lead`` of the point set."""
+    if np.isscalar(lam):
+        return complex(lam)
+    lam = np.asarray(lam, dtype=complex)
+    if lam.ndim == 0:
+        return complex(lam)
+    try:
+        return np.broadcast_to(lam, lead).reshape(-1)
+    except ValueError:
+        raise ValueError(f"lambdas of shape {lam.shape} do not broadcast against the "
+                         f"leading shape {lead} of the points") from None
+
+
 # Number of most recent point sets whose pole data a frame keeps.
 MEMO_POINT_SETS = 4
 
@@ -267,7 +309,9 @@ class ExtendedFrame:
 
     Every evaluator takes a point set: ``u`` of shape (P, n), or of any shape
     (..., n), with results of shape (..., n, n) and (..., n).  A single point
-    of shape (n,) is the one-point case and gives (n, n) and (n,).  Each
+    of shape (n,) is the one-point case and gives (n, n) and (n,).
+    ``evaluate``, ``E`` and ``X`` take one lambda for all points, or one per
+    point (an array broadcasting against the leading shape).  Each
     record's pole data (the transported projection and friends) are stacked
     arrays over the whole point set, computed once; the frame keeps them for
     its ``MEMO_POINT_SETS`` most recent point sets, so memory is bounded by
@@ -344,13 +388,14 @@ class ExtendedFrame:
             return self.evaluate(U, w, depth=depth)
         return fn
 
-    def evaluate(self, u, lam: complex, depth: int | None = None):
-        """Dressed (E, X) at the points u and one lambda; holomorphic in
-        lambda across the dressing poles (each update is applied in its
-        residue-subtracted form).  ``depth`` evaluates the prefix frame of
-        the first ``depth`` records."""
+    def evaluate(self, u, lam, depth: int | None = None):
+        """Dressed (E, X) at the points u; holomorphic in lambda across the
+        dressing poles (each update is applied in its residue-subtracted
+        form).  ``lam`` is one lambda for every point, or an array that
+        broadcasts against the leading shape of u, one lambda per point.
+        ``depth`` evaluates the prefix frame of the first ``depth`` records."""
         U, lead = self._point_set(u)
-        lam = complex(lam)
+        lam = _lambdas(lam, lead)
         upto = len(self.history) if depth is None else depth
         E = self.seed.E(U, lam)
         X = self.seed.X(U, lam)
@@ -359,10 +404,10 @@ class ExtendedFrame:
             E, X = self.history[k].apply(E, X, lam, data[k], self._prefix_fn(k, U))
         return E.reshape(lead + E.shape[1:]), X.reshape(lead + X.shape[1:])
 
-    def E(self, u, lam: complex) -> np.ndarray:
+    def E(self, u, lam) -> np.ndarray:
         return self.evaluate(u, lam)[0]
 
-    def X(self, u, lam: complex) -> np.ndarray:
+    def X(self, u, lam) -> np.ndarray:
         return self.evaluate(u, lam)[1]
 
     def h(self, u) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import RankDeficientError, SingularError
+from .errors import NonFiniteError, RankDeficientError, SingularError
 
 # Scale-free independence threshold for spanning columns.
 RANK_TOL_FACTOR = 1e-10
@@ -29,7 +29,7 @@ def cmat(data) -> np.ndarray:
     """Coerce to a finite complex128 array."""
     a = np.asarray(data, dtype=complex)
     if not np.isfinite(a.view(float)).all():
-        raise ValueError("matrix entries must be finite")
+        raise NonFiniteError("matrix entries must be finite")
     return a
 
 

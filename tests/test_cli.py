@@ -1,14 +1,21 @@
+import copy
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dressing_forge import (ExtendedFrame, Grid, VacuumSeed, dress_real,
-                            metric_from_frame, project_onto_span)
-from dressing_forge.cli import (DEFAULT_TOLERANCES, ValidationError,
-                                apply_chain, export_metric_csv, load_scenario,
-                                main, validate_scenario)
+                            max_abs, metric_from_frame, project_onto_span)
+from dressing_forge.cli import (DEFAULT_TOLERANCES, REALITY_SAMPLE_SEED,
+                                ValidationError, _reality_check, apply_chain,
+                                export_metric_csv, load_scenario, main,
+                                validate_scenario)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -36,6 +43,17 @@ def write_scenario(tmp_path, raw, name="scenario.json"):
 
 def run_cli(cmd, scenario_path, out_dir, *extra):
     return main([cmd, "--scenario", scenario_path, "--out", str(out_dir), *extra])
+
+
+def poly_seed(coeffs, domain=(-1.0, 1.0)):
+    return {"type": "polynomial", "profiles": [{"coeffs": coeffs, "domain": list(domain)},
+                                               {"coeffs": [0.7], "domain": [-1.0, 1.0]}]}
+
+
+def sampled_seed(values):
+    knots = [-1.0, -0.5, 0.0, 0.5, 1.0]
+    return {"type": "sampled", "profiles": [{"knots": knots, "values": values},
+                                            {"knots": knots, "values": [0.7] * 5}]}
 
 
 def test_vacuum_verify_all_pass(tmp_path, capsys):
@@ -75,14 +93,45 @@ def test_validation_error_names_rule(tmp_path, capsys):
     ({"export": {"format": "csv", "fixed": {"a": 1}}}, "fixed maps axis indices < n"),
     ({"chain": [{"type": "real_one_pole", "alpha": float("nan"),
                  "span": [[[1.0, 0.0]], [[1.0, 0.0]]]}]}, "alpha is a finite number"),
+    ({"seed": poly_seed([float("nan")])}, "coeffs is a list of finite numbers"),
+    ({"seed": poly_seed([float("inf")])}, "coeffs is a list of finite numbers"),
+    ({"seed": poly_seed([1.0, float("nan")])}, "coeffs is a list of finite numbers"),
+    ({"seed": poly_seed([True])}, "coeffs is a list of finite numbers"),
+    ({"seed": sampled_seed([1.0, 1.1, True, 1.1, 1.0])}, "values is a list of finite numbers"),
+    ({"seed": poly_seed([1.0], domain=(False, 1.0)),
+      "grid": [[0.0, 0.5, 7], [-0.5, 0.5, 7]]}, "domain is a list of finite numbers"),
+    ({"schema_version": True}, "schema_version: expected 1, got True"),
+    ({"export": {"format": "csv", "path": ["x.csv"]}}, "export path is a file name"),
+    ({"export": {"format": "csv", "path": "sub/x.csv"}}, "export path is a file name"),
+    ({"export": {"format": "csv", "path": ""}}, "export path is a file name"),
 ], ids=["samples-text", "samples-negative", "tolerances-list", "tolerance-negative",
         "grid-points-text", "grid-two-points", "lambdas-number", "lambda-nan",
-        "lambda-bool", "fixed-list", "fixed-text-key", "alpha-nan"])
+        "lambda-bool", "fixed-list", "fixed-text-key", "alpha-nan", "coeff-nan",
+        "coeff-inf", "second-coeff-nan", "coeff-bool", "sampled-value-bool",
+        "domain-bool", "schema-version-bool", "export-path-list", "export-path-subdir",
+        "export-path-empty"])
 def test_malformed_scenario_exits_3_naming_rule(tmp_path, capsys, overrides, rule):
     path = write_scenario(tmp_path, base_scenario(**overrides))
     assert run_cli("run", path, tmp_path / "out") == 3
     err = capsys.readouterr().err
     assert "validation error" in err and rule in err
+
+
+REAL_ONE_POLE = {"type": "real_one_pole", "alpha": 0.6, "span": [[[1.0, 0.0]], [[1.0, 0.0]]]}
+
+
+@pytest.mark.parametrize("overrides", [
+    {"grid": [[-0.5, 1e300, 7], [-0.5, 0.5, 7]], "chain": [REAL_ONE_POLE]},
+    {"chain": [dict(REAL_ONE_POLE, alpha=1e300)]},
+], ids=["grid-bound", "alpha"])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_finite_numbers_that_overflow_exit_3(tmp_path, capsys, overrides):
+    """Numbers that pass validation but overflow the frame evaluation end
+    in the error exit, not in a traceback."""
+    path = write_scenario(tmp_path, base_scenario(**overrides))
+    assert run_cli("verify", path, tmp_path / "out") == 3
+    assert "matrix entries must be finite" in capsys.readouterr().err
 
 
 def test_spherical_violation_refused_names_condition(tmp_path, capsys):
@@ -198,6 +247,113 @@ def test_sweep_without_lambdas_writes_header_only(tmp_path):
     path = write_scenario(tmp_path, base_scenario(lambdas=[]))
     assert run_cli("sweep", path, tmp_path / "out") == 0
     assert (tmp_path / "out" / "sweep.csv").read_text() == "lam_re,lam_im,u1,u2,ReX1,ImX1,ReX2,ImX2\n"
+
+
+def test_sweep_evaluates_each_lambda_once(tmp_path, capsys, monkeypatch):
+    """The lambda = 0 line reads the X the export computed: one evaluation
+    per lambda value."""
+    lams = []
+    evaluate = ExtendedFrame.evaluate
+
+    def spy(self, u, lam, depth=None):
+        lams.append(lam)
+        return evaluate(self, u, lam, depth)
+
+    monkeypatch.setattr(ExtendedFrame, "evaluate", spy)
+    assert run_cli("sweep", str(SCENARIOS / "flat_torus.json"), tmp_path / "out") == 0
+    assert lams == [1.0, 0.5, 0.1, 0.0]
+    assert "lambda=0 slice max |Im X| = " in capsys.readouterr().out
+
+
+def _reality_by_sample(frame, scenario):
+    """Reference for the reality check: draw (lambda, u) one sample at a
+    time and evaluate each with one-point calls."""
+    rng = np.random.default_rng(REALITY_SAMPLE_SEED)
+    guard = [p for q in frame.sensitive_points() for p in (q, -q, np.conj(q), -np.conj(q))]
+    lo = [a[0] for a in scenario.grid.axes]
+    hi = [a[-1] for a in scenario.grid.axes]
+    eye = np.eye(frame.n)
+    samples, tau, sigma = [], 0.0, 0.0
+    while len(samples) < scenario.reality_samples:
+        lam = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        if any(abs(lam - p) < 0.05 for p in guard):
+            continue
+        u = np.array([rng.uniform(l, h) for l, h in zip(lo, hi)])
+        E = frame.E(u, lam)
+        tau = max(tau, max_abs(frame.E(u, np.conj(lam)).conj().T @ E - eye))
+        sigma = max(sigma, max_abs(E.T @ frame.E(u, -lam) - eye))
+        samples.append((u, lam))
+    return samples, tau, sigma
+
+
+@pytest.mark.parametrize("name", ["breather_chain", "permute_pair", "spherical_soliton"])
+def test_reality_check_matches_per_sample_loop(name, monkeypatch):
+    scenario = load_scenario(str(SCENARIOS / f"{name}.json"))
+    frame = apply_chain(scenario)
+    samples, tau, sigma = _reality_by_sample(frame, scenario)
+    calls = []
+    evaluate = ExtendedFrame.evaluate
+
+    def spy(self, u, lam, depth=None):
+        if depth is None:
+            calls.append((np.array(u), np.array(lam)))
+        return evaluate(self, u, lam, depth)
+
+    monkeypatch.setattr(ExtendedFrame, "evaluate", spy)
+    report = _reality_check(frame, scenario, 1e-10)
+    sigma_ok = all(rec.is_sigma_compatible for rec in frame.history)
+    U = np.array([u for u, _ in samples])
+    lams = np.array([lam for _, lam in samples])
+    expected = [lams, lams.conj()] + ([-lams] if sigma_ok else [])
+    assert len(calls) == len(expected)
+    for (u_call, lam_call), lam_expected in zip(calls, expected):
+        assert np.array_equal(u_call, U) and np.array_equal(lam_call, lam_expected)
+    assert abs(report["reality_tau"].residual - tau) <= 1e-15
+    if sigma_ok:
+        assert abs(report["reality_sigma"].residual - sigma) <= 1e-15
+    else:
+        assert "reality_sigma_skipped" in [c.name for c in report.checks]
+
+
+def _leaves(node, path=()):
+    """Paths to every scalar leaf of a JSON tree."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _leaves(value, path + (i,))
+    else:
+        yield path
+
+
+SHIPPED = {p.stem: json.loads(p.read_text()) for p in sorted(SCENARIOS.glob("*.json"))}
+LEAVES = [(name, path) for name, raw in SHIPPED.items() for path in _leaves(raw)]
+REPLACEMENTS = ["text", True, False, float("nan"), float("inf"), [1.0], None, -1, -2.5]
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(LEAVES), st.sampled_from(REPLACEMENTS))
+def test_mutated_scenario_keeps_exit_code_contract(leaf, value):
+    """One leaf of a shipped scenario replaced by a wrong-typed, non-finite
+    or negative value: ``verify`` exits 0-3 without an uncaught exception,
+    and exits 1 only when report.json holds a failed check."""
+    name, path = leaf
+    raw = copy.deepcopy(SHIPPED[name])
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = Path(tmp) / "scenario.json"
+        scenario.write_text(json.dumps(raw))
+        out = Path(tmp) / "out"
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = run_cli("verify", str(scenario), out)
+        assert code in (0, 1, 2, 3)
+        if code in (0, 1):
+            checks = json.loads((out / "report.json").read_text())["checks"]
+            assert any(c["passed"] is False for c in checks) == (code == 1)
 
 
 def test_permute_check(tmp_path, capsys):

@@ -319,6 +319,42 @@ def test_batched_evaluation_matches_single_points(seed_name, closed_only):
             assert abs(phi[p] - frame.phi(u)) < 1e-13
 
 
+@pytest.mark.parametrize("seed_name", list(SEEDS))
+def test_per_point_lambda_matches_scalar_calls(seed_name):
+    """One call with a lambda per point (off-pole, exactly 0, and within
+    3e-9 of three chain poles, so direct and Taylor quotients mix) equals the
+    one-point, one-lambda calls row by row."""
+    frame = _chain(SEEDS[seed_name](), closed_only=False)
+    lams = np.array(LAMBDAS * 2)[np.random.default_rng(5).permutation(2 * len(LAMBDAS))]
+    U = np.random.default_rng(12).uniform(-0.6, 0.6, size=(len(lams), 2))
+    E, X = frame.evaluate(U, lams)
+    assert E.shape == (len(lams), 2, 2) and X.shape == (len(lams), 2)
+    for p, (u, lam) in enumerate(zip(U, lams)):
+        E1, X1 = frame.evaluate(u, complex(lam))
+        assert max_abs(E[p] - E1) < 1e-13
+        assert max_abs(X[p] - X1) < 1e-13
+    assert max_abs(frame.E(U, lams) - E) == 0 and max_abs(frame.X(U, lams) - X) == 0
+
+
+def test_per_point_lambda_broadcasts_against_leading_shape(torus_frame, pi_diag):
+    frame = dress_extended(dress_real(torus_frame, 0.6, pi_diag), COMPLEX_Z,
+                           project_onto_span(np.array([1.0, 0.5 + 0.3j])))
+    U = np.random.default_rng(13).uniform(-0.5, 0.5, size=(3, 4, 2))
+    per_point = np.arange(12).reshape(3, 4) * (0.2 - 0.1j) - 1.0
+    for lam in (per_point, per_point[0], per_point[:, :1], np.array(0.7 - 0.2j), 0.7 - 0.2j):
+        E, X = frame.evaluate(U, lam)
+        assert E.shape == (3, 4, 2, 2) and X.shape == (3, 4, 2)
+        full = np.broadcast_to(lam, (3, 4))
+        for q in range(3):
+            for r in range(4):
+                E1, X1 = frame.evaluate(U[q, r], complex(full[q, r]))
+                assert max_abs(E[q, r] - E1) < 1e-13 and max_abs(X[q, r] - X1) < 1e-13
+    for bad_U, bad_lam in ((U, per_point[:2]), (U, per_point.T), (U, per_point[..., None]),
+                           (U[0, 0], per_point[0, :1])):
+        with pytest.raises(ValueError, match="do not broadcast"):
+            frame.evaluate(bad_U, bad_lam)
+
+
 def test_batched_evaluation_keeps_leading_shape(torus_frame, pi_diag):
     frame = dress_real(torus_frame, 0.6, pi_diag)
     pts = Grid.from_specs([(-0.4, 0.4, 3), (-0.4, 0.4, 5)]).points()
