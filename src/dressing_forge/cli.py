@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -67,6 +68,9 @@ BASE_CHECKS = ("reality", "darboux_egoroff", "lagrangian", "position_equation",
 SPHERICAL_CHECKS = ("sphere", "partial_invariance")
 
 REALITY_SAMPLE_SEED = 20260809
+# reality-check samples evaluated as one point set; the frame memo keeps each
+# set's pole data, so this bounds the check's memory
+REALITY_CHUNK = 512
 
 
 class ParseError(DressingForgeError):
@@ -369,32 +373,43 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _reality_check(frame, scenario, tol) -> VerificationReport:
-    """tau-reality E(u, conj(lam))* E(u, lam) = I and, for sigma-compatible
-    chains, sigma-reality E(u, lam)^t E(u, -lam) = I at random (u, lam)
-    samples, lam kept clear of every sensitive point.  All samples form one
-    point set with one lambda per point."""
+def _reality_samples(frame, scenario):
+    """The reality check's random (lam, u) samples in draw order, lam kept
+    clear of every sensitive point."""
     rng = np.random.default_rng(REALITY_SAMPLE_SEED)
     guard = [p for q in frame.sensitive_points()
              for p in (q, -q, np.conj(q), -np.conj(q))]
     lo = [a[0] for a in scenario.grid.axes]
     hi = [a[-1] for a in scenario.grid.axes]
-    lams, points = [], []
-    while len(lams) < scenario.reality_samples:
+    drawn = 0
+    while drawn < scenario.reality_samples:
         lam = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         if any(abs(lam - p) < 0.05 for p in guard):
             continue
-        lams.append(lam)
-        points.append([rng.uniform(l, h) for l, h in zip(lo, hi)])
-    U, lams = np.array(points), np.array(lams)
+        drawn += 1
+        yield lam, [rng.uniform(l, h) for l, h in zip(lo, hi)]
+
+
+def _reality_check(frame, scenario, tol) -> VerificationReport:
+    """tau-reality E(u, conj(lam))* E(u, lam) = I and, for sigma-compatible
+    chains, sigma-reality E(u, lam)^t E(u, -lam) = I at random (u, lam)
+    samples.  Every REALITY_CHUNK samples form one point set with one lambda
+    per point, so memory stays bounded however many samples are asked for."""
+    samples = _reality_samples(frame, scenario)
+    sigma_ok = _chain_sigma_compatible(frame)
     eye = np.eye(frame.n)
-    E = frame.E(U, lams)
-    tau = max_abs(frame.E(U, lams.conj()).conj().swapaxes(-1, -2) @ E - eye)
+    taus, sigmas = [], []
+    while chunk := list(itertools.islice(samples, REALITY_CHUNK)):
+        lams, points = zip(*chunk)
+        U, lams = np.array(points), np.array(lams)
+        E = frame.E(U, lams)
+        taus.append(max_abs(frame.E(U, lams.conj()).conj().swapaxes(-1, -2) @ E - eye))
+        if sigma_ok:
+            sigmas.append(max_abs(E.swapaxes(-1, -2) @ frame.E(U, -lams) - eye))
     report = VerificationReport()
-    report.add("reality_tau", tau, tol, samples=scenario.reality_samples)
-    if _chain_sigma_compatible(frame):
-        sigma = max_abs(E.swapaxes(-1, -2) @ frame.E(U, -lams) - eye)
-        report.add("reality_sigma", sigma, tol, samples=scenario.reality_samples)
+    report.add("reality_tau", max_abs(taus), tol, samples=scenario.reality_samples)
+    if sigma_ok:
+        report.add("reality_sigma", max_abs(sigmas), tol, samples=scenario.reality_samples)
     else:
         report.add("reality_sigma_skipped", 0.0, None,
                    reason="history contains sigma-incompatible factors")

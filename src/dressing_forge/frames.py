@@ -56,11 +56,6 @@ def _per_point(fn, dtype, *args):
     return out.reshape(args[0].shape)[()]
 
 
-def _at(lam, mask):
-    """The lambdas of the masked points: one number stays itself."""
-    return lam[mask] if isinstance(lam, np.ndarray) else lam
-
-
 # Profiles evaluate elementwise: t and u may be scalars or arrays of any shape.
 # ``position_integral`` takes one lambda (a number) or an array of lambdas
 # broadcasting against u, one per point.  ``domain`` is the closed interval
@@ -112,18 +107,14 @@ class PolynomialProfile:
         return np.polynomial.polynomial.polyval(t, self.coeffs)
 
     def position_integral(self, u, lam):
-        u = np.asarray(u, dtype=float)
-        if isinstance(lam, np.ndarray):
-            u, lam = np.broadcast_arrays(u, lam)
-        else:
-            lam = complex(lam)
+        u, lam = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(lam, dtype=complex))
         # the series branch is taken per point where |lam| max(1, |u|) is small
-        series = abs(lam) * np.maximum(1.0, np.abs(u)) < 0.5
+        series = np.abs(lam) * np.maximum(1.0, np.abs(u)) < 0.5
         out = np.empty(u.shape, dtype=complex)
         if np.any(series):
-            out[series] = self._series_integral(u[series], _at(lam, series))
+            out[series] = self._series_integral(u[series], lam[series])
         if not np.all(series):
-            out[~series] = self._by_parts_integral(u[~series], _at(lam, ~series))
+            out[~series] = self._by_parts_integral(u[~series], lam[~series])
         return out[()]
 
     def _series_integral(self, u, lam):
@@ -287,7 +278,7 @@ def _lambdas(lam, lead: tuple):
     """One lambda for every point as a Python complex, or one per point as
     a flat complex array: ``lam`` broadcast against the leading shape
     ``lead`` of the point set."""
-    if np.isscalar(lam):
+    if isinstance(lam, (complex, float, int)):
         return complex(lam)
     lam = np.asarray(lam, dtype=complex)
     if lam.ndim == 0:

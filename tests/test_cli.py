@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dressing_forge import (ExtendedFrame, Grid, VacuumSeed, dress_real,
+from dressing_forge import (ExtendedFrame, Grid, VacuumSeed, cli, dress_real,
                             max_abs, metric_from_frame, project_onto_span)
 from dressing_forge.cli import (DEFAULT_TOLERANCES, REALITY_SAMPLE_SEED,
                                 ValidationError, _reality_check, apply_chain,
@@ -286,8 +286,11 @@ def _reality_by_sample(frame, scenario):
     return samples, tau, sigma
 
 
+@pytest.mark.parametrize("chunk", [None, 7])
 @pytest.mark.parametrize("name", ["breather_chain", "permute_pair", "spherical_soliton"])
-def test_reality_check_matches_per_sample_loop(name, monkeypatch):
+def test_reality_check_matches_per_sample_loop(name, chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(cli, "REALITY_CHUNK", chunk)
     scenario = load_scenario(str(SCENARIOS / f"{name}.json"))
     frame = apply_chain(scenario)
     samples, tau, sigma = _reality_by_sample(frame, scenario)
@@ -302,12 +305,15 @@ def test_reality_check_matches_per_sample_loop(name, monkeypatch):
     monkeypatch.setattr(ExtendedFrame, "evaluate", spy)
     report = _reality_check(frame, scenario, 1e-10)
     sigma_ok = all(rec.is_sigma_compatible for rec in frame.history)
-    U = np.array([u for u, _ in samples])
-    lams = np.array([lam for _, lam in samples])
-    expected = [lams, lams.conj()] + ([-lams] if sigma_ok else [])
+    expected = []
+    for start in range(0, len(samples), cli.REALITY_CHUNK):
+        part = samples[start:start + cli.REALITY_CHUNK]
+        U = np.array([u for u, _ in part])
+        lams = np.array([lam for _, lam in part])
+        expected += [(U, lams), (U, lams.conj())] + ([(U, -lams)] if sigma_ok else [])
     assert len(calls) == len(expected)
-    for (u_call, lam_call), lam_expected in zip(calls, expected):
-        assert np.array_equal(u_call, U) and np.array_equal(lam_call, lam_expected)
+    for (u_call, lam_call), (u_expected, lam_expected) in zip(calls, expected):
+        assert np.array_equal(u_call, u_expected) and np.array_equal(lam_call, lam_expected)
     assert abs(report["reality_tau"].residual - tau) <= 1e-15
     if sigma_ok:
         assert abs(report["reality_sigma"].residual - sigma) <= 1e-15
