@@ -14,16 +14,15 @@ from .loops import (RealOnePoleFactor, TranslationFactor, TwoPointFactor,
                     TwoPoleFactor, check_reality, invert_factor,
                     one_pole_factor, permute_factors, two_pole_factor)
 from .report import CheckResult, VerificationReport
-from .frames import (ConstantProfile, ExtendedFrame, LaxConnection,
-                     PolynomialProfile, SampledProfile, VacuumSeed,
-                     frame_dlambda_at_zero, metric_from_frame,
-                     potential_on_grid)
+from .frames import (ConstantProfile, ExtendedFrame, PolynomialProfile,
+                     SampledProfile, VacuumSeed, frame_dlambda_at_zero,
+                     metric_from_frame, potential_on_grid)
 from .geometry import (EgoroffMetric, Grid, ImmersionSample,
                        check_darboux_egoroff, check_lagrangian,
                        check_partial_invariance, check_sphere, hopf_project,
                        limit_net, sample_immersion, sphere_center)
 from .dressing import (DressingRecord, OnePoleRecord, SphericalFamily,
-                       TranslationRecord, TwoPoleRecord, dress_extended,
+                       TranslationRecord, TwoPoleRecord, dress, dress_extended,
                        dress_permuted, dress_real, dress_spherical,
                        dress_spherical_family, dress_translation,
                        dress_two_pole)

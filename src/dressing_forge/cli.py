@@ -25,8 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dressing import (dress_extended, dress_permuted, dress_real,
-                       dress_spherical, dress_translation, dress_two_pole)
+from .dressing import dress, dress_permuted, dress_spherical
 from .errors import (DressingForgeError, RankDeficientError,
                      SphericalViolationError)
 from .frames import (ExtendedFrame, PolynomialProfile, SampledProfile,
@@ -348,16 +347,10 @@ def apply_chain(scenario: Scenario) -> ExtendedFrame:
     frame = ExtendedFrame(scenario.seed)
     for i, (kind, factor) in enumerate(scenario.chain):
         try:
-            if kind == "real_one_pole":
-                frame = dress_real(frame, factor.alpha, factor.projection)
-            elif kind == "spherical":
+            if kind == "spherical":
                 frame = dress_spherical(frame, factor.alpha, factor.projection)
-            elif kind == "one_pole":
-                frame = dress_extended(frame, factor.alpha1, factor.projection)
-            elif kind == "two_pole":
-                frame = dress_two_pole(frame, factor.z, factor.projection)
             else:
-                frame = dress_translation(frame, factor.alpha, factor.b)
+                frame = dress(frame, factor)
         except SphericalViolationError as exc:
             raise ValidationError(
                 f"chain[{i}]: sphere-preservation condition violated: {exc} "

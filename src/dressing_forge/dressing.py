@@ -37,8 +37,8 @@ from .frames import ExtendedFrame, frame_dlambda_at_zero
 from .geometry import Grid
 from .linalg import (HermitianProjection, adjoint, max_abs, project_onto_span,
                      solve_linear, star_reduce)
-from .loops import (RealOnePoleFactor, TranslationFactor, TwoPoleFactor,
-                    one_pole_factor, permute_factors, pole_tol,
+from .loops import (RealOnePoleFactor, TranslationFactor, TwoPointFactor,
+                    TwoPoleFactor, one_pole_factor, permute_factors, pole_tol,
                     two_pole_factor)
 from .report import VerificationReport
 
@@ -137,18 +137,14 @@ class _OnePoleData:
 class OnePoleRecord:
     """One application of the pole-z simple element to the extended frame.
 
-    ``eta_at_conjugate`` selects where X is evaluated in eta; the default
-    (the conjugate point) is the variant consistent with holomorphy of the
-    dressed X --- the alternative is kept for comparison and fails the
-    residue-vanishing invariant.  ``sphere_preserving`` is set by
-    :func:`dress_spherical`: the record provably preserves |h| = const.
+    ``sphere_preserving`` is set by :func:`dress_spherical`: the record
+    provably preserves |h| = const.
     """
 
     z: complex
     projection: HermitianProjection
     radius_z: float
     radius_zbar: float
-    eta_at_conjugate: bool = True
     sphere_preserving: bool = False
 
     def __post_init__(self):
@@ -178,11 +174,12 @@ class OnePoleRecord:
         """Pole data over a point set, from the prefix evaluator
         ``prefix_fn(w) -> (E, X)`` stacked over that set."""
         E_zbar, X_zbar = prefix_fn(self.zbar)
-        E_z, X_z = prefix_fn(self.z)
+        E_z, _ = prefix_fn(self.z)
         # tau-reality gives E(u, z)^{-1} = E(u, zbar)*, so the transported
         # image of pi is spanned by E(u, zbar)* span(pi)
         pi_tilde = project_onto_span(adjoint(E_zbar) @ self.projection.span)
-        eta = solve_linear(E_zbar, X_zbar if self.eta_at_conjugate else X_z)
+        # eta at the conjugate point keeps the dressed X holomorphic at zbar
+        eta = solve_linear(E_zbar, X_zbar)
         pe = _mv(pi_tilde.matrix, eta)
         return _OnePoleData(pi_tilde, pi_tilde.complement, eta, pe, E_z, E_zbar,
                             X_zbar - _mv(E_zbar, pe))
@@ -332,10 +329,13 @@ def _one_pole_record(points, z: complex, projection: HermitianProjection,
                          radius_zbar=_circle_radius(np.conj(z), points), **flags)
 
 
-def _dress(frame: ExtendedFrame, factor, **flags) -> ExtendedFrame:
-    """Append the record of one loop factor, refusing a factor of the wrong
-    dimension or with a pole on one of the frame's factor poles; ``flags``
-    go to a one-pole record."""
+def dress(frame: ExtendedFrame, factor, **flags) -> ExtendedFrame:
+    """Append the record of one validated loop factor (a ``loops`` factor),
+    refusing a factor of the wrong dimension or with a pole on one of the
+    frame's factor poles; ``flags`` go to a one-pole record."""
+    if isinstance(factor, TwoPointFactor) and factor.alpha2 != np.conj(factor.alpha1):
+        raise ValueError("a simple element dresses only as g_{z,pi} "
+                         "(rule: its zero is the conjugate of its pole)")
     if factor.n != frame.n:
         raise ValueError(
             f"factor dimension {factor.n} does not match frame dimension {frame.n}")
@@ -358,13 +358,12 @@ def _dress(frame: ExtendedFrame, factor, **flags) -> ExtendedFrame:
 
 
 def dress_extended(frame: ExtendedFrame, z: complex,
-                   projection: HermitianProjection,
-                   eta_at_conjugate: bool = True) -> ExtendedFrame:
+                   projection: HermitianProjection) -> ExtendedFrame:
     """Append one pole-z dressing record (general complex z off the real
     axis).  The dressed frame's connection keeps the Lax shape with the
     updated beta and h; that is verified numerically by the oracle module,
     not assumed."""
-    return _dress(frame, one_pole_factor(z, projection), eta_at_conjugate=eta_at_conjugate)
+    return dress(frame, one_pole_factor(z, projection))
 
 
 def dress_real(frame: ExtendedFrame, alpha: float,
@@ -372,7 +371,7 @@ def dress_real(frame: ExtendedFrame, alpha: float,
     """Sigma-compatible one-pole dressing: pole i alpha with a real
     projection.  h, beta, eta, pi_tilde all stay real and the potential gets
     the closed update phi - 2 alpha eta^t pi_tilde eta."""
-    return _dress(frame, RealOnePoleFactor(float(alpha), projection))
+    return dress(frame, RealOnePoleFactor(float(alpha), projection))
 
 
 def dress_spherical(frame: ExtendedFrame, alpha: float,
@@ -390,7 +389,7 @@ def dress_spherical(frame: ExtendedFrame, alpha: float,
             if viol < 1e-6 else ""
         raise SphericalViolationError(
             f"projection image not orthogonal to h(0): |pi h(0)| = {viol:.3e}{band}")
-    return _dress(frame, factor, sphere_preserving=True)
+    return dress(frame, factor, sphere_preserving=True)
 
 
 def dress_translation(frame: ExtendedFrame, alpha: float, b) -> ExtendedFrame:
@@ -399,7 +398,7 @@ def dress_translation(frame: ExtendedFrame, alpha: float, b) -> ExtendedFrame:
     factor = TranslationFactor(float(alpha), b)
     if factor.b.shape != (frame.n,):
         raise ValueError(f"b must be a real vector of length {frame.n}")
-    return _dress(frame, factor)
+    return dress(frame, factor)
 
 
 def dress_two_pole(frame: ExtendedFrame, z: complex,
@@ -408,7 +407,7 @@ def dress_two_pole(frame: ExtendedFrame, z: complex,
     which applies its two one-pole parts in sequence (pole z with pi, then
     pole -conj(z) with the derived rho).  Sigma-reality of the product forces
     the accumulated h and beta back to real values."""
-    return _dress(frame, two_pole_factor(z, projection))
+    return dress(frame, two_pole_factor(z, projection))
 
 
 _PERMUTE_LAMBDAS = (0.9, -1.4, 0.35 + 0.6j, -0.2 - 1.1j, 1.8 + 0.25j,
@@ -507,4 +506,4 @@ def dress_spherical_family(frame: ExtendedFrame,
 
     if not isinstance(factor, (RealOnePoleFactor, TwoPoleFactor)):
         raise ValueError("spherical family dressing supports the one-pole and two-pole generators")
-    return SphericalFamily(c=c, E_fn=_dress(frame, factor).E)
+    return SphericalFamily(c=c, E_fn=dress(frame, factor).E)

@@ -8,6 +8,11 @@ lives in :mod:`dressing_forge.oracle` as an independent cross-check.
 Evaluation works on whole point sets at once: every update is a stacked
 array operation over the points, so a grid costs a few numpy calls per
 record rather than a Python loop per point.
+
+Every seed profile's position and energy integrals are closed forms: a
+sampled profile is a sum over its cubic spline pieces, each a
+:class:`PolynomialProfile`.  The module imports only numpy; scipy builds the
+spline coefficients and is imported when a sampled profile is made.
 """
 
 from __future__ import annotations
@@ -16,17 +21,10 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 
 from .errors import NonPositiveError, OutOfDomainError
 from .geometry import EgoroffMetric, Grid
-from .linalg import lax_block, max_abs
-
-# Adaptive quadrature target for sampled profiles.
-QUAD_TOL = 1e-10
-# Floor used when clamping sampled-profile splines to stay positive.
-CLAMP_MIN = 1e-8
+from .linalg import max_abs
 
 
 def _exp_integral(u, lam):
@@ -46,14 +44,6 @@ def _stable_exp_integral(u, lam):
     if lam == 0:
         return u + 0j
     return _exp_integral(u, lam)
-
-
-def _per_point(fn, dtype, *args):
-    """Apply a scalar function to every entry of the broadcast arrays
-    ``args``, one argument from each (scalars in, scalar out)."""
-    args = np.broadcast_arrays(*args)
-    out = np.array([fn(*xs) for xs in zip(*(a.ravel() for a in args))], dtype=dtype)
-    return out.reshape(args[0].shape)[()]
 
 
 # Profiles evaluate elementwise: t and u may be scalars or arrays of any shape.
@@ -101,7 +91,8 @@ class PolynomialProfile:
             raise ValueError("profile domain must contain 0")
         ts = np.linspace(lo, hi, 257)
         if np.any(np.polynomial.polynomial.polyval(ts, self.coeffs) <= 0):
-            raise ValueError("polynomial profile must stay positive on its domain")
+            raise ValueError("polynomial profile must stay positive on its domain "
+                             "(rule: h_j > 0 on the profile domain)")
 
     def value(self, t):
         return np.polynomial.polynomial.polyval(t, self.coeffs)
@@ -154,8 +145,15 @@ class PolynomialProfile:
 
 @dataclass(frozen=True, eq=False)
 class SampledProfile:
-    """Positive samples on knots, cubic-spline interpolated and clamped
-    positive; integrals by adaptive quadrature to QUAD_TOL, one per point."""
+    """Positive samples on knots, interpolated by the not-a-knot cubic spline.
+
+    Spline piece k is a cubic in s = t - knots[k] on [0, width_k], held as a
+    :class:`PolynomialProfile`, so the integrals from 0 to u are the sums of
+    that profile's closed forms over the parts of the pieces between 0 and u.
+    The spline must stay positive between the knots as well as on them: each
+    piece runs the polynomial positivity check, and a spline that dips to
+    <= 0 is refused.
+    """
 
     knots: tuple
     values: tuple
@@ -171,32 +169,46 @@ class SampledProfile:
             raise ValueError("profile domain must contain 0")
         if np.any(values <= 0):
             raise ValueError("sampled values must be positive")
+        from scipy.interpolate import CubicSpline
+        spline = CubicSpline(knots, values)
+        pieces = []
+        for lo, hi, c in zip(knots, knots[1:], spline.c.T):
+            try:
+                pieces.append(PolynomialProfile(tuple(c[::-1]), (0.0, hi - lo)))
+            except ValueError as exc:
+                raise ValueError(f"spline piece on [{lo}, {hi}]: {exc}") from None
         object.__setattr__(self, "knots", tuple(knots))
         object.__setattr__(self, "values", tuple(values))
-        object.__setattr__(self, "_spline", CubicSpline(knots, values))
+        object.__setattr__(self, "_spline", spline)
+        object.__setattr__(self, "_pieces", tuple(pieces))
 
     @property
     def domain(self) -> tuple:
         return (self.knots[0], self.knots[-1])
 
     def value(self, t):
-        return np.maximum(self._spline(t), CLAMP_MIN)
+        return self._spline(t)[()]
+
+    def _parts(self, u):
+        """(knot, piece, s0, s1) per piece: its part between 0 and u runs
+        over s0..s1 in the piece's local variable."""
+        for lo, hi, piece in zip(self.knots, self.knots[1:], self._pieces):
+            yield lo, piece, np.clip(0.0, lo, hi) - lo, np.clip(u, lo, hi) - lo
 
     def position_integral(self, u, lam):
-        def one(t, lam):
-            lam = complex(lam)
-            re = quad(lambda s: (self.value(s) * np.exp(1j * lam * s)).real,
-                      0.0, t, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200)[0]
-            im = quad(lambda s: (self.value(s) * np.exp(1j * lam * s)).imag,
-                      0.0, t, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200)[0]
-            return re + 1j * im
-
-        return _per_point(one, complex, np.asarray(u, dtype=float), lam)
+        u, lam = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(lam, dtype=complex))
+        total = np.zeros(u.shape, dtype=complex)
+        for knot, piece, s0, s1 in self._parts(u):
+            total += np.exp(1j * lam * knot) * (piece.position_integral(s1, lam)
+                                                - piece.position_integral(s0, lam))
+        return total[()]
 
     def energy_integral(self, u):
-        return _per_point(lambda t: quad(lambda s: self.value(s) ** 2, 0.0, t,
-                                         epsabs=QUAD_TOL, epsrel=QUAD_TOL,
-                                         limit=200)[0], float, np.asarray(u, dtype=float))
+        u = np.asarray(u, dtype=float)
+        total = np.zeros(u.shape)
+        for _, piece, s0, s1 in self._parts(u):
+            total += piece.energy_integral(s1) - piece.energy_integral(s0)
+        return total[()]
 
 
 Profile = ConstantProfile | PolynomialProfile | SampledProfile
@@ -428,23 +440,6 @@ class ExtendedFrame:
         for rec, data in zip(self.history, self.pole_data(U, len(self.history))):
             val = rec.apply_phi(val, data)
         return val.reshape(lead) if lead else float(val[0])
-
-    def lax_connection(self) -> "LaxConnection":
-        return LaxConnection(self.n, self.beta, self.h)
-
-
-@dataclass(eq=False)
-class LaxConnection:
-    """The flat lambda-family of connections attached to (beta, h): along the
-    u_axis direction the (n+1) x (n+1) coefficient is
-    [[i lambda e_aa + [e_aa, beta], h_a e_a], [0, 0]]."""
-
-    n: int
-    beta_fn: object
-    h_fn: object
-
-    def axis_block(self, u, lam: complex, axis: int) -> np.ndarray:
-        return lax_block(self.beta_fn(u), axis, lam, self.h_fn(u))
 
 
 def frame_dlambda_at_zero(E_fn, u, step: float = 1e-3) -> np.ndarray:

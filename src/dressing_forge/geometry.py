@@ -148,13 +148,13 @@ def check_darboux_egoroff(metric: EgoroffMetric, tol: float = 1e-4,
         for j in range(n):
             if i == j:
                 continue
-            quad = np.zeros(grid.shape, dtype=complex)
+            bb = np.zeros(grid.shape, dtype=complex)
             for k in range(n):
                 if symmetric:
-                    quad += beta[..., i, k] * beta[..., j, k]
+                    bb += beta[..., i, k] * beta[..., j, k]
                 else:
-                    quad += beta[..., i, k] * beta[..., k, j]
-            res = db[i][..., i, j] + db[j][..., i, j] + quad
+                    bb += beta[..., i, k] * beta[..., k, j]
+            res = db[i][..., i, j] + db[j][..., i, j] + bb
             r_pair = max(r_pair, max_abs(res))
 
     report = VerificationReport()

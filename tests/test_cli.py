@@ -1,6 +1,9 @@
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -10,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dressing_forge import (ExtendedFrame, Grid, VacuumSeed, cli, dress_real,
-                            max_abs, metric_from_frame, project_onto_span)
+from dressing_forge import (ExtendedFrame, Grid, VacuumSeed, cli,
+                            dress_extended, dress_real, dress_spherical,
+                            dress_translation, dress_two_pole, max_abs,
+                            metric_from_frame, project_onto_span)
 from dressing_forge.cli import (DEFAULT_TOLERANCES, REALITY_SAMPLE_SEED,
                                 ValidationError, _reality_check, apply_chain,
                                 export_metric_csv, load_scenario, main,
@@ -461,9 +466,52 @@ def test_rank_deficient_span_rejected():
         validate_scenario(raw)
 
 
+LIBRARY_CALLS = {
+    "real_one_pole": lambda frame, f: dress_real(frame, f.alpha, f.projection),
+    "spherical": lambda frame, f: dress_spherical(frame, f.alpha, f.projection),
+    "one_pole": lambda frame, f: dress_extended(frame, f.alpha1, f.projection),
+    "two_pole": lambda frame, f: dress_two_pole(frame, f.z, f.projection),
+    "translation": lambda frame, f: dress_translation(frame, f.alpha, f.b),
+}
+
+
 def test_apply_chain_matches_library(torus_frame):
+    """apply_chain dresses by the validated factors; the frames equal, bit
+    for bit, the ones the per-kind library entry points build."""
     sc = load_scenario(str(SCENARIOS / "one_soliton.json"))
     frame = apply_chain(sc)
     u = np.array([0.3, -0.2])
     assert frame.h(u).shape == (2,)
     assert len(frame.history) == 1
+    for name in SHIPPED:
+        sc = load_scenario(str(SCENARIOS / f"{name}.json"))
+        frame, library = apply_chain(sc), ExtendedFrame(sc.seed)
+        for kind, factor in sc.chain:
+            library = LIBRARY_CALLS[kind](library, factor)
+        assert len(frame.history) == len(library.history) == len(sc.chain)
+        pts = sc.grid.points()
+        for lam in (0.9, 0.3 - 0.4j):
+            for a, b in zip(frame.evaluate(pts, lam), library.evaluate(pts, lam)):
+                assert np.array_equal(a, b)
+        assert np.array_equal(frame.h(pts), library.h(pts))
+
+
+def test_sampled_seed_dipping_spline_exits_3(tmp_path, capsys):
+    """Positive samples whose cubic spline dips below 0 (to about -0.16
+    between the knots) are refused, not clamped."""
+    path = write_scenario(tmp_path, base_scenario(seed=sampled_seed([1.0, 0.02, 1.0, 0.02, 1.0])))
+    assert run_cli("verify", path, tmp_path / "out") == 3
+    err = capsys.readouterr().err
+    assert "validation error" in err and "seed.profiles[0]" in err
+    assert "h_j > 0 on the profile domain" in err
+
+
+def test_import_leaves_scipy_unloaded():
+    """The package and its CLI import only numpy: scipy is loaded when a
+    sampled profile or the oracle's interpolators are built."""
+    code = ("import sys; import dressing_forge, dressing_forge.cli; "
+            "sys.exit('scipy' in sys.modules)")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0

@@ -5,13 +5,14 @@ import pytest
 
 from dressing_forge import (Grid, HermitianProjection,
                             PoleCollisionError, RealOnePoleFactor,
-                            SphericalViolationError, VacuumSeed, check_sphere,
-                            dress_extended, dress_permuted,
+                            SphericalViolationError, TwoPointFactor,
+                            VacuumSeed, check_sphere, dress, dress_extended,
+                            dress_permuted,
                             dress_real, dress_spherical,
                             dress_spherical_family, dress_translation,
                             dress_two_pole, max_abs, project_onto_span,
                             projection_distance, sample_immersion,
-                            solve_linear, two_pole_factor)
+                            one_pole_factor, solve_linear, two_pole_factor)
 
 
 def simple_eval(pi_mat, pole, zero, lam):
@@ -106,29 +107,32 @@ def test_eta_variant_discriminated_by_residue(torus_frame, pi_diag):
     residue-vanishing property of the raw rational update: the naive formula
     acquires a genuine pole at the conjugate point.  (The implementation's
     residue-subtracted form regularizes either way, so the naive formula is
-    reconstructed here from the cached record data.)"""
+    reconstructed here: from the record data for the implemented eta, and
+    the rejected eta = E(u, zbar)^{-1} X(u, z) from the seed frame.)"""
     alpha = 0.6
     z = 1j * alpha
     u = np.array([0.4, -0.3])
     theta = 2 * np.pi * np.arange(64) / 64
     ws = np.conj(z) + 1e-2 * np.exp(1j * theta)
+    frame = dress_extended(torus_frame, z, pi_diag)
+    data = frame.history[0].point_data(frame, 0, u)
+    E_zbar, _ = torus_frame.evaluate(u, np.conj(z))
+    _, X_z = torus_frame.evaluate(u, z)
+    pe_rejected = data.pi_tilde.matrix @ np.linalg.solve(E_zbar, X_z)
 
-    def naive_residue(eta_at_conjugate):
-        frame = dress_extended(torus_frame, z, pi_diag,
-                               eta_at_conjugate=eta_at_conjugate)
-        data = frame.history[0].point_data(frame, 0, u)
+    def naive_residue(pe):
         c = np.conj(z) - z
 
         def naive(lam):
             E0, X0 = torus_frame.evaluate(u, lam)
             g = pi_diag.complement + (lam - z) / (lam - np.conj(z)) * pi_diag.matrix
-            return g @ (X0 - c / (lam - z) * (E0 @ data.pe))
+            return g @ (X0 - c / (lam - z) * (E0 @ pe))
 
         vals = np.stack([naive(w) for w in ws])
         return max_abs(np.mean(vals * (ws - np.conj(z))[:, None], axis=0))
 
-    assert naive_residue(True) < 1e-9
-    assert naive_residue(False) > 1e-4
+    assert naive_residue(data.pe) < 1e-9
+    assert naive_residue(pe_rejected) > 1e-4
 
 
 def test_translation_identity_and_base_point(torus_frame, rng):
@@ -369,6 +373,12 @@ def test_dress_permuted_trivial_when_equal(torus_frame):
     # recomputed projections equal the originals when both inputs share pi
     assert projection_distance(f12.history[0].projection, pi) < 1e-12
     assert projection_distance(f12.history[1].projection, pi) < 1e-12
+
+
+def test_dress_refuses_simple_element_not_tau_real(torus_frame, pi_diag):
+    with pytest.raises(ValueError, match="conjugate of its pole"):
+        dress(torus_frame, TwoPointFactor(0.6j, 0.3j, pi_diag))
+    assert len(dress(torus_frame, one_pole_factor(0.6j, pi_diag)).history) == 1
 
 
 def test_pole_collision_guard(torus_frame, pi_diag):
