@@ -29,7 +29,7 @@ from .dressing import dress, dress_permuted, dress_spherical
 from .errors import (DressingForgeError, RankDeficientError,
                      SphericalViolationError)
 from .frames import (ExtendedFrame, PolynomialProfile, SampledProfile,
-                     VacuumSeed, metric_from_frame)
+                     VacuumSeed, metric_from_frame, potential_on_grid)
 from .geometry import (Grid, axis_gradient, check_darboux_egoroff,
                        check_lagrangian, check_partial_invariance,
                        check_sphere, limit_net, sample_immersion)
@@ -490,12 +490,15 @@ def run_verification(scenario: Scenario, frame: ExtendedFrame,
         report.extend(_position_equation_check(sample(lam), metric.h,
                                                tols["position_equation"]))
     if checks.get("potential"):
-        if metric.phi_closed is not None:
-            residual = max_abs(metric.phi - metric.phi_closed)
+        # the staircase integral is the oracle for the closed-form metric.phi
+        if frame.has_closed_potential:
+            residual = max_abs(potential_on_grid(frame, grid) - metric.phi)
             report.add("potential_agreement", residual, tols["potential"])
         else:
+            i, rec = next((i, rec) for i, rec in enumerate(frame.history)
+                          if not rec.has_closed_potential)
             report.add("potential_skipped", 0.0, None,
-                       reason="no closed-form potential for this chain")
+                       reason=f"chain[{i}]: {rec.potential_gap}")
     if checks.get("lambda_zero"):
         if _chain_sigma_compatible(frame):
             _, net_report = limit_net(frame, grid, tols["lambda_zero"],
@@ -569,15 +572,12 @@ def export_metric_csv(metric, path) -> int:
     axes = range(1, n + 1)
     h_names, h = _re_im("h", axes, metric.h)
     phi_names, phi = _re_im("phi", [""], metric.phi)
-    header = [f"u{j}" for j in axes] + h_names + phi_names
-    columns = [metric.grid.points().reshape(-1, n), h, phi]
-    if metric.phi_closed is not None:
-        header.append("phi_closed")
-        columns.append(metric.phi_closed.reshape(-1, 1))
     rows, cols = np.nonzero(~np.eye(n, dtype=bool))  # off-diagonal, row-major
     beta_names, beta = _re_im("beta", [f"{i + 1}{j + 1}" for i, j in zip(rows, cols)],
                               metric.beta[..., rows, cols])
-    return _write_csv(path, header + beta_names, np.hstack(columns + [beta]))
+    header = [f"u{j}" for j in axes] + h_names + phi_names + beta_names
+    return _write_csv(path, header, np.hstack([metric.grid.points().reshape(-1, n),
+                                               h, phi, beta]))
 
 
 def export_sweep_csv(frame, grid, lambdas, path) -> tuple:

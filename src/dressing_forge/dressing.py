@@ -10,6 +10,11 @@ update
     X  ->  g_{conj(z), pi^perp} (X - (conj(z)-z)/(lambda-z) E pi_tilde eta)
     h  ->  h + i (z - conj(z)) pi_tilde eta
     beta -> beta + i (z - conj(z)) star(pi_tilde)
+    phi -> phi - 2 Im(z) Re(eta^* pi_tilde eta)
+
+The phi update is the potential's closed form on chains whose h stays real:
+real one-pole records and two-pole records (see :class:`TwoPoleRecord`); a
+translation has none.
 
 The updates are implemented in residue-subtracted form: the rational factors
 are expanded and the (vanishing) residues at lambda = z and lambda = conj(z)
@@ -167,8 +172,16 @@ class OnePoleRecord:
         return abs(self.z.real) < 1e-12 and self.projection.is_real
 
     @property
+    def potential_gap(self) -> str | None:
+        """Why the record has no closed potential update; None when it has."""
+        if self.is_sigma_compatible:
+            return None
+        return ("sigma-incompatible pole, the eta^* pi_tilde eta update needs "
+                "the sigma-real product")
+
+    @property
     def has_closed_potential(self) -> bool:
-        return self.is_sigma_compatible
+        return self.potential_gap is None
 
     def pole_data(self, prefix_fn) -> _OnePoleData:
         """Pole data over a point set, from the prefix evaluator
@@ -214,7 +227,7 @@ class OnePoleRecord:
 
     def apply_phi(self, phi, data: _OnePoleData):
         alpha = self.z.imag
-        return phi - 2.0 * alpha * np.real(np.sum(data.eta * data.pe, axis=-1))
+        return phi - 2.0 * alpha * np.real(np.sum(data.eta.conj() * data.pe, axis=-1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,6 +248,7 @@ class TranslationRecord:
 
     is_sigma_compatible = True
     has_closed_potential = False
+    potential_gap = "no closed-form potential update for the translation factor"
 
     @property
     def pole(self) -> complex:
@@ -278,13 +292,35 @@ class TwoPoleRecord:
     its one-pole parts ``first`` (pole z, pi) and ``second`` (pole -conj(z),
     rho) applied in order.  Each part alone is only tau-real; the product is
     sigma-real, so the record is sigma-compatible.  Its pole data are the
-    pair (first part's, second part's)."""
+    pair (first part's, second part's).
+
+    The potential takes each part's update phi -> phi - 2 alpha Q, with
+    alpha = Im(z) and Q = eta^* pi_tilde eta (real: pi_tilde is Hermitian).
+    This is the potential of the product, and of no part alone.  Write
+    A_i(lam) = i lam e_ii + [e_ii, beta] for the Lax coefficient along u_i,
+    so d_i eta = -A_i(zbar) eta + h_i e_i, and tau-reality gives
+    A_i(lam)^* = -A_i(conj(lam)).  im pi_tilde = E(z)^{-1} im pi moves by
+    d_i V = -A_i(z) V, so the Hermitian projection P = pi_tilde has
+    d_i P = -(I - P) A_i(z) P + P A_i(zbar) (I - P).  Then
+
+        d_i Q = eta^* P (A_i(z) - A_i(zbar)) P eta + 2 Re(conj(h_i) (P eta)_i)
+              = -2 alpha |(P eta)_i|^2 + 2 Re(conj(h_i) (P eta)_i),
+
+    and with h' = h - 2 alpha P eta that is |h'_i|^2 = |h_i|^2 - 2 alpha d_i Q.
+    So each tau-real part updates the potential of |h|^2, whatever h is.
+    The metric's potential is that of h^2 (d phi = sum_i h_i^2 du_i), the
+    same only where h is real.  A lone complex part leaves h complex, so its
+    update misses its potential; the sigma-real product makes h real again,
+    so the two updates in turn carry the potential of the real h before the
+    record to that of the real h after it.
+    """
 
     first: OnePoleRecord
     second: OnePoleRecord
 
     is_sigma_compatible = True
-    has_closed_potential = False
+    has_closed_potential = True
+    potential_gap = None
 
     @property
     def factor_poles(self) -> tuple:
@@ -316,6 +352,9 @@ class TwoPoleRecord:
 
     def apply_beta(self, beta, data: tuple):
         return self.second.apply_beta(self.first.apply_beta(beta, data[0]), data[1])
+
+    def apply_phi(self, phi, data: tuple):
+        return self.second.apply_phi(self.first.apply_phi(phi, data[0]), data[1])
 
 
 DressingRecord = OnePoleRecord | TranslationRecord | TwoPoleRecord

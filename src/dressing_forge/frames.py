@@ -73,6 +73,30 @@ class ConstantProfile:
         return self.r * self.r * np.asarray(u, dtype=float)
 
 
+def _critical_points(coeffs, lo: float, hi: float) -> np.ndarray:
+    """The real critical points in [lo, hi] of sum_m coeffs[m] t^m.
+
+    The companion-matrix roots of the derivative, in t scaled to the domain,
+    lose absolute accuracy next to roots far outside it, so each root's real
+    part is polished by Newton steps; near-real pairs become candidates too.
+    """
+    scale = max(-lo, hi)
+    with np.errstate(all="ignore"):
+        c = np.array(coeffs) * scale ** np.arange(len(coeffs))
+        d = np.polynomial.Polynomial(c / np.max(np.abs(c))).deriv()
+        try:
+            s = d.roots().real
+        except np.linalg.LinAlgError:
+            raise ValueError("polynomial profile coefficients span too wide a range "
+                             "to locate its minimum") from None
+        dd = d.deriv()
+        for _ in range(4):
+            step = d(s) / dd(s)
+            s = np.where(np.isfinite(step), s - step, s)
+    t = scale * s
+    return t[(lo <= t) & (t <= hi)]
+
+
 @dataclass(frozen=True, eq=False)
 class PolynomialProfile:
     """h_j(t) = sum_m coeffs[m] t^m on a finite domain containing 0."""
@@ -89,8 +113,11 @@ class PolynomialProfile:
         lo, hi = self.domain
         if not (lo <= 0.0 <= hi and lo < hi):
             raise ValueError("profile domain must contain 0")
-        ts = np.linspace(lo, hi, 257)
-        if np.any(np.polynomial.polynomial.polyval(ts, self.coeffs) <= 0):
+        # the minimum on [lo, hi] sits at an end or at a real critical point
+        ts = np.concatenate([[lo, hi], _critical_points(self.coeffs, lo, hi)])
+        with np.errstate(all="ignore"):
+            positive = np.polynomial.polynomial.polyval(ts, self.coeffs) > 0
+        if not positive.all():
             raise ValueError("polynomial profile must stay positive on its domain "
                              "(rule: h_j > 0 on the profile domain)")
 
@@ -431,8 +458,8 @@ class ExtendedFrame:
 
     def phi(self, u):
         """Closed-form potential (a float at a single point), or None when
-        some record has no closed update (translations, general complex
-        poles)."""
+        some record has no closed update (translations, lone complex
+        one-pole records: see each record's ``potential_gap``)."""
         if not self.has_closed_potential:
             return None
         U, lead = self._point_set(u)
@@ -504,9 +531,9 @@ def potential_on_grid(frame: ExtendedFrame, grid: Grid, axis_order=None) -> np.n
 
 def metric_from_frame(frame: ExtendedFrame, grid: Grid, strict: bool = False,
                       axis_order=None) -> EgoroffMetric:
-    """Sample h, beta from the closed-form accumulated updates and integrate
-    the potential along staircase paths.  When every record carries a closed
-    potential update, the closed form is attached as ``phi_closed``.
+    """Sample h, beta and the potential from the closed-form accumulated
+    updates.  A chain with a record that has no closed potential update gets
+    its potential integrated along staircase paths instead, in ``axis_order``.
 
     Nonpositive h on the grid marks the metric (``h_positive=False``) --- the
     immersion chart has been left --- and raises only with ``strict=True``.
@@ -514,8 +541,11 @@ def metric_from_frame(frame: ExtendedFrame, grid: Grid, strict: bool = False,
     pts = grid.points()
     h = frame.h(pts)
     beta = frame.beta(pts)
-    phi = potential_on_grid(frame, grid, axis_order)
-    phi_closed = frame.phi(pts)
+    closed = frame.has_closed_potential
+    if closed:
+        phi = frame.phi(pts).astype(complex)
+    else:
+        phi = potential_on_grid(frame, grid, axis_order)
 
     imag_max = max(max_abs(h.imag), max_abs(beta.imag))
     is_real = imag_max < 1e-9
@@ -526,4 +556,4 @@ def metric_from_frame(frame: ExtendedFrame, grid: Grid, strict: bool = False,
     c = frame.h(np.zeros(grid.n))
     return EgoroffMetric(grid=grid, h=h, phi=phi, beta=beta, c=c,
                          is_real=is_real, h_positive=h_positive,
-                         imag_max=imag_max, phi_closed=phi_closed)
+                         imag_max=imag_max, phi_is_closed=closed)

@@ -77,9 +77,11 @@ def axis_gradient(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
 @dataclass(eq=False)
 class EgoroffMetric:
     """Grid samples of a diagonal potential metric: coefficient vector h,
-    potential phi (path-integrated from the origin), rotation coefficients
-    beta.  Arrays are complex; ``is_real`` records whether the imaginary parts
-    are negligible (sigma-compatible dressing chains)."""
+    potential phi (zero at the origin), rotation coefficients beta.  phi is
+    the closed form when the chain has one (``phi_is_closed``), else it is
+    path-integrated.  Arrays are complex; ``is_real`` records whether the
+    imaginary parts of h and beta are negligible (sigma-compatible dressing
+    chains)."""
 
     grid: Grid
     h: np.ndarray          # (*shape, n)
@@ -89,7 +91,13 @@ class EgoroffMetric:
     is_real: bool
     h_positive: bool
     imag_max: float
-    phi_closed: np.ndarray | None = None
+    phi_is_closed: bool = False
+
+    @property
+    def phi_closed(self) -> np.ndarray | None:
+        """``phi`` when it is the closed form, else None.  Read-only view of
+        a former separate field; perfbench's grid3d digest still reads it."""
+        return self.phi if self.phi_is_closed else None
 
     @property
     def n(self) -> int:

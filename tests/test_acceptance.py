@@ -316,7 +316,7 @@ def test_criterion_12_potential(soliton):
     for m in (17, 33):
         grid = Grid.from_specs([(-0.5, 0.5, m)] * 2)
         metric = metric_from_frame(soliton, grid)
-        diffs[m] = max_abs(metric.phi - metric.phi_closed)
+        diffs[m] = max_abs(potential_on_grid(soliton, grid) - metric.phi)
     ratio = diffs[17] / diffs[33]
     record_flag(12, f"closed-form vs path-integrated potential converges at "
                     f"order >= 2 (ratio {ratio:.1f})", ratio > 3.2)

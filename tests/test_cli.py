@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from dressing_forge import (ExtendedFrame, Grid, VacuumSeed, cli,
                             dress_extended, dress_real, dress_spherical,
                             dress_translation, dress_two_pole, max_abs,
-                            metric_from_frame, project_onto_span)
+                            metric_from_frame, potential_on_grid,
+                            project_onto_span)
 from dressing_forge.cli import (DEFAULT_TOLERANCES, REALITY_SAMPLE_SEED,
                                 ValidationError, _reality_check, apply_chain,
                                 export_metric_csv, load_scenario, main,
@@ -387,7 +388,14 @@ def test_seed_and_dress_commands(tmp_path, capsys):
     assert run_cli("dress", path, out) == 0
     lines = (out / "metric.csv").read_text().strip().split("\n")
     assert len(lines) - 1 == 17 * 17
-    assert "phi_closed" in lines[0]
+    header = lines[0].split(",")
+    assert "phi_closed" not in header
+    # the phi columns hold the closed form; the staircase integral agrees
+    sc = load_scenario(path)
+    table = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+    phi = table[:, header.index("Rephi")] + 1j * table[:, header.index("Imphi")]
+    staircase = potential_on_grid(apply_chain(sc), sc.grid).reshape(-1)
+    assert max_abs(staircase - phi) < DEFAULT_TOLERANCES["potential"]
 
 
 def test_shipped_scenarios_verify(tmp_path):
@@ -403,6 +411,8 @@ def test_breather_two_pole_factor_runs_sigma_checks(tmp_path):
     checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
     # only the potential check skips: a translation has no closed-form potential
     assert [name for name in checks if name.endswith("_skipped")] == ["potential_skipped"]
+    assert checks["potential_skipped"]["details"]["reason"] == (
+        "chain[2]: no closed-form potential update for the translation factor")
     for name, tol in (("reality_sigma", "reality"), ("metric_real", "metric_real"),
                       ("limit_net_imag", "lambda_zero")):
         assert checks[name]["passed"] is True
@@ -420,7 +430,7 @@ def test_metric_csv_layout(tmp_path):
     assert len(lines) == 28
     assert lines[0].split(",") == [
         "u1", "u2", "u3", "Reh1", "Imh1", "Reh2", "Imh2", "Reh3", "Imh3",
-        "Rephi", "Imphi", "phi_closed",
+        "Rephi", "Imphi",
         "Rebeta12", "Imbeta12", "Rebeta13", "Imbeta13", "Rebeta21", "Imbeta21",
         "Rebeta23", "Imbeta23", "Rebeta31", "Imbeta31", "Rebeta32", "Imbeta32"]
     # grid points run row-major; 17 significant digits round-trip exactly
@@ -430,12 +440,18 @@ def test_metric_csv_layout(tmp_path):
     expected = list(grid.points()[idx])
     for j in range(3):
         expected += [h[j].real, h[j].imag]
-    expected += [phi.real, phi.imag, metric.phi_closed[idx]]
+    expected += [phi.real, phi.imag]
     for i in range(3):
         for j in range(3):
             if i != j:
                 expected += [beta[i, j].real, beta[i, j].imag]
     assert row == expected
+    # phi is the closed form here; a chain without one has the same layout
+    assert metric.phi_is_closed and row[9:11] == [frame.phi(grid.points()[idx]), 0.0]
+    staircase = metric_from_frame(dress_translation(frame, 1.3, [0.1, 0.2, 0.3]), grid)
+    assert not staircase.phi_is_closed
+    assert export_metric_csv(staircase, tmp_path / "staircase.csv") == 27
+    assert (tmp_path / "staircase.csv").read_text().splitlines()[0] == lines[0]
 
 
 def test_lambda_on_pole_rejected(tmp_path):
@@ -515,3 +531,45 @@ def test_import_leaves_scipy_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+
+
+def test_polynomial_seed_with_narrow_dip_exits_3(tmp_path, capsys):
+    """1e4 (t - 1/256)^2 - 1e-3 is positive on any 257-point sampling of
+    [-1, 1] but -1e-3 at its critical point: refused."""
+    coeffs = [1e4 / 256 ** 2 - 1e-3, -2e4 / 256, 1e4]
+    path = write_scenario(tmp_path, base_scenario(seed=poly_seed(coeffs)))
+    assert run_cli("run", path, tmp_path / "out") == 3
+    err = capsys.readouterr().err
+    assert "seed.profiles[0]" in err and "h_j > 0 on the profile domain" in err
+
+
+TWO_POLE = {"type": "two_pole", "z": [0.4, 0.8], "span": [[[1.0, 0.0]], [[0.5, -0.25]]]}
+
+
+def test_two_pole_chain_runs_potential_agreement(tmp_path):
+    """A real one-pole plus two-pole chain has a closed-form potential: the
+    check compares it with the staircase integral at the default tolerance.
+    The grid's O(h^2) finite-difference checks get breather_chain's bounds."""
+    raw = base_scenario(grid=[[-0.4, 0.4, 17], [-0.4, 0.4, 17]],
+                        chain=[REAL_ONE_POLE, TWO_POLE],
+                        checks={"tolerances": {"darboux_egoroff": 0.1,
+                                               "position_equation": 0.1}})
+    out = tmp_path / "out"
+    assert run_cli("run", write_scenario(tmp_path, raw), out) == 0
+    checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
+    agreement = checks["potential_agreement"]
+    assert agreement["passed"] is True
+    assert agreement["tolerance"] == DEFAULT_TOLERANCES["potential"]
+    assert not any(name.endswith("_skipped") for name in checks)
+
+
+def test_potential_skip_names_the_record(tmp_path):
+    """The skip reason names the first record without a closed update."""
+    raw = base_scenario(chain=[REAL_ONE_POLE, TWO_POLE, {
+        "type": "one_pole", "z": [0.3, 0.7], "span": [[[1.0, 0.0]], [[0.5, -0.25]]]}])
+    out = tmp_path / "out"
+    assert run_cli("verify", write_scenario(tmp_path, raw), out) in (0, 1)
+    checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
+    assert checks["potential_skipped"]["details"]["reason"] == (
+        "chain[2]: sigma-incompatible pole, the eta^* pi_tilde eta update needs "
+        "the sigma-real product")

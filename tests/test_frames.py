@@ -100,6 +100,26 @@ def test_profile_validation():
         PolynomialProfile((1.0,), (0.5, 1.0))  # domain misses 0
 
 
+def test_polynomial_positivity_is_exact():
+    """A dip narrower than any sample spacing: 1e4 (t - 1/256)^2 - 1e-3 is
+    -1e-3 at its critical point t = 1/256 and positive at t = 0 and at every
+    point of the 257-point sampling of [-1, 1]."""
+    coeffs = (1e4 / 256 ** 2 - 1e-3, -2e4 / 256, 1e4)
+    ts = np.linspace(-1.0, 1.0, 257)
+    assert np.all(np.polynomial.polynomial.polyval(ts, coeffs) > 0)
+    assert np.polynomial.polynomial.polyval(1 / 256, coeffs) == pytest.approx(-1e-3)
+    with pytest.raises(ValueError, match="stay positive"):
+        PolynomialProfile(coeffs, (-1.0, 1.0))
+    # the same polynomial on a domain that stops short of the dip is fine
+    PolynomialProfile(coeffs, (-1.0, 0.0))
+    # critical points next to roots far outside the domain are still found
+    with pytest.raises(ValueError, match="stay positive"):
+        PolynomialProfile((1.0, -1e308, 1e308, 1e-300, 1.0), (-1.0, 1.0))
+    # t^3 scaled to a domain of 1e300 overflows: refused, not guessed at
+    with pytest.raises(ValueError, match="too wide a range"):
+        PolynomialProfile((1.0, 0.0, 0.0, 1.0), (-1e300, 1e300))
+
+
 def test_out_of_domain():
     seed = VacuumSeed((PolynomialProfile((1.0, 0.2), (-1.0, 1.0)),
                        ConstantProfile(1.0)))
@@ -227,8 +247,8 @@ def test_metric_from_frame_vacuum(torus_frame):
     assert max_abs(metric.h.real - np.array([1.0, 0.7])) < 1e-14
     pts = grid.points()
     expected_phi = pts[..., 0] * 1.0 + pts[..., 1] * 0.49
+    assert max_abs(potential_on_grid(torus_frame, grid) - expected_phi) < 1e-12
     assert max_abs(metric.phi - expected_phi) < 1e-12
-    assert max_abs(metric.phi_closed - expected_phi) < 1e-12
 
 
 def test_metric_sampled_seed_potential():
