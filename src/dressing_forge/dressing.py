@@ -1,39 +1,54 @@
 """Dressing transformations of extended frames and Egoroff metrics.
 
-Every transformation follows the same shape: from the frame built so far,
-evaluate at the factor's pole pair to get the transported projection
-pi_tilde(u) (image of E(u, z)^{-1} applied to im pi, computed through the
-spanning basis) and the vector eta(u) = E(u, conj(z))^{-1} X(u, conj(z)); then
-update
+The extended frame is one element F = [[E, X], [0, 1]] of U(n) x C^n, and
+evaluation carries its top block F = [E | X] (n x (n+1)) through the
+history.  Each loop factor acts on it as g F g_tilde^{-1}.  For the one-pole
+factor with pole z and projection pi, take from the frame built so far, at
+the factor's pole pair, the transported projection pi_tilde(u) (image of
+E(u, z)^{-1} applied to im pi, computed through the spanning basis) and the
+vector eta(u) = E(u, conj(z))^{-1} X(u, conj(z)).  With c = conj(z) - z,
+dq_w f = (f(lambda) - f(w)) / (lambda - w) and
 
-    E  ->  g_{z,pi} E g_{z,pi_tilde}^{-1}
-    X  ->  g_{conj(z), pi^perp} (X - (conj(z)-z)/(lambda-z) E pi_tilde eta)
-    h  ->  h + i (z - conj(z)) pi_tilde eta
+    R_tilde = [[pi_tilde^perp, -pi_tilde eta], [0, 1]],
+
+the record updates
+
+    F    ->  F + c pi dq_{conj z}(F) R_tilde - c pi^perp dq_z(E) [pi_tilde | pi_tilde eta]
+    h    ->  h + i (z - conj(z)) pi_tilde eta
     beta -> beta + i (z - conj(z)) star(pi_tilde)
-    phi -> phi - 2 Im(z) Re(eta^* pi_tilde eta)
+    phi  -> phi - 2 Im(z) Re(eta^* pi_tilde eta)
+
+The F update is E -> g_{z,pi} E g_{z,pi_tilde}^{-1} and
+X -> g_{conj(z),pi^perp} (X - c/(lambda-z) E pi_tilde eta) in
+residue-subtracted form: the rational factors are expanded and their
+(vanishing) residues at lambda = z and lambda = conj(z) removed
+symbolically, leaving difference quotients of functions holomorphic at the
+poles.  This keeps evaluation pole-free; where lambda lies within 1e-6 of a
+pole the quotient is read off the prefix frame sampled on a small circle
+around it, all 16 circle nodes in one evaluation (in groups of nodes for a
+large point set).  The translation factor
+with pole p = i alpha and real b updates F -> F + dq_p(F) Y with
+Y = -i [[0, y], [0, 0]] and y = E(p)^{-1} b, that is
+X -> X - i (E y - b) / (lambda - p) since E(p) y = b.
 
 The phi update is the potential's closed form on chains whose h stays real:
 real one-pole records and two-pole records (see :class:`TwoPoleRecord`); a
 translation has none.
 
-The updates are implemented in residue-subtracted form: the rational factors
-are expanded and the (vanishing) residues at lambda = z and lambda = conj(z)
-are removed symbolically, leaving difference quotients of functions that are
-holomorphic at the poles.  This keeps evaluation pole-free; at a point whose
-lambda lies within 1e-6 of a pole the quotient itself is evaluated from a small
-sampling circle.
-
 The history holds one immutable record per loop factor: one-pole, two-pole
 or translation.  A record's pole data (pi_tilde, eta and the prefix frame at
-the poles) are computed by ``pole_data`` from the prefix evaluator
-``w -> (E, X)`` over a whole point set at once, as arrays stacked over the
-points, and the frame memoises them per point set; ``point_data`` is the
-one-point view.
+the poles) are computed by ``pole_data`` over a whole point set at once, as
+arrays stacked over the points, and the frame memoises them per point set;
+``point_data`` is the one-point view.  Both ``pole_data`` and ``apply`` get
+the prefix as a tuple (frame, U, depth), which only :func:`_prefix_block`
+evaluates, so an update away from the poles evaluates no prefix.  ``apply``
+updates the block it is given in place and returns it: the block is the
+evaluation's own intermediate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +66,14 @@ from .report import VerificationReport
 # distance from the pole (handles exact pole hits).
 TAYLOR_BELOW = 1e-6
 CIRCLE_NODES = 16
+# Most (node, point) pairs one prefix evaluation samples: a point set of up
+# to CIRCLE_CHUNK / CIRCLE_NODES points takes its whole circle in one
+# evaluation, a larger one takes it in groups of nodes, so the stacked
+# transients stay bounded however many points are near a pole.
+CIRCLE_CHUNK = 4096
 _THETA = 2.0 * np.pi * np.arange(CIRCLE_NODES) / CIRCLE_NODES
+# the circle nodes on a leading axis of their own, broadcasting against (P,)
+_NODES = np.exp(1j * _THETA)[:, None]
 
 
 def _mv(A, x):
@@ -59,12 +81,31 @@ def _mv(A, x):
     return (A @ x[..., None])[..., 0]
 
 
-def _circle_values(prefix_fn, pole: complex, radius: float):
-    """Prefix-frame (E, X) at the sampling circle |w - pole| = radius,
-    stacked on a leading node axis; one batch serves every quotient taken
-    around this pole."""
-    Es, Xs = zip(*(prefix_fn(pole + radius * p) for p in np.exp(1j * _THETA)))
-    return np.stack(Es), np.stack(Xs)
+def _prefix_block(prefix, w):
+    """The prefix frame's block [E | X] at lambda = w over a point set.
+
+    ``prefix`` is (frame, U, depth): the frame's first ``depth`` records at
+    the (P, n) point set U.  A two-pole record's second part appends
+    (first part, its pole data), applied after them.  ``w`` is one lambda or
+    an array broadcasting against (P,), possibly with leading axes of its own.
+    """
+    frame, U, depth = prefix[:3]
+    F = frame._block(U, w, depth)
+    for i, (part, data) in enumerate(prefix[3:]):
+        F = part.apply(F, w, data, prefix[:3 + i])
+    return F
+
+
+def _circle_values(prefix, pole: complex, radius: float):
+    """The prefix block on the sampling circle |w - pole| = radius, stacked
+    on a leading node axis; the samples serve every quotient taken around
+    this pole.  The nodes go through the prefix as lambda of shape
+    (nodes, 1), all CIRCLE_NODES in one evaluation unless the point set is
+    large (see CIRCLE_CHUNK)."""
+    step = max(1, CIRCLE_CHUNK // len(prefix[1]))
+    ws = pole + radius * _NODES
+    return np.concatenate([_prefix_block(prefix, ws[i:i + step])
+                           for i in range(0, CIRCLE_NODES, step)])
 
 
 def _taylor_dq(vals, radius: float, d):
@@ -122,25 +163,53 @@ def _point_data(record, frame: ExtendedFrame, index: int, u):
 def _first_point(data):
     if isinstance(data, tuple):  # a two-pole record's (first, second) data
         return tuple(map(_first_point, data))
-    return type(data)(*(getattr(data, f.name)[0] for f in fields(data)))
+    return data.first_point()
 
 
 @dataclass(frozen=True, eq=False)
 class _OnePoleData:
-    """Per-point pole data of a one-pole record, stacked over a point set."""
+    """Per-point pole data of a one-pole record, stacked over a point set.
+
+    ``F_poles`` holds the prefix block [E | X] at conj(z) and [E | eta] at
+    z: the update reads only E at z (the quotient of that X column is
+    discarded), so the column holds eta.  ``blocks`` holds the two
+    n x (n+1) blocks the update multiplies by, the top block
+    [pi_tilde^perp | -pi_tilde eta] of R_tilde and [pi_tilde | pi_tilde eta].
+    Each pair sits on a leading axis (shape (2, P, n, n+1)), so one stacked
+    product runs over all points of each pole; ``eta``, pi_tilde's matrix,
+    ``complement`` and ``pe`` are views into them, so nothing is held twice.
+    """
 
     pi_tilde: HermitianProjection
     complement: np.ndarray  # I - pi_tilde
     eta: np.ndarray
     pe: np.ndarray          # pi_tilde @ eta
-    E_z: np.ndarray
-    E_zbar: np.ndarray
-    G_zbar: np.ndarray      # X(zbar) - E(zbar) pe
+    F_poles: np.ndarray
+    blocks: np.ndarray
+
+    def first_point(self) -> "_OnePoleData":
+        return _OnePoleData(self.pi_tilde[0], self.complement[0], self.eta[0], self.pe[0],
+                            self.F_poles[:, 0], self.blocks[:, 0])
+
+
+def _on_pair_axis(x, ndim: int):
+    """``x``, stacked over a pole pair on axis 0, with unit axes after that
+    one so that it broadcasts against ``ndim``-dimensional stacks
+    (2, ..., P, n, n+1)."""
+    return x if x.ndim == ndim else x.reshape(x.shape[:1] + (1,) * (ndim - x.ndim) + x.shape[1:])
 
 
 @dataclass(frozen=True, eq=False)
 class OnePoleRecord:
-    """One application of the pole-z simple element to the extended frame.
+    """One application of the pole-z simple element to the extended frame:
+    with c = conj(z) - z,
+
+        F -> F + c pi dq_{conj z}(F) R_tilde - c pi^perp dq_z(E) [pi_tilde | pi_tilde eta],
+        R_tilde = [[pi_tilde^perp, -pi_tilde eta], [0, 1]].
+
+    Both quotients and both products run as one stack over the pole pair.
+    The E block is c (pi dq pi_tilde^perp) - c (pi^perp dq pi_tilde), each
+    product grouped from the left as in the separate E update.
 
     ``sphere_preserving`` is set by :func:`dress_spherical`: the record
     provably preserves |h| = const.
@@ -153,7 +222,11 @@ class OnePoleRecord:
     sphere_preserving: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "_complement", self.projection.complement)
+        z = complex(self.z)
+        object.__setattr__(self, "_poles", (z.conjugate(), z))
+        # [pi, pi^perp], the left factors of the two products
+        object.__setattr__(self, "_left", np.stack(
+            (self.projection.matrix, self.projection.complement)).astype(complex)[:, None])
 
     @property
     def zbar(self) -> complex:
@@ -183,41 +256,63 @@ class OnePoleRecord:
     def has_closed_potential(self) -> bool:
         return self.potential_gap is None
 
-    def pole_data(self, prefix_fn) -> _OnePoleData:
-        """Pole data over a point set, from the prefix evaluator
-        ``prefix_fn(w) -> (E, X)`` stacked over that set."""
-        E_zbar, X_zbar = prefix_fn(self.zbar)
-        E_z, _ = prefix_fn(self.z)
+    def pole_data(self, prefix) -> _OnePoleData:
+        """Pole data over the point set of ``prefix`` (see
+        :func:`_prefix_block`)."""
+        F_zbar = _prefix_block(prefix, self.zbar)
+        n = F_zbar.shape[-2]
+        F_poles = np.empty((2,) + F_zbar.shape, dtype=complex)
+        F_poles[0] = F_zbar
+        del F_zbar
+        F_poles[1] = _prefix_block(prefix, complex(self.z))
+        E_zbar = F_poles[0, ..., :n]
         # tau-reality gives E(u, z)^{-1} = E(u, zbar)*, so the transported
         # image of pi is spanned by E(u, zbar)* span(pi)
         pi_tilde = project_onto_span(adjoint(E_zbar) @ self.projection.span)
         # eta at the conjugate point keeps the dressed X holomorphic at zbar
-        eta = solve_linear(E_zbar, X_zbar)
-        pe = _mv(pi_tilde.matrix, eta)
-        return _OnePoleData(pi_tilde, pi_tilde.complement, eta, pe, E_z, E_zbar,
-                            X_zbar - _mv(E_zbar, pe))
+        eta = F_poles[1, ..., n]
+        eta[...] = solve_linear(E_zbar, F_poles[0, ..., n])
+        blocks = np.empty_like(F_poles)
+        blocks[0, ..., :n] = pi_tilde.complement
+        pi_tilde = pi_tilde.stored_in(blocks[1, ..., :n])
+        blocks[1, ..., n] = _mv(pi_tilde.matrix, eta)
+        blocks[0, ..., n] = -blocks[1, ..., n]
+        return _OnePoleData(pi_tilde, blocks[0, ..., :n], eta, blocks[1, ..., n],
+                            F_poles, blocks)
 
     point_data = _point_data
 
-    def apply(self, E, X, lam, data: _OnePoleData, prefix_fn):
-        z, zb = complex(self.z), self.zbar
-        c = zb - z
-        Pi, Pp = self.projection.matrix, self._complement
-        Pt, Ptp = data.pi_tilde.matrix, data.complement
-        pe = data.pe
-        d_z, d_zb = lam - z, lam - zb
-        Es = _circle_values(prefix_fn, z, self.radius_z)[0] if _near(d_z) else None
-        dq_z = _quotient(E, data.E_z, d_z, self.radius_z, Es)
-        # G = X - E pe; its quotient at zbar shares the circle samples of E
-        Es = Gs = None
-        if _near(d_zb):
-            Es, Xs = _circle_values(prefix_fn, zb, self.radius_zbar)
-            Gs = Xs - _mv(Es, pe)
-        dq_zb = _quotient(E, data.E_zbar, d_zb, self.radius_zbar, Es)
-        dq_G = _quotient(X - _mv(E, pe), data.G_zbar, d_zb, self.radius_zbar, Gs)
-        E_new = E + c * (Pi @ dq_zb @ Ptp) - c * (Pp @ dq_z @ Pt)
-        X_new = X - c * _mv(Pp, _mv(dq_z, pe)) + c * _mv(Pi, dq_G)
-        return E_new, X_new
+    def _quotients(self, F, lam, data: _OnePoleData, prefix):
+        """dq_{conj z}(F) and dq_z(F), stacked on a leading axis; the prefix
+        is sampled only on the circle of a pole some point is near."""
+        zb, z = self._poles
+        d_zb, d_z = lam - zb, lam - z
+        if not (_near(d_zb) or _near(d_z)):
+            D = F - _on_pair_axis(data.F_poles, F.ndim + 1)
+            D /= _on_pair_axis(np.array((d_zb, d_z))[..., None, None], F.ndim + 1)
+            return D
+        return np.stack([
+            _quotient(F, data.F_poles[i], d, r,
+                      _circle_values(prefix, pole, r) if _near(d) else None)
+            for i, (pole, d, r) in enumerate(((zb, d_zb, self.radius_zbar),
+                                              (z, d_z, self.radius_z)))])
+
+    def apply(self, F, lam, data: _OnePoleData, prefix):
+        """Update the block F (..., P, n, n+1) in place and return it."""
+        n = F.shape[-2]
+        D = self._quotients(F, lam, data, prefix)
+        # [pi dq_{conj z}(F), pi^perp dq_z(F)]
+        S = _on_pair_axis(self._left, D.ndim) @ D
+        # times [R_tilde's top block, [pi_tilde | pi_tilde eta]]; the bottom
+        # row [0, 1] of R_tilde passes the X column of the first through
+        out = np.matmul(S[..., :n], _on_pair_axis(data.blocks, D.ndim), out=D)
+        out[0, ..., n] += S[0, ..., n]
+        del S
+        zb, z = self._poles
+        out *= zb - z
+        F += out[0]
+        F -= out[1]
+        return F
 
     def apply_h(self, h, data: _OnePoleData):
         return h + 1j * (self.z - self.zbar) * data.pe
@@ -234,12 +329,17 @@ class OnePoleRecord:
 class _TranslationData:
     y: np.ndarray
 
+    def first_point(self) -> "_TranslationData":
+        return _TranslationData(self.y[0])
+
 
 @dataclass(frozen=True, eq=False)
 class TranslationRecord:
-    """Dressing by the translation-block factor with pole i alpha and real b:
-    shifts X by i (b - E(u, lambda) y(u)) / (lambda - i alpha) with
-    y(u) = E(u, i alpha)^{-1} b, and h by y; E and beta are untouched."""
+    """Dressing by the translation-block factor with pole p = i alpha and real
+    b: F -> F + dq_p(F) Y with Y = -i [[0, y], [0, 0]] and
+    y(u) = E(u, p)^{-1} b.  Since E(p) y = b that shifts X by
+    -i (E(u, lambda) y - b) / (lambda - p), and h by y; E and beta are
+    untouched."""
 
     alpha: float
     b: np.ndarray
@@ -262,22 +362,25 @@ class TranslationRecord:
     def sensitive_points(self) -> tuple:
         return (self.pole,)
 
-    def pole_data(self, prefix_fn) -> _TranslationData:
-        E_pole, _ = prefix_fn(self.pole)
-        b = np.broadcast_to(self.b.astype(complex), E_pole.shape[:-1])
-        return _TranslationData(solve_linear(E_pole, b))
+    def pole_data(self, prefix) -> _TranslationData:
+        F_pole = _prefix_block(prefix, self.pole)
+        n = F_pole.shape[-2]
+        b = np.broadcast_to(self.b.astype(complex), F_pole.shape[:-1])
+        return _TranslationData(solve_linear(F_pole[..., :n], b))
 
     point_data = _point_data
 
-    def apply(self, E, X, lam, data: _TranslationData, prefix_fn):
-        # B = E y - b vanishes at the pole: y = E(pole)^{-1} b
+    def apply(self, F, lam, data: _TranslationData, prefix):
+        """Update the block F (..., P, n, n+1) in place and return it."""
+        # dq_p(F) Y = -i [0 | (E y - b) / d]; E y - b vanishes at the pole
         b = self.b.astype(complex)
+        n = F.shape[-2]
         d = lam - self.pole
         Bs = None
         if _near(d):
-            Es, _ = _circle_values(prefix_fn, self.pole, self.radius)
-            Bs = _mv(Es, data.y) - b
-        return E, X - 1j * _quotient(_mv(E, data.y) - b, 0.0, d, self.radius, Bs)
+            Bs = _mv(_circle_values(prefix, self.pole, self.radius)[..., :n], data.y) - b
+        F[..., n] -= 1j * _quotient(_mv(F[..., :n], data.y) - b, 0.0, d, self.radius, Bs)
+        return F
 
     def apply_h(self, h, data: _TranslationData):
         return h + data.y
@@ -290,7 +393,8 @@ class TranslationRecord:
 class TwoPoleRecord:
     """Dressing by the two-pole factor f_{z,pi} = g_{-conj(z),rho} g_{z,pi}:
     its one-pole parts ``first`` (pole z, pi) and ``second`` (pole -conj(z),
-    rho) applied in order.  Each part alone is only tau-real; the product is
+    rho) applied in order; the second part's prefix is the frame's prefix
+    dressed by the first.  Each part alone is only tau-real; the product is
     sigma-real, so the record is sigma-compatible.  Its pole data are the
     pair (first part's, second part's).
 
@@ -330,22 +434,19 @@ class TwoPoleRecord:
     def sensitive_points(self) -> tuple:
         return self.first.sensitive_points + self.second.sensitive_points
 
-    def _middle_fn(self, prefix_fn, first: _OnePoleData):
-        """Evaluator of the prefix frame dressed by the first part."""
-        def fn(w):
-            E, X = prefix_fn(w)
-            return self.first.apply(E, X, w, first, prefix_fn)
-        return fn
+    def _middle(self, prefix, first: _OnePoleData) -> tuple:
+        """The second part's prefix: ``prefix`` dressed by the first part."""
+        return prefix + ((self.first, first),)
 
-    def pole_data(self, prefix_fn) -> tuple:
-        first = self.first.pole_data(prefix_fn)
-        return first, self.second.pole_data(self._middle_fn(prefix_fn, first))
+    def pole_data(self, prefix) -> tuple:
+        first = self.first.pole_data(prefix)
+        return first, self.second.pole_data(self._middle(prefix, first))
 
     point_data = _point_data
 
-    def apply(self, E, X, lam, data: tuple, prefix_fn):
-        E, X = self.first.apply(E, X, lam, data[0], prefix_fn)
-        return self.second.apply(E, X, lam, data[1], self._middle_fn(prefix_fn, data[0]))
+    def apply(self, F, lam, data: tuple, prefix):
+        F = self.first.apply(F, lam, data[0], prefix)
+        return self.second.apply(F, lam, data[1], self._middle(prefix, data[0]))
 
     def apply_h(self, h, data: tuple):
         return self.second.apply_h(self.first.apply_h(h, data[0]), data[1])

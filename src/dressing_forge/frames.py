@@ -1,8 +1,9 @@
 """Extended frames F(u, lambda) = [[E, X], [0, 1]] in closed form.
 
 A frame is a vacuum seed (diagonal exponential E, per-axis profile integrals
-X) plus an ordered dressing history.  Evaluation applies each record's
-closed-form update in order, so no PDE is ever integrated here; the PDE route
+X) plus an ordered dressing history.  Evaluation carries the top block
+[E | X] of F through the history and applies each record's closed-form
+update to it in order, so no PDE is ever integrated here; the PDE route
 lives in :mod:`dressing_forge.oracle` as an independent cross-check.
 
 Evaluation works on whole point sets at once: every update is a stacked
@@ -249,7 +250,9 @@ class VacuumSeed:
     phi = sum_j int_0^{u_j} h_j(t)^2 dt.  The seed is spherical exactly when
     every profile is constant.  Points are arrays of shape (..., n); results
     carry the same leading shape.  ``lam`` is one lambda (a number) for every
-    point, or an array of the points' leading shape with one per point.
+    point, or an array broadcasting against the points' leading shape: one
+    per point, possibly with leading axes of its own (a Taylor circle's nodes
+    against a point set), which lead the results.
     """
 
     profiles: tuple
@@ -293,14 +296,18 @@ class VacuumSeed:
         self._check_domain(u)
         if isinstance(lam, np.ndarray):
             lam = lam[..., None]
-        out = np.zeros(u.shape + (self.n,), dtype=complex)
+        phase = np.exp(1j * lam * u)
+        out = np.zeros(phase.shape + (self.n,), dtype=complex)
         diag = np.arange(self.n)
-        out[..., diag, diag] = np.exp(1j * lam * u)
+        out[..., diag, diag] = phase
         return out
 
     def X(self, u: np.ndarray, lam) -> np.ndarray:
         self._check_domain(u)
-        out = np.empty(np.shape(u), dtype=complex)
+        lead = np.shape(u)[:-1]
+        if isinstance(lam, np.ndarray):
+            lead = np.broadcast_shapes(lam.shape, lead)
+        out = np.empty(lead + (self.n,), dtype=complex)
         for j, p in enumerate(self.profiles):
             out[..., j] = p.position_integral(u[..., j], lam)
         return out
@@ -410,13 +417,23 @@ class ExtendedFrame:
             if len(self._memo) > MEMO_POINT_SETS:
                 del self._memo[next(iter(self._memo))]
             for k in range(len(data), depth):
-                data.append(self.history[k].pole_data(self._prefix_fn(k, U)))
+                data.append(self.history[k].pole_data((self, U, k)))
             return data
 
-    def _prefix_fn(self, depth: int, U: np.ndarray):
-        def fn(w):
-            return self.evaluate(U, w, depth=depth)
-        return fn
+    def _block(self, U: np.ndarray, lam, depth: int) -> np.ndarray:
+        """The frame block F = [E | X] of the first ``depth`` records at the
+        (P, n) point set U, shape (..., P, n, n+1).  ``lam`` is one complex
+        or an array broadcasting against (P,), possibly with leading axes of
+        its own, which lead the result: a Taylor circle's (16, 1) nodes give
+        all 16 samples in one pass over the records, at the same points and
+        so with the same pole data.  Each record gets its prefix as
+        (frame, U, k), which only a record that samples a circle evaluates,
+        and updates F in place."""
+        F = np.concatenate((self.seed.E(U, lam), self.seed.X(U, lam)[..., None]), axis=-1)
+        data = self.pole_data(U, depth)
+        for k in range(depth):
+            F = self.history[k].apply(F, lam, data[k], (self, U, k))
+        return F
 
     def evaluate(self, u, lam, depth: int | None = None):
         """Dressed (E, X) at the points u; holomorphic in lambda across the
@@ -425,14 +442,10 @@ class ExtendedFrame:
         broadcasts against the leading shape of u, one lambda per point.
         ``depth`` evaluates the prefix frame of the first ``depth`` records."""
         U, lead = self._point_set(u)
-        lam = _lambdas(lam, lead)
         upto = len(self.history) if depth is None else depth
-        E = self.seed.E(U, lam)
-        X = self.seed.X(U, lam)
-        data = self.pole_data(U, upto)
-        for k in range(upto):
-            E, X = self.history[k].apply(E, X, lam, data[k], self._prefix_fn(k, U))
-        return E.reshape(lead + E.shape[1:]), X.reshape(lead + X.shape[1:])
+        F = self._block(U, _lambdas(lam, lead), upto)
+        F = F.reshape(lead + F.shape[1:])
+        return F[..., :self.n], F[..., self.n]
 
     def E(self, u, lam) -> np.ndarray:
         return self.evaluate(u, lam)[0]
@@ -484,16 +497,23 @@ def frame_dlambda_at_zero(E_fn, u, step: float = 1e-3) -> np.ndarray:
     return (16 * fine - coarse) / 15
 
 
+# Most points one sweep axis of ``potential_on_grid`` sends through ``frame.h``
+# at once; an axis with more is split into chunks of whole staircase lines,
+# so memory stays bounded however fine the grid.
+POTENTIAL_CHUNK = 2048
+
+
 def potential_on_grid(frame: ExtendedFrame, grid: Grid, axis_order=None) -> np.ndarray:
     """Potential phi on the grid by integrating d phi = sum_i h_i^2 du_i along
     axis-ordered staircase paths from the origin.  Flatness makes the result
     independent of ``axis_order`` (tested, not assumed).
 
-    Each sweep axis is one point set: every staircase line of that sweep (one
-    per grid point of the axes already swept) on the axis knots augmented
-    with 0, plus the cell midpoints (the evaluator is exact off-grid, so
-    they are free).  Per-cell Simpson sums are then accumulated along the
-    lines.
+    Each sweep axis evaluates every staircase line of that sweep (one per
+    grid point of the axes already swept) on the axis knots augmented with
+    0, plus the cell midpoints (the evaluator is exact off-grid, so they are
+    free), as point sets of whole lines with at most ``POTENTIAL_CHUNK``
+    points (one line when a line alone has more).  Per-cell Simpson sums are
+    then accumulated along the lines.
     """
     n = grid.n
     order = tuple(range(n)) if axis_order is None else tuple(axis_order)
@@ -511,7 +531,10 @@ def potential_on_grid(frame: ExtendedFrame, grid: Grid, axis_order=None) -> np.n
         U = np.zeros(mesh[-1].shape + (n,))
         for a, coord in zip(prior + (axis,), mesh):
             U[..., a] = coord
-        f = frame.h(U)[..., axis] ** 2
+        lines = U.reshape(-1, ts.size, n)
+        step = max(1, POTENTIAL_CHUNK // ts.size)
+        f = np.concatenate([frame.h(lines[i:i + step])[..., axis] ** 2
+                            for i in range(0, len(lines), step)]).reshape(U.shape[:-1])
         fa, fm = f[..., :aug.size], f[..., aug.size:]
         seg = (np.diff(aug) / 6.0) * (fa[..., :-1] + 4.0 * fm + fa[..., 1:])
         cum = np.concatenate([np.zeros(seg.shape[:-1] + (1,), dtype=complex),

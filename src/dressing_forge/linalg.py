@@ -11,6 +11,7 @@ pi = pi* corrupts every downstream transformation formula.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -145,6 +146,15 @@ class HermitianProjection:
     @property
     def complement(self) -> np.ndarray:
         return np.eye(self.n) - self.matrix
+
+    def stored_in(self, out: np.ndarray) -> "HermitianProjection":
+        """The same projection with its matrix copied into ``out`` (a view
+        into a larger buffer, say) and held there.  The values are the ones
+        this projection validated, so they are not checked again."""
+        out[...] = self.matrix
+        moved = copy.copy(self)
+        object.__setattr__(moved, "matrix", out)
+        return moved
 
     def __getitem__(self, index) -> "HermitianProjection":
         """The projection (or sub-stack) at ``index`` of a stack."""

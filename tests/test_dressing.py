@@ -14,7 +14,7 @@ from dressing_forge import (ExtendedFrame, Grid, HermitianProjection,
                             potential_on_grid, project_onto_span,
                             projection_distance, sample_immersion,
                             one_pole_factor, solve_linear, two_pole_factor)
-from dressing_forge import frames
+from dressing_forge import dressing, frames
 
 
 def simple_eval(pi_mat, pole, zero, lam):
@@ -505,3 +505,122 @@ def test_metric_from_frame_skips_staircase_for_closed_chains(monkeypatch):
     assert np.array_equal(metric.phi.real, frame.phi(grid.points()))
     with pytest.raises(AssertionError, match="closed-potential chain"):
         metric_from_frame(dress_translation(frame, 1.3, [0.1, 0.2]), grid)
+
+
+def _kinds():
+    """One dressing of each record kind on an n = 3 frame, poles apart."""
+    b = np.array([0.2, -0.1, 0.15])
+    return {
+        "real": lambda f: dress_real(f, 0.6, project_onto_span(np.ones(3) / np.sqrt(3))),
+        "complex": lambda f: dress_extended(
+            f, 0.3 + 0.7j, project_onto_span(np.array([1.0, -0.4 + 0.2j, 0.5j]))),
+        "two_pole": lambda f: dress_two_pole(
+            f, 0.4 + 0.8j, project_onto_span(np.array([1.0, 0.5 - 0.25j, 0.3]))),
+        "translation": lambda f: dress_translation(f, 0.9, b),
+    }
+
+
+def _chain_ending_in(kind):
+    """The other three kinds, then ``kind``: its prefix has depth 3 and runs
+    through every other record kind."""
+    kinds = _kinds()
+    frame = ExtendedFrame(VacuumSeed.constant([1.0, 0.7, 1.3]))
+    for name in [k for k in kinds if k != kind] + [kind]:
+        frame = kinds[name](frame)
+    return frame
+
+
+def _circles(frame, U):
+    """(prefix, pole, radius) for every sampling circle of the last record."""
+    k = len(frame.history) - 1
+    rec, prefix = frame.history[k], (frame, U, k)
+    if isinstance(rec, dressing.TranslationRecord):
+        return [(prefix, rec.pole, rec.radius)]
+    parts = [(rec, prefix)]
+    if isinstance(rec, dressing.TwoPoleRecord):
+        first = frame.pole_data(U, k + 1)[k][0]
+        parts = [(rec.first, prefix), (rec.second, prefix + ((rec.first, first),))]
+    return [(pre, pole, r) for part, pre in parts
+            for pole, r in ((part.z, part.radius_z), (part.zbar, part.radius_zbar))]
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "two_pole", "translation"])
+@pytest.mark.parametrize("P", [1, 5])
+def test_circle_values_match_node_by_node_prefix(kind, P, rng):
+    """One lambda-stacked prefix evaluation gives the 16 circle samples that
+    evaluating the prefix node by node gives."""
+    frame = _chain_ending_in(kind)
+    U = rng.uniform(-0.4, 0.4, size=(P, 3))
+    for prefix, pole, radius in _circles(frame, U):
+        stacked = dressing._circle_values(prefix, pole, radius)
+        oracle = np.stack([dressing._prefix_block(prefix, pole + radius * p)
+                           for p in np.exp(1j * dressing._THETA)])
+        assert stacked.shape == (dressing.CIRCLE_NODES, P, 3, 4)
+        assert max_abs(stacked - oracle) <= 1e-15
+
+
+def test_translation_block_update_matches_rational_formula(torus3_frame, rng):
+    """Off the poles, a translation after a real one-pole record gives
+    X = g (X0 - c/(lam-z) E0 pe) - i (E1 y - b)/(lam - i alpha_t), with
+    E1 = g E0 g_tilde^{-1}, from the records' point data."""
+    pi = project_onto_span(np.ones(3) / np.sqrt(3))
+    alpha, alpha_t, b = 0.6, 0.9, np.array([0.2, -0.1, 0.15])
+    frame = dress_translation(dress_real(torus3_frame, alpha, pi), alpha_t, b)
+    z, zb = 1j * alpha, -1j * alpha
+    for _ in range(3):
+        u = rng.uniform(-0.4, 0.4, size=3)
+        d1 = frame.history[0].point_data(frame, 0, u)
+        y = frame.history[1].point_data(frame, 1, u).y
+        for lam in (1.3, 0.4 - 0.9j, -1.1 + 0.2j, 0.25 + 0.45j):
+            E0, X0 = torus3_frame.evaluate(u, lam)
+            g = simple_eval(pi.complement, zb, z, lam)
+            E1 = g @ E0 @ simple_eval(d1.pi_tilde.complement, z, zb, lam)
+            X1 = g @ (X0 - (zb - z) / (lam - z) * (E0 @ d1.pe))
+            E, X = frame.evaluate(u, lam)
+            assert max_abs(E - E1) < 1e-12
+            assert max_abs(X - (X1 - 1j * (E1 @ y - b) / (lam - 1j * alpha_t))) < 1e-12
+
+
+def test_two_pole_block_update_matches_rational_formula(torus3_frame, rng):
+    """Off the poles, the two-pole record's X is the double-transport display
+    of its two parts, built from its point data."""
+    z = 0.4 + 0.8j
+    frame = dress_two_pole(torus3_frame, z, project_onto_span(np.array([1.0, 0.5 - 0.25j, 0.3])))
+    rec = frame.history[0]
+    pi, rho = rec.first.projection, rec.second.projection
+    z1, z2 = z, -np.conj(z)
+    c1, c2 = np.conj(z1) - z1, np.conj(z2) - z2
+    for _ in range(3):
+        u = rng.uniform(-0.4, 0.4, size=3)
+        d1, d2 = rec.point_data(frame, 0, u)
+        for lam in (1.3, 0.4 - 0.9j, -1.1 + 0.2j, 0.1 + 0.3j):
+            E, X = torus3_frame.evaluate(u, lam)
+            inner = (X - c1 / (lam - z1) * (E @ d1.pe)
+                     - c2 / (lam - z2) * (E @ simple_eval(d1.pi_tilde.complement,
+                                                          z1, np.conj(z1), lam) @ d2.pe))
+            outer = (simple_eval(rho.complement, np.conj(z2), z2, lam)
+                     @ simple_eval(pi.complement, np.conj(z1), z1, lam))
+            assert max_abs(frame.X(u, lam) - outer @ inner) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["translation", "two_pole"])
+def test_near_pole_block_values_are_continuous(kind, rng):
+    """At |lambda - pole| = 1e-9 and 1e-7 (Taylor quotients) the frame
+    differs from its value at 1e-5 (direct quotients) by O(d): by the slope
+    the direct quotients give between 1e-5 and 1e-3 times the distance, at
+    every pole of the record, for a single point and a point set."""
+    frame = _chain_ending_in(kind)
+    U = rng.uniform(-0.4, 0.4, size=(5, 3))
+    direction = np.exp(0.7j)
+
+    def gap(u, a, b):
+        Ea, Xa = frame.evaluate(u, a)
+        Eb, Xb = frame.evaluate(u, b)
+        return max(max_abs(Ea - Eb), max_abs(Xa - Xb))
+
+    for pole in frame.history[-1].sensitive_points:
+        ref = pole + 1e-5 * direction
+        for u in (U[0], U):
+            slope = gap(u, pole + 1e-3 * direction, ref) / (1e-3 - 1e-5)
+            for d in (1e-9, 1e-7):
+                assert gap(u, pole + d * direction, ref) / (1e-5 - d) == pytest.approx(slope, rel=0.02)

@@ -13,6 +13,7 @@ from dressing_forge import (ConstantProfile, ExtendedFrame, Grid,
                             dress_two_pole, frame_dlambda_at_zero, max_abs,
                             metric_from_frame, potential_on_grid,
                             project_onto_span, sample_immersion)
+from dressing_forge import frames
 from dressing_forge.linalg import lax_block
 
 
@@ -277,6 +278,30 @@ def test_potential_path_order_independence(torus_frame, pi_diag):
     p01 = potential_on_grid(frame, grid, (0, 1))
     p10 = potential_on_grid(frame, grid, (1, 0))
     assert max_abs(p01 - p10) < 1e-8
+
+
+@pytest.mark.parametrize("chunk", [40, 7])
+def test_potential_on_grid_chunks_match_one_point_set(torus3_frame, monkeypatch, chunk):
+    """Chunking a sweep axis into whole staircase lines (several lines per
+    chunk, or one line when a line alone exceeds the cap) changes no value,
+    on a 3-D chain with a translation (no closed potential)."""
+    frame = dress_translation(
+        dress_real(torus3_frame, 0.6, project_onto_span(np.ones(3) / np.sqrt(3))),
+        0.9, [0.2, -0.1, 0.15])
+    grid = Grid.from_specs([(-0.4, 0.4, 5), (-0.3, 0.5, 4), (-0.5, 0.2, 6)])
+    whole = potential_on_grid(frame, grid, (2, 0, 1))
+    sizes, h = [], ExtendedFrame.h
+
+    def counting_h(self, u):
+        sizes.append(np.size(u) // 3)
+        return h(self, u)
+
+    monkeypatch.setattr(ExtendedFrame, "h", counting_h)
+    monkeypatch.setattr(frames, "POTENTIAL_CHUNK", chunk)
+    chunked = potential_on_grid(frame, grid, (2, 0, 1))
+    # the longest line has 13 points (7 knots with 0, 6 midpoints)
+    assert max(sizes) <= max(chunk, 13) and len(sizes) > 3
+    assert max_abs(chunked - whole) <= 1e-15
 
 
 def test_lax_connection_vacuum_block(torus_frame):
