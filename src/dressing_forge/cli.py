@@ -743,8 +743,13 @@ def main(argv=None) -> int:
     try:
         scenario = load_scenario(args.scenario)
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        return COMMANDS[args.command](scenario, out_dir, args)
+        # the scenario is read by now, so an OSError is a write under --out
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            return COMMANDS[args.command](scenario, out_dir, args)
+        except OSError as exc:
+            raise ParseError(f"--out {args.out}: cannot write {exc.filename}: "
+                             f"{exc.strerror}") from exc
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

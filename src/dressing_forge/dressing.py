@@ -26,7 +26,7 @@ symbolically, leaving difference quotients of functions holomorphic at the
 poles.  This keeps evaluation pole-free; where lambda lies within 1e-6 of a
 pole the quotient is read off the prefix frame sampled on a small circle
 around it, all 16 circle nodes in one evaluation (in groups of nodes for a
-large point set).  The translation factor
+point set of more than STACK_PAIRS // 16 points).  The translation factor
 with pole p = i alpha and real b updates F -> F + dq_p(F) Y with
 Y = -i [[0, y], [0, 0]] and y = E(p)^{-1} b, that is
 X -> X - i (E y - b) / (lambda - p) since E(p) y = b.
@@ -37,13 +37,17 @@ translation has none.
 
 The history holds one immutable record per loop factor: one-pole, two-pole
 or translation.  A record's pole data (pi_tilde, eta and the prefix frame at
-the poles) are computed by ``pole_data`` over a whole point set at once, as
-arrays stacked over the points, and the frame memoises them per point set;
-``point_data`` is the one-point view.  Both ``pole_data`` and ``apply`` get
-the prefix as a tuple (frame, U, depth), which only :func:`_prefix_block`
-evaluates, so an update away from the poles evaluates no prefix.  ``apply``
-updates the block it is given in place and returns it: the block is the
-evaluation's own intermediate.
+the poles) are arrays stacked over a whole point set, and the frame
+memoises them per point set; ``point_data`` is the one-point view.  They
+come from the frame's pole-data sweep (``ExtendedFrame.pole_data``): the
+block of the prefix is evaluated once on the stack of every pending
+record's ``pole_rows``, and ``take_pole_data`` reads a record's data off its
+own rows (a two-pole record: its first part's two rows, then its second
+part's two) and dresses the later rows in place with the record's ordinary
+``apply``.  Both get the prefix as a tuple (frame, U, depth), which only
+:func:`_prefix_block` evaluates, on a Taylor circle, so an update away from
+the poles evaluates no prefix.  ``apply`` updates the block it is given in
+place and returns it: the block is the evaluation's own intermediate.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoleCollisionError, SphericalViolationError
-from .frames import ExtendedFrame, frame_dlambda_at_zero
+from .frames import ExtendedFrame, frame_dlambda_at_zero, row_groups
 from .geometry import Grid
 from .linalg import (HermitianProjection, adjoint, max_abs, project_onto_span,
                      solve_linear, star_reduce)
@@ -66,11 +70,6 @@ from .report import VerificationReport
 # distance from the pole (handles exact pole hits).
 TAYLOR_BELOW = 1e-6
 CIRCLE_NODES = 16
-# Most (node, point) pairs one prefix evaluation samples: a point set of up
-# to CIRCLE_CHUNK / CIRCLE_NODES points takes its whole circle in one
-# evaluation, a larger one takes it in groups of nodes, so the stacked
-# transients stay bounded however many points are near a pole.
-CIRCLE_CHUNK = 4096
 _THETA = 2.0 * np.pi * np.arange(CIRCLE_NODES) / CIRCLE_NODES
 # the circle nodes on a leading axis of their own, broadcasting against (P,)
 _NODES = np.exp(1j * _THETA)[:, None]
@@ -100,12 +99,17 @@ def _circle_values(prefix, pole: complex, radius: float):
     """The prefix block on the sampling circle |w - pole| = radius, stacked
     on a leading node axis; the samples serve every quotient taken around
     this pole.  The nodes go through the prefix as lambda of shape
-    (nodes, 1), all CIRCLE_NODES in one evaluation unless the point set is
-    large (see CIRCLE_CHUNK)."""
-    step = max(1, CIRCLE_CHUNK // len(prefix[1]))
+    (nodes, 1), in as few evaluations as ``row_groups`` allows."""
     ws = pole + radius * _NODES
-    return np.concatenate([_prefix_block(prefix, ws[i:i + step])
-                           for i in range(0, CIRCLE_NODES, step)])
+    return np.concatenate([_prefix_block(prefix, ws[g])
+                           for g in row_groups(CIRCLE_NODES, len(prefix[1]))])
+
+
+def _dress_rows(record, F, lam, data, prefix) -> None:
+    """Dress the rows F (m, P, n, n+1) of a pole-data sweep, at the lambdas
+    ``lam`` (m, 1), by ``record`` in place, in row groups."""
+    for g in row_groups(len(F), F.shape[1]):
+        record.apply(F[g], lam[g], data, prefix)
 
 
 def _taylor_dq(vals, radius: float, d):
@@ -223,7 +227,9 @@ class OnePoleRecord:
 
     def __post_init__(self):
         z = complex(self.z)
-        object.__setattr__(self, "_poles", (z.conjugate(), z))
+        # the lambdas at which the record reads the prefix block, in the
+        # order of its rows in a pole-data sweep
+        object.__setattr__(self, "pole_rows", (z.conjugate(), z))
         # [pi, pi^perp], the left factors of the two products
         object.__setattr__(self, "_left", np.stack(
             (self.projection.matrix, self.projection.complement)).astype(complex)[:, None])
@@ -256,15 +262,13 @@ class OnePoleRecord:
     def has_closed_potential(self) -> bool:
         return self.potential_gap is None
 
-    def pole_data(self, prefix) -> _OnePoleData:
-        """Pole data over the point set of ``prefix`` (see
-        :func:`_prefix_block`)."""
-        F_zbar = _prefix_block(prefix, self.zbar)
-        n = F_zbar.shape[-2]
-        F_poles = np.empty((2,) + F_zbar.shape, dtype=complex)
-        F_poles[0] = F_zbar
-        del F_zbar
-        F_poles[1] = _prefix_block(prefix, complex(self.z))
+    def take_pole_data(self, F, lam, prefix) -> _OnePoleData:
+        """Pole data off the first two rows of the lambda-stacked prefix block
+        F (m, P, n, n+1), the rows at conj(z) and z; the later rows, at
+        ``lam[2:]``, are then dressed by this record in place.  The data keep
+        views into their rows, which nothing touches afterwards."""
+        F_poles = F[:2]
+        n = F_poles.shape[-2]
         E_zbar = F_poles[0, ..., :n]
         # tau-reality gives E(u, z)^{-1} = E(u, zbar)*, so the transported
         # image of pi is spanned by E(u, zbar)* span(pi)
@@ -277,15 +281,17 @@ class OnePoleRecord:
         pi_tilde = pi_tilde.stored_in(blocks[1, ..., :n])
         blocks[1, ..., n] = _mv(pi_tilde.matrix, eta)
         blocks[0, ..., n] = -blocks[1, ..., n]
-        return _OnePoleData(pi_tilde, blocks[0, ..., :n], eta, blocks[1, ..., n],
+        data = _OnePoleData(pi_tilde, blocks[0, ..., :n], eta, blocks[1, ..., n],
                             F_poles, blocks)
+        _dress_rows(self, F[2:], lam[2:], data, prefix)
+        return data
 
     point_data = _point_data
 
     def _quotients(self, F, lam, data: _OnePoleData, prefix):
         """dq_{conj z}(F) and dq_z(F), stacked on a leading axis; the prefix
         is sampled only on the circle of a pole some point is near."""
-        zb, z = self._poles
+        zb, z = self.pole_rows
         d_zb, d_z = lam - zb, lam - z
         if not (_near(d_zb) or _near(d_z)):
             D = F - _on_pair_axis(data.F_poles, F.ndim + 1)
@@ -308,7 +314,7 @@ class OnePoleRecord:
         out = np.matmul(S[..., :n], _on_pair_axis(data.blocks, D.ndim), out=D)
         out[0, ..., n] += S[0, ..., n]
         del S
-        zb, z = self._poles
+        zb, z = self.pole_rows
         out *= zb - z
         F += out[0]
         F -= out[1]
@@ -362,11 +368,18 @@ class TranslationRecord:
     def sensitive_points(self) -> tuple:
         return (self.pole,)
 
-    def pole_data(self, prefix) -> _TranslationData:
-        F_pole = _prefix_block(prefix, self.pole)
-        n = F_pole.shape[-2]
-        b = np.broadcast_to(self.b.astype(complex), F_pole.shape[:-1])
-        return _TranslationData(solve_linear(F_pole[..., :n], b))
+    @property
+    def pole_rows(self) -> tuple:
+        return (self.pole,)
+
+    def take_pole_data(self, F, lam, prefix) -> _TranslationData:
+        """y off the first row of the lambda-stacked prefix block F, the row
+        at the pole; the later rows are then dressed in place."""
+        n = F.shape[-2]
+        b = np.broadcast_to(self.b.astype(complex), F.shape[1:-1])
+        data = _TranslationData(solve_linear(F[0, ..., :n], b))
+        _dress_rows(self, F[1:], lam[1:], data, prefix)
+        return data
 
     point_data = _point_data
 
@@ -438,9 +451,15 @@ class TwoPoleRecord:
         """The second part's prefix: ``prefix`` dressed by the first part."""
         return prefix + ((self.first, first),)
 
-    def pole_data(self, prefix) -> tuple:
-        first = self.first.pole_data(prefix)
-        return first, self.second.pole_data(self._middle(prefix, first))
+    @property
+    def pole_rows(self) -> tuple:
+        return self.first.pole_rows + self.second.pole_rows
+
+    def take_pole_data(self, F, lam, prefix) -> tuple:
+        """The first part's data off the first two rows, which dresses the
+        rest; then the second part's off the next two, at its own prefix."""
+        first = self.first.take_pole_data(F, lam, prefix)
+        return first, self.second.take_pole_data(F[2:], lam[2:], self._middle(prefix, first))
 
     point_data = _point_data
 

@@ -8,7 +8,13 @@ lives in :mod:`dressing_forge.oracle` as an independent cross-check.
 
 Evaluation works on whole point sets at once: every update is a stacked
 array operation over the points, so a grid costs a few numpy calls per
-record rather than a Python loop per point.
+record rather than a Python loop per point.  Each record needs the frame
+built so far at its own poles; a point set gets those pole data for the
+whole chain from one sweep, which evaluates the block once on the stack of
+every pending record's poles and lets each record in turn read its rows and
+dress the later ones.  Every such lambda-stacked evaluation, and every
+Taylor circle, goes in row groups of at most ``STACK_PAIRS`` (lambda, point)
+pairs (one lambda per group when the point set alone is larger).
 
 Every seed profile's position and energy integrals are closed forms: a
 sampled profile is a sum over its cubic spline pieces, each a
@@ -291,26 +297,29 @@ class VacuumSeed:
             out[..., j] = p.value(u[..., j])
         return out
 
-    def E(self, u: np.ndarray, lam) -> np.ndarray:
+    def block(self, u: np.ndarray, lam) -> np.ndarray:
+        """The seed block [E | X], shape (..., n, n+1): E on the diagonal of
+        the first n columns, X in the last, written in one pass after one
+        domain check."""
         u = np.asarray(u, dtype=float)
         self._check_domain(u)
-        if isinstance(lam, np.ndarray):
-            lam = lam[..., None]
-        phase = np.exp(1j * lam * u)
-        out = np.zeros(phase.shape + (self.n,), dtype=complex)
-        diag = np.arange(self.n)
-        out[..., diag, diag] = phase
-        return out
-
-    def X(self, u: np.ndarray, lam) -> np.ndarray:
-        self._check_domain(u)
-        lead = np.shape(u)[:-1]
+        lead = u.shape[:-1]
         if isinstance(lam, np.ndarray):
             lead = np.broadcast_shapes(lam.shape, lead)
-        out = np.empty(lead + (self.n,), dtype=complex)
+        n = self.n
+        out = np.zeros(lead + (n, n + 1), dtype=complex)
+        diag = np.arange(n)
+        lam_u = lam[..., None] if isinstance(lam, np.ndarray) else lam
+        out[..., diag, diag] = np.exp(1j * lam_u * u)
         for j, p in enumerate(self.profiles):
-            out[..., j] = p.position_integral(u[..., j], lam)
+            out[..., j, n] = p.position_integral(u[..., j], lam)
         return out
+
+    def E(self, u: np.ndarray, lam) -> np.ndarray:
+        return self.block(u, lam)[..., :self.n]
+
+    def X(self, u: np.ndarray, lam) -> np.ndarray:
+        return self.block(u, lam)[..., self.n]
 
     def phi(self, u: np.ndarray):
         self._check_domain(u)
@@ -338,6 +347,21 @@ def _lambdas(lam, lead: tuple):
 
 # Number of most recent point sets whose pole data a frame keeps.
 MEMO_POINT_SETS = 4
+
+# Most (lambda, point) pairs one lambda-stacked evaluation or update
+# carries: a pole-data sweep or a Taylor circle stacks lambdas on a leading
+# axis against the point set, and goes through the records in row groups of
+# at most max(1, STACK_PAIRS // P) lambdas.  Stacking saves numpy calls,
+# which pays while a call's fixed cost outweighs its work on the points;
+# beyond that a larger stack only raises the transients of every update.
+STACK_PAIRS = 64
+
+
+def row_groups(rows: int, points: int) -> list:
+    """Slices cutting ``rows`` stacked lambdas at ``points`` points into the
+    row groups that STACK_PAIRS allows."""
+    step = max(1, STACK_PAIRS // max(points, 1))
+    return [slice(i, i + step) for i in range(0, rows, step)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -406,8 +430,15 @@ class ExtendedFrame:
 
     def pole_data(self, U: np.ndarray, depth: int) -> list:
         """Pole data of the first ``depth`` records at the (P, n) point set U,
-        computed in record order (each record's data come from evaluating the
-        prefix before it) and memoised per point set."""
+        memoised per point set.
+
+        The missing records' data come from one sweep: the block of the
+        memoised prefix is evaluated on the stack of their poles, lambda of
+        shape (m, 1) against the points, and each record in turn reads its
+        data off its own rows and dresses the later rows in place (see
+        ``take_pole_data``).  Evaluation and updates run in the row groups
+        ``row_groups`` allows; the data keep views into their rows, so the
+        stack is the memo's own storage."""
         key = U.tobytes()
         with self._lock:
             data = self._memo.pop(key, None)
@@ -416,20 +447,29 @@ class ExtendedFrame:
             self._memo[key] = data
             if len(self._memo) > MEMO_POINT_SETS:
                 del self._memo[next(iter(self._memo))]
-            for k in range(len(data), depth):
-                data.append(self.history[k].pole_data((self, U, k)))
+            k = len(data)
+            if k < depth:
+                pending = self.history[k:depth]
+                lam = np.array([w for rec in pending for w in rec.pole_rows])[:, None]
+                F = np.empty(lam.shape[:1] + U.shape + (self.n + 1,), dtype=complex)
+                for g in row_groups(len(lam), len(U)):
+                    F[g] = self._block(U, lam[g], k)
+                for rec in pending:
+                    data.append(rec.take_pole_data(F, lam, (self, U, len(data))))
+                    m = len(rec.pole_rows)
+                    F, lam = F[m:], lam[m:]
             return data
 
     def _block(self, U: np.ndarray, lam, depth: int) -> np.ndarray:
         """The frame block F = [E | X] of the first ``depth`` records at the
         (P, n) point set U, shape (..., P, n, n+1).  ``lam`` is one complex
         or an array broadcasting against (P,), possibly with leading axes of
-        its own, which lead the result: a Taylor circle's (16, 1) nodes give
-        all 16 samples in one pass over the records, at the same points and
-        so with the same pole data.  Each record gets its prefix as
-        (frame, U, k), which only a record that samples a circle evaluates,
-        and updates F in place."""
-        F = np.concatenate((self.seed.E(U, lam), self.seed.X(U, lam)[..., None]), axis=-1)
+        its own, which lead the result: a Taylor circle's (16, 1) nodes or a
+        row group of a pole-data sweep go through the records in one pass,
+        at the same points and so with the same pole data.  Each record
+        gets its prefix as (frame, U, k), which only a record that samples a
+        circle evaluates, and updates F in place."""
+        F = self.seed.block(U, lam)
         data = self.pole_data(U, depth)
         for k in range(depth):
             F = self.history[k].apply(F, lam, data[k], (self, U, k))

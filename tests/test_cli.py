@@ -181,6 +181,38 @@ def test_nonpositive_or_nonfinite_flag_exits_2(tmp_path, capsys, flag, value):
     assert not (tmp_path / "out").exists()
 
 
+def _assert_out_error(capsys, out):
+    err = capsys.readouterr().err
+    assert f"--out {out}" in err and "Traceback" not in err
+    return err
+
+
+def test_out_on_an_existing_file_exits_2(tmp_path, capsys):
+    path = write_scenario(tmp_path, base_scenario())
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    assert run_cli("run", path, out) == 2
+    assert "File exists" in _assert_out_error(capsys, out)
+    assert out.read_text() == "not a directory\n"
+
+
+def test_out_below_a_file_exits_2(tmp_path, capsys):
+    path = write_scenario(tmp_path, base_scenario())
+    (tmp_path / "taken").write_text("")
+    out = tmp_path / "taken" / "sub"
+    assert run_cli("run", path, out) == 2
+    assert "Not a directory" in _assert_out_error(capsys, out)
+
+
+def test_out_with_a_directory_in_place_of_an_output_file_exits_2(tmp_path, capsys):
+    path = write_scenario(tmp_path, base_scenario())
+    out = tmp_path / "out"
+    (out / "metric.csv").mkdir(parents=True)
+    assert run_cli("run", path, out) == 2
+    err = _assert_out_error(capsys, out)
+    assert f"cannot write {out / 'metric.csv'}" in err and "Is a directory" in err
+
+
 def test_step_too_small_for_rk4_exits_3(tmp_path, capsys):
     path = write_scenario(tmp_path, base_scenario())
     assert run_cli("verify", path, tmp_path / "out", "--step=5e-324") == 3

@@ -624,3 +624,160 @@ def test_near_pole_block_values_are_continuous(kind, rng):
             slope = gap(u, pole + 1e-3 * direction, ref) / (1e-3 - 1e-5)
             for d in (1e-9, 1e-7):
                 assert gap(u, pole + d * direction, ref) / (1e-5 - d) == pytest.approx(slope, rel=0.02)
+
+
+def _sweep_chains():
+    """Chains whose pole data a sweep stacks, each on the n = 3 constant seed."""
+    kinds = _kinds()
+    spans = np.random.default_rng(8).normal(size=(8, 3))
+
+    def chain(*steps):
+        frame = ExtendedFrame(VacuumSeed.constant([1.0, 0.7, 1.3]))
+        for step in steps:
+            frame = step(frame)
+        return frame
+
+    def real(alpha, span):
+        return lambda f: dress_real(f, alpha, project_onto_span(span / np.linalg.norm(span)))
+
+    return {
+        "real8": lambda: chain(*(real(0.5 + 0.2 * k, spans[k]) for k in range(8))),
+        "complex": lambda: chain(*(lambda f, z=z, v=v: dress_extended(f, z, project_onto_span(v))
+                                   for z, v in ((0.3 + 0.7j, np.array([1.0, -0.4 + 0.2j, 0.5j])),
+                                                (-0.5 + 1.1j, np.array([0.2j, 1.0, 0.3])),
+                                                (0.8 + 0.4j, np.array([1.0, 1.0, -1j]))))),
+        "two_pole": lambda: chain(
+            kinds["two_pole"],
+            lambda f: dress_two_pole(f, -0.6 + 1.2j, project_onto_span(np.array([0.3j, 1.0, 0.2]))),
+            real(1.5, spans[0])),
+        "translation": lambda: chain(real(0.6, spans[1]), kinds["translation"],
+                                     lambda f: dress_translation(f, 1.4, [0.0, 0.3, -0.2]),
+                                     real(1.1, spans[2])),
+        "mixed": lambda: chain(kinds["real"], kinds["complex"], kinds["two_pole"],
+                               kinds["translation"], real(1.3, spans[3])),
+        # the second record's poles sit exactly on the first one's
+        "conjugate": lambda: chain(real(0.6, spans[4]), real(-0.6, spans[5])),
+        "two_pole_conjugate": lambda: chain(
+            kinds["two_pole"],
+            lambda f: dress_extended(f, -0.4 - 0.8j, project_onto_span(np.array([1.0, 0.3j, -0.2])))),
+    }
+
+
+def _data_arrays(data):
+    """Every array a record's pole data hold."""
+    if isinstance(data, tuple):
+        return [a for part in data for a in _data_arrays(part)]
+    if isinstance(data, dressing._TranslationData):
+        return [data.y]
+    return [data.F_poles, data.blocks]
+
+
+def _record_pole_data(rec, prefix):
+    """The per-record path: the prefix block evaluated once per pole, each
+    part's data read off its own rows."""
+    if isinstance(rec, dressing.TwoPoleRecord):
+        first = _record_pole_data(rec.first, prefix)
+        return first, _record_pole_data(rec.second, prefix + ((rec.first, first),))
+    lam = np.array(rec.pole_rows)[:, None]
+    rows = np.stack([dressing._prefix_block(prefix, w) for w in rec.pole_rows])
+    return rec.take_pole_data(rows, lam, prefix)
+
+
+def _per_record_pole_data(frame, U):
+    """Pole data record by record, on a copy of the frame whose memo this
+    path fills itself, so each prefix evaluation sees only the records
+    before it."""
+    oracle = ExtendedFrame(frame.seed, frame.history)
+    data = oracle._memo.setdefault(U.tobytes(), [])
+    for k, rec in enumerate(frame.history):
+        data.append(_record_pole_data(rec, (oracle, U, k)))
+    return data
+
+
+def _assert_same_pole_data(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        arrays_a, arrays_b = _data_arrays(a), _data_arrays(b)
+        assert len(arrays_a) == len(arrays_b)
+        assert all(np.array_equal(x, y) for x, y in zip(arrays_a, arrays_b))
+
+
+@pytest.mark.parametrize("P", [1, 5])
+@pytest.mark.parametrize("chain", list(_sweep_chains()))
+def test_pole_data_sweep_matches_per_record_prefix(chain, P, rng):
+    """One lambda-stacked sweep gives bit for bit the pole data that
+    evaluating each record's prefix at its own poles gives, cold and from a
+    memo already filled to depth 3."""
+    make = _sweep_chains()[chain]
+    U = rng.uniform(-0.4, 0.4, size=(P, 3))
+    frame = make()
+    want = _per_record_pole_data(frame, U)
+    _assert_same_pole_data(frame.pole_data(U, len(frame.history)), want)
+    warm = make()
+    depth = min(3, len(warm.history) - 1)
+    warm.evaluate(U, 0.9 - 0.3j, depth=depth)
+    assert len(warm.pole_data(U, 0)) == depth
+    _assert_same_pole_data(warm.pole_data(U, len(warm.history)), want)
+
+
+@pytest.mark.parametrize("chain", ["conjugate", "two_pole_conjugate"])
+def test_pole_data_sweep_takes_the_taylor_branch_on_a_conjugate_pole(chain, monkeypatch, rng):
+    """A record whose poles are an earlier record's conjugate poles: the
+    earlier record dresses its rows exactly at its own poles, so the sweep
+    samples the earlier record's circles, at that record's own prefix (for
+    a two-pole record's second part, the prefix dressed by the first), as
+    the per-record path does.  dress_real(0.6) then dress_real(-0.6), and a
+    two-pole record at z then a one-pole record at conj(-conj(z))."""
+    frame = _sweep_chains()[chain]()
+    first, second = frame.history
+    last_part = first.second if isinstance(first, dressing.TwoPoleRecord) else first
+    assert second.pole_rows == last_part.pole_rows[::-1]
+    circles = []
+    sample = dressing._circle_values
+    monkeypatch.setattr(dressing, "_circle_values",
+                        lambda prefix, pole, radius: circles.append((prefix[2], len(prefix) - 3))
+                        or sample(prefix, pole, radius))
+    U = rng.uniform(-0.4, 0.4, size=(5, 3))
+    got = frame.pole_data(U, 2)
+    parts = 1 if last_part is not first else 0
+    assert circles == [(0, parts), (0, parts)]
+    _assert_same_pole_data(got, _per_record_pole_data(frame, U))
+
+
+@pytest.mark.parametrize("cap", [7, 30])
+def test_stacked_evaluations_stay_within_the_cap(monkeypatch, cap, rng):
+    """With STACK_PAIRS small, no lambda-stacked evaluation or record update
+    carries more than max(P, cap) (lambda, point) pairs, which is within
+    max(one record's rows x P, cap); pole data and near-pole values are
+    bit for bit those of an uncapped run."""
+    chain = _sweep_chains()["mixed"]
+    U = rng.uniform(-0.4, 0.4, size=(5, 3))
+    lams = [0.9, 0.3 - 0.4j, 0.6j + 3e-9, 0.3 - 0.7j + 2e-9, 0.9j - 1e-9]
+    monkeypatch.setattr(frames, "STACK_PAIRS", 10 ** 6)
+    uncapped = chain()
+    want = _per_record_pole_data(uncapped, U)
+    _assert_same_pole_data(uncapped.pole_data(U, len(uncapped.history)), want)
+    want_values = [uncapped.evaluate(U, lam) for lam in lams]
+
+    pairs = []
+
+    def spy(owner, name, points):
+        method = getattr(owner, name)
+
+        def wrapper(self, x, lam, *rest):
+            if isinstance(lam, np.ndarray) and lam.ndim == 2:
+                pairs.append(lam.shape[0] * points(x))
+            return method(self, x, lam, *rest)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    spy(ExtendedFrame, "_block", len)  # (U, lam, depth), U of shape (P, n)
+    for owner in (dressing.OnePoleRecord, dressing.TranslationRecord):
+        spy(owner, "apply", lambda F: F.shape[1])  # F of shape (m, P, n, n+1)
+    monkeypatch.setattr(frames, "STACK_PAIRS", cap)
+    capped = chain()
+    _assert_same_pole_data(capped.pole_data(U, len(capped.history)), want)
+    for lam, (E, X) in zip(lams, want_values):
+        E1, X1 = capped.evaluate(U, lam)
+        assert np.array_equal(E1, E) and np.array_equal(X1, X)
+    most_rows = max(len(rec.pole_rows) for rec in capped.history)
+    assert pairs and max(pairs) <= max(len(U), cap) <= max(most_rows * len(U), cap)

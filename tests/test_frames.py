@@ -129,6 +129,61 @@ def test_out_of_domain():
     assert not seed.is_spherical
 
 
+def _seed_E_X(seed, u, lam):
+    """The seed's E and X built separately over the whole point set, profile
+    by profile: E = diag(e^{i lam u_j}), X_j = profile j's own position
+    integral; ``lam`` may carry leading axes of its own."""
+    lam_u = lam[..., None] if isinstance(lam, np.ndarray) else lam
+    phase = np.exp(1j * lam_u * u)
+    E = np.zeros(phase.shape + (seed.n,), dtype=complex)
+    X = np.empty(phase.shape, dtype=complex)
+    for j, p in enumerate(seed.profiles):
+        E[..., j, j] = phase[..., j]
+        X[..., j] = p.position_integral(u[..., j], lam)
+    return E, X
+
+
+@pytest.mark.parametrize("seed_name", ["constant", "polynomial", "sampled"])
+def test_seed_block_matches_per_profile_reference(seed_name):
+    """block, E and X equal the per-profile reference bit for bit, for one
+    lambda, one lambda per point, and lambdas with a leading axis (with
+    lambda = 0 among them), and at a single point."""
+    seed = SEEDS[seed_name]()
+    U = np.random.default_rng(21).uniform(-0.6, 0.6, size=(5, 2))
+    per_point = np.array([0.9, 0.3 - 0.4j, 0.0, 1e-3j, -1.7 + 0.2j])
+    stacked = np.array([0.0, 0.6j + 3e-9, 2.1 - 0.5j])[:, None]
+    for u, lam in ((U, 0.7 - 0.2j), (U, 0.0), (U, per_point), (U, stacked), (U[0], 0.9)):
+        E, X = _seed_E_X(seed, u, lam)
+        block = seed.block(u, lam)
+        assert block.shape == E.shape[:-1] + (3,)
+        assert np.array_equal(block, np.concatenate((E, X[..., None]), axis=-1))
+        assert np.array_equal(seed.E(u, lam), E)
+        assert np.array_equal(seed.X(u, lam), X)
+
+
+@pytest.mark.parametrize("bad, axis", [((0.1, np.nan), 2), ((np.nan, 0.1), 1),
+                                       ((1.5, 0.0), 1), ((-1.2, 0.3), 1)])
+def test_seed_block_refuses_points_off_the_domain(bad, axis):
+    seed = SEEDS["polynomial"]()
+    U = np.array([[0.2, 0.1], bad])
+    for call in (seed.block, seed.E, seed.X):
+        with pytest.raises(OutOfDomainError, match=f"u_{axis} = "):
+            call(U, 0.9)
+
+
+def test_seed_block_checks_the_domain_once(monkeypatch):
+    seed = SEEDS["sampled"]()
+    calls = []
+    check = VacuumSeed._check_domain
+    monkeypatch.setattr(VacuumSeed, "_check_domain",
+                        lambda self, u: calls.append(1) or check(self, u))
+    U = np.random.default_rng(22).uniform(-0.6, 0.6, size=(4, 2))
+    for call in (seed.block, seed.E, seed.X, ExtendedFrame(seed).evaluate):
+        calls.clear()
+        call(U, 0.9)
+        assert len(calls) == 1
+
+
 def test_vacuum_phi(torus_seed):
     u = np.array([0.4, -0.3])
     frame = ExtendedFrame(torus_seed)
