@@ -36,18 +36,17 @@ real one-pole records and two-pole records (see :class:`TwoPoleRecord`); a
 translation has none.
 
 The history holds one immutable record per loop factor: one-pole, two-pole
-or translation.  A record's pole data (pi_tilde, eta and the prefix frame at
-the poles) are arrays stacked over a whole point set, and the frame
-memoises them per point set; ``point_data`` is the one-point view.  They
-come from the frame's pole-data sweep (``ExtendedFrame.pole_data``): the
-block of the prefix is evaluated once on the stack of every pending
-record's ``pole_rows``, and ``take_pole_data`` reads a record's data off its
-own rows (a two-pole record: its first part's two rows, then its second
-part's two) and dresses the later rows in place with the record's ordinary
-``apply``.  Both get the prefix as a tuple (frame, U, depth), which only
-:func:`_prefix_block` evaluates, on a Taylor circle, so an update away from
-the poles evaluates no prefix.  ``apply`` updates the block it is given in
-place and returns it: the block is the evaluation's own intermediate.
+or translation.  The frame evaluates it as a flat sequence of steps, each
+record's ``steps``: a two-pole record is its two one-pole parts and holds no
+evaluation code.  A step's pole data (pi_tilde, eta and the prefix frame at
+the poles) are arrays stacked over a whole point set, which the frame's
+pole-data sweep (``ExtendedFrame.pole_data``) computes and memoises per
+point set: ``take_pole_data`` reads them off the step's own rows of the
+stacked prefix block, and a record's ``point_data`` is the one-point view (a
+pair for a two-pole record).  ``apply`` gets the prefix (frame, U, depth),
+the first ``depth`` steps at the point set U, which it evaluates only on a
+Taylor circle, so an update away from the poles evaluates no prefix; it
+updates the block it is given in place and returns it.
 """
 
 from __future__ import annotations
@@ -80,36 +79,16 @@ def _mv(A, x):
     return (A @ x[..., None])[..., 0]
 
 
-def _prefix_block(prefix, w):
-    """The prefix frame's block [E | X] at lambda = w over a point set.
-
-    ``prefix`` is (frame, U, depth): the frame's first ``depth`` records at
-    the (P, n) point set U.  A two-pole record's second part appends
-    (first part, its pole data), applied after them.  ``w`` is one lambda or
-    an array broadcasting against (P,), possibly with leading axes of its own.
-    """
-    frame, U, depth = prefix[:3]
-    F = frame._block(U, w, depth)
-    for i, (part, data) in enumerate(prefix[3:]):
-        F = part.apply(F, w, data, prefix[:3 + i])
-    return F
-
-
 def _circle_values(prefix, pole: complex, radius: float):
-    """The prefix block on the sampling circle |w - pole| = radius, stacked
-    on a leading node axis; the samples serve every quotient taken around
-    this pole.  The nodes go through the prefix as lambda of shape
-    (nodes, 1), in as few evaluations as ``row_groups`` allows."""
+    """The block of the prefix (frame, U, depth) on the sampling circle
+    |w - pole| = radius, stacked on a leading node axis; the samples serve
+    every quotient taken around this pole.  The nodes go through the prefix
+    as lambda of shape (nodes, 1), in as few evaluations as ``row_groups``
+    allows."""
+    frame, U, depth = prefix
     ws = pole + radius * _NODES
-    return np.concatenate([_prefix_block(prefix, ws[g])
-                           for g in row_groups(CIRCLE_NODES, len(prefix[1]))])
-
-
-def _dress_rows(record, F, lam, data, prefix) -> None:
-    """Dress the rows F (m, P, n, n+1) of a pole-data sweep, at the lambdas
-    ``lam`` (m, 1), by ``record`` in place, in row groups."""
-    for g in row_groups(len(F), F.shape[1]):
-        record.apply(F[g], lam[g], data, prefix)
+    return np.concatenate([frame._block(U, ws[g], depth)
+                           for g in row_groups(CIRCLE_NODES, len(U))])
 
 
 def _taylor_dq(vals, radius: float, d):
@@ -159,15 +138,12 @@ def _circle_radius(pole: complex, existing_points) -> float:
 
 def _point_data(record, frame: ExtendedFrame, index: int, u):
     """Pole data of ``record`` (the frame's record ``index``) at the single
-    point u: the one-point view of the stacked data the frame memoises."""
+    point u, one per step (a pair for a two-pole record): the one-point
+    view of the stacked data the frame memoises."""
     U = np.asarray(u, dtype=float).reshape(1, frame.n)
-    return _first_point(frame.pole_data(U, index + 1)[index])
-
-
-def _first_point(data):
-    if isinstance(data, tuple):  # a two-pole record's (first, second) data
-        return tuple(map(_first_point, data))
-    return data.first_point()
+    k = frame.step_count(index)
+    data = [d.first_point() for d in frame.pole_data(U, k + len(record.steps))[k:]]
+    return tuple(data) if len(data) > 1 else data[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,7 +192,7 @@ class OnePoleRecord:
     product grouped from the left as in the separate E update.
 
     ``sphere_preserving`` is set by :func:`dress_spherical`: the record
-    provably preserves |h| = const.
+    provably preserves |h| = const.  The record is one step of a frame.
     """
 
     z: complex
@@ -227,7 +203,7 @@ class OnePoleRecord:
 
     def __post_init__(self):
         z = complex(self.z)
-        # the lambdas at which the record reads the prefix block, in the
+        # the lambdas at which the step reads the prefix block, in the
         # order of its rows in a pole-data sweep
         object.__setattr__(self, "pole_rows", (z.conjugate(), z))
         # [pi, pi^perp], the left factors of the two products
@@ -237,6 +213,10 @@ class OnePoleRecord:
     @property
     def zbar(self) -> complex:
         return complex(self.z).conjugate()
+
+    @property
+    def steps(self) -> tuple:
+        return (self,)
 
     @property
     def factor_poles(self) -> tuple:
@@ -262,12 +242,10 @@ class OnePoleRecord:
     def has_closed_potential(self) -> bool:
         return self.potential_gap is None
 
-    def take_pole_data(self, F, lam, prefix) -> _OnePoleData:
-        """Pole data off the first two rows of the lambda-stacked prefix block
-        F (m, P, n, n+1), the rows at conj(z) and z; the later rows, at
-        ``lam[2:]``, are then dressed by this record in place.  The data keep
-        views into their rows, which nothing touches afterwards."""
-        F_poles = F[:2]
+    def take_pole_data(self, F_poles) -> _OnePoleData:
+        """Pole data off this step's rows F_poles (2, P, n, n+1) of a
+        pole-data sweep, the prefix block at conj(z) and z.  The data keep
+        views into the rows, which nothing touches afterwards."""
         n = F_poles.shape[-2]
         E_zbar = F_poles[0, ..., :n]
         # tau-reality gives E(u, z)^{-1} = E(u, zbar)*, so the transported
@@ -281,10 +259,8 @@ class OnePoleRecord:
         pi_tilde = pi_tilde.stored_in(blocks[1, ..., :n])
         blocks[1, ..., n] = _mv(pi_tilde.matrix, eta)
         blocks[0, ..., n] = -blocks[1, ..., n]
-        data = _OnePoleData(pi_tilde, blocks[0, ..., :n], eta, blocks[1, ..., n],
+        return _OnePoleData(pi_tilde, blocks[0, ..., :n], eta, blocks[1, ..., n],
                             F_poles, blocks)
-        _dress_rows(self, F[2:], lam[2:], data, prefix)
-        return data
 
     point_data = _point_data
 
@@ -350,8 +326,8 @@ class TranslationRecord:
     alpha: float
     b: np.ndarray
     radius: float
-    sphere_preserving: bool = False
 
+    sphere_preserving = False
     is_sigma_compatible = True
     has_closed_potential = False
     potential_gap = "no closed-form potential update for the translation factor"
@@ -372,14 +348,16 @@ class TranslationRecord:
     def pole_rows(self) -> tuple:
         return (self.pole,)
 
-    def take_pole_data(self, F, lam, prefix) -> _TranslationData:
-        """y off the first row of the lambda-stacked prefix block F, the row
-        at the pole; the later rows are then dressed in place."""
-        n = F.shape[-2]
-        b = np.broadcast_to(self.b.astype(complex), F.shape[1:-1])
-        data = _TranslationData(solve_linear(F[0, ..., :n], b))
-        _dress_rows(self, F[1:], lam[1:], data, prefix)
-        return data
+    @property
+    def steps(self) -> tuple:
+        return (self,)
+
+    def take_pole_data(self, F_poles) -> _TranslationData:
+        """y off this step's row F_poles (1, P, n, n+1) of a pole-data
+        sweep, the prefix block at the pole."""
+        n = F_poles.shape[-2]
+        b = np.broadcast_to(self.b.astype(complex), F_poles.shape[1:-1])
+        return _TranslationData(solve_linear(F_poles[0, ..., :n], b))
 
     point_data = _point_data
 
@@ -406,9 +384,9 @@ class TranslationRecord:
 class TwoPoleRecord:
     """Dressing by the two-pole factor f_{z,pi} = g_{-conj(z),rho} g_{z,pi}:
     its one-pole parts ``first`` (pole z, pi) and ``second`` (pole -conj(z),
-    rho) applied in order; the second part's prefix is the frame's prefix
-    dressed by the first.  Each part alone is only tau-real; the product is
-    sigma-real, so the record is sigma-compatible.  Its pole data are the
+    rho) are its two steps, so a frame evaluates it as dressing by one part
+    and then the other.  Each part alone is only tau-real; the product is
+    sigma-real, so the record is sigma-compatible.  Its point data are the
     pair (first part's, second part's).
 
     The potential takes each part's update phi -> phi - 2 alpha Q, with
@@ -447,34 +425,11 @@ class TwoPoleRecord:
     def sensitive_points(self) -> tuple:
         return self.first.sensitive_points + self.second.sensitive_points
 
-    def _middle(self, prefix, first: _OnePoleData) -> tuple:
-        """The second part's prefix: ``prefix`` dressed by the first part."""
-        return prefix + ((self.first, first),)
-
     @property
-    def pole_rows(self) -> tuple:
-        return self.first.pole_rows + self.second.pole_rows
-
-    def take_pole_data(self, F, lam, prefix) -> tuple:
-        """The first part's data off the first two rows, which dresses the
-        rest; then the second part's off the next two, at its own prefix."""
-        first = self.first.take_pole_data(F, lam, prefix)
-        return first, self.second.take_pole_data(F[2:], lam[2:], self._middle(prefix, first))
+    def steps(self) -> tuple:
+        return (self.first, self.second)
 
     point_data = _point_data
-
-    def apply(self, F, lam, data: tuple, prefix):
-        F = self.first.apply(F, lam, data[0], prefix)
-        return self.second.apply(F, lam, data[1], self._middle(prefix, data[0]))
-
-    def apply_h(self, h, data: tuple):
-        return self.second.apply_h(self.first.apply_h(h, data[0]), data[1])
-
-    def apply_beta(self, beta, data: tuple):
-        return self.second.apply_beta(self.first.apply_beta(beta, data[0]), data[1])
-
-    def apply_phi(self, phi, data: tuple):
-        return self.second.apply_phi(self.first.apply_phi(phi, data[0]), data[1])
 
 
 DressingRecord = OnePoleRecord | TranslationRecord | TwoPoleRecord
@@ -563,7 +518,7 @@ def dress_translation(frame: ExtendedFrame, alpha: float, b) -> ExtendedFrame:
 def dress_two_pole(frame: ExtendedFrame, z: complex,
                    projection: HermitianProjection) -> ExtendedFrame:
     """Complex Ribaucour transformation: one record for the two-pole factor,
-    which applies its two one-pole parts in sequence (pole z with pi, then
+    which evaluates as its two one-pole parts in sequence (pole z with pi, then
     pole -conj(z) with the derived rho).  Sigma-reality of the product forces
     the accumulated h and beta back to real values."""
     return dress(frame, two_pole_factor(z, projection))

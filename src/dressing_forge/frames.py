@@ -6,15 +6,18 @@ X) plus an ordered dressing history.  Evaluation carries the top block
 update to it in order, so no PDE is ever integrated here; the PDE route
 lives in :mod:`dressing_forge.oracle` as an independent cross-check.
 
+The history is evaluated as one flat sequence of steps: a one-pole or
+translation record is one step, a two-pole record its two one-pole parts.
 Evaluation works on whole point sets at once: every update is a stacked
-array operation over the points, so a grid costs a few numpy calls per
-record rather than a Python loop per point.  Each record needs the frame
-built so far at its own poles; a point set gets those pole data for the
-whole chain from one sweep, which evaluates the block once on the stack of
-every pending record's poles and lets each record in turn read its rows and
-dress the later ones.  Every such lambda-stacked evaluation, and every
-Taylor circle, goes in row groups of at most ``STACK_PAIRS`` (lambda, point)
-pairs (one lambda per group when the point set alone is larger).
+array operation over the points, so a grid costs a few numpy calls per step
+rather than a Python loop per point.  Each step needs its prefix (frame, U,
+depth), the frame's first ``depth`` steps at the point set U, at its own
+poles; a point set gets those pole data for the whole chain from one sweep,
+which evaluates the block once on the stack of every pending step's poles
+and lets each step in turn read its rows and dress the later ones.  Every
+such lambda-stacked evaluation, and every Taylor circle, goes in row groups
+of at most ``STACK_PAIRS`` (lambda, point) pairs (one lambda per group when
+the point set alone is larger).
 
 Every seed profile's position and energy integrals are closed forms: a
 sampled profile is a sum over its cubic spline pieces, each a
@@ -284,7 +287,7 @@ class VacuumSeed:
 
     def _check_domain(self, u: np.ndarray) -> None:
         lo, hi = self._bounds
-        inside = (lo <= u) & (u <= hi)
+        inside = np.isfinite(u) & (lo <= u) & (u <= hi)
         if not inside.all():
             j = int(np.argmin(inside.reshape(-1, self.n).all(axis=0)))
             bad = np.asarray(u)[..., j][~inside[..., j]].flat[0]
@@ -372,11 +375,11 @@ class ExtendedFrame:
     (..., n), with results of shape (..., n, n) and (..., n).  A single point
     of shape (n,) is the one-point case and gives (n, n) and (n,).
     ``evaluate``, ``E`` and ``X`` take one lambda for all points, or one per
-    point (an array broadcasting against the leading shape).  Each
-    record's pole data (the transported projection and friends) are stacked
-    arrays over the whole point set, computed once; the frame keeps them for
-    its ``MEMO_POINT_SETS`` most recent point sets, so memory is bounded by
-    the point sets, not by how many calls were made.
+    point (an array broadcasting against the leading shape).  Each step's
+    pole data (the transported projection and friends) are stacked arrays
+    over the whole point set, computed once; the frame keeps them for its
+    ``MEMO_POINT_SETS`` most recent point sets, so memory is bounded by the
+    point sets, not by how many calls were made.
 
     Frames and records are immutable; dressing returns a new frame sharing
     the prefix records, with an empty memo.  The memo changes only how much
@@ -386,9 +389,13 @@ class ExtendedFrame:
 
     seed: VacuumSeed
     history: tuple = ()
+    steps: tuple = field(init=False, repr=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False)
-    # re-entrant: computing one record's pole data evaluates the prefix frame
+    # re-entrant: computing one step's pole data evaluates the prefix frame
     _lock: threading.RLock = field(default_factory=threading.RLock, init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "steps", tuple(s for rec in self.history for s in rec.steps))
 
     @property
     def n(self) -> int:
@@ -397,9 +404,8 @@ class ExtendedFrame:
     @property
     def is_partial_invariant(self) -> bool:
         """Whether |h(u)| is provably constant: spherical seed and every
-        record sphere-preserving."""
-        return self.seed.is_spherical and all(
-            getattr(rec, "sphere_preserving", False) for rec in self.history)
+        step sphere-preserving."""
+        return self.seed.is_spherical and all(s.sphere_preserving for s in self.steps)
 
     @property
     def has_closed_potential(self) -> bool:
@@ -409,17 +415,15 @@ class ExtendedFrame:
     def with_record(self, record) -> "ExtendedFrame":
         return ExtendedFrame(self.seed, self.history + (record,))
 
+    def step_count(self, records: int) -> int:
+        """Number of steps in the first ``records`` records."""
+        return sum(len(rec.steps) for rec in self.history[:records])
+
     def factor_poles(self) -> tuple:
-        poles = []
-        for rec in self.history:
-            poles.extend(rec.factor_poles)
-        return tuple(poles)
+        return tuple(p for rec in self.history for p in rec.factor_poles)
 
     def sensitive_points(self) -> tuple:
-        pts = []
-        for rec in self.history:
-            pts.extend(rec.sensitive_points)
-        return tuple(pts)
+        return tuple(p for rec in self.history for p in rec.sensitive_points)
 
     def _point_set(self, u):
         """(P, n) contiguous float points plus the caller's leading shape."""
@@ -429,16 +433,16 @@ class ExtendedFrame:
         return np.ascontiguousarray(u.reshape(-1, self.n)), u.shape[:-1]
 
     def pole_data(self, U: np.ndarray, depth: int) -> list:
-        """Pole data of the first ``depth`` records at the (P, n) point set U,
+        """Pole data of the first ``depth`` steps at the (P, n) point set U,
         memoised per point set.
 
-        The missing records' data come from one sweep: the block of the
+        The missing steps' data come from one sweep: the block of the
         memoised prefix is evaluated on the stack of their poles, lambda of
-        shape (m, 1) against the points, and each record in turn reads its
-        data off its own rows and dresses the later rows in place (see
-        ``take_pole_data``).  Evaluation and updates run in the row groups
-        ``row_groups`` allows; the data keep views into their rows, so the
-        stack is the memo's own storage."""
+        shape (m, 1) against the points.  Each step in turn reads its data
+        off its own rows (``take_pole_data``), and then dresses the later
+        rows in place with its ``apply``.  Evaluation and updates run in the
+        row groups ``row_groups`` allows; the data keep views into their
+        rows, so the stack is the memo's own storage."""
         key = U.tobytes()
         with self._lock:
             data = self._memo.pop(key, None)
@@ -449,30 +453,32 @@ class ExtendedFrame:
                 del self._memo[next(iter(self._memo))]
             k = len(data)
             if k < depth:
-                pending = self.history[k:depth]
-                lam = np.array([w for rec in pending for w in rec.pole_rows])[:, None]
+                pending = self.steps[k:depth]
+                lam = np.array([w for step in pending for w in step.pole_rows])[:, None]
                 F = np.empty(lam.shape[:1] + U.shape + (self.n + 1,), dtype=complex)
                 for g in row_groups(len(lam), len(U)):
                     F[g] = self._block(U, lam[g], k)
-                for rec in pending:
-                    data.append(rec.take_pole_data(F, lam, (self, U, len(data))))
-                    m = len(rec.pole_rows)
+                for i, step in enumerate(pending, start=k):
+                    m = len(step.pole_rows)
+                    data.append(step.take_pole_data(F[:m]))
                     F, lam = F[m:], lam[m:]
+                    for g in row_groups(len(F), len(U)):
+                        step.apply(F[g], lam[g], data[i], (self, U, i))
             return data
 
     def _block(self, U: np.ndarray, lam, depth: int) -> np.ndarray:
-        """The frame block F = [E | X] of the first ``depth`` records at the
+        """The frame block F = [E | X] of the first ``depth`` steps at the
         (P, n) point set U, shape (..., P, n, n+1).  ``lam`` is one complex
         or an array broadcasting against (P,), possibly with leading axes of
         its own, which lead the result: a Taylor circle's (16, 1) nodes or a
-        row group of a pole-data sweep go through the records in one pass,
-        at the same points and so with the same pole data.  Each record
-        gets its prefix as (frame, U, k), which only a record that samples a
-        circle evaluates, and updates F in place."""
+        row group of a pole-data sweep go through the steps in one pass,
+        at the same points and so with the same pole data.  Each step gets
+        its prefix as (frame, U, k), which only a step that samples a circle
+        evaluates, and updates F in place."""
         F = self.seed.block(U, lam)
         data = self.pole_data(U, depth)
         for k in range(depth):
-            F = self.history[k].apply(F, lam, data[k], (self, U, k))
+            F = self.steps[k].apply(F, lam, data[k], (self, U, k))
         return F
 
     def evaluate(self, u, lam, depth: int | None = None):
@@ -482,7 +488,7 @@ class ExtendedFrame:
         broadcasts against the leading shape of u, one lambda per point.
         ``depth`` evaluates the prefix frame of the first ``depth`` records."""
         U, lead = self._point_set(u)
-        upto = len(self.history) if depth is None else depth
+        upto = len(self.steps) if depth is None else self.step_count(depth)
         F = self._block(U, _lambdas(lam, lead), upto)
         F = F.reshape(lead + F.shape[1:])
         return F[..., :self.n], F[..., self.n]
@@ -493,21 +499,24 @@ class ExtendedFrame:
     def X(self, u, lam) -> np.ndarray:
         return self.evaluate(u, lam)[1]
 
-    def h(self, u) -> np.ndarray:
-        """Metric coefficient vectors, accumulated through the history."""
+    def _accumulate(self, u, start, update: str):
+        """``start(U)`` at the (P, n) point set of u, carried through every
+        step's ``update`` method with its pole data, in u's leading shape."""
         U, lead = self._point_set(u)
-        h = self.seed.h(U).astype(complex)
-        for rec, data in zip(self.history, self.pole_data(U, len(self.history))):
-            h = rec.apply_h(h, data)
-        return h.reshape(lead + (self.n,))
+        val = start(U)
+        for step, data in zip(self.steps, self.pole_data(U, len(self.steps))):
+            val = getattr(step, update)(val, data)
+        return val.reshape(lead + val.shape[1:])
+
+    def h(self, u) -> np.ndarray:
+        """Metric coefficient vectors, accumulated through the steps."""
+        return self._accumulate(u, lambda U: self.seed.h(U).astype(complex), "apply_h")
 
     def beta(self, u) -> np.ndarray:
-        """Rotation coefficient matrices, accumulated through the history."""
-        U, lead = self._point_set(u)
-        beta = np.zeros((len(U), self.n, self.n), dtype=complex)
-        for rec, data in zip(self.history, self.pole_data(U, len(self.history))):
-            beta = rec.apply_beta(beta, data)
-        return beta.reshape(lead + (self.n, self.n))
+        """Rotation coefficient matrices, accumulated through the steps."""
+        n = self.n
+        return self._accumulate(u, lambda U: np.zeros((len(U), n, n), dtype=complex),
+                                "apply_beta")
 
     def phi(self, u):
         """Closed-form potential (a float at a single point), or None when
@@ -515,11 +524,8 @@ class ExtendedFrame:
         one-pole records: see each record's ``potential_gap``)."""
         if not self.has_closed_potential:
             return None
-        U, lead = self._point_set(u)
-        val = self.seed.phi(U)
-        for rec, data in zip(self.history, self.pole_data(U, len(self.history))):
-            val = rec.apply_phi(val, data)
-        return val.reshape(lead) if lead else float(val[0])
+        val = self._accumulate(u, self.seed.phi, "apply_phi")
+        return val if val.ndim else float(val)
 
 
 def frame_dlambda_at_zero(E_fn, u, step: float = 1e-3) -> np.ndarray:

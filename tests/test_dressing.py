@@ -231,13 +231,16 @@ def test_spherical_dressing(torus_frame, pi_perp_torus, rng):
 
 
 def test_records_are_frozen(torus_frame, pi_diag, pi_perp_torus):
-    frame = dress_spherical(torus_frame, 0.8, pi_perp_torus)
-    frame = dress_translation(dress_real(frame, 0.6, pi_diag), 1.3, [0.1, 0.2])
+    spherical = dress_spherical(torus_frame, 0.8, pi_perp_torus)
+    frame = dress_translation(dress_real(spherical, 0.6, pi_diag), 1.3, [0.1, 0.2])
     # dress_spherical sets the flag when it builds the record
-    assert [rec.sphere_preserving for rec in frame.history] == [True, False, False]
-    for rec in frame.history:
+    assert [rec.sphere_preserving for rec in frame.history[:2]] == [True, False]
+    for rec in frame.history[:2]:
         with pytest.raises(FrozenInstanceError):
             rec.sphere_preserving = True
+    # a translation never preserves |h|
+    assert spherical.is_partial_invariant
+    assert not dress_translation(spherical, 1.3, [0.1, 0.2]).is_partial_invariant
     with pytest.raises(FrozenInstanceError):
         frame.history[1].z = 0.5j
     with pytest.raises(FrozenInstanceError):
@@ -531,17 +534,17 @@ def _chain_ending_in(kind):
 
 
 def _circles(frame, U):
-    """(prefix, pole, radius) for every sampling circle of the last record."""
-    k = len(frame.history) - 1
-    rec, prefix = frame.history[k], (frame, U, k)
-    if isinstance(rec, dressing.TranslationRecord):
-        return [(prefix, rec.pole, rec.radius)]
-    parts = [(rec, prefix)]
-    if isinstance(rec, dressing.TwoPoleRecord):
-        first = frame.pole_data(U, k + 1)[k][0]
-        parts = [(rec.first, prefix), (rec.second, prefix + ((rec.first, first),))]
-    return [(pre, pole, r) for part, pre in parts
-            for pole, r in ((part.z, part.radius_z), (part.zbar, part.radius_zbar))]
+    """(prefix, pole, radius) for every sampling circle of the last record's
+    steps (a two-pole record's second part at the prefix that ends in its
+    first)."""
+    circles = []
+    for k in range(frame.step_count(len(frame.history) - 1), len(frame.steps)):
+        step, prefix = frame.steps[k], (frame, U, k)
+        if isinstance(step, dressing.TranslationRecord):
+            circles.append((prefix, step.pole, step.radius))
+        else:
+            circles += [(prefix, step.z, step.radius_z), (prefix, step.zbar, step.radius_zbar)]
+    return circles
 
 
 @pytest.mark.parametrize("kind", ["real", "complex", "two_pole", "translation"])
@@ -553,7 +556,8 @@ def test_circle_values_match_node_by_node_prefix(kind, P, rng):
     U = rng.uniform(-0.4, 0.4, size=(P, 3))
     for prefix, pole, radius in _circles(frame, U):
         stacked = dressing._circle_values(prefix, pole, radius)
-        oracle = np.stack([dressing._prefix_block(prefix, pole + radius * p)
+        frame_, U_, k = prefix
+        oracle = np.stack([frame_._block(U_, pole + radius * p, k)
                            for p in np.exp(1j * dressing._THETA)])
         assert stacked.shape == (dressing.CIRCLE_NODES, P, 3, 4)
         assert max_abs(stacked - oracle) <= 1e-15
@@ -601,6 +605,32 @@ def test_two_pole_block_update_matches_rational_formula(torus3_frame, rng):
             outer = (simple_eval(rho.complement, np.conj(z2), z2, lam)
                      @ simple_eval(pi.complement, np.conj(z1), z1, lam))
             assert max_abs(frame.X(u, lam) - outer @ inner) < 1e-12
+
+
+@pytest.mark.parametrize("P", [1, 5])
+@pytest.mark.parametrize("prefix", ["none", "translation"])
+def test_two_pole_record_equals_its_parts(prefix, P, rng):
+    """Dressing by a two-pole factor gives E, X, h and beta bit for bit equal
+    to dressing by its one-pole parts g_{z,pi}, then g_{-conj(z),rho}: off
+    the poles, within 1e-8 of each of the four poles and exactly on them,
+    on the bare seed and after a real record and a translation."""
+    kinds = _kinds()
+    frame = ExtendedFrame(VacuumSeed.constant([1.0, 0.7, 1.3]))
+    if prefix == "translation":
+        frame = kinds["translation"](kinds["real"](frame))
+    z = 0.4 + 0.8j
+    factor = two_pole_factor(z, project_onto_span(np.array([1.0, 0.5 - 0.25j, 0.3])))
+    whole = dress(frame, factor)
+    parts = dress(dress(frame, one_pole_factor(z, factor.projection)),
+                  one_pole_factor(-np.conj(z), factor.rho))
+    U = rng.uniform(-0.4, 0.4, size=(P, 3))
+    poles = (z, np.conj(z), -np.conj(z), -z)
+    lams = [0.9, 0.3 - 1.1j, -1.2 + 0.5j] + [p + 1e-8 * np.exp(0.7j) for p in poles] + list(poles)
+    for lam in lams:
+        for a, b in zip(whole.evaluate(U, lam), parts.evaluate(U, lam)):
+            assert np.array_equal(a, b)
+    assert np.array_equal(whole.h(U), parts.h(U))
+    assert np.array_equal(whole.beta(U), parts.beta(U))
 
 
 @pytest.mark.parametrize("kind", ["translation", "two_pole"])
@@ -664,33 +694,27 @@ def _sweep_chains():
 
 
 def _data_arrays(data):
-    """Every array a record's pole data hold."""
-    if isinstance(data, tuple):
-        return [a for part in data for a in _data_arrays(part)]
+    """Every array a step's pole data hold."""
     if isinstance(data, dressing._TranslationData):
         return [data.y]
     return [data.F_poles, data.blocks]
 
 
-def _record_pole_data(rec, prefix):
-    """The per-record path: the prefix block evaluated once per pole, each
-    part's data read off its own rows."""
-    if isinstance(rec, dressing.TwoPoleRecord):
-        first = _record_pole_data(rec.first, prefix)
-        return first, _record_pole_data(rec.second, prefix + ((rec.first, first),))
-    lam = np.array(rec.pole_rows)[:, None]
-    rows = np.stack([dressing._prefix_block(prefix, w) for w in rec.pole_rows])
-    return rec.take_pole_data(rows, lam, prefix)
+def _record_pole_data(step, prefix):
+    """The per-step path: the block of the prefix (frame, U, k) evaluated
+    once per pole, the step's data read off those rows."""
+    frame, U, k = prefix
+    return step.take_pole_data(np.stack([frame._block(U, w, k) for w in step.pole_rows]))
 
 
 def _per_record_pole_data(frame, U):
-    """Pole data record by record, on a copy of the frame whose memo this
-    path fills itself, so each prefix evaluation sees only the records
-    before it."""
+    """Pole data step by step (a two-pole record's parts in turn), on a
+    copy of the frame whose memo this path fills itself, so each prefix
+    evaluation sees only the steps before it."""
     oracle = ExtendedFrame(frame.seed, frame.history)
     data = oracle._memo.setdefault(U.tobytes(), [])
-    for k, rec in enumerate(frame.history):
-        data.append(_record_pole_data(rec, (oracle, U, k)))
+    for k, step in enumerate(frame.steps):
+        data.append(_record_pole_data(step, (oracle, U, k)))
     return data
 
 
@@ -706,41 +730,41 @@ def _assert_same_pole_data(got, want):
 @pytest.mark.parametrize("chain", list(_sweep_chains()))
 def test_pole_data_sweep_matches_per_record_prefix(chain, P, rng):
     """One lambda-stacked sweep gives bit for bit the pole data that
-    evaluating each record's prefix at its own poles gives, cold and from a
-    memo already filled to depth 3."""
+    evaluating each step's prefix at its own poles gives, cold and from a
+    memo already filled to the steps of 3 records."""
     make = _sweep_chains()[chain]
     U = rng.uniform(-0.4, 0.4, size=(P, 3))
     frame = make()
     want = _per_record_pole_data(frame, U)
-    _assert_same_pole_data(frame.pole_data(U, len(frame.history)), want)
+    _assert_same_pole_data(frame.pole_data(U, len(frame.steps)), want)
     warm = make()
     depth = min(3, len(warm.history) - 1)
     warm.evaluate(U, 0.9 - 0.3j, depth=depth)
-    assert len(warm.pole_data(U, 0)) == depth
-    _assert_same_pole_data(warm.pole_data(U, len(warm.history)), want)
+    steps = len([s for rec in warm.history[:depth] for s in rec.steps])
+    assert len(warm.pole_data(U, 0)) == steps
+    _assert_same_pole_data(warm.pole_data(U, len(warm.steps)), want)
 
 
 @pytest.mark.parametrize("chain", ["conjugate", "two_pole_conjugate"])
 def test_pole_data_sweep_takes_the_taylor_branch_on_a_conjugate_pole(chain, monkeypatch, rng):
-    """A record whose poles are an earlier record's conjugate poles: the
-    earlier record dresses its rows exactly at its own poles, so the sweep
-    samples the earlier record's circles, at that record's own prefix (for
-    a two-pole record's second part, the prefix dressed by the first), as
-    the per-record path does.  dress_real(0.6) then dress_real(-0.6), and a
-    two-pole record at z then a one-pole record at conj(-conj(z))."""
+    """A step whose poles are the previous step's conjugate poles: that step
+    dresses its rows exactly at its own poles, so the sweep samples its
+    circles, at its own prefix (for a two-pole record's second part, the
+    prefix that ends in the first), as the per-step path does.
+    dress_real(0.6) then dress_real(-0.6), and a two-pole record at z then a
+    one-pole record at conj(-conj(z))."""
     frame = _sweep_chains()[chain]()
-    first, second = frame.history
-    last_part = first.second if isinstance(first, dressing.TwoPoleRecord) else first
-    assert second.pole_rows == last_part.pole_rows[::-1]
+    *_, earlier, last = frame.steps
+    assert last.pole_rows == earlier.pole_rows[::-1]
     circles = []
     sample = dressing._circle_values
     monkeypatch.setattr(dressing, "_circle_values",
-                        lambda prefix, pole, radius: circles.append((prefix[2], len(prefix) - 3))
+                        lambda prefix, pole, radius: circles.append((prefix[2], len(prefix)))
                         or sample(prefix, pole, radius))
     U = rng.uniform(-0.4, 0.4, size=(5, 3))
-    got = frame.pole_data(U, 2)
-    parts = 1 if last_part is not first else 0
-    assert circles == [(0, parts), (0, parts)]
+    got = frame.pole_data(U, len(frame.steps))
+    k = len(frame.steps) - 2
+    assert circles == [(k, 3), (k, 3)]
     _assert_same_pole_data(got, _per_record_pole_data(frame, U))
 
 
@@ -748,7 +772,7 @@ def test_pole_data_sweep_takes_the_taylor_branch_on_a_conjugate_pole(chain, monk
 def test_stacked_evaluations_stay_within_the_cap(monkeypatch, cap, rng):
     """With STACK_PAIRS small, no lambda-stacked evaluation or record update
     carries more than max(P, cap) (lambda, point) pairs, which is within
-    max(one record's rows x P, cap); pole data and near-pole values are
+    max(one step's rows x P, cap); pole data and near-pole values are
     bit for bit those of an uncapped run."""
     chain = _sweep_chains()["mixed"]
     U = rng.uniform(-0.4, 0.4, size=(5, 3))
@@ -756,7 +780,7 @@ def test_stacked_evaluations_stay_within_the_cap(monkeypatch, cap, rng):
     monkeypatch.setattr(frames, "STACK_PAIRS", 10 ** 6)
     uncapped = chain()
     want = _per_record_pole_data(uncapped, U)
-    _assert_same_pole_data(uncapped.pole_data(U, len(uncapped.history)), want)
+    _assert_same_pole_data(uncapped.pole_data(U, len(uncapped.steps)), want)
     want_values = [uncapped.evaluate(U, lam) for lam in lams]
 
     pairs = []
@@ -775,9 +799,9 @@ def test_stacked_evaluations_stay_within_the_cap(monkeypatch, cap, rng):
         spy(owner, "apply", lambda F: F.shape[1])  # F of shape (m, P, n, n+1)
     monkeypatch.setattr(frames, "STACK_PAIRS", cap)
     capped = chain()
-    _assert_same_pole_data(capped.pole_data(U, len(capped.history)), want)
+    _assert_same_pole_data(capped.pole_data(U, len(capped.steps)), want)
     for lam, (E, X) in zip(lams, want_values):
         E1, X1 = capped.evaluate(U, lam)
         assert np.array_equal(E1, E) and np.array_equal(X1, X)
-    most_rows = max(len(rec.pole_rows) for rec in capped.history)
+    most_rows = max(len(step.pole_rows) for step in capped.steps)
     assert pairs and max(pairs) <= max(len(U), cap) <= max(most_rows * len(U), cap)

@@ -171,6 +171,19 @@ def test_seed_block_refuses_points_off_the_domain(bad, axis):
             call(U, 0.9)
 
 
+def test_infinite_points_are_out_of_domain(torus_seed, pi_diag):
+    """A constant profile's domain is the whole axis, which holds no
+    infinite point: the seed frame, a dressed frame and h refuse u_2 = ±inf
+    instead of returning NaN or failing later in a projection."""
+    frame = ExtendedFrame(torus_seed)
+    dressed = dress_real(frame, 0.6, pi_diag)
+    for call in (lambda: frame.evaluate([0.1, np.inf], 0.9),
+                 lambda: dressed.evaluate([0.1, np.inf], 0.9),
+                 lambda: frame.h([0.1, -np.inf])):
+        with pytest.raises(OutOfDomainError, match="u_2 = -?inf outside"):
+            call()
+
+
 def test_seed_block_checks_the_domain_once(monkeypatch):
     seed = SEEDS["sampled"]()
     calls = []
