@@ -556,8 +556,7 @@ def test_circle_values_match_node_by_node_prefix(kind, P, rng):
     U = rng.uniform(-0.4, 0.4, size=(P, 3))
     for prefix, pole, radius in _circles(frame, U):
         stacked = dressing._circle_values(prefix, pole, radius)
-        frame_, U_, k = prefix
-        oracle = np.stack([frame_._block(U_, pole + radius * p, k)
+        oracle = np.stack([frame._block(U, pole + radius * p, prefix[2])
                            for p in np.exp(1j * dressing._THETA)])
         assert stacked.shape == (dressing.CIRCLE_NODES, P, 3, 4)
         assert max_abs(stacked - oracle) <= 1e-15
@@ -631,6 +630,17 @@ def test_two_pole_record_equals_its_parts(prefix, P, rng):
             assert np.array_equal(a, b)
     assert np.array_equal(whole.h(U), parts.h(U))
     assert np.array_equal(whole.beta(U), parts.beta(U))
+    # the record's point data pair, and a later record's point data, are
+    # those of the parts' records at the same steps
+    whole, parts = (dress_real(f, 1.5, project_onto_span(np.array([0.6, 0.0, 0.8])))
+                    for f in (whole, parts))
+    k = len(whole.history) - 2
+    got = whole.history[k].point_data(whole, k, U[0]) + (
+        whole.history[k + 1].point_data(whole, k + 1, U[0]),)
+    want = [rec.point_data(parts, i, U[0]) for i, rec in enumerate(parts.history) if i >= k]
+    assert len(got) == len(want) == 3
+    for a, b in zip(got, want):
+        assert np.array_equal(a.F_poles, b.F_poles) and np.array_equal(a.blocks, b.blocks)
 
 
 @pytest.mark.parametrize("kind", ["translation", "two_pole"])
