@@ -141,8 +141,8 @@ def _point_data(record, frame: ExtendedFrame, index: int, u):
     point u, one per step (a pair for a two-pole record): the one-point
     view of the stacked data the frame memoises."""
     U = np.asarray(u, dtype=float).reshape(1, frame.n)
-    k = frame.step_count(index)
-    data = [d.first_point() for d in frame.pole_data(U, k + len(record.steps))[k:]]
+    k, m = frame.step_count(index), len(record.steps)
+    data = [d.first_point() for d in frame.pole_data(U, k + m)[k:k + m]]
     return tuple(data) if len(data) > 1 else data[0]
 
 

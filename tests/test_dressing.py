@@ -643,6 +643,31 @@ def test_two_pole_record_equals_its_parts(prefix, P, rng):
         assert np.array_equal(a.F_poles, b.F_poles) and np.array_equal(a.blocks, b.blocks)
 
 
+@pytest.mark.parametrize("warm", ["h", "evaluate", "last_record"])
+def test_point_data_after_deeper_memo(warm, rng):
+    """A record's point data do not depend on how deep the memo at u
+    already runs: after the whole frame (or the last record's point data)
+    was evaluated at u, every earlier record, one-pole, two-pole and
+    translation, gives the data of a fresh frame, bit for bit."""
+    u = rng.uniform(-0.4, 0.4, size=3)
+    frame = _sweep_chains()["mixed"]()
+    warm_up = {"h": lambda: frame.h(u),
+               "evaluate": lambda: frame.evaluate(u, 0.9),
+               "last_record": lambda: frame.history[-1].point_data(frame, len(frame.history) - 1, u)}
+    warm_up[warm]()
+    for i, record in enumerate(frame.history):
+        got = record.point_data(frame, i, u)
+        fresh = _sweep_chains()["mixed"]()
+        want = fresh.history[i].point_data(fresh, i, u)
+        if len(record.steps) == 1:
+            assert not isinstance(got, tuple)
+            got, want = (got,), (want,)
+        assert len(got) == len(want) == len(record.steps)
+        for a, b in zip(got, want):
+            assert type(a) is type(b)
+            assert all(np.array_equal(x, y) for x, y in zip(_data_arrays(a), _data_arrays(b)))
+
+
 @pytest.mark.parametrize("kind", ["translation", "two_pole"])
 def test_near_pole_block_values_are_continuous(kind, rng):
     """At |lambda - pole| = 1e-9 and 1e-7 (Taylor quotients) the frame
