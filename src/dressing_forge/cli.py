@@ -722,7 +722,9 @@ def positive_float(text: str) -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="dressing-forge",
         description="Flat Lagrangian immersions and Egoroff nets by loop-group dressing")

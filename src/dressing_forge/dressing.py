@@ -23,13 +23,13 @@ X -> g_{conj(z),pi^perp} (X - c/(lambda-z) E pi_tilde eta) in
 residue-subtracted form: the rational factors are expanded and their
 (vanishing) residues at lambda = z and lambda = conj(z) removed
 symbolically, leaving difference quotients of functions holomorphic at the
-poles.  This keeps evaluation pole-free; where lambda lies within 1e-6 of a
-pole the quotient is read off the prefix frame sampled on a small circle
-around it, all 16 circle nodes in one evaluation (in groups of nodes for a
-point set of more than STACK_PAIRS // 16 points).  The translation factor
-with pole p = i alpha and real b updates F -> F + dq_p(F) Y with
-Y = -i [[0, y], [0, 0]] and y = E(p)^{-1} b, that is
-X -> X - i (E y - b) / (lambda - p) since E(p) y = b.
+poles, so the dressed block is entire in lambda.  A record takes only the
+direct quotients; near a pole they subtract nearly equal terms, and the
+frame evaluates a lambda there as the block's mean over a circle around it
+(``ExtendedFrame._block``).  The translation factor with pole p = i alpha
+and real b updates F -> F + dq_p(F) Y with Y = -i [[0, y], [0, 0]] and
+y = E(p)^{-1} b, that is X -> X - i (E y - b) / (lambda - p) since
+E(p) y = b.
 
 The phi update is the potential's closed form on chains whose h stays real:
 real one-pole records and two-pole records (see :class:`TwoPoleRecord`); a
@@ -43,10 +43,8 @@ the poles) are arrays stacked over a whole point set, which the frame's
 pole-data sweep (``ExtendedFrame.pole_data``) computes and memoises per
 point set: ``take_pole_data`` reads them off the step's own rows of the
 stacked prefix block, and a record's ``point_data`` is the one-point view (a
-pair for a two-pole record).  ``apply`` gets the prefix (frame, U, depth),
-the first ``depth`` steps at the point set U, which it evaluates only on a
-Taylor circle, so an update away from the poles evaluates no prefix; it
-updates the block it is given in place and returns it.
+pair for a two-pole record).  ``apply`` updates the block it is given in
+place and returns it.
 """
 
 from __future__ import annotations
@@ -56,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoleCollisionError, SphericalViolationError
-from .frames import ExtendedFrame, frame_dlambda_at_zero, row_groups
+from .frames import ExtendedFrame, frame_dlambda_at_zero
 from .geometry import Grid
 from .linalg import (HermitianProjection, adjoint, max_abs, project_onto_span,
                      solve_linear, star_reduce)
@@ -65,75 +63,10 @@ from .loops import (RealOnePoleFactor, TranslationFactor, TwoPointFactor,
                     two_pole_factor)
 from .report import VerificationReport
 
-# Difference quotients switch to circle-sampled Taylor data below this
-# distance from the pole (handles exact pole hits).
-TAYLOR_BELOW = 1e-6
-CIRCLE_NODES = 16
-_THETA = 2.0 * np.pi * np.arange(CIRCLE_NODES) / CIRCLE_NODES
-# the circle nodes on a leading axis of their own, broadcasting against (P,)
-_NODES = np.exp(1j * _THETA)[:, None]
-
 
 def _mv(A, x):
     """Matrix-vector products over a point set: A (..., n, n), x (..., n)."""
     return (A @ x[..., None])[..., 0]
-
-
-def _circle_values(prefix, pole: complex, radius: float):
-    """The block of the prefix (frame, U, depth) on the sampling circle
-    |w - pole| = radius, stacked on a leading node axis; the samples serve
-    every quotient taken around this pole.  The nodes go through the prefix
-    as lambda of shape (nodes, 1), in as few evaluations as ``row_groups``
-    allows."""
-    frame, U, depth = prefix
-    ws = pole + radius * _NODES
-    return np.concatenate([frame._block(U, ws[g], depth)
-                           for g in row_groups(CIRCLE_NODES, len(U))])
-
-
-def _taylor_dq(vals, radius: float, d):
-    """(f(pole + d) - f(pole)) / d for holomorphic f via the first two Taylor
-    coefficients, read off the circle samples ``vals`` of f."""
-    w1 = np.exp(-1j * _THETA) / (CIRCLE_NODES * radius)
-    w2 = np.exp(-2j * _THETA) / (CIRCLE_NODES * radius ** 2)
-    a1 = np.tensordot(w1, vals, axes=(0, 0))
-    a2 = np.tensordot(w2, vals, axes=(0, 0))
-    return a1 + d * a2
-
-
-def _near(d) -> bool:
-    """Whether the offset d = lambda - pole, one complex or an array with
-    one per point, puts some point below TAYLOR_BELOW: then the pole's
-    sampling circle is needed."""
-    if isinstance(d, complex):
-        return abs(d) < TAYLOR_BELOW
-    return bool((np.abs(d) < TAYLOR_BELOW).any())
-
-
-def _quotient(f, f_pole, d, radius: float, samples):
-    """(f - f_pole) / d for f holomorphic at the pole, d = lambda - pole one
-    complex or an array with one per point of f: the direct quotient where
-    |d| >= TAYLOR_BELOW, elsewhere the Taylor quotient from ``samples``, f on
-    the pole's sampling circle of ``radius`` (None when no point is near)."""
-    if isinstance(d, complex):
-        return (f - f_pole) / d if samples is None else _taylor_dq(samples, radius, d)
-    d = d.reshape(d.shape + (1,) * (f.ndim - d.ndim))
-    if samples is None:
-        return (f - f_pole) / d
-    near = np.abs(d) < TAYLOR_BELOW
-    return np.where(near, _taylor_dq(samples, radius, d),
-                    (f - f_pole) / np.where(near, 1.0, d))
-
-
-def _circle_radius(pole: complex, existing_points) -> float:
-    """Sampling-circle radius around a pole: small, but clear of every other
-    sensitive point of the prefix frame."""
-    r = 0.05 * max(1.0, abs(pole))
-    for q in existing_points:
-        d = abs(complex(pole) - complex(q))
-        if d > pole_tol(pole):
-            r = min(r, 0.45 * d)
-    return r
 
 
 def _point_data(record, frame: ExtendedFrame, index: int, u):
@@ -156,19 +89,18 @@ class _OnePoleData:
     n x (n+1) blocks the update multiplies by, the top block
     [pi_tilde^perp | -pi_tilde eta] of R_tilde and [pi_tilde | pi_tilde eta].
     Each pair sits on a leading axis (shape (2, P, n, n+1)), so one stacked
-    product runs over all points of each pole; ``eta``, pi_tilde's matrix,
-    ``complement`` and ``pe`` are views into them, so nothing is held twice.
+    product runs over all points of each pole; ``eta``, pi_tilde's matrix
+    and ``pe`` are views into them, so nothing is held twice.
     """
 
     pi_tilde: HermitianProjection
-    complement: np.ndarray  # I - pi_tilde
     eta: np.ndarray
     pe: np.ndarray          # pi_tilde @ eta
     F_poles: np.ndarray
     blocks: np.ndarray
 
     def first_point(self) -> "_OnePoleData":
-        return _OnePoleData(self.pi_tilde[0], self.complement[0], self.eta[0], self.pe[0],
+        return _OnePoleData(self.pi_tilde[0], self.eta[0], self.pe[0],
                             self.F_poles[:, 0], self.blocks[:, 0])
 
 
@@ -197,8 +129,6 @@ class OnePoleRecord:
 
     z: complex
     projection: HermitianProjection
-    radius_z: float
-    radius_zbar: float
     sphere_preserving: bool = False
 
     def __post_init__(self):
@@ -259,30 +189,17 @@ class OnePoleRecord:
         pi_tilde = pi_tilde.stored_in(blocks[1, ..., :n])
         blocks[1, ..., n] = _mv(pi_tilde.matrix, eta)
         blocks[0, ..., n] = -blocks[1, ..., n]
-        return _OnePoleData(pi_tilde, blocks[0, ..., :n], eta, blocks[1, ..., n],
-                            F_poles, blocks)
+        return _OnePoleData(pi_tilde, eta, blocks[1, ..., n], F_poles, blocks)
 
     point_data = _point_data
 
-    def _quotients(self, F, lam, data: _OnePoleData, prefix):
-        """dq_{conj z}(F) and dq_z(F), stacked on a leading axis; the prefix
-        is sampled only on the circle of a pole some point is near."""
-        zb, z = self.pole_rows
-        d_zb, d_z = lam - zb, lam - z
-        if not (_near(d_zb) or _near(d_z)):
-            D = F - _on_pair_axis(data.F_poles, F.ndim + 1)
-            D /= _on_pair_axis(np.array((d_zb, d_z))[..., None, None], F.ndim + 1)
-            return D
-        return np.stack([
-            _quotient(F, data.F_poles[i], d, r,
-                      _circle_values(prefix, pole, r) if _near(d) else None)
-            for i, (pole, d, r) in enumerate(((zb, d_zb, self.radius_zbar),
-                                              (z, d_z, self.radius_z)))])
-
-    def apply(self, F, lam, data: _OnePoleData, prefix):
+    def apply(self, F, lam, data: _OnePoleData):
         """Update the block F (..., P, n, n+1) in place and return it."""
         n = F.shape[-2]
-        D = self._quotients(F, lam, data, prefix)
+        zb, z = self.pole_rows
+        # dq_{conj z}(F) and dq_z(F), stacked on a leading axis
+        D = F - _on_pair_axis(data.F_poles, F.ndim + 1)
+        D /= _on_pair_axis(np.array((lam - zb, lam - z))[..., None, None], F.ndim + 1)
         # [pi dq_{conj z}(F), pi^perp dq_z(F)]
         S = _on_pair_axis(self._left, D.ndim) @ D
         # times [R_tilde's top block, [pi_tilde | pi_tilde eta]]; the bottom
@@ -290,7 +207,6 @@ class OnePoleRecord:
         out = np.matmul(S[..., :n], _on_pair_axis(data.blocks, D.ndim), out=D)
         out[0, ..., n] += S[0, ..., n]
         del S
-        zb, z = self.pole_rows
         out *= zb - z
         F += out[0]
         F -= out[1]
@@ -325,7 +241,6 @@ class TranslationRecord:
 
     alpha: float
     b: np.ndarray
-    radius: float
 
     sphere_preserving = False
     is_sigma_compatible = True
@@ -361,16 +276,12 @@ class TranslationRecord:
 
     point_data = _point_data
 
-    def apply(self, F, lam, data: _TranslationData, prefix):
+    def apply(self, F, lam, data: _TranslationData):
         """Update the block F (..., P, n, n+1) in place and return it."""
         # dq_p(F) Y = -i [0 | (E y - b) / d]; E y - b vanishes at the pole
-        b = self.b.astype(complex)
         n = F.shape[-2]
-        d = lam - self.pole
-        Bs = None
-        if _near(d):
-            Bs = _mv(_circle_values(prefix, self.pole, self.radius)[..., :n], data.y) - b
-        F[..., n] -= 1j * _quotient(_mv(F[..., :n], data.y) - b, 0.0, d, self.radius, Bs)
+        d = np.asarray(lam - self.pole)[..., None]
+        F[..., n] -= 1j * ((_mv(F[..., :n], data.y) - self.b.astype(complex)) / d)
         return F
 
     def apply_h(self, h, data: _TranslationData):
@@ -435,14 +346,6 @@ class TwoPoleRecord:
 DressingRecord = OnePoleRecord | TranslationRecord | TwoPoleRecord
 
 
-def _one_pole_record(points, z: complex, projection: HermitianProjection,
-                     **flags) -> OnePoleRecord:
-    """The pole-z record, its sampling circles clear of ``points``."""
-    return OnePoleRecord(z=z, projection=projection,
-                         radius_z=_circle_radius(z, points),
-                         radius_zbar=_circle_radius(np.conj(z), points), **flags)
-
-
 def dress(frame: ExtendedFrame, factor, **flags) -> ExtendedFrame:
     """Append the record of one validated loop factor (a ``loops`` factor),
     refusing a factor of the wrong dimension or with a pole on one of the
@@ -458,16 +361,13 @@ def dress(frame: ExtendedFrame, factor, **flags) -> ExtendedFrame:
             if abs(complex(p) - complex(q)) <= pole_tol(p):
                 raise PoleCollisionError(
                     f"new pole {p} collides with existing history pole {q}")
-    points = frame.sensitive_points()
     if isinstance(factor, TranslationFactor):
-        record = TranslationRecord(factor.alpha, factor.b,
-                                   _circle_radius(factor.poles()[0], points))
+        record = TranslationRecord(factor.alpha, factor.b)
     elif isinstance(factor, TwoPoleFactor):
-        first = _one_pole_record(points, factor.z, factor.projection)
-        record = TwoPoleRecord(first, _one_pole_record(
-            points + first.sensitive_points, complex(-np.conj(factor.z)), factor.rho))
+        record = TwoPoleRecord(OnePoleRecord(factor.z, factor.projection),
+                               OnePoleRecord(complex(-np.conj(factor.z)), factor.rho))
     else:
-        record = _one_pole_record(points, factor.poles()[0], factor.projection, **flags)
+        record = OnePoleRecord(factor.poles()[0], factor.projection, **flags)
     return frame.with_record(record)
 
 

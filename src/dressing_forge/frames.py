@@ -10,14 +10,19 @@ The history is evaluated as one flat sequence of steps: a one-pole or
 translation record is one step, a two-pole record its two one-pole parts.
 Evaluation works on whole point sets at once: every update is a stacked
 array operation over the points, so a grid costs a few numpy calls per step
-rather than a Python loop per point.  Each step needs its prefix (frame, U,
-depth), the frame's first ``depth`` steps at the point set U, at its own
+rather than a Python loop per point.  Each step needs the block of its
+prefix, the frame's first ``depth`` steps at the point set U, at its own
 poles; a point set gets those pole data for the whole chain from one sweep,
 which evaluates the block once on the stack of every pending step's poles
-and lets each step in turn read its rows and dress the later ones.  Every
-such lambda-stacked evaluation, and every Taylor circle, goes in row groups
-of at most ``STACK_PAIRS`` (lambda, point) pairs (one lambda per group when
-the point set alone is larger).
+and lets each step in turn read its rows and dress the later ones.
+
+The steps' poles cancel, so the block is entire in lambda; near a sensitive
+point p (a pole or its conjugate) the direct updates lose digits, so a
+lambda within R(p)/2 of p takes the block's mean over |w - lambda| = R(p),
+the trapezoid rule for Cauchy's formula (Trefethen & Weideman, SIAM Review
+56, 2014).  Every lambda-stacked evaluation, a sweep's or a contour's, goes
+in row groups of at most ``STACK_PAIRS`` (lambda, point) pairs (one lambda
+per group when the point set alone is larger).
 
 Every seed profile's position and energy integrals are closed forms: a
 sampled profile is a sum over its cubic spline pieces, each a
@@ -35,6 +40,7 @@ import numpy as np
 from .errors import NonPositiveError, OutOfDomainError
 from .geometry import EgoroffMetric, Grid
 from .linalg import max_abs
+from .loops import pole_tol
 
 
 def _exp_integral(u, lam):
@@ -260,7 +266,7 @@ class VacuumSeed:
     every profile is constant.  Points are arrays of shape (..., n); results
     carry the same leading shape.  ``lam`` is one lambda (a number) for every
     point, or an array broadcasting against the points' leading shape: one
-    per point, possibly with leading axes of its own (a Taylor circle's nodes
+    per point, possibly with leading axes of its own (a contour's nodes
     against a point set), which lead the results.
     """
 
@@ -352,9 +358,9 @@ def _lambdas(lam, lead: tuple):
 MEMO_POINT_SETS = 4
 
 # Most (lambda, point) pairs one lambda-stacked evaluation or update
-# carries: a pole-data sweep or a Taylor circle stacks lambdas on a leading
-# axis against the point set, and goes through the records in row groups of
-# at most max(1, STACK_PAIRS // P) lambdas.  Stacking saves numpy calls,
+# carries: a pole-data sweep or a contour stacks lambdas on a leading axis
+# against the point set, and goes through the steps in row groups of at most
+# max(1, STACK_PAIRS // P) lambdas.  Stacking saves numpy calls,
 # which pays while a call's fixed cost outweighs its work on the points;
 # beyond that a larger stack only raises the transients of every update.
 STACK_PAIRS = 64
@@ -365,6 +371,11 @@ def row_groups(rows: int, points: int) -> list:
     row groups that STACK_PAIRS allows."""
     step = max(1, STACK_PAIRS // max(points, 1))
     return [slice(i, i + step) for i in range(0, rows, step)]
+
+
+# Nodes of the contour around a lambda near a sensitive point, on a leading axis
+CONTOUR_NODES = 16
+_NODES = np.exp(2j * np.pi * np.arange(CONTOUR_NODES) / CONTOUR_NODES)[:, None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -391,6 +402,8 @@ class ExtendedFrame:
     history: tuple = ()
     steps: tuple = field(init=False, repr=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False)
+    # depth -> (points, R/2, R), unlocked: racing threads store equal values
+    _bands: dict = field(default_factory=dict, init=False, repr=False)
     # re-entrant: computing one step's pole data evaluates the prefix frame
     _lock: threading.RLock = field(default_factory=threading.RLock, init=False, repr=False)
 
@@ -440,9 +453,12 @@ class ExtendedFrame:
         memoised prefix is evaluated on the stack of their poles, lambda of
         shape (m, 1) against the points.  Each step in turn reads its data
         off its own rows (``take_pole_data``), and then dresses the later
-        rows in place with its ``apply``.  Evaluation and updates run in the
-        row groups ``row_groups`` allows; the data keep views into their
-        rows, so the stack is the memo's own storage."""
+        rows in place with its ``apply``.  A row in a contour band at its
+        step's depth is ``_block``'s value there (a node stands in for it in
+        the stack), so the data do not depend on how deep the memo ran.
+        Evaluation and updates run in the row groups ``row_groups`` allows;
+        the data keep views into their rows, so the stack is the memo's own
+        storage."""
         key = U.tobytes()
         with self._lock:
             data = self._memo.pop(key, None)
@@ -454,31 +470,73 @@ class ExtendedFrame:
             k = len(data)
             if k < depth:
                 pending = self.steps[k:depth]
-                lam = np.array([w for step in pending for w in step.pole_rows])[:, None]
+                rows = np.array([w for step in pending for w in step.pole_rows])
+                near = np.concatenate([self._contour_radius(np.array(step.pole_rows), i)
+                                       for i, step in enumerate(pending, start=k)])
+                lam = (rows + near)[:, None]
                 F = np.empty(lam.shape[:1] + U.shape + (self.n + 1,), dtype=complex)
                 for g in row_groups(len(lam), len(U)):
-                    F[g] = self._block(U, lam[g], k)
+                    F[g] = self._steps(U, lam[g], k)
                 for i, step in enumerate(pending, start=k):
                     m = len(step.pole_rows)
+                    for j in np.flatnonzero(near[:m]):
+                        F[j] = self._block(U, complex(rows[j]), i)
                     data.append(step.take_pole_data(F[:m]))
-                    F, lam = F[m:], lam[m:]
+                    F, lam, rows, near = F[m:], lam[m:], rows[m:], near[m:]
                     for g in row_groups(len(F), len(U)):
-                        step.apply(F[g], lam[g], data[i], (self, U, i))
+                        step.apply(F[g], lam[g], data[i])
             return data
+
+    def _contour_radius(self, lam, depth: int) -> np.ndarray:
+        """R(p) for each lambda within R(p)/2 of a sensitive point p of the
+        first ``depth`` steps, 0 for every other; of lam's shape.  R(p) is
+        0.05 max(1, |p|), capped at 0.45 times the distance to every other
+        sensitive point more than ``pole_tol`` away, so the bands are
+        disjoint and no contour node falls in one."""
+        bands = self._bands.get(depth)
+        if bands is None:
+            points = np.array([p for step in self.steps[:depth]
+                               for p in step.sensitive_points], dtype=complex)
+            radii = np.array([min([0.05 * max(1.0, abs(p))]
+                                  + [0.45 * abs(p - q) for q in points if abs(p - q) > pole_tol(p)])
+                              for p in points])
+            bands = self._bands[depth] = (points, radii / 2, radii)
+        points, half, radii = bands
+        inside = np.abs(np.subtract.outer(lam, points)) < half
+        return (inside * radii).max(axis=-1, initial=0.0)
 
     def _block(self, U: np.ndarray, lam, depth: int) -> np.ndarray:
         """The frame block F = [E | X] of the first ``depth`` steps at the
-        (P, n) point set U, shape (..., P, n, n+1).  ``lam`` is one complex
-        or an array broadcasting against (P,), possibly with leading axes of
-        its own, which lead the result: a Taylor circle's (16, 1) nodes or a
-        row group of a pole-data sweep go through the steps in one pass,
-        at the same points and so with the same pole data.  Each step gets
-        its prefix as (frame, U, k), which only a step that samples a circle
-        evaluates, and updates F in place."""
+        (P, n) point set U, shape (P, n, n+1); ``lam`` is one complex or an
+        array of shape (P,).
+
+        A lambda within R(p)/2 of a sensitive point p of these steps, where
+        the direct updates lose digits (or divide by zero), gets F as its
+        mean over CONTOUR_NODES nodes on |w - lambda| = R(p), stacked as
+        lambda of shape (nodes, 1) or (nodes, P) against the same points,
+        so with the same pole data.  Every other lambda gets the direct
+        updates."""
+        r = self._contour_radius(lam, depth)
+        if not r.any():
+            return self._steps(U, lam, depth)
+        w = lam + r * _NODES
+        F = np.concatenate([self._steps(U, w[g], depth)
+                            for g in row_groups(CONTOUR_NODES, len(U))]).mean(axis=0)
+        if r.all():
+            return F
+        # the direct updates elsewhere, with a node in place of each contour lambda
+        return np.where((r > 0)[:, None, None], F, self._steps(U, lam + r, depth))
+
+    def _steps(self, U: np.ndarray, lam, depth: int) -> np.ndarray:
+        """The seed block dressed by the first ``depth`` steps' direct
+        updates, shape (..., P, n, n+1).  ``lam`` is one complex or an array
+        broadcasting against (P,), possibly with leading axes of its own,
+        which lead the result: a contour's nodes or a row group of a sweep
+        go through the steps in one pass.  Each step updates F in place."""
         F = self.seed.block(U, lam)
         data = self.pole_data(U, depth)
         for k in range(depth):
-            F = self.steps[k].apply(F, lam, data[k], (self, U, k))
+            F = self.steps[k].apply(F, lam, data[k])
         return F
 
     def evaluate(self, u, lam, depth: int | None = None):

@@ -77,6 +77,17 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert run_cli("verify", str(bad), tmp_path / "out") == 2
 
 
+def test_parser_is_built_once():
+    """main reuses one parser; parsing leaves it unchanged, so the options
+    of one call do not carry over to the next."""
+    parser = cli.build_parser()
+    a = parser.parse_args(["verify", "--scenario", "a.json", "--step", "0.5", "--out", "o"])
+    b = parser.parse_args(["export", "--scenario", "b.json"])
+    assert cli.build_parser() is parser
+    assert (a.command, a.step, a.out) == ("verify", 0.5, "o")
+    assert (b.command, b.scenario, b.step, b.tol_scale, b.out) == ("export", "b.json", None, 1.0, "out")
+
+
 def test_validation_error_names_rule(tmp_path, capsys):
     raw = base_scenario(grid=[[0.1, 0.5, 7], [-0.5, 0.5, 7]])
     path = write_scenario(tmp_path, raw)

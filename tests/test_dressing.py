@@ -533,33 +533,53 @@ def _chain_ending_in(kind):
     return frame
 
 
-def _circles(frame, U):
-    """(prefix, pole, radius) for every sampling circle of the last record's
-    steps (a two-pole record's second part at the prefix that ends in its
-    first)."""
-    circles = []
-    for k in range(frame.step_count(len(frame.history) - 1), len(frame.steps)):
-        step, prefix = frame.steps[k], (frame, U, k)
-        if isinstance(step, dressing.TranslationRecord):
-            circles.append((prefix, step.pole, step.radius))
-        else:
-            circles += [(prefix, step.z, step.radius_z), (prefix, step.zbar, step.radius_zbar)]
-    return circles
+def _contours(frame):
+    """(depth, point) for every sensitive point of the last record's steps,
+    at the depth that ends in its step (for a two-pole record's first part,
+    the prefix frame without the second)."""
+    first = frame.step_count(len(frame.history) - 1)
+    return [(k + 1, p) for k in range(first, len(frame.steps))
+            for p in frame.steps[k].sensitive_points]
+
+
+def _spy_stacks(monkeypatch):
+    """Record (lambda, block) of every lambda-stacked evaluation the frame's
+    steps run (lambda of two dimensions, nodes or rows against the points)."""
+    stacks = []
+    steps = ExtendedFrame._steps
+
+    def spy(self, U, lam, depth):
+        F = steps(self, U, lam, depth)
+        if isinstance(lam, np.ndarray) and lam.ndim == 2:
+            stacks.append((lam, F))
+        return F
+    monkeypatch.setattr(ExtendedFrame, "_steps", spy)
+    return stacks
 
 
 @pytest.mark.parametrize("kind", ["real", "complex", "two_pole", "translation"])
 @pytest.mark.parametrize("P", [1, 5])
-def test_circle_values_match_node_by_node_prefix(kind, P, rng):
-    """One lambda-stacked prefix evaluation gives the 16 circle samples that
-    evaluating the prefix node by node gives."""
+def test_circle_values_match_node_by_node_prefix(kind, P, monkeypatch, rng):
+    """At and within 1e-8 of each sensitive point of the last record, the
+    contour's one lambda-stacked evaluation of the prefix frame gives the
+    16 node values on |w - lambda| = R that evaluating it node by node
+    gives, and the block there is their mean."""
     frame = _chain_ending_in(kind)
     U = rng.uniform(-0.4, 0.4, size=(P, 3))
-    for prefix, pole, radius in _circles(frame, U):
-        stacked = dressing._circle_values(prefix, pole, radius)
-        oracle = np.stack([frame._block(U, pole + radius * p, prefix[2])
-                           for p in np.exp(1j * dressing._THETA)])
-        assert stacked.shape == (dressing.CIRCLE_NODES, P, 3, 4)
-        assert max_abs(stacked - oracle) <= 1e-15
+    frame.pole_data(U, len(frame.steps))
+    stacks = _spy_stacks(monkeypatch)
+    angles = np.exp(2j * np.pi * np.arange(16) / 16)
+    for depth, p in _contours(frame):
+        for lam in (p, p + 1e-8 * np.exp(0.7j)):
+            radius = frame._contour_radius(lam, depth)
+            assert radius > 0
+            stacks.clear()
+            F = frame._block(U, lam, depth)
+            stacked = np.concatenate([F for _, F in stacks])
+            oracle = np.stack([frame._block(U, w, depth) for w in lam + radius * angles])
+            assert stacked.shape == (frames.CONTOUR_NODES, P, 3, 4)
+            assert max_abs(stacked - oracle) <= 1e-15
+            assert np.array_equal(F, stacked.mean(axis=0))
 
 
 def test_translation_block_update_matches_rational_formula(torus3_frame, rng):
@@ -670,10 +690,10 @@ def test_point_data_after_deeper_memo(warm, rng):
 
 @pytest.mark.parametrize("kind", ["translation", "two_pole"])
 def test_near_pole_block_values_are_continuous(kind, rng):
-    """At |lambda - pole| = 1e-9 and 1e-7 (Taylor quotients) the frame
-    differs from its value at 1e-5 (direct quotients) by O(d): by the slope
-    the direct quotients give between 1e-5 and 1e-3 times the distance, at
-    every pole of the record, for a single point and a point set."""
+    """From |lambda - pole| = 1e-9 to 1e-3, log-uniformly, the frame differs
+    from its value exactly at the pole by the distance times one slope
+    (within 2%), at every pole of the record, for a single point and a
+    point set: the contour values join the pole smoothly."""
     frame = _chain_ending_in(kind)
     U = rng.uniform(-0.4, 0.4, size=(5, 3))
     direction = np.exp(0.7j)
@@ -684,11 +704,31 @@ def test_near_pole_block_values_are_continuous(kind, rng):
         return max(max_abs(Ea - Eb), max_abs(Xa - Xb))
 
     for pole in frame.history[-1].sensitive_points:
-        ref = pole + 1e-5 * direction
         for u in (U[0], U):
-            slope = gap(u, pole + 1e-3 * direction, ref) / (1e-3 - 1e-5)
-            for d in (1e-9, 1e-7):
-                assert gap(u, pole + d * direction, ref) / (1e-5 - d) == pytest.approx(slope, rel=0.02)
+            slope = gap(u, pole + 1e-6 * direction, pole) / 1e-6
+            for d in np.logspace(-9, -3, 7):
+                assert gap(u, pole + d * direction, pole) / d == pytest.approx(slope, rel=0.02)
+
+
+@pytest.mark.parametrize("depth, tol", [(1, 1e-13), (3, 1e-13), (8, 1e-11)])
+def test_near_pole_sweep_keeps_reality(depth, tol):
+    """tau- and sigma-reality, E(conj lambda)^* E(lambda) = I and
+    E(lambda)^t E(-lambda) = I, hold to ``tol`` with |lambda - p| swept
+    log-uniformly over [1e-9, 1e-1] at every sensitive point p of the real
+    chain of the first ``depth`` records alpha = 0.5 + 0.2 k, at 4 angles
+    and 3 points: one evaluation per lambda, with lambda per point."""
+    frame = ExtendedFrame(VacuumSeed.constant([1.0, 0.7, 1.3]),
+                          _sweep_chains()["real8"]().history[:depth])
+    points = np.random.default_rng(31).uniform(-0.4, 0.4, size=(3, 3))
+    offsets = np.outer(np.logspace(-9, -1, 17), np.exp(1j * np.array([0.3, 1.9, 3.5, 5.1])))
+    lam = np.add.outer(np.array(frame.sensitive_points()), offsets.ravel()).ravel()
+    U = np.repeat(points, len(lam), axis=0)
+    lam = np.tile(lam, len(points))
+    E = frame.E(U, lam)
+    eye = np.eye(3)
+    tau = max_abs(frame.E(U, lam.conj()).conj().swapaxes(-1, -2) @ E - eye)
+    sigma = max_abs(E.swapaxes(-1, -2) @ frame.E(U, -lam) - eye)
+    assert tau < tol and sigma < tol
 
 
 def _sweep_chains():
@@ -725,6 +765,8 @@ def _sweep_chains():
         "two_pole_conjugate": lambda: chain(
             kinds["two_pole"],
             lambda f: dress_extended(f, -0.4 - 0.8j, project_onto_span(np.array([1.0, 0.3j, -0.2])))),
+        # poles 0.05 apart, so their distance caps the contour radii
+        "close": lambda: chain(real(0.6, spans[6]), real(0.65, spans[7])),
     }
 
 
@@ -781,26 +823,73 @@ def test_pole_data_sweep_matches_per_record_prefix(chain, P, rng):
 
 
 @pytest.mark.parametrize("chain", ["conjugate", "two_pole_conjugate"])
-def test_pole_data_sweep_takes_the_taylor_branch_on_a_conjugate_pole(chain, monkeypatch, rng):
-    """A step whose poles are the previous step's conjugate poles: that step
-    dresses its rows exactly at its own poles, so the sweep samples its
-    circles, at its own prefix (for a two-pole record's second part, the
-    prefix that ends in the first), as the per-step path does.
+def test_pole_data_sweep_takes_the_contour_on_a_conjugate_pole(chain, monkeypatch, rng):
+    """A step whose poles are the previous step's conjugate poles: the sweep
+    reads that step's rows, exactly at the previous step's poles, off the
+    contour at the step's own depth (for a two-pole record's second part,
+    the depth that ends in the first), as the per-step path does.
     dress_real(0.6) then dress_real(-0.6), and a two-pole record at z then a
     one-pole record at conj(-conj(z))."""
     frame = _sweep_chains()[chain]()
     *_, earlier, last = frame.steps
     assert last.pole_rows == earlier.pole_rows[::-1]
-    circles = []
-    sample = dressing._circle_values
-    monkeypatch.setattr(dressing, "_circle_values",
-                        lambda prefix, pole, radius: circles.append((prefix[2], len(prefix)))
-                        or sample(prefix, pole, radius))
+    contours = []
+    block = ExtendedFrame._block
+
+    def spy(self, U, lam, depth):
+        if self._contour_radius(lam, depth).any():
+            contours.append((depth, lam))
+        return block(self, U, lam, depth)
+    monkeypatch.setattr(ExtendedFrame, "_block", spy)
     U = rng.uniform(-0.4, 0.4, size=(5, 3))
     got = frame.pole_data(U, len(frame.steps))
-    k = len(frame.steps) - 2
-    assert circles == [(k, 3), (k, 3)]
+    k = len(frame.steps) - 1
+    assert contours == [(k, w) for w in last.pole_rows]
     _assert_same_pole_data(got, _per_record_pole_data(frame, U))
+
+
+@pytest.mark.parametrize("chain", ["mixed", "conjugate", "two_pole_conjugate", "close"])
+def test_no_contour_node_falls_in_a_band(chain, monkeypatch, rng):
+    """At every depth and every sensitive point p of the steps so far, a
+    lambda at p, halfway to the band's edge or just inside it, at 4 angles,
+    gets its 16 nodes on |w - lambda| = R(p), and none of them lies within
+    the band of any sensitive point: the nodes take the direct updates."""
+    frame = _sweep_chains()[chain]()
+    U = rng.uniform(-0.4, 0.4, size=(2, 3))
+    frame.pole_data(U, len(frame.steps))
+    stacks = _spy_stacks(monkeypatch)
+    for depth in range(1, len(frame.steps) + 1):
+        for p in frame.steps[depth - 1].sensitive_points:
+            radius = frame._contour_radius(p, depth)
+            for s in (0.0, 0.5, 0.999):
+                for angle in np.exp(1j * np.array([0.0, 0.9, 2.5, 4.4])):
+                    lam = p + s * radius / 2 * angle
+                    stacks.clear()
+                    frame._block(U, lam, depth)
+                    w = np.concatenate([nodes for nodes, _ in stacks])
+                    assert w.size == frames.CONTOUR_NODES
+                    assert np.allclose(np.abs(w - lam), radius, rtol=1e-12, atol=0)
+                    assert not frame._contour_radius(w, depth).any()
+
+
+@pytest.mark.parametrize("chain", ["mixed", "conjugate", "two_pole_conjugate"])
+def test_evaluate_at_depth_equals_the_shorter_frame(chain, rng):
+    """evaluate(u, lam, depth=k) is bit for bit the k-record frame's
+    evaluate, for every k, off the poles, within 1e-8 of every sensitive
+    point of the whole chain and exactly on it, after the whole frame was
+    evaluated there, for a single point and a point set."""
+    frame = _sweep_chains()[chain]()
+    U = rng.uniform(-0.4, 0.4, size=(5, 3))
+    poles = frame.sensitive_points()
+    lams = [0.9, 0.3 - 1.1j] + [p + 1e-8 * np.exp(0.7j) for p in poles] + list(poles)
+    for u in (U[0], U):
+        for lam in lams:
+            frame.evaluate(u, lam)
+        for k in range(1, len(frame.history) + 1):
+            fresh = ExtendedFrame(frame.seed, frame.history[:k])
+            for lam in lams:
+                for a, b in zip(frame.evaluate(u, lam, depth=k), fresh.evaluate(u, lam)):
+                    assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("cap", [7, 30])
@@ -829,7 +918,7 @@ def test_stacked_evaluations_stay_within_the_cap(monkeypatch, cap, rng):
             return method(self, x, lam, *rest)
         monkeypatch.setattr(owner, name, wrapper)
 
-    spy(ExtendedFrame, "_block", len)  # (U, lam, depth), U of shape (P, n)
+    spy(ExtendedFrame, "_steps", len)  # (U, lam, depth), U of shape (P, n)
     for owner in (dressing.OnePoleRecord, dressing.TranslationRecord):
         spy(owner, "apply", lambda F: F.shape[1])  # F of shape (m, P, n, n+1)
     monkeypatch.setattr(frames, "STACK_PAIRS", cap)

@@ -443,7 +443,7 @@ def test_batched_evaluation_matches_single_points(seed_name, closed_only):
 @pytest.mark.parametrize("seed_name", list(SEEDS))
 def test_per_point_lambda_matches_scalar_calls(seed_name):
     """One call with a lambda per point (off-pole, exactly 0, and within
-    3e-9 of three chain poles, so direct and Taylor quotients mix) equals the
+    3e-9 of three chain poles, so direct and contour values mix) equals the
     one-point, one-lambda calls row by row."""
     frame = _chain(SEEDS[seed_name](), closed_only=False)
     lams = np.array(LAMBDAS * 2)[np.random.default_rng(5).permutation(2 * len(LAMBDAS))]
