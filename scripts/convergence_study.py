@@ -68,7 +68,7 @@ def main(argv=None):
         out = integrate_bf(2, vacuum.beta, vacuum.h, args.alpha, pi.matrix,
                            np.zeros(2), path, step)
         rows.append((f"step {step:g}",
-                     max(max_abs(out.pi_tilde - data.pi_tilde.matrix),
+                     max(max_abs(out.pi_tilde - data.pi_tilde),
                          max_abs(out.y - y_ref))))
     table("RK4 dressing-system integration vs algebraic transport", rows)
     return 0

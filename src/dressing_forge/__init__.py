@@ -3,8 +3,7 @@ rational loop-group dressing of explicit vacuum seeds, with numerical
 verification of every structural invariant."""
 
 from .errors import (AtPoleError, ChartSingularError, DressingForgeError,
-                     NonFiniteError, NonPositiveError, NonRealError,
-                     OutOfDomainError,
+                     NonFiniteError, NonRealError, OutOfDomainError,
                      PoleCollisionError, ProjectionDriftError,
                      RankDeficientError, SingularError,
                      SphericalViolationError, StepTooLargeError)

@@ -284,15 +284,16 @@ def validate_scenario(raw: dict) -> Scenario:
     # tri-state toggles: True/False when the scenario says so, None = decide
     # from applicability (sphere-type checks need a partial-invariant chain)
     enabled = {}
-    for name in list(DEFAULT_TOLERANCES):
-        if name in ("lagrangian_metric", "norm_constancy", "lambda_zero_derivative",
-                    "path_independence", "permutability"):
-            continue  # sub-tolerances of other checks
+    for name in BASE_CHECKS + SPHERICAL_CHECKS:
         value = checks_spec.get(name)
         if value is not None and not isinstance(value, bool):
             raise ValidationError(f"checks.{name}: toggle must be true or false")
         enabled[name] = value if value is not None else (None if name in SPHERICAL_CHECKS
-                                                         else name in BASE_CHECKS)
+                                                         else True)
+    unknown = [name for name in checks_spec if name not in enabled and name != "tolerances"]
+    if unknown:
+        raise ValidationError(f"checks.{unknown[0]}: unknown check toggle (rule: a toggle "
+                              f"names one of {', '.join(enabled)})")
 
     export = raw.get("export")
     if export is not None:
@@ -496,7 +497,7 @@ def run_verification(scenario: Scenario, frame: ExtendedFrame,
             report.add("potential_agreement", residual, tols["potential"])
         else:
             i, rec = next((i, rec) for i, rec in enumerate(frame.history)
-                          if not rec.has_closed_potential)
+                          if rec.potential_gap is not None)
             report.add("potential_skipped", 0.0, None,
                        reason=f"chain[{i}]: {rec.potential_gap}")
     if checks.get("lambda_zero"):

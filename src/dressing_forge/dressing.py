@@ -36,15 +36,16 @@ real one-pole records and two-pole records (see :class:`TwoPoleRecord`); a
 translation has none.
 
 The history holds one immutable record per loop factor: one-pole, two-pole
-or translation.  The frame evaluates it as a flat sequence of steps, each
-record's ``steps``: a two-pole record is its two one-pole parts and holds no
-evaluation code.  A step's pole data (pi_tilde, eta and the prefix frame at
-the poles) are arrays stacked over a whole point set, which the frame's
-pole-data sweep (``ExtendedFrame.pole_data``) computes and memoises per
-point set: ``take_pole_data`` reads them off the step's own rows of the
-stacked prefix block, and a record's ``point_data`` is the one-point view (a
-pair for a two-pole record).  ``apply`` updates the block it is given in
-place and returns it.
+or translation.  A record keeps the facts of its factor as a whole
+(sigma-compatibility, why it has no closed potential); the frame evaluates
+the history as a flat sequence of steps, each record's ``steps``: a
+two-pole record is its two one-pole parts and holds no evaluation code.  A
+step's pole data are the arrays its ``apply`` reads, stacked over a whole
+point set: the prefix block at its poles and, for a one-pole step, the two
+blocks it multiplies by.  The frame's pole-data sweep
+(``ExtendedFrame.pole_data``) computes and memoises them per point set, and
+``take_pole_data`` reads them off the step's own rows of the stacked prefix
+block.  ``apply`` updates the block it is given in place and returns it.
 """
 
 from __future__ import annotations
@@ -70,38 +71,46 @@ def _mv(A, x):
 
 
 def _point_data(record, frame: ExtendedFrame, index: int, u):
-    """Pole data of ``record`` (the frame's record ``index``) at the single
-    point u, one per step (a pair for a two-pole record): the one-point
-    view of the stacked data the frame memoises."""
+    """Pole data of the one-step ``record`` (the frame's record ``index``)
+    at the single point u: the one-point view of the stacked data the frame
+    memoises."""
     U = np.asarray(u, dtype=float).reshape(1, frame.n)
-    k, m = frame.step_count(index), len(record.steps)
-    data = [d.first_point() for d in frame.pole_data(U, k + m)[k:k + m]]
-    return tuple(data) if len(data) > 1 else data[0]
+    k = frame.step_count(index)
+    return frame.pole_data(U, k + 1)[k].first_point()
 
 
 @dataclass(frozen=True, eq=False)
 class _OnePoleData:
-    """Per-point pole data of a one-pole record, stacked over a point set.
+    """Pole data of a one-pole step over a point set: the two arrays its
+    update reads, each of shape (2, P, n, n+1) with the pole pair on the
+    leading axis, so one stacked product runs over all points of each pole.
 
     ``F_poles`` holds the prefix block [E | X] at conj(z) and [E | eta] at
     z: the update reads only E at z (the quotient of that X column is
     discarded), so the column holds eta.  ``blocks`` holds the two
     n x (n+1) blocks the update multiplies by, the top block
     [pi_tilde^perp | -pi_tilde eta] of R_tilde and [pi_tilde | pi_tilde eta].
-    Each pair sits on a leading axis (shape (2, P, n, n+1)), so one stacked
-    product runs over all points of each pole; ``eta``, pi_tilde's matrix
-    and ``pe`` are views into them, so nothing is held twice.
+    ``eta``, ``pi_tilde`` (the transported projection's matrix) and ``pe``
+    (pi_tilde eta) are views into them.
     """
 
-    pi_tilde: HermitianProjection
-    eta: np.ndarray
-    pe: np.ndarray          # pi_tilde @ eta
     F_poles: np.ndarray
     blocks: np.ndarray
 
+    @property
+    def eta(self) -> np.ndarray:
+        return self.F_poles[1, ..., -1]
+
+    @property
+    def pi_tilde(self) -> np.ndarray:
+        return self.blocks[1, ..., :-1]
+
+    @property
+    def pe(self) -> np.ndarray:
+        return self.blocks[1, ..., -1]
+
     def first_point(self) -> "_OnePoleData":
-        return _OnePoleData(self.pi_tilde[0], self.eta[0], self.pe[0],
-                            self.F_poles[:, 0], self.blocks[:, 0])
+        return _OnePoleData(self.F_poles[:, 0], self.blocks[:, 0])
 
 
 def _on_pair_axis(x, ndim: int):
@@ -168,10 +177,6 @@ class OnePoleRecord:
         return ("sigma-incompatible pole, the eta^* pi_tilde eta update needs "
                 "the sigma-real product")
 
-    @property
-    def has_closed_potential(self) -> bool:
-        return self.potential_gap is None
-
     def take_pole_data(self, F_poles) -> _OnePoleData:
         """Pole data off this step's rows F_poles (2, P, n, n+1) of a
         pole-data sweep, the prefix block at conj(z) and z.  The data keep
@@ -186,10 +191,10 @@ class OnePoleRecord:
         eta[...] = solve_linear(E_zbar, F_poles[0, ..., n])
         blocks = np.empty_like(F_poles)
         blocks[0, ..., :n] = pi_tilde.complement
-        pi_tilde = pi_tilde.stored_in(blocks[1, ..., :n])
-        blocks[1, ..., n] = _mv(pi_tilde.matrix, eta)
+        blocks[1, ..., :n] = pi_tilde.matrix
+        blocks[1, ..., n] = _mv(blocks[1, ..., :n], eta)
         blocks[0, ..., n] = -blocks[1, ..., n]
-        return _OnePoleData(pi_tilde, eta, blocks[1, ..., n], F_poles, blocks)
+        return _OnePoleData(F_poles, blocks)
 
     point_data = _point_data
 
@@ -216,7 +221,7 @@ class OnePoleRecord:
         return h + 1j * (self.z - self.zbar) * data.pe
 
     def apply_beta(self, beta, data: _OnePoleData):
-        return beta + 1j * (self.z - self.zbar) * star_reduce(data.pi_tilde.matrix)
+        return beta + 1j * (self.z - self.zbar) * star_reduce(data.pi_tilde)
 
     def apply_phi(self, phi, data: _OnePoleData):
         alpha = self.z.imag
@@ -244,7 +249,6 @@ class TranslationRecord:
 
     sphere_preserving = False
     is_sigma_compatible = True
-    has_closed_potential = False
     potential_gap = "no closed-form potential update for the translation factor"
 
     @property
@@ -296,9 +300,9 @@ class TwoPoleRecord:
     """Dressing by the two-pole factor f_{z,pi} = g_{-conj(z),rho} g_{z,pi}:
     its one-pole parts ``first`` (pole z, pi) and ``second`` (pole -conj(z),
     rho) are its two steps, so a frame evaluates it as dressing by one part
-    and then the other.  Each part alone is only tau-real; the product is
-    sigma-real, so the record is sigma-compatible.  Its point data are the
-    pair (first part's, second part's).
+    and then the other, and takes its poles and pole data from the parts.
+    Each part alone is only tau-real; the product is sigma-real, so the
+    record is sigma-compatible.
 
     The potential takes each part's update phi -> phi - 2 alpha Q, with
     alpha = Im(z) and Q = eta^* pi_tilde eta (real: pi_tilde is Hermitian).
@@ -325,22 +329,11 @@ class TwoPoleRecord:
     second: OnePoleRecord
 
     is_sigma_compatible = True
-    has_closed_potential = True
     potential_gap = None
-
-    @property
-    def factor_poles(self) -> tuple:
-        return self.first.factor_poles + self.second.factor_poles
-
-    @property
-    def sensitive_points(self) -> tuple:
-        return self.first.sensitive_points + self.second.sensitive_points
 
     @property
     def steps(self) -> tuple:
         return (self.first, self.second)
-
-    point_data = _point_data
 
 
 DressingRecord = OnePoleRecord | TranslationRecord | TwoPoleRecord
@@ -409,10 +402,7 @@ def dress_spherical(frame: ExtendedFrame, alpha: float,
 def dress_translation(frame: ExtendedFrame, alpha: float, b) -> ExtendedFrame:
     """Dressing by the translation-block factor: h -> h + E(u, i alpha)^{-1} b
     with beta untouched (bit-for-bit: the record forwards it unchanged)."""
-    factor = TranslationFactor(float(alpha), b)
-    if factor.b.shape != (frame.n,):
-        raise ValueError(f"b must be a real vector of length {frame.n}")
-    return dress(frame, factor)
+    return dress(frame, TranslationFactor(float(alpha), b))
 
 
 def dress_two_pole(frame: ExtendedFrame, z: complex,

@@ -33,10 +33,6 @@ class NonRealError(DressingForgeError):
     """A quantity asserted to be real has a non-negligible imaginary part."""
 
 
-class NonPositiveError(DressingForgeError):
-    """A metric coefficient dropped to zero or below on the grid."""
-
-
 class OutOfDomainError(DressingForgeError):
     """Evaluation point outside a seed profile's domain."""
 

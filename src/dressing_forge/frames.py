@@ -32,12 +32,13 @@ spline coefficients and is imported when a sampled profile is made.
 
 from __future__ import annotations
 
+import cmath
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonPositiveError, OutOfDomainError
+from .errors import NonFiniteError, OutOfDomainError
 from .geometry import EgoroffMetric, Grid
 from .linalg import max_abs
 from .loops import pole_tol
@@ -341,17 +342,21 @@ class VacuumSeed:
 def _lambdas(lam, lead: tuple):
     """One lambda for every point as a Python complex, or one per point as
     a flat complex array: ``lam`` broadcast against the leading shape
-    ``lead`` of the point set."""
-    if isinstance(lam, (complex, float, int)):
-        return complex(lam)
-    lam = np.asarray(lam, dtype=complex)
-    if lam.ndim == 0:
-        return complex(lam)
-    try:
-        return np.broadcast_to(lam, lead).reshape(-1)
-    except ValueError:
-        raise ValueError(f"lambdas of shape {lam.shape} do not broadcast against the "
-                         f"leading shape {lead} of the points") from None
+    ``lead`` of the point set.  A NaN or infinite lambda is refused."""
+    if not isinstance(lam, (complex, float, int)):
+        lam = np.asarray(lam, dtype=complex)
+        if lam.ndim:
+            if not np.isfinite(lam).all():
+                raise NonFiniteError("every lambda must be finite")
+            try:
+                return np.broadcast_to(lam, lead).reshape(-1)
+            except ValueError:
+                raise ValueError(f"lambdas of shape {lam.shape} do not broadcast against "
+                                 f"the leading shape {lead} of the points") from None
+    lam = complex(lam)
+    if not cmath.isfinite(lam):
+        raise NonFiniteError(f"lambda must be finite, got {lam}")
+    return lam
 
 
 # Number of most recent point sets whose pole data a frame keeps.
@@ -387,8 +392,8 @@ class ExtendedFrame:
     of shape (n,) is the one-point case and gives (n, n) and (n,).
     ``evaluate``, ``E`` and ``X`` take one lambda for all points, or one per
     point (an array broadcasting against the leading shape).  Each step's
-    pole data (the transported projection and friends) are stacked arrays
-    over the whole point set, computed once; the frame keeps them for its
+    pole data (the arrays its update reads) are stacked over the whole
+    point set and computed once; the frame keeps them for its
     ``MEMO_POINT_SETS`` most recent point sets, so memory is bounded by the
     point sets, not by how many calls were made.
 
@@ -423,7 +428,7 @@ class ExtendedFrame:
     @property
     def has_closed_potential(self) -> bool:
         """Whether every record carries a closed-form potential update."""
-        return all(rec.has_closed_potential for rec in self.history)
+        return all(rec.potential_gap is None for rec in self.history)
 
     def with_record(self, record) -> "ExtendedFrame":
         return ExtendedFrame(self.seed, self.history + (record,))
@@ -433,10 +438,10 @@ class ExtendedFrame:
         return sum(len(rec.steps) for rec in self.history[:records])
 
     def factor_poles(self) -> tuple:
-        return tuple(p for rec in self.history for p in rec.factor_poles)
+        return tuple(p for step in self.steps for p in step.factor_poles)
 
     def sensitive_points(self) -> tuple:
-        return tuple(p for rec in self.history for p in rec.sensitive_points)
+        return tuple(p for step in self.steps for p in step.sensitive_points)
 
     def _point_set(self, u):
         """(P, n) contiguous float points plus the caller's leading shape."""
@@ -656,14 +661,13 @@ def potential_on_grid(frame: ExtendedFrame, grid: Grid, axis_order=None) -> np.n
     return phi
 
 
-def metric_from_frame(frame: ExtendedFrame, grid: Grid, strict: bool = False,
-                      axis_order=None) -> EgoroffMetric:
+def metric_from_frame(frame: ExtendedFrame, grid: Grid) -> EgoroffMetric:
     """Sample h, beta and the potential from the closed-form accumulated
     updates.  A chain with a record that has no closed potential update gets
-    its potential integrated along staircase paths instead, in ``axis_order``.
+    its potential integrated along staircase paths instead.
 
-    Nonpositive h on the grid marks the metric (``h_positive=False``) --- the
-    immersion chart has been left --- and raises only with ``strict=True``.
+    Nonpositive h on the grid marks the metric (``h_positive=False``): the
+    immersion chart has been left.
     """
     pts = grid.points()
     h = frame.h(pts)
@@ -672,13 +676,11 @@ def metric_from_frame(frame: ExtendedFrame, grid: Grid, strict: bool = False,
     if closed:
         phi = frame.phi(pts).astype(complex)
     else:
-        phi = potential_on_grid(frame, grid, axis_order)
+        phi = potential_on_grid(frame, grid)
 
     imag_max = max(max_abs(h.imag), max_abs(beta.imag))
     is_real = imag_max < 1e-9
     h_positive = bool(np.all(h.real > 0)) if is_real else False
-    if strict and is_real and not h_positive:
-        raise NonPositiveError("metric coefficient h_i <= 0 somewhere on the grid")
 
     c = frame.h(np.zeros(grid.n))
     return EgoroffMetric(grid=grid, h=h, phi=phi, beta=beta, c=c,

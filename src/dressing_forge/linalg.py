@@ -11,7 +11,6 @@ pi = pi* corrupts every downstream transformation formula.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,7 +107,7 @@ def solve_linear(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 class HermitianProjection:
     """An n x n complex matrix pi with pi^2 = pi and pi = pi*, or a stack of
     them of shape (..., n, n) sharing one rank (one projection per point of a
-    point set; indexing the stack gives the projection at one point).
+    point set).
 
     ``span`` holds an orthonormal basis of the image; transported images are
     computed by mapping the span and re-projecting, which is numerically
@@ -146,20 +145,6 @@ class HermitianProjection:
     @property
     def complement(self) -> np.ndarray:
         return np.eye(self.n) - self.matrix
-
-    def stored_in(self, out: np.ndarray) -> "HermitianProjection":
-        """The same projection with its matrix copied into ``out`` (a view
-        into a larger buffer, say) and held there.  The values are the ones
-        this projection validated, so they are not checked again."""
-        out[...] = self.matrix
-        moved = copy.copy(self)
-        object.__setattr__(moved, "matrix", out)
-        return moved
-
-    def __getitem__(self, index) -> "HermitianProjection":
-        """The projection (or sub-stack) at ``index`` of a stack."""
-        pi = self.matrix[index]
-        return HermitianProjection(pi, self.rank, not np.any(pi.imag), self.span[index])
 
     def conjugate(self) -> "HermitianProjection":
         """The projection onto the conjugated image (pi bar)."""

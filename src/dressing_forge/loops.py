@@ -11,9 +11,9 @@ addition satisfy g(-lambda)^t g(lambda) = I (sigma condition) are the
 generators implemented here: one imaginary pole with a real projection, and
 the two-pole product f_{z,pi} = g_{-conj(z),rho} g_{z,pi}.
 
-The factor constructors hold the rules on factor data (alpha != 0, a real
-projection, poles off the axes, the pole list); dressing and the scenario
-loader build factors here and rely on those checks.
+The factor constructors hold the rules on factor data (finite numbers,
+alpha != 0, a real projection, poles off the axes, the pole list); dressing
+and the scenario loader build factors here and rely on those checks.
 """
 
 from __future__ import annotations
@@ -52,6 +52,9 @@ class TwoPointFactor:
     projection: HermitianProjection
 
     def __post_init__(self):
+        if not np.isfinite([self.alpha1, self.alpha2]).all():
+            raise ValueError(f"a simple element needs a finite pole and zero, got {self.alpha1} "
+                             f"and {self.alpha2} (rule: pole and zero finite)")
         if abs(self.alpha1 - self.alpha2) <= POLE_TOL * max(1.0, abs(self.alpha1)):
             raise PoleCollisionError("pole and zero of a simple element must differ")
 
@@ -83,8 +86,8 @@ class RealOnePoleFactor:
     projection: HermitianProjection
 
     def __post_init__(self):
-        if self.alpha == 0.0:
-            raise ValueError("alpha must be nonzero (rule: alpha != 0)")
+        if not np.isfinite(self.alpha) or self.alpha == 0.0:
+            raise ValueError("alpha must be finite and nonzero (rule: alpha != 0)")
         if not self.projection.is_real:
             raise ValueError("real one-pole factor needs a real projection "
                              "(rule: conjugation-invariant image)")
@@ -118,6 +121,8 @@ class TwoPoleFactor:
 
     def __post_init__(self):
         z = complex(self.z)
+        if not np.isfinite(z):
+            raise ValueError(f"two-pole factor needs a finite z, got {z} (rule: z finite)")
         if abs(z.real) < 1e-12 or abs(z.imag) < 1e-12:
             raise ValueError("two-pole factor needs z off both the real and imaginary axes "
                              "(rule: Re z != 0 and Im z != 0)")
@@ -152,9 +157,12 @@ class TranslationFactor:
     b: np.ndarray
 
     def __post_init__(self):
-        if self.alpha == 0.0:
-            raise ValueError("alpha must be nonzero (rule: alpha != 0)")
+        if not np.isfinite(self.alpha) or self.alpha == 0.0:
+            raise ValueError("alpha must be finite and nonzero (rule: alpha != 0)")
         b = np.asarray(self.b, dtype=float)
+        if b.ndim != 1 or not np.isfinite(b).all():
+            raise ValueError(f"translation b must be a finite real vector, got {self.b!r} "
+                             "(rule: b is a real vector of finite numbers)")
         object.__setattr__(self, "b", b)
 
     @property

@@ -243,7 +243,7 @@ def test_criterion_08_bf_system(vacuum, soliton, pi_real):
     def run(step):
         out = integrate_bf(2, vacuum.beta, vacuum.h, ALPHA, pi_real.matrix,
                            np.zeros(2), path, step)
-        return out, max(max_abs(out.pi_tilde - data.pi_tilde.matrix),
+        return out, max(max_abs(out.pi_tilde - data.pi_tilde),
                         max_abs(out.y - y_ref))
 
     out1, r1 = run(2e-2)

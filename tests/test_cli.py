@@ -134,6 +134,17 @@ def test_malformed_scenario_exits_3_naming_rule(tmp_path, capsys, overrides, rul
     assert "validation error" in err and rule in err
 
 
+@pytest.mark.parametrize("toggle, value", [("realty", False), ("permutability", True)],
+                         ids=["misspelled", "sub-tolerance"])
+def test_unknown_check_toggle_exits_3_naming_it(tmp_path, capsys, toggle, value):
+    """A check toggle that names no check, a misspelling or a sub-tolerance
+    of another check, is refused by name instead of being ignored."""
+    path = write_scenario(tmp_path, base_scenario(checks={toggle: value}))
+    assert run_cli("run", path, tmp_path / "out") == 3
+    err = capsys.readouterr().err
+    assert f"checks.{toggle}: unknown check toggle" in err
+
+
 REAL_ONE_POLE = {"type": "real_one_pole", "alpha": 0.6, "span": [[[1.0, 0.0]], [[1.0, 0.0]]]}
 
 

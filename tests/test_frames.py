@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from dressing_forge import (ConstantProfile, ExtendedFrame, Grid,
-                            OutOfDomainError, PolynomialProfile,
+                            NonFiniteError, OutOfDomainError, PolynomialProfile,
                             SampledProfile, VacuumSeed, dress_extended,
                             dress_real, dress_spherical, dress_translation,
                             dress_two_pole, frame_dlambda_at_zero, max_abs,
@@ -551,3 +551,17 @@ def test_threads_sharing_a_frame_get_single_thread_results(torus_frame, pi_diag)
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not failures
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf, complex(0.3, -np.inf), np.array(np.nan),
+                                 np.array([0.9, np.nan, 0.4]), [0.9, 0.5, np.inf]],
+                         ids=["nan", "inf", "imag-inf", "0d-nan", "per-point-nan",
+                              "per-point-inf"])
+def test_evaluate_rejects_nonfinite_lambda(lam, torus3_frame):
+    """A NaN or infinite lambda, one for all points or one per point, is
+    refused instead of giving NaN blocks."""
+    frame = dress_real(torus3_frame, 0.6, project_onto_span(np.ones(3) / np.sqrt(3)))
+    U = np.zeros((3, 3))
+    with pytest.raises(NonFiniteError, match="finite"):
+        frame.evaluate(U, lam)
+

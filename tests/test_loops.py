@@ -174,3 +174,21 @@ def test_factor_normalization_property(seed):
     if abs(lam - z) > 0.05:
         prod = g(np.conj(lam)).conj().T @ g(lam)
         assert max_abs(prod - np.eye(3)) < 1e-12
+
+
+@pytest.mark.parametrize("make", [
+    lambda pi: TranslationFactor(0.5, [np.nan, 1.0]),
+    lambda pi: TranslationFactor(0.5, [[0.1, 0.2], [0.3, 0.4]]),
+    lambda pi: TranslationFactor(np.inf, [0.1, 0.2]),
+    lambda pi: RealOnePoleFactor(np.nan, pi),
+    lambda pi: one_pole_factor(complex(np.nan, 0.5), pi),
+    lambda pi: TwoPointFactor(complex(np.inf, 0.5), complex(np.inf, -0.5), pi),
+    lambda pi: two_pole_factor(complex(0.4, np.inf), pi),
+], ids=["b-nan", "b-matrix", "translation-alpha-inf", "real-alpha-nan", "one-pole-z-nan",
+        "simple-element-pole-inf", "two-pole-z-inf"])
+def test_factor_constructors_reject_nonfinite_data(make):
+    """Each factor constructor refuses non-finite or misshapen factor data
+    with a message about finiteness, before any frame is dressed by it."""
+    with pytest.raises(ValueError, match="finite"):
+        make(pi_of([1.0, 0.5]))
+

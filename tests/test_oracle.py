@@ -93,7 +93,7 @@ def test_bf_matches_algebraic_projection(torus_frame, pi_diag):
         out = integrate_bf(2, torus_frame.beta, torus_frame.h, alpha,
                            pi_diag.matrix, np.zeros(2), path, step)
         data = rec.point_data(frame, 0, target)
-        return out, max_abs(out.pi_tilde - data.pi_tilde.matrix)
+        return out, max_abs(out.pi_tilde - data.pi_tilde)
 
     out1, r1 = run(2e-2)
     out2, r2 = run(1e-2)
