@@ -3,10 +3,14 @@
 Everything is a plain complex128 ``numpy.ndarray`` at small fixed dimension
 (n = 2..8 at desk scale); there is no sparse or blocked structure.  Matrix
 routines accept stacks of shape (..., n, n), one matrix per point of a point
-set, and apply their checks to every matrix in the stack.  The one
-structured value is :class:`HermitianProjection`, which is re-validated on
-every construction because a projection that silently fails pi^2 = pi or
-pi = pi* corrupts every downstream transformation formula.
+set, and apply their checks to every matrix in the stack.  The checks are
+cheap certificates where one decides exactly: a solve passes every matrix
+whose Frobenius condition number ||A||_F ||A^-1||_F, an upper bound on the
+2-norm one, is below the limit, and a one-column span needs only a nonzero
+norm.  A values-only SVD decides the rest.  The one structured value is
+:class:`HermitianProjection`, which is re-validated on every construction
+because a projection that silently fails pi^2 = pi or pi = pi* corrupts every
+downstream transformation formula.
 """
 
 from __future__ import annotations
@@ -80,27 +84,73 @@ def lax_block(M: np.ndarray, axis: int, lam: complex | None = None,
     return out
 
 
-def solve_linear(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve A X = B for a small well-conditioned square A, or for each
-    matrix of a stack A of shape (..., n, n).  B holds one right-hand side
-    vector per matrix (shape (..., n)) or one block (shape (..., n, k)).
+def _frobenius(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Frobenius norm of each matrix of a stack (..., n, k) as r * 2**e.
 
-    Raises :class:`SingularError` when the SVD condition estimate of any
-    matrix exceeds ``COND_MAX`` (covers exactly singular pivots as well).
-    """
-    A = cmat(A)
-    _require_square(A, "solve_linear")
+    Each matrix is first scaled by the power of two 2**-e that brings its
+    largest |real or imaginary part| into [1/2, 1), as LAPACK's nrm2 scales,
+    so the sum of squares neither overflows nor underflows; the scaling is
+    exact.  Returns (r, e, X) with X the real view (..., n, 2k) of the scaled
+    matrix.  A zero matrix has r = 0, a non-finite one a non-finite r."""
+    X = np.ascontiguousarray(M).view(float)
+    n, k2 = X.shape[-2:]
+    _, e = np.frexp(np.abs(X).reshape(X.shape[:-2] + (n * k2,)).max(axis=-1))
+    X = np.ldexp(X, -e[..., None, None])
+    return np.sqrt(np.einsum("...ij,...ij->...", X, X)), e, X
+
+
+def _require_conditioned(A: np.ndarray) -> None:
+    """Raise :class:`SingularError` when the SVD condition number of any
+    matrix of the stack A exceeds ``COND_MAX`` or its sigma_min is 0."""
     s = np.linalg.svd(A, compute_uv=False)
     smin = s[..., -1]
-    cond = s[..., 0] / np.maximum(smin, 1e-300)
+    with np.errstate(over="ignore"):  # a condition beyond the float range reads inf
+        cond = s[..., 0] / np.maximum(smin, 1e-300)
     # an empty stack has nothing to check
     if smin.size and (smin.min() == 0.0 or cond.max() > COND_MAX):
         worst = np.where(smin == 0.0, np.inf, cond).max()
         raise SingularError(f"matrix condition {worst:.3e} exceeds {COND_MAX:.1e}")
+
+
+def solve_linear(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Solve A X = B for a small well-conditioned square A, or for each
+    matrix of a stack A of shape (..., n, n).  B holds one right-hand side
+    vector per matrix (shape (..., n)) or one block (shape (..., n, k)).
+    The result is exactly ``np.linalg.solve``'s.
+
+    Raises :class:`SingularError` when the 2-norm condition number of any
+    matrix exceeds ``COND_MAX`` (covers exactly singular pivots as well).
+    One LU solve against [B | I] gives X and A^-1, and the certificate
+    cond_2 <= cond_F = ||A||_F ||A^-1||_F passes every matrix whose cond_F
+    is at most ``COND_MAX``.  Only the others (and every matrix when the LU
+    meets an exactly zero pivot) go to a values-only SVD, which decides.
+    """
+    A = cmat(A)
+    _require_square(A, "solve_linear")
     B = np.asarray(B, dtype=complex)
-    if A.ndim > 2 and B.ndim == A.ndim - 1:
-        return np.linalg.solve(A, B[..., None])[..., 0]
-    return np.linalg.solve(A, B)
+    vector = B.ndim == 1 or (A.ndim > 2 and B.ndim == A.ndim - 1)
+    if vector:
+        B = B[..., None]
+    n, k = A.shape[-1], B.shape[-1]
+    BI = np.empty(B.shape[:-1] + (k + n,), dtype=complex)
+    BI[..., :k] = B
+    BI[..., k:] = np.eye(n)
+    try:
+        XI = np.linalg.solve(A, BI)
+    except np.linalg.LinAlgError:
+        _require_conditioned(A)
+        raise
+    pair = np.empty((2,) + XI.shape[:-1] + (n,), dtype=complex)
+    pair[0], pair[1] = A, XI[..., k:]
+    r, e, _ = _frobenius(pair)
+    # cond_F = r_A r_inv 2^(e_A + e_inv), each r in [1/2, sqrt(2) n]; capping
+    # the exponent at 64 keeps cond_F finite and still fails every capped matrix
+    cond_f = np.ldexp(r[0] * r[1], np.minimum(e[0] + e[1], 64))
+    certified = cond_f <= COND_MAX  # NaN fails the certificate too
+    if not certified.all():
+        _require_conditioned(pair[0][~certified])
+    # a copy, so that a kept solution does not keep A^-1 alive with it
+    return np.ascontiguousarray(XI[..., 0] if vector else XI[..., :k])
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,12 +214,15 @@ def project_onto_span(V: np.ndarray) -> HermitianProjection:
     for a stack V of shape (..., n, k), the stack of projections onto the
     column span of each matrix.
 
-    Computed through an SVD orthonormal basis Q as Q Q*, which agrees with the
-    Gram form to machine precision and is invariant under right-multiplication
-    of V by any invertible matrix.  Raises :class:`RankDeficientError` when
-    sigma_min(V) <= RANK_TOL_FACTOR * sigma_max(V) for any matrix.  Each
-    projection whose imaginary part is below ``PROJECTION_TOL`` is snapped to
-    real.
+    Computed as Q Q* from an orthonormal basis Q of the span, which agrees
+    with the Gram form to machine precision and is invariant under
+    right-multiplication of V by any invertible matrix.  Raises
+    :class:`RankDeficientError` when sigma_min(V) <= RANK_TOL_FACTOR *
+    sigma_max(V) for any matrix.  A single column v has sigma_min = sigma_max
+    = |v|, so its test is v = 0 and its basis v / |v|, with the norm scaled
+    against overflow and underflow; several columns take the left singular
+    vectors and singular values of a reduced SVD.  Each projection whose
+    imaginary part is below ``PROJECTION_TOL`` is snapped to real.
     """
     V = cmat(V)
     if V.ndim == 1:
@@ -180,13 +233,23 @@ def project_onto_span(V: np.ndarray) -> HermitianProjection:
         return HermitianProjection(zero, 0, True, V)
     if k > n:
         raise RankDeficientError(f"{k} columns cannot be independent in dimension {n}")
-    Q, s, _ = np.linalg.svd(V, full_matrices=False)
-    dependent = s[..., -1] <= RANK_TOL_FACTOR * s[..., 0]
-    if dependent.any():
-        ratio = np.min(s[..., -1] / s[..., 0])
-        raise RankDeficientError(
-            f"spanning columns are dependent: sigma_min/sigma_max = {ratio:.2e}"
-        )
+    if k == 1:
+        # sigma_min = sigma_max = |v|, so the rank test is |v| = 0
+        r, _, X = _frobenius(V)
+        if not r.all():
+            raise RankDeficientError(
+                "spanning columns are dependent: sigma_min/sigma_max = 0.00e+00 (a zero column)"
+            )
+        Q = (X / r[..., None, None]).view(complex)
+    else:
+        Q, s, _ = np.linalg.svd(V, full_matrices=False)
+        dependent = s[..., -1] <= RANK_TOL_FACTOR * s[..., 0]
+        if dependent.any():
+            # a zero matrix has sigma_max = 0; its ratio reads 0
+            ratio = np.divide(s[..., -1], s[..., 0], out=np.zeros(s.shape[:-1]), where=s[..., 0] > 0)
+            raise RankDeficientError(
+                f"spanning columns are dependent: sigma_min/sigma_max = {ratio.min():.2e}"
+            )
     pi = Q @ adjoint(Q)
     pi = 0.5 * (pi + adjoint(pi))  # enforce Hermitian symmetry exactly up to roundoff
     real = np.abs(pi.imag).max(axis=(-2, -1)) < PROJECTION_TOL

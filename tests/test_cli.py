@@ -536,6 +536,17 @@ def test_rank_deficient_span_rejected():
         validate_scenario(raw)
 
 
+def test_zero_span_exits_3_without_nan(tmp_path, capsys):
+    """A zero span is refused as a dependent one, with a finite ratio and no
+    RuntimeWarning (the suite turns warnings into errors)."""
+    path = write_scenario(tmp_path, base_scenario(chain=[
+        dict(REAL_ONE_POLE, span=[[[0.0, 0.0]], [[0.0, 0.0]]])]))
+    assert run_cli("run", path, tmp_path / "out") == 3
+    out, err = capsys.readouterr()
+    assert "spanning columns are dependent" in err
+    assert "nan" not in (out + err).lower()
+
+
 LIBRARY_CALLS = {
     "real_one_pole": lambda frame, f: dress_real(frame, f.alpha, f.projection),
     "spherical": lambda frame, f: dress_spherical(frame, f.alpha, f.projection),

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from dressing_forge import (HermitianProjection, RankDeficientError,
                             SingularError, max_abs, project_onto_span,
                             solve_linear, star_reduce)
+from dressing_forge.linalg import COND_MAX, RANK_TOL_FACTOR
 
 
 def test_project_coordinate_axis():
@@ -113,3 +114,139 @@ def test_solve_singular():
     A = np.array([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(SingularError):
         solve_linear(A, np.ones(2))
+
+
+# --- condition and rank thresholds ------------------------------------------
+
+@pytest.mark.parametrize("factor, passes", [(0.99, True), (1.01, False)],
+                         ids=["just-below", "just-above"])
+def test_solve_condition_threshold(factor, passes):
+    # diag(1, eps) has cond_2 = 1/eps and cond_F = sqrt(1 + eps^2) / eps,
+    # both within rounding of factor * COND_MAX
+    A = np.diag([1.0, 1.0 / (factor * COND_MAX)])
+    b = np.array([1.0, 1.0])
+    if passes:
+        assert np.array_equal(solve_linear(A, b), np.linalg.solve(A.astype(complex), b))
+    else:
+        with pytest.raises(SingularError, match=r"^matrix condition 1\.010e\+13 exceeds 1\.0e\+13$"):
+            solve_linear(A, b)
+
+
+def test_solve_passes_cond2_below_limit_with_cond_f_above():
+    # cond_2 = 0.9 COND_MAX < COND_MAX < cond_F = sqrt(2) 0.9 COND_MAX
+    A = np.diag([1.0, 1.0, 1.0 / (0.9 * COND_MAX)])
+    b = np.ones(3)
+    assert np.array_equal(solve_linear(A, b), np.linalg.solve(A.astype(complex), b))
+
+
+@pytest.mark.parametrize("A", [
+    np.zeros((3, 3)),
+    np.stack([np.eye(2), np.array([[2.0, 4.0], [1.0, 2.0]]), 3 * np.eye(2)]),
+], ids=["zero", "in-stack"])
+def test_solve_exactly_singular_pivot_raises_singular_error(A):
+    # LU meets an exactly zero pivot here (as in test_solve_singular); the
+    # refusal is still SingularError, with the SVD's message
+    with pytest.raises(SingularError, match=r"^matrix condition inf exceeds 1\.0e\+13$"):
+        solve_linear(A, np.ones(A.shape[:-1]))
+
+
+def test_solve_refuses_one_bad_matrix_in_a_stack(rng):
+    A = rng.normal(size=(6, 3, 3)) + 1j * rng.normal(size=(6, 3, 3)) + 4 * np.eye(3)
+    A[4] = np.diag([1.0, 1.0, 1.0 / (2 * COND_MAX)])
+    with pytest.raises(SingularError, match=r"^matrix condition 2\.000e\+13 exceeds 1\.0e\+13$"):
+        solve_linear(A, np.ones((6, 3)))
+    # a matrix that only the SVD passes does not refuse the stack
+    A[4] = np.diag([1.0, 1.0, 1.0 / (0.9 * COND_MAX)])
+    B = rng.normal(size=(6, 3, 2)) + 0j
+    assert np.array_equal(solve_linear(A, B), np.linalg.solve(A, B))
+
+
+def test_solve_certificate_sends_only_uncertified_matrices_to_svd(rng, monkeypatch):
+    svd_shapes = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        svd_shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    A = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3)) + 4 * np.eye(3)
+    solve_linear(A, np.ones((5, 3)))
+    assert svd_shapes == []
+    A[2] = np.diag([1.0, 1.0, 1.0 / (0.9 * COND_MAX)])
+    solve_linear(A, np.ones((5, 3)))
+    assert svd_shapes == [(1, 3, 3)]
+
+
+@pytest.mark.parametrize("factor, passes", [(1.01, True), (0.99, False)],
+                         ids=["just-above", "just-below"])
+def test_project_rank_threshold_two_columns(factor, passes):
+    # sigma_min/sigma_max = factor * RANK_TOL_FACTOR exactly
+    V = np.array([[1.0, 0.0], [0.0, factor * RANK_TOL_FACTOR], [0.0, 0.0]])
+    if passes:
+        pi = project_onto_span(V)
+        assert max_abs(pi.matrix - np.diag([1.0, 1.0, 0.0])) < 1e-15
+    else:
+        with pytest.raises(RankDeficientError, match=r"sigma_min/sigma_max = 9\.90e-11$"):
+            project_onto_span(V)
+
+
+@pytest.mark.parametrize("V", [
+    np.zeros(3),
+    np.zeros((3, 2)),
+    np.stack([np.ones((3, 1)), np.zeros((3, 1))]),
+], ids=["column", "two-columns", "in-stack"])
+def test_project_zero_span_refused_without_nan(V):
+    # the suite turns the 0/0 RuntimeWarning into an error as well
+    with pytest.raises(RankDeficientError, match="sigma_min/sigma_max = 0.00e") as info:
+        project_onto_span(V)
+    assert "nan" not in str(info.value)
+
+
+# --- scale and shape ---------------------------------------------------------
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200, 1e-310])
+@pytest.mark.parametrize("v", [np.array([1.0, 2.0, 2.0]), np.array([1.0, 2.0j, -2.0])],
+                         ids=["real", "complex"])
+def test_project_span_at_extreme_scales(scale, v):
+    pi = project_onto_span(scale * v)
+    unit = v / 3.0
+    assert pi.rank == 1
+    assert max_abs(pi.matrix - np.outer(unit, unit.conj())) <= 1e-15
+    assert max_abs(pi.span[:, 0] * np.vdot(pi.span[:, 0], unit) - unit) <= 1e-15
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_solve_at_extreme_scales(scale):
+    b = np.array([1.0, -2.0, 0.5j])
+    x = solve_linear(scale * np.eye(3), b)
+    assert max_abs(x * scale - b) <= 1e-15 * max_abs(b)
+    A = scale * np.array([[2.0, 1.0, 0.0], [0.0, 1.0j, 1.0], [1.0, 0.0, 3.0]])
+    assert np.array_equal(solve_linear(A, b), np.linalg.solve(A, b))
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+@pytest.mark.parametrize("a_batch, b_batch, k", [
+    ((), (), None),        # (n, n) + (n,)
+    ((), (), 3),           # (n, n) + (n, k)
+    ((5,), (5,), None),    # (P, n, n) + (P, n)
+    ((5,), (5,), 3),       # (P, n, n) + (P, n, k)
+    ((5,), (), None),      # (P, n, n) + (n,)
+    ((0,), (0,), None),    # P = 0
+    ((0,), (0,), 3),
+], ids=["matrix-vector", "matrix-block", "stack-vectors", "stack-blocks",
+        "stack-one-vector", "empty-vectors", "empty-blocks"])
+def test_solve_returns_exactly_numpy_solve(rng, n, a_batch, b_batch, k):
+    def draw(shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    A = draw(a_batch + (n, n)) + n * np.eye(n)
+    B = draw(b_batch + (n,) + (() if k is None else (k,)))
+    X = solve_linear(A, B)
+    # numpy 2 reads only a 1-D b as a vector; a stack of vectors is solved as
+    # a stack of one-column blocks
+    if k is None and b_batch:
+        ref = np.linalg.solve(A, B[..., None])[..., 0]
+    else:
+        ref = np.linalg.solve(A, B)
+    assert X.shape == ref.shape and np.array_equal(X, ref)
