@@ -41,11 +41,13 @@ or translation.  A record keeps the facts of its factor as a whole
 the history as a flat sequence of steps, each record's ``steps``: a
 two-pole record is its two one-pole parts and holds no evaluation code.  A
 step's pole data are the arrays its ``apply`` reads, stacked over a whole
-point set: the prefix block at its poles and, for a one-pole step, the two
-blocks it multiplies by.  The frame's pole-data sweep
+point set: the prefix block at its poles and, for a one-pole step, the
+matrix [[pi_tilde^perp, -pi_tilde eta], [pi_tilde, pi_tilde eta]] it
+multiplies by at each point.  The frame's pole-data sweep
 (``ExtendedFrame.pole_data``) computes and memoises them per point set, and
 ``take_pole_data`` reads them off the step's own rows of the stacked prefix
-block.  ``apply`` updates the block it is given in place and returns it.
+block; ``rows`` views them at some of the points.  ``apply`` updates the
+block it is given in place and returns it.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import frames
 from .errors import PoleCollisionError, SphericalViolationError
 from .frames import ExtendedFrame, frame_dlambda_at_zero
 from .geometry import Grid
@@ -76,22 +79,23 @@ def _point_data(record, frame: ExtendedFrame, index: int, u):
     memoises."""
     U = np.asarray(u, dtype=float).reshape(1, frame.n)
     k = frame.step_count(index)
-    return frame.pole_data(U, k + 1)[k].first_point()
+    return frame.pole_data(U, k + 1)[k].rows(0)
 
 
 @dataclass(frozen=True, eq=False)
 class _OnePoleData:
     """Pole data of a one-pole step over a point set: the two arrays its
-    update reads, each of shape (2, P, n, n+1) with the pole pair on the
-    leading axis, so one stacked product runs over all points of each pole.
+    update reads.
 
-    ``F_poles`` holds the prefix block [E | X] at conj(z) and [E | eta] at
+    ``F_poles``, of shape (P, 2, n, n+1) with the pole pair next to the
+    matrix axes, holds the prefix block [E | X] at conj(z) and [E | eta] at
     z: the update reads only E at z (the quotient of that X column is
-    discarded), so the column holds eta.  ``blocks`` holds the two
-    n x (n+1) blocks the update multiplies by, the top block
-    [pi_tilde^perp | -pi_tilde eta] of R_tilde and [pi_tilde | pi_tilde eta].
-    ``eta``, ``pi_tilde`` (the transported projection's matrix) and ``pe``
-    (pi_tilde eta) are views into them.
+    discarded), so the column holds eta.  ``blocks``, of shape
+    (P, 2n, n+1), holds per point the matrix the update multiplies by: the
+    top block [pi_tilde^perp | -pi_tilde eta] of R_tilde stacked above
+    [pi_tilde | pi_tilde eta].  ``eta``, ``pi_tilde`` (the transported
+    projection's matrix) and ``pe`` (pi_tilde eta) are views into them, and
+    ``rows`` views both at some of the points.
     """
 
     F_poles: np.ndarray
@@ -99,25 +103,22 @@ class _OnePoleData:
 
     @property
     def eta(self) -> np.ndarray:
-        return self.F_poles[1, ..., -1]
+        return self.F_poles[..., 1, :, -1]
 
     @property
     def pi_tilde(self) -> np.ndarray:
-        return self.blocks[1, ..., :-1]
+        n = self.blocks.shape[-1] - 1
+        return self.blocks[..., n:, :n]
 
     @property
     def pe(self) -> np.ndarray:
-        return self.blocks[1, ..., -1]
+        n = self.blocks.shape[-1] - 1
+        return self.blocks[..., n:, n]
 
-    def first_point(self) -> "_OnePoleData":
-        return _OnePoleData(self.F_poles[:, 0], self.blocks[:, 0])
-
-
-def _on_pair_axis(x, ndim: int):
-    """``x``, stacked over a pole pair on axis 0, with unit axes after that
-    one so that it broadcasts against ``ndim``-dimensional stacks
-    (2, ..., P, n, n+1)."""
-    return x if x.ndim == ndim else x.reshape(x.shape[:1] + (1,) * (ndim - x.ndim) + x.shape[1:])
+    def rows(self, index) -> "_OnePoleData":
+        """The data at the points ``index`` (an int, a slice or an index
+        array) of the point set: views for an int or a slice."""
+        return _OnePoleData(self.F_poles[index], self.blocks[index])
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,9 +129,19 @@ class OnePoleRecord:
         F -> F + c pi dq_{conj z}(F) R_tilde - c pi^perp dq_z(E) [pi_tilde | pi_tilde eta],
         R_tilde = [[pi_tilde^perp, -pi_tilde eta], [0, 1]].
 
-    Both quotients and both products run as one stack over the pole pair.
-    The E block is c (pi dq pi_tilde^perp) - c (pi^perp dq pi_tilde), each
-    product grouped from the left as in the separate E update.
+    Both quotients run as one stack, the pole pair next to the matrix axes,
+    so that a (lambda, point) row holds them as one 2n x (n+1) matrix, and
+    one product by blockdiag(pi, -pi^perp) gives S_0 = pi dq_{conj z}(F)
+    and S_1 = -pi^perp dq_z(F).  The right factors change from point to
+    point: [S_0 | S_1], first n columns each, times the pole data's
+    ``blocks`` is both products with them at once, and S_0's last column
+    is added after, for the bottom row [0, 1] of R_tilde.  Each product is
+    grouped from the left as in the separate E update.  Every product has
+    the same shape at every row, so a row's value does not depend on how
+    many rows are stacked with it: a product over all rows at once would
+    run through BLAS kernels that compute a row by where it sits in the
+    stack.  A point set of more than ``POINT_BLOCK`` points is updated
+    block by block, so the transients stay bounded.
 
     ``sphere_preserving`` is set by :func:`dress_spherical`: the record
     provably preserves |h| = const.  The record is one step of a frame.
@@ -145,9 +156,13 @@ class OnePoleRecord:
         # the lambdas at which the step reads the prefix block, in the
         # order of its rows in a pole-data sweep
         object.__setattr__(self, "pole_rows", (z.conjugate(), z))
-        # [pi, pi^perp], the left factors of the two products
-        object.__setattr__(self, "_left", np.stack(
-            (self.projection.matrix, self.projection.complement)).astype(complex)[:, None])
+        object.__setattr__(self, "_pair", np.array(self.pole_rows))
+        # the left factors, blockdiag(pi, -pi^perp)
+        n = self.projection.matrix.shape[-1]
+        left = np.zeros((2 * n, 2 * n), dtype=complex)
+        left[:n, :n] = self.projection.matrix
+        left[n:, n:] = -self.projection.complement
+        object.__setattr__(self, "_left", left)
 
     @property
     def zbar(self) -> complex:
@@ -189,32 +204,47 @@ class OnePoleRecord:
         # eta at the conjugate point keeps the dressed X holomorphic at zbar
         eta = F_poles[1, ..., n]
         eta[...] = solve_linear(E_zbar, F_poles[0, ..., n])
-        blocks = np.empty_like(F_poles)
-        blocks[0, ..., :n] = pi_tilde.complement
-        blocks[1, ..., :n] = pi_tilde.matrix
-        blocks[1, ..., n] = _mv(blocks[1, ..., :n], eta)
-        blocks[0, ..., n] = -blocks[1, ..., n]
-        return _OnePoleData(F_poles, blocks)
+        blocks = np.empty(F_poles.shape[1:-2] + (2 * n, n + 1), dtype=complex)
+        blocks[..., :n, :n] = pi_tilde.complement
+        blocks[..., n:, :n] = pi_tilde.matrix
+        blocks[..., n:, n] = _mv(blocks[..., n:, :n], eta)
+        blocks[..., :n, n] = -blocks[..., n:, n]
+        return _OnePoleData(F_poles.swapaxes(0, 1), blocks)
 
     point_data = _point_data
 
     def apply(self, F, lam, data: _OnePoleData):
-        """Update the block F (..., P, n, n+1) in place and return it."""
+        """Update the block F (..., P, n, n+1) in place and return it: in
+        one piece, or over blocks of at most ``POINT_BLOCK`` points."""
+        P, block = F.shape[-3], frames.POINT_BLOCK
+        if P <= block:
+            return self._update(F, lam, data)
+        per_point = np.ndim(lam) and np.shape(lam)[-1] == P
+        for i in range(0, P, block):
+            rows = slice(i, i + block)
+            self._update(F[..., rows, :, :], lam[..., rows] if per_point else lam,
+                         data.rows(rows))
+        return F
+
+    def _update(self, F, lam, data: _OnePoleData):
         n = F.shape[-2]
         zb, z = self.pole_rows
-        # dq_{conj z}(F) and dq_z(F), stacked on a leading axis
-        D = F - _on_pair_axis(data.F_poles, F.ndim + 1)
-        D /= _on_pair_axis(np.array((lam - zb, lam - z))[..., None, None], F.ndim + 1)
-        # [pi dq_{conj z}(F), pi^perp dq_z(F)]
-        S = _on_pair_axis(self._left, D.ndim) @ D
-        # times [R_tilde's top block, [pi_tilde | pi_tilde eta]]; the bottom
-        # row [0, 1] of R_tilde passes the X column of the first through
-        out = np.matmul(S[..., :n], _on_pair_axis(data.blocks, D.ndim), out=D)
-        out[0, ..., n] += S[0, ..., n]
+        # dq_{conj z}(F) and dq_z(F), the pole pair next to the matrix axes
+        D = F[..., None, :, :] - data.F_poles
+        d = lam[..., None] - self._pair if isinstance(lam, np.ndarray) else lam - self._pair
+        D /= d[..., None, None]
+        # [S_0; S_1] = [pi dq_{conj z}(F); -pi^perp dq_z(F)], one product
+        # per (lambda, point) row
+        S = self._left @ D.reshape(D.shape[:-3] + (2 * n, n + 1))
+        del D
+        # S_0 times R_tilde's top block plus S_1 times [pi_tilde | pi_tilde
+        # eta], one product per point; the bottom row [0, 1] of R_tilde
+        # passes the X column of S_0 through
+        W = np.concatenate((S[..., :n, :n], S[..., n:, :n]), axis=-1) @ data.blocks
+        W[..., n] += S[..., :n, n]
         del S
-        out *= zb - z
-        F += out[0]
-        F -= out[1]
+        W *= zb - z
+        F += W
         return F
 
     def apply_h(self, h, data: _OnePoleData):
@@ -232,8 +262,8 @@ class OnePoleRecord:
 class _TranslationData:
     y: np.ndarray
 
-    def first_point(self) -> "_TranslationData":
-        return _TranslationData(self.y[0])
+    def rows(self, index) -> "_TranslationData":
+        return _TranslationData(self.y[index])
 
 
 @dataclass(frozen=True, eq=False)

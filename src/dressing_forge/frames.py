@@ -22,7 +22,10 @@ lambda within R(p)/2 of p takes the block's mean over |w - lambda| = R(p),
 the trapezoid rule for Cauchy's formula (Trefethen & Weideman, SIAM Review
 56, 2014).  Every lambda-stacked evaluation, a sweep's or a contour's, goes
 in row groups of at most ``STACK_PAIRS`` (lambda, point) pairs (one lambda
-per group when the point set alone is larger).
+per group when the point set alone is larger).  ``POINT_BLOCK`` bounds the
+point axis the same way: a one-pole update runs over blocks of at most that
+many points, and ``potential_on_grid`` sends point sets of at most that many
+points through ``h``.
 
 Every seed profile's position and energy integrals are closed forms: a
 sampled profile is a sum over its cubic spline pieces, each a
@@ -378,6 +381,12 @@ def row_groups(rows: int, points: int) -> list:
     return [slice(i, i + step) for i in range(0, rows, step)]
 
 
+# Most points one one-pole update, or one ``potential_on_grid`` point set,
+# carries at once; a larger point set goes block by block, so the transients
+# stay bounded however many points a frame is asked about.
+POINT_BLOCK = 2048
+
+
 # Nodes of the contour around a lambda near a sensitive point, on a leading axis
 CONTOUR_NODES = 16
 _NODES = np.exp(2j * np.pi * np.arange(CONTOUR_NODES) / CONTOUR_NODES)[:, None]
@@ -481,7 +490,7 @@ class ExtendedFrame:
                 lam = (rows + near)[:, None]
                 F = np.empty(lam.shape[:1] + U.shape + (self.n + 1,), dtype=complex)
                 for g in row_groups(len(lam), len(U)):
-                    F[g] = self._steps(U, lam[g], k)
+                    F[g] = self._steps(U, lam[g], data[:k])
                 for i, step in enumerate(pending, start=k):
                     m = len(step.pole_rows)
                     for j in np.flatnonzero(near[:m]):
@@ -518,30 +527,40 @@ class ExtendedFrame:
         A lambda within R(p)/2 of a sensitive point p of these steps, where
         the direct updates lose digits (or divide by zero), gets F as its
         mean over CONTOUR_NODES nodes on |w - lambda| = R(p), stacked as
-        lambda of shape (nodes, 1) or (nodes, P) against the same points,
-        so with the same pole data.  Every other lambda gets the direct
-        updates."""
+        lambda of shape (nodes, 1) against the same points, or, with one
+        lambda per point, (nodes, B) against the B points whose lambdas are
+        in a band, which read their rows of the same pole data.  Every
+        other lambda gets the direct updates."""
         r = self._contour_radius(lam, depth)
+        data = self.pole_data(U, depth)[:depth]
         if not r.any():
-            return self._steps(U, lam, depth)
-        w = lam + r * _NODES
-        F = np.concatenate([self._steps(U, w[g], depth)
-                            for g in row_groups(CONTOUR_NODES, len(U))]).mean(axis=0)
+            return self._steps(U, lam, data)
         if r.all():
-            return F
-        # the direct updates elsewhere, with a node in place of each contour lambda
-        return np.where((r > 0)[:, None, None], F, self._steps(U, lam + r, depth))
+            return self._contour(U, lam, r, data)
+        # the direct updates elsewhere, with a node in place of each contour
+        # lambda, then the contour on the banded rows alone
+        F = self._steps(U, lam + r, data)
+        rows = np.flatnonzero(r)
+        F[rows] = self._contour(U[rows], lam[rows], r[rows], [d.rows(rows) for d in data])
+        return F
 
-    def _steps(self, U: np.ndarray, lam, depth: int) -> np.ndarray:
-        """The seed block dressed by the first ``depth`` steps' direct
-        updates, shape (..., P, n, n+1).  ``lam`` is one complex or an array
-        broadcasting against (P,), possibly with leading axes of its own,
-        which lead the result: a contour's nodes or a row group of a sweep
-        go through the steps in one pass.  Each step updates F in place."""
+    def _contour(self, U: np.ndarray, lam, r, data: list) -> np.ndarray:
+        """The mean of the block over the nodes on |w - lam| = r, every
+        lambda in a band (r > 0)."""
+        w = lam + r * _NODES
+        return np.concatenate([self._steps(U, w[g], data)
+                               for g in row_groups(CONTOUR_NODES, len(U))]).mean(axis=0)
+
+    def _steps(self, U: np.ndarray, lam, data: list) -> np.ndarray:
+        """The seed block dressed by the direct updates of the steps whose
+        pole data at the (P, n) point set U are ``data``, shape
+        (..., P, n, n+1).  ``lam`` is one complex or an array broadcasting
+        against (P,), possibly with leading axes of its own, which lead the
+        result: a contour's nodes or a row group of a sweep go through the
+        steps in one pass.  Each step updates F in place."""
         F = self.seed.block(U, lam)
-        data = self.pole_data(U, depth)
-        for k in range(depth):
-            F = self.steps[k].apply(F, lam, data[k])
+        for step, step_data in zip(self.steps, data):
+            F = step.apply(F, lam, step_data)
         return F
 
     def evaluate(self, u, lam, depth: int | None = None):
@@ -606,12 +625,6 @@ def frame_dlambda_at_zero(E_fn, u, step: float = 1e-3) -> np.ndarray:
     return (16 * fine - coarse) / 15
 
 
-# Most points one sweep axis of ``potential_on_grid`` sends through ``frame.h``
-# at once; an axis with more is split into chunks of whole staircase lines,
-# so memory stays bounded however fine the grid.
-POTENTIAL_CHUNK = 2048
-
-
 def potential_on_grid(frame: ExtendedFrame, grid: Grid, axis_order=None) -> np.ndarray:
     """Potential phi on the grid by integrating d phi = sum_i h_i^2 du_i along
     axis-ordered staircase paths from the origin.  Flatness makes the result
@@ -620,9 +633,10 @@ def potential_on_grid(frame: ExtendedFrame, grid: Grid, axis_order=None) -> np.n
     Each sweep axis evaluates every staircase line of that sweep (one per
     grid point of the axes already swept) on the axis knots augmented with
     0, plus the cell midpoints (the evaluator is exact off-grid, so they are
-    free), as point sets of whole lines with at most ``POTENTIAL_CHUNK``
-    points (one line when a line alone has more).  Per-cell Simpson sums are
-    then accumulated along the lines.
+    free), as point sets of whole lines with at most ``POINT_BLOCK`` points
+    (one line when a line alone has more), so memory stays bounded however
+    fine the grid.  Per-cell Simpson sums are then accumulated along the
+    lines.
     """
     n = grid.n
     order = tuple(range(n)) if axis_order is None else tuple(axis_order)
@@ -641,7 +655,7 @@ def potential_on_grid(frame: ExtendedFrame, grid: Grid, axis_order=None) -> np.n
         for a, coord in zip(prior + (axis,), mesh):
             U[..., a] = coord
         lines = U.reshape(-1, ts.size, n)
-        step = max(1, POTENTIAL_CHUNK // ts.size)
+        step = max(1, POINT_BLOCK // ts.size)
         f = np.concatenate([frame.h(lines[i:i + step])[..., axis] ** 2
                             for i in range(0, len(lines), step)]).reshape(U.shape[:-1])
         fa, fm = f[..., :aug.size], f[..., aug.size:]

@@ -27,7 +27,7 @@ def _step_data(frame, u, depth=None):
     at the single point u, one per step: a two-pole record's parts in turn."""
     U = np.asarray(u, dtype=float).reshape(1, frame.n)
     depth = len(frame.steps) if depth is None else depth
-    return [d.first_point() for d in frame.pole_data(U, depth)[:depth]]
+    return [d.rows(0) for d in frame.pole_data(U, depth)[:depth]]
 
 
 def test_base_point_pinning(torus_frame, pi_diag):
@@ -555,8 +555,8 @@ def _spy_stacks(monkeypatch):
     stacks = []
     steps = ExtendedFrame._steps
 
-    def spy(self, U, lam, depth):
-        F = steps(self, U, lam, depth)
+    def spy(self, U, lam, data):
+        F = steps(self, U, lam, data)
         if isinstance(lam, np.ndarray) and lam.ndim == 2:
             stacks.append((lam, F))
         return F
@@ -923,7 +923,7 @@ def test_stacked_evaluations_stay_within_the_cap(monkeypatch, cap, rng):
             return method(self, x, lam, *rest)
         monkeypatch.setattr(owner, name, wrapper)
 
-    spy(ExtendedFrame, "_steps", len)  # (U, lam, depth), U of shape (P, n)
+    spy(ExtendedFrame, "_steps", len)  # (U, lam, data), U of shape (P, n)
     for owner in (dressing.OnePoleRecord, dressing.TranslationRecord):
         spy(owner, "apply", lambda F: F.shape[1])  # F of shape (m, P, n, n+1)
     monkeypatch.setattr(frames, "STACK_PAIRS", cap)
@@ -934,3 +934,126 @@ def test_stacked_evaluations_stay_within_the_cap(monkeypatch, cap, rng):
         assert np.array_equal(E1, E) and np.array_equal(X1, X)
     most_rows = max(len(step.pole_rows) for step in capped.steps)
     assert pairs and max(pairs) <= max(len(U), cap) <= max(most_rows * len(U), cap)
+
+
+def _two_product_update(record, F, lam, data):
+    """The one-pole update as first written, the oracle of
+    ``OnePoleRecord.apply``: both quotients stacked on a leading pole-pair
+    axis, times [pi, pi^perp] as a stack of n x n matrices, then times
+    [R_tilde's top block, [pi_tilde | pi_tilde eta]], with c (out_0 - out_1)
+    added to F."""
+    n = F.shape[-2]
+    zb, z = record.pole_rows
+
+    def pair(x):  # the pole pair on axis 0, against (2, ..., P, n, n+1)
+        return x.reshape(x.shape[:1] + (1,) * (F.ndim + 1 - x.ndim) + x.shape[1:])
+    F_poles = np.moveaxis(data.F_poles, -3, 0)
+    blocks = np.stack((data.blocks[..., :n, :], data.blocks[..., n:, :]))
+    left = np.stack((record.projection.matrix, record.projection.complement)).astype(complex)
+    D = F - pair(F_poles)
+    D /= pair(np.array((lam - zb, lam - z))[..., None, None])
+    S = pair(left[:, None]) @ D
+    out = S[..., :n] @ pair(blocks)
+    out[0, ..., n] += S[0, ..., n]
+    out *= zb - z
+    return F + out[0] - out[1]
+
+
+def _one_pole_case(n, rank, real, P, rng):
+    """A one-pole record with a rank-``rank`` projection, real (pole on the
+    imaginary axis) or complex, and its pole data at P points read off
+    random prefix blocks."""
+    span = rng.normal(size=(n, rank)) + (0 if real else 1j * rng.normal(size=(n, rank)))
+    record = dressing.OnePoleRecord(0.8j if real else 0.3 + 0.8j, project_onto_span(span))
+    rows = rng.normal(size=(2, P, n, n + 1)) + 1j * rng.normal(size=(2, P, n, n + 1))
+    rows[..., :n] += 2 * np.eye(n)  # well-conditioned E at the poles
+    return record, record.take_pole_data(rows)
+
+
+_LAMBDA_SHAPES = {
+    "scalar": lambda P, rng: complex(0.4 - 0.9j),
+    "per_point": lambda P, rng: rng.uniform(-1, 1, P) + 1j * rng.uniform(-2, -1, P),
+    "nodes_1": lambda P, rng: (0.4 - 0.9j + 0.2 * np.exp(2j * np.pi * np.arange(16) / 16))[:, None],
+    "nodes_P": lambda P, rng: (rng.uniform(-1, 1, P) - 1.5j + 0.2 * np.exp(
+        2j * np.pi * np.arange(16) / 16)[:, None]),
+    "sweep_rows": lambda P, rng: np.array([0.5 + 0.2j, -1.1 - 0.7j, 1.3j])[:, None],
+}
+
+
+@pytest.mark.parametrize("lam_shape", list(_LAMBDA_SHAPES))
+@pytest.mark.parametrize("P", [0, 1, 7, "block+3"])
+@pytest.mark.parametrize("n, rank, real", [(2, 1, True), (2, 1, False), (3, 1, True),
+                                           (3, 2, False), (4, 2, True), (4, 1, False)])
+def test_one_pole_update_matches_the_two_product_form(n, rank, real, P, lam_shape,
+                                                      monkeypatch, rng):
+    """The update as one product per point for the pole pair's left
+    factors and one for its right factors, over point blocks, agrees with
+    the two stacked products it replaced within 1e-14 relative: for n = 2,
+    3 and 4, rank 1 and 2, real and complex projections, every lambda
+    shape a frame passes (one for all points, one per point, contour nodes
+    against one lambda or one per point, sweep rows), and point sets with
+    no point, one, seven, and three more than a (small) point block.  The
+    block is updated in place and returned."""
+    if P == "block+3":
+        monkeypatch.setattr(frames, "POINT_BLOCK", 4)
+        P = frames.POINT_BLOCK + 3
+    record, data = _one_pole_case(n, rank, real, P, rng)
+    lam = _LAMBDA_SHAPES[lam_shape](P, rng)
+    lead = np.shape(lam)[:-1] if np.ndim(lam) == 2 else ()
+    F = rng.normal(size=lead + (P, n, n + 1)) + 1j * rng.normal(size=lead + (P, n, n + 1))
+    want = _two_product_update(record, F, lam, data)
+    got = record.apply(F, lam, data)
+    assert got is F and got.shape == want.shape
+    assert max_abs(got - want) <= 1e-14 * max_abs(want)
+
+
+@pytest.mark.parametrize("lam_kind", ["scalar", "per_point", "nodes"])
+def test_blocked_update_equals_the_unblocked_one(lam_kind, monkeypatch, rng):
+    """With POINT_BLOCK at 4, a frame evaluated on 11 points (blocks of 4,
+    4 and 3) gives bit for bit the pole data and values of a frame
+    evaluated in one piece; each one-pole update is still one ``apply``
+    call, which runs one block update per block."""
+    U = rng.uniform(-0.4, 0.4, size=(11, 3))
+    lam = {"scalar": 0.9 - 0.3j, "per_point": rng.uniform(-1, 1, 11) + 0.4j,
+           "nodes": 0.6j + 1e-8}[lam_kind]
+    whole = _sweep_chains()["mixed"]()
+    want = (whole.pole_data(U, len(whole.steps)), whole.evaluate(U, lam))
+    calls = {"apply": 0, "_update": 0}
+    for name in calls:
+        method = getattr(dressing.OnePoleRecord, name)
+
+        def counted(self, F, lam, data, name=name, method=method):
+            calls[name] += 1
+            return method(self, F, lam, data)
+        monkeypatch.setattr(dressing.OnePoleRecord, name, counted)
+    monkeypatch.setattr(frames, "POINT_BLOCK", 4)
+    blocked = _sweep_chains()["mixed"]()
+    _assert_same_pole_data(blocked.pole_data(U, len(blocked.steps)), want[0])
+    for a, b in zip(blocked.evaluate(U, lam), want[1]):
+        assert np.array_equal(a, b)
+    assert calls["apply"] > 0 and calls["_update"] == 3 * calls["apply"]
+
+
+def test_banded_lambdas_alone_take_the_contour(monkeypatch, rng):
+    """With one lambda per point and three of 40 in contour bands (at a
+    pole, 1e-8 from one, at a conjugate pole), the contour runs on those
+    three points alone, with their rows of the memoised pole data, and no
+    memo entry is added; every point matches its own evaluation, within
+    1e-15 relative."""
+    frame = _sweep_chains()["mixed"]()
+    U = rng.uniform(-0.4, 0.4, size=(40, 3))
+    lam = rng.uniform(-1.5, 1.5, 40) + 1j * rng.uniform(-0.2, 0.2, 40)
+    banded = [5, 17, 33]
+    lam[banded] = [0.6j, 0.3 + 0.7j + 1e-8 * np.exp(0.7j), -0.6j]
+    frame.evaluate(U, 0.9)
+    memo = len(frame._memo)
+    stacks = _spy_stacks(monkeypatch)
+    E, X = frame.evaluate(U, lam)
+    assert len(frame._memo) == memo
+    nodes = [nodes for nodes, _ in stacks]
+    assert nodes and all(w.shape[1] == len(banded) for w in nodes)
+    assert sum(len(w) for w in nodes) == frames.CONTOUR_NODES
+    for p in range(len(U)):
+        E1, X1 = frame.evaluate(U[p], lam[p])
+        assert max_abs(E[p] - E1) <= 1e-15 * max_abs(E1)
+        assert max_abs(X[p] - X1) <= 1e-15 * max_abs(X1)

@@ -365,7 +365,7 @@ def test_potential_on_grid_chunks_match_one_point_set(torus3_frame, monkeypatch,
         return h(self, u)
 
     monkeypatch.setattr(ExtendedFrame, "h", counting_h)
-    monkeypatch.setattr(frames, "POTENTIAL_CHUNK", chunk)
+    monkeypatch.setattr(frames, "POINT_BLOCK", chunk)
     chunked = potential_on_grid(frame, grid, (2, 0, 1))
     # the longest line has 13 points (7 knots with 0, 6 midpoints)
     assert max(sizes) <= max(chunk, 13) and len(sizes) > 3
