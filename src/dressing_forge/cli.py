@@ -26,16 +26,17 @@ from pathlib import Path
 import numpy as np
 
 from .dressing import dress, dress_permuted, dress_spherical
-from .errors import (DressingForgeError, RankDeficientError,
-                     SphericalViolationError)
+from .errors import (DressingForgeError, PoleCollisionError,
+                     RankDeficientError, SphericalViolationError)
 from .frames import (ExtendedFrame, PolynomialProfile, SampledProfile,
                      VacuumSeed, metric_from_frame, potential_on_grid)
 from .geometry import (Grid, axis_gradient, check_darboux_egoroff,
                        check_lagrangian, check_partial_invariance,
                        check_sphere, limit_net, sample_immersion)
 from .linalg import max_abs, project_onto_span
-from .loops import (RealOnePoleFactor, TranslationFactor, one_pole_factor,
-                    pole_tol, two_pole_factor)
+from .loops import (RealOnePoleFactor, TranslationFactor,
+                    check_pole_collisions, one_pole_factor, pole_tol,
+                    two_pole_factor)
 from .oracle import PathSpec, integrate_frame
 from .report import VerificationReport
 
@@ -255,11 +256,10 @@ def validate_scenario(raw: dict) -> Scenario:
 
     chain = _validate_chain(n, raw.get("chain"))
     poles = [p for _, factor in chain for p in factor.poles()]
-    for i, p in enumerate(poles):
-        for q in poles[:i]:
-            if abs(p - q) <= pole_tol(p):
-                raise ValidationError(
-                    f"chain: poles {p} and {q} collide (rule: distinct factor poles)")
+    try:
+        check_pole_collisions(poles)
+    except PoleCollisionError as exc:
+        raise ValidationError(f"chain: {exc} (rule: distinct factor poles)") from None
     for lam in lambdas:
         for p in poles:
             if abs(lam - p) <= pole_tol(p):
@@ -359,10 +359,6 @@ def apply_chain(scenario: Scenario) -> ExtendedFrame:
     return frame
 
 
-def _chain_sigma_compatible(frame: ExtendedFrame) -> bool:
-    return all(rec.is_sigma_compatible for rec in frame.history)
-
-
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
@@ -390,7 +386,6 @@ def _reality_check(frame, scenario, tol) -> VerificationReport:
     samples.  Every REALITY_CHUNK samples form one point set with one lambda
     per point, so memory stays bounded however many samples are asked for."""
     samples = _reality_samples(frame, scenario)
-    sigma_ok = _chain_sigma_compatible(frame)
     eye = np.eye(frame.n)
     taus, sigmas = [], []
     while chunk := list(itertools.islice(samples, REALITY_CHUNK)):
@@ -398,11 +393,11 @@ def _reality_check(frame, scenario, tol) -> VerificationReport:
         U, lams = np.array(points), np.array(lams)
         E = frame.E(U, lams)
         taus.append(max_abs(frame.E(U, lams.conj()).conj().swapaxes(-1, -2) @ E - eye))
-        if sigma_ok:
+        if frame.is_sigma_compatible:
             sigmas.append(max_abs(E.swapaxes(-1, -2) @ frame.E(U, -lams) - eye))
     report = VerificationReport()
     report.add("reality_tau", max_abs(taus), tol, samples=scenario.reality_samples)
-    if sigma_ok:
+    if frame.is_sigma_compatible:
         report.add("reality_sigma", max_abs(sigmas), tol, samples=scenario.reality_samples)
     else:
         report.add("reality_sigma_skipped", 0.0, None,
@@ -465,14 +460,14 @@ def run_verification(scenario: Scenario, frame: ExtendedFrame,
     if checks.get("reality"):
         report.extend(_reality_check(frame, scenario, tols["reality"]))
     if checks.get("metric_real"):
-        if _chain_sigma_compatible(frame):
+        if frame.is_sigma_compatible:
             report.add("metric_real", metric.imag_max, tols["metric_real"])
         else:
             report.add("metric_real_skipped", metric.imag_max, None,
                        reason="history contains sigma-incompatible factors")
     if checks.get("darboux_egoroff"):
         report.extend(check_darboux_egoroff(
-            metric, tols["darboux_egoroff"], symmetric=_chain_sigma_compatible(frame)))
+            metric, tols["darboux_egoroff"], symmetric=frame.is_sigma_compatible))
     if checks.get("lagrangian"):
         for lam in real_lams:
             sub = check_lagrangian(sample(lam), metric.h, tols["lagrangian"],
@@ -501,7 +496,7 @@ def run_verification(scenario: Scenario, frame: ExtendedFrame,
             report.add("potential_skipped", 0.0, None,
                        reason=f"chain[{i}]: {rec.potential_gap}")
     if checks.get("lambda_zero"):
-        if _chain_sigma_compatible(frame):
+        if frame.is_sigma_compatible:
             _, net_report = limit_net(frame, grid, tols["lambda_zero"],
                                       tols["lambda_zero_derivative"])
             report.extend(net_report)

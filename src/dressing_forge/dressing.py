@@ -57,14 +57,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import frames
-from .errors import PoleCollisionError, SphericalViolationError
+from .errors import SphericalViolationError
 from .frames import ExtendedFrame, frame_dlambda_at_zero
 from .geometry import Grid
 from .linalg import (HermitianProjection, adjoint, max_abs, project_onto_span,
                      solve_linear, star_reduce)
 from .loops import (RealOnePoleFactor, TranslationFactor, TwoPointFactor,
-                    TwoPoleFactor, one_pole_factor, permute_factors, pole_tol,
-                    two_pole_factor)
+                    TwoPoleFactor, check_pole_collisions, one_pole_factor,
+                    permute_factors, two_pole_factor)
 from .report import VerificationReport
 
 
@@ -154,7 +154,7 @@ class OnePoleRecord:
     def __post_init__(self):
         z = complex(self.z)
         # the lambdas at which the step reads the prefix block, in the
-        # order of its rows in a pole-data sweep
+        # order of its rows in a pole-data sweep; the last is the pole
         object.__setattr__(self, "pole_rows", (z.conjugate(), z))
         object.__setattr__(self, "_pair", np.array(self.pole_rows))
         # the left factors, blockdiag(pi, -pi^perp)
@@ -173,16 +173,8 @@ class OnePoleRecord:
         return (self,)
 
     @property
-    def factor_poles(self) -> tuple:
-        return (complex(self.z),)
-
-    @property
-    def sensitive_points(self) -> tuple:
-        return (complex(self.z), self.zbar)
-
-    @property
     def is_sigma_compatible(self) -> bool:
-        return abs(self.z.real) < 1e-12 and self.projection.is_real
+        return one_pole_factor(self.z, self.projection).is_sigma_compatible
 
     @property
     def potential_gap(self) -> str | None:
@@ -286,14 +278,6 @@ class TranslationRecord:
         return 1j * self.alpha
 
     @property
-    def factor_poles(self) -> tuple:
-        return (self.pole,)
-
-    @property
-    def sensitive_points(self) -> tuple:
-        return (self.pole,)
-
-    @property
     def pole_rows(self) -> tuple:
         return (self.pole,)
 
@@ -369,28 +353,29 @@ class TwoPoleRecord:
 DressingRecord = OnePoleRecord | TranslationRecord | TwoPoleRecord
 
 
-def dress(frame: ExtendedFrame, factor, **flags) -> ExtendedFrame:
+def dress(frame: ExtendedFrame, factor, sphere_preserving: bool = False) -> ExtendedFrame:
     """Append the record of one validated loop factor (a ``loops`` factor),
-    refusing a factor of the wrong dimension or with a pole on one of the
-    frame's factor poles; ``flags`` go to a one-pole record."""
-    if isinstance(factor, TwoPointFactor) and factor.alpha2 != np.conj(factor.alpha1):
+    refusing a factor that is not tau-real, of the wrong dimension or with a
+    pole on one of the frame's factor poles.  ``sphere_preserving`` marks a
+    one-pole record (see :func:`dress_spherical`) and is refused for any
+    other factor."""
+    if not factor.is_tau_real:
         raise ValueError("a simple element dresses only as g_{z,pi} "
                          "(rule: its zero is the conjugate of its pole)")
     if factor.n != frame.n:
         raise ValueError(
             f"factor dimension {factor.n} does not match frame dimension {frame.n}")
-    for p in factor.poles():
-        for q in frame.factor_poles():
-            if abs(complex(p) - complex(q)) <= pole_tol(p):
-                raise PoleCollisionError(
-                    f"new pole {p} collides with existing history pole {q}")
-    if isinstance(factor, TranslationFactor):
-        record = TranslationRecord(factor.alpha, factor.b)
+    check_pole_collisions(factor.poles(), frame.factor_poles())
+    if isinstance(factor, TwoPointFactor):
+        record = OnePoleRecord(factor.poles()[0], factor.projection, sphere_preserving)
+    elif sphere_preserving:
+        raise ValueError(f"only a one-pole factor dresses sphere-preserving, "
+                         f"got a {type(factor).__name__}")
     elif isinstance(factor, TwoPoleFactor):
         record = TwoPoleRecord(OnePoleRecord(factor.z, factor.projection),
-                               OnePoleRecord(complex(-np.conj(factor.z)), factor.rho))
+                               OnePoleRecord(-factor.z.conjugate(), factor.rho))
     else:
-        record = OnePoleRecord(factor.poles()[0], factor.projection, **flags)
+        record = TranslationRecord(factor.alpha, factor.b)
     return frame.with_record(record)
 
 
@@ -528,16 +513,16 @@ class SphericalFamily:
         return 1j * self.c / lam
 
 
-def dress_spherical_family(frame: ExtendedFrame,
-                           factor: RealOnePoleFactor | TwoPoleFactor,
+def dress_spherical_family(frame: ExtendedFrame, factor: TwoPointFactor | TwoPoleFactor,
                            c_tilde) -> SphericalFamily:
-    """Dress the frame block of a partial-invariant metric by a generator and
-    return the family of metrics/immersions determined by the real constant
-    vector c_tilde."""
+    """Dress the frame block of a partial-invariant metric by a
+    sigma-compatible generator (one-pole or two-pole) and return the family
+    of metrics/immersions determined by the real constant vector c_tilde."""
     c = np.asarray(c_tilde, dtype=float)
     if c.shape != (frame.n,):
         raise ValueError(f"c_tilde must be a real vector of length {frame.n}")
 
-    if not isinstance(factor, (RealOnePoleFactor, TwoPoleFactor)):
-        raise ValueError("spherical family dressing supports the one-pole and two-pole generators")
+    if isinstance(factor, TranslationFactor) or not factor.is_sigma_compatible:
+        raise ValueError("spherical family dressing supports the one-pole and two-pole generators "
+                         "(rule: a sigma-compatible generator)")
     return SphericalFamily(c=c, E_fn=dress(frame, factor).E)

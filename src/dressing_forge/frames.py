@@ -439,6 +439,11 @@ class ExtendedFrame:
         """Whether every record carries a closed-form potential update."""
         return all(rec.potential_gap is None for rec in self.history)
 
+    @property
+    def is_sigma_compatible(self) -> bool:
+        """Whether every record's factor satisfies the sigma condition."""
+        return all(rec.is_sigma_compatible for rec in self.history)
+
     def with_record(self, record) -> "ExtendedFrame":
         return ExtendedFrame(self.seed, self.history + (record,))
 
@@ -447,10 +452,13 @@ class ExtendedFrame:
         return sum(len(rec.steps) for rec in self.history[:records])
 
     def factor_poles(self) -> tuple:
-        return tuple(p for step in self.steps for p in step.factor_poles)
+        """The poles of the factors dressed in: each step's last pole row."""
+        return tuple(step.pole_rows[-1] for step in self.steps)
 
-    def sensitive_points(self) -> tuple:
-        return tuple(p for step in self.steps for p in step.sensitive_points)
+    def sensitive_points(self, depth: int | None = None) -> tuple:
+        """The pole rows of the first ``depth`` steps (all by default): the
+        lambdas where their direct updates lose digits."""
+        return tuple(p for step in self.steps[:depth] for p in step.pole_rows)
 
     def _point_set(self, u):
         """(P, n) contiguous float points plus the caller's leading shape."""
@@ -509,8 +517,7 @@ class ExtendedFrame:
         disjoint and no contour node falls in one."""
         bands = self._bands.get(depth)
         if bands is None:
-            points = np.array([p for step in self.steps[:depth]
-                               for p in step.sensitive_points], dtype=complex)
+            points = np.array(self.sensitive_points(depth), dtype=complex)
             radii = np.array([min([0.05 * max(1.0, abs(p))]
                                   + [0.45 * abs(p - q) for q in points if abs(p - q) > pole_tol(p)])
                               for p in points])

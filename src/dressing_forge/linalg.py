@@ -116,7 +116,9 @@ def solve_linear(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Solve A X = B for a small well-conditioned square A, or for each
     matrix of a stack A of shape (..., n, n).  B holds one right-hand side
     vector per matrix (shape (..., n)) or one block (shape (..., n, k)).
-    The result is exactly ``np.linalg.solve``'s.
+    The result is exactly the first k columns of ``np.linalg.solve(A, [B |
+    I])``, and ``np.linalg.solve(A, B)``'s to rounding: a BLAS kernel may
+    solve a column differently by how many are solved with it.
 
     Raises :class:`SingularError` when the 2-norm condition number of any
     matrix exceeds ``COND_MAX`` (covers exactly singular pivots as well).

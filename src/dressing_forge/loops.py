@@ -13,7 +13,8 @@ the two-pole product f_{z,pi} = g_{-conj(z),rho} g_{z,pi}.
 
 The factor constructors hold the rules on factor data (finite numbers,
 alpha != 0, a real projection, poles off the axes, the pole list); dressing
-and the scenario loader build factors here and rely on those checks.
+and the scenario loader build factors here and rely on those checks.  Every
+factor answers ``is_tau_real`` and ``is_sigma_compatible`` from its own data.
 """
 
 from __future__ import annotations
@@ -28,10 +29,25 @@ from .report import VerificationReport
 
 # Evaluation refuses within pole_tol of a pole (scale-aware).
 POLE_TOL = 1e-8
+# A pole coordinate (real or imaginary part) below this is on its axis.
+AXIS_TOL = 1e-12
 
 
 def pole_tol(pole: complex) -> float:
     return POLE_TOL * max(1.0, abs(pole))
+
+
+def on_axis(x: float) -> bool:
+    return abs(x) < AXIS_TOL
+
+
+def check_pole_collisions(poles, earlier=()) -> None:
+    """Raise :class:`PoleCollisionError` when a pole lies within ``pole_tol``
+    of one before it in ``poles`` or of one of ``earlier``."""
+    for i, p in enumerate(poles):
+        for q in (*earlier, *poles[:i]):
+            if abs(p - q) <= pole_tol(p):
+                raise PoleCollisionError(f"poles {p} and {q} collide")
 
 
 def _simple_eval(pi_matrix: np.ndarray, pole: complex, zero: complex, lam: complex) -> np.ndarray:
@@ -45,7 +61,9 @@ def _simple_eval(pi_matrix: np.ndarray, pole: complex, zero: complex, lam: compl
 
 @dataclass(frozen=True, eq=False)
 class TwoPointFactor:
-    """General simple element with pole alpha1, zero alpha2, projection pi."""
+    """General simple element with pole alpha1, zero alpha2, projection pi.
+    It is tau-real when its zero is the conjugate of its pole, and
+    sigma-compatible when also its pole is imaginary and pi real."""
 
     alpha1: complex
     alpha2: complex
@@ -55,12 +73,20 @@ class TwoPointFactor:
         if not np.isfinite([self.alpha1, self.alpha2]).all():
             raise ValueError(f"a simple element needs a finite pole and zero, got {self.alpha1} "
                              f"and {self.alpha2} (rule: pole and zero finite)")
-        if abs(self.alpha1 - self.alpha2) <= POLE_TOL * max(1.0, abs(self.alpha1)):
+        if abs(self.alpha1 - self.alpha2) <= pole_tol(self.alpha1):
             raise PoleCollisionError("pole and zero of a simple element must differ")
 
     @property
     def n(self) -> int:
         return self.projection.n
+
+    @property
+    def is_tau_real(self) -> bool:
+        return on_axis(abs(self.alpha2 - np.conj(self.alpha1)))
+
+    @property
+    def is_sigma_compatible(self) -> bool:
+        return self.is_tau_real and on_axis(self.alpha1.real) and self.projection.is_real
 
     def poles(self) -> tuple[complex, ...]:
         return (complex(self.alpha1),)
@@ -72,63 +98,58 @@ class TwoPointFactor:
 def one_pole_factor(z: complex, projection: HermitianProjection) -> TwoPointFactor:
     """The tau-real simple element g_{z,pi} (pole z, zero conj(z))."""
     z = complex(z)
-    if abs(z.imag) < 1e-12:
+    if on_axis(z.imag):
         raise ValueError("one-pole factor needs z off the real axis (rule: Im z != 0)")
     return TwoPointFactor(z, complex(np.conj(z)), projection)
 
 
-@dataclass(frozen=True, eq=False)
-class RealOnePoleFactor:
+class RealOnePoleFactor(TwoPointFactor):
     """g_{i alpha, pi} with alpha real nonzero and a real projection: the
-    sigma-compatible one-pole generator."""
+    simple element with pole i alpha and zero -i alpha, the sigma-compatible
+    one-pole generator."""
 
-    alpha: float
-    projection: HermitianProjection
-
-    def __post_init__(self):
-        if not np.isfinite(self.alpha) or self.alpha == 0.0:
+    def __init__(self, alpha: float, projection: HermitianProjection):
+        if not np.isfinite(alpha) or alpha == 0.0:
             raise ValueError("alpha must be finite and nonzero (rule: alpha != 0)")
-        if not self.projection.is_real:
+        if not projection.is_real:
             raise ValueError("real one-pole factor needs a real projection "
                              "(rule: conjugation-invariant image)")
+        super().__init__(1j * alpha, -1j * alpha, projection)
 
     @property
-    def n(self) -> int:
-        return self.projection.n
+    def alpha(self) -> float:
+        return self.alpha1.imag
 
     @property
     def z(self) -> complex:
-        return 1j * self.alpha
-
-    def poles(self) -> tuple[complex, ...]:
-        return (1j * self.alpha,)
-
-    def __call__(self, lam: complex) -> np.ndarray:
-        return _simple_eval(self.projection.matrix, 1j * self.alpha, -1j * self.alpha, lam)
+        return self.alpha1
 
 
 @dataclass(frozen=True, eq=False)
 class TwoPoleFactor:
     """f_{z,pi}: the sigma-compatible generator with poles at z and -conj(z).
 
-    rho is derived on construction: the Hermitian projection onto
-    g_{z,pi}(-conj(z)) applied to the image of conj(pi).
+    rho is derived on construction by the permutability formula
+    (:func:`permute_factors` with -conj(z) and conj(pi)).
     """
 
     z: complex
     projection: HermitianProjection
     rho: HermitianProjection = field(init=False, repr=False)
 
+    is_tau_real = True
+    is_sigma_compatible = True
+
     def __post_init__(self):
         z = complex(self.z)
         if not np.isfinite(z):
             raise ValueError(f"two-pole factor needs a finite z, got {z} (rule: z finite)")
-        if abs(z.real) < 1e-12 or abs(z.imag) < 1e-12:
+        if on_axis(z.real) or on_axis(z.imag):
             raise ValueError("two-pole factor needs z off both the real and imaginary axes "
                              "(rule: Re z != 0 and Im z != 0)")
-        g_at = _simple_eval(self.projection.matrix, z, np.conj(z), -np.conj(z))
         object.__setattr__(self, "z", z)
-        object.__setattr__(self, "rho", project_onto_span(g_at @ self.projection.span.conj()))
+        object.__setattr__(self, "rho", permute_factors(z, self.projection, -z.conjugate(),
+                                                        self.projection.conjugate())[1])
 
     @property
     def n(self) -> int:
@@ -155,6 +176,9 @@ class TranslationFactor:
 
     alpha: float
     b: np.ndarray
+
+    # the n x n block is the identity, and k(-lambda) = conj(k(conj(lambda)))
+    is_tau_real = is_sigma_compatible = True
 
     def __post_init__(self):
         if not np.isfinite(self.alpha) or self.alpha == 0.0:
@@ -184,7 +208,7 @@ class TranslationFactor:
         return out
 
 
-LoopFactor = TwoPointFactor | RealOnePoleFactor | TwoPoleFactor | TranslationFactor
+LoopFactor = TwoPointFactor | TwoPoleFactor | TranslationFactor
 
 
 def invert_factor(factor: TwoPointFactor) -> TwoPointFactor:
@@ -198,39 +222,26 @@ def check_reality(factor: LoopFactor, lam_samples) -> VerificationReport:
     tau:   max |g(conj(lambda))* g(lambda) - I|
     sigma: max |g(-lambda)^t g(lambda) - I|
 
-    The sigma entry carries a tolerance only for the factor kinds that are
-    built to satisfy it (real one-pole, two-pole); for a generic TwoPointFactor
-    it is informational.  A translation factor is not matrix-unitary in the
+    Each entry carries a tolerance only when the factor's data make it hold
+    (``is_tau_real``, ``is_sigma_compatible``); otherwise it is
+    informational.  A translation factor is not matrix-unitary in the
     (n+1)-block sense; for it the sigma-type condition is the conjugation
     symmetry k(-lambda) = conj(k(conj(lambda))), which is what gets checked.
     """
+    n = factor.n
+    translation = isinstance(factor, TranslationFactor)
+    tau = sigma = 0.0
+    for lam in map(complex, lam_samples):
+        a, a_conj = factor(lam), factor(np.conj(lam))
+        tau = max(tau, max_abs(adjoint(a_conj[:n, :n]) @ a[:n, :n] - np.eye(n)))
+        if translation:
+            sigma = max(sigma, max_abs(factor(-lam) - a_conj.conj()))
+        else:
+            sigma = max(sigma, max_abs(factor(-lam).T @ a - np.eye(n)))
     report = VerificationReport()
-    tau = 0.0
-    sigma = 0.0
-    if isinstance(factor, TranslationFactor):
-        for lam in lam_samples:
-            lam = complex(lam)
-            a = factor(lam)
-            tau = max(tau, max_abs(adjoint(factor(np.conj(lam))[: factor.n, : factor.n])
-                                   @ a[: factor.n, : factor.n] - np.eye(factor.n)))
-            sigma = max(sigma, max_abs(factor(-lam) - factor(np.conj(lam)).conj()))
-        report.add("tau_reality", tau, 1e-10)
-        report.add("sigma_reality", sigma, 1e-10, sense="(n+1)-block conjugation symmetry")
-        return report
-
-    eye = np.eye(factor.n)
-    for lam in lam_samples:
-        lam = complex(lam)
-        a = factor(lam)
-        tau = max(tau, max_abs(adjoint(factor(np.conj(lam))) @ a - eye))
-        sigma = max(sigma, max_abs(factor(-lam).T @ a - eye))
-    # A generic TwoPointFactor is tau-real only when its zero is the conjugate
-    # of its pole; otherwise both entries are informational.
-    asserts_tau = not (isinstance(factor, TwoPointFactor)
-                       and abs(factor.alpha2 - np.conj(factor.alpha1)) > 1e-12)
-    asserts_sigma = isinstance(factor, (RealOnePoleFactor, TwoPoleFactor))
-    report.add("tau_reality", tau, 1e-10 if asserts_tau else None)
-    report.add("sigma_reality", sigma, 1e-10 if asserts_sigma else None)
+    report.add("tau_reality", tau, 1e-10 if factor.is_tau_real else None)
+    report.add("sigma_reality", sigma, 1e-10 if factor.is_sigma_compatible else None,
+               **({"sense": "(n+1)-block conjugation symmetry"} if translation else {}))
     return report
 
 
@@ -245,9 +256,8 @@ def permute_factors(z1: complex, pi1: HermitianProjection,
     onto g_{z1,pi1}(z2) applied to the image of pi2.
     """
     z1, z2 = complex(z1), complex(z2)
-    for z in (z1, z2):
-        if abs(z.imag) < 1e-12:
-            raise ValueError("permutability needs poles off the real axis")
+    if on_axis(z1.imag) or on_axis(z2.imag):
+        raise ValueError("permutability needs poles off the real axis")
     if abs(z1 - z2) <= pole_tol(z1) or abs(z1 - np.conj(z2)) <= pole_tol(z1):
         raise PoleCollisionError(f"poles z1={z1} and z2={z2} (or its conjugate) collide")
     g2_at_z1 = _simple_eval(pi2.matrix, z2, np.conj(z2), z1)

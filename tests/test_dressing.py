@@ -5,7 +5,8 @@ import pytest
 
 from dressing_forge import (ExtendedFrame, Grid, HermitianProjection,
                             PoleCollisionError, RealOnePoleFactor,
-                            SphericalViolationError, TwoPointFactor,
+                            SphericalViolationError, TranslationFactor,
+                            TwoPointFactor,
                             VacuumSeed, check_sphere, dress, dress_extended,
                             dress_permuted,
                             dress_real, dress_spherical,
@@ -393,6 +394,37 @@ def test_dress_refuses_simple_element_not_tau_real(torus_frame, pi_diag):
     assert len(dress(torus_frame, one_pole_factor(0.6j, pi_diag)).history) == 1
 
 
+def test_dress_marks_only_a_one_pole_record_sphere_preserving(torus_frame, pi_perp_torus):
+    """sphere_preserving marks a one-pole record and is refused, not
+    dropped, for a two-pole or a translation factor."""
+    frame = dress(torus_frame, RealOnePoleFactor(0.8, pi_perp_torus), sphere_preserving=True)
+    assert frame.history[0].sphere_preserving and frame.is_partial_invariant
+    assert not dress(torus_frame, RealOnePoleFactor(0.8, pi_perp_torus)).is_partial_invariant
+    pi = project_onto_span(np.array([1.0, 0.5 - 0.25j]))
+    for factor in (two_pole_factor(0.4 + 0.8j, pi), TranslationFactor(0.9, [0.2, -0.4])):
+        with pytest.raises(ValueError, match="only a one-pole factor"):
+            dress(torus_frame, factor, sphere_preserving=True)
+        assert len(dress(torus_frame, factor).history) == 1
+
+
+def test_real_one_pole_factor_dresses_like_the_imaginary_pole_one_pole(torus3_frame, rng):
+    """RealOnePoleFactor(a, pi) and one_pole_factor(i a, pi) dress to bit
+    for bit the same E, X, h, beta and phi, after a two-pole record too."""
+    pi = project_onto_span(np.ones(3) / np.sqrt(3.0))
+    prefix = dress_two_pole(torus3_frame, 0.4 + 0.8j,
+                            project_onto_span(np.array([1.0, 0.5 - 0.25j, 0.3])))
+    U = rng.uniform(-0.4, 0.4, size=(6, 3))
+    for frame in (torus3_frame, prefix):
+        real = dress(frame, RealOnePoleFactor(0.6, pi))
+        simple = dress(frame, one_pole_factor(0.6j, pi))
+        assert real.is_sigma_compatible and simple.is_sigma_compatible
+        for lam in (0.9, 0.35 + 0.6j, 0.6j + 1e-9):
+            for a, b in zip(real.evaluate(U, lam), simple.evaluate(U, lam)):
+                assert np.array_equal(a, b)
+        for name in ("h", "beta", "phi"):
+            assert np.array_equal(getattr(real, name)(U), getattr(simple, name)(U))
+
+
 def test_pole_collision_guard(torus_frame, pi_diag):
     frame = dress_real(torus_frame, 0.6, pi_diag)
     with pytest.raises(PoleCollisionError):
@@ -465,6 +497,21 @@ def test_spherical_family_dressed(torus_frame, pi_perp_torus, rng):
         assert abs(np.linalg.norm(X - family.center(lam)) - family.radius(lam)) < 1e-10
     net = family.net(np.array([0.3, -0.2]))
     assert np.all(np.isfinite(net))
+
+
+def test_spherical_family_takes_any_sigma_compatible_one_pole(torus_frame, pi_perp_torus):
+    """The family takes one_pole_factor(i alpha, pi) with a real pi, the
+    same generator as RealOnePoleFactor(alpha, pi), and refuses a
+    sigma-incompatible one-pole factor and a translation."""
+    c = np.array([0.9, 0.5])
+    u = np.array([0.3, -0.2])
+    family = dress_spherical_family(torus_frame, one_pole_factor(0.8j, pi_perp_torus), c)
+    real = dress_spherical_family(torus_frame, RealOnePoleFactor(0.8, pi_perp_torus), c)
+    assert np.array_equal(family.h(u), real.h(u))
+    assert np.array_equal(family.X(u, 0.7), real.X(u, 0.7))
+    for factor in (one_pole_factor(0.3 + 0.8j, pi_perp_torus), TranslationFactor(0.9, [0.2, -0.4])):
+        with pytest.raises(ValueError, match="sigma-compatible generator"):
+            dress_spherical_family(torus_frame, factor, c)
 
 
 def test_spherical_family_two_pole(torus_frame):
@@ -546,7 +593,7 @@ def _contours(frame):
     the prefix frame without the second)."""
     first = frame.step_count(len(frame.history) - 1)
     return [(k + 1, p) for k in range(first, len(frame.steps))
-            for p in frame.steps[k].sensitive_points]
+            for p in frame.steps[k].pole_rows]
 
 
 def _spy_stacks(monkeypatch):
@@ -708,7 +755,7 @@ def test_near_pole_block_values_are_continuous(kind, rng):
         Eb, Xb = frame.evaluate(u, b)
         return max(max_abs(Ea - Eb), max_abs(Xa - Xb))
 
-    for pole in (p for step in frame.history[-1].steps for p in step.sensitive_points):
+    for pole in (p for step in frame.history[-1].steps for p in step.pole_rows):
         for u in (U[0], U):
             slope = gap(u, pole + 1e-6 * direction, pole) / 1e-6
             for d in np.logspace(-9, -3, 7):
@@ -864,7 +911,7 @@ def test_no_contour_node_falls_in_a_band(chain, monkeypatch, rng):
     frame.pole_data(U, len(frame.steps))
     stacks = _spy_stacks(monkeypatch)
     for depth in range(1, len(frame.steps) + 1):
-        for p in frame.steps[depth - 1].sensitive_points:
+        for p in frame.steps[depth - 1].pole_rows:
             radius = frame._contour_radius(p, depth)
             for s in (0.0, 0.5, 0.999):
                 for angle in np.exp(1j * np.array([0.0, 0.9, 2.5, 4.4])):

@@ -80,6 +80,52 @@ def test_reality_complex_one_pole_tau_only(rng):
     assert report["sigma_reality"].passed is None  # informational only
 
 
+def test_reality_imaginary_pole_one_pole_asserts_sigma(rng):
+    """g_{i alpha, pi} with a real pi is sigma-real however it is built, so
+    check_reality asserts sigma at 1e-10 for one_pole_factor(i alpha, pi)."""
+    g = one_pole_factor(0.7j, pi_of([1.0, 1.0]))
+    report = check_reality(g, random_lambda_samples(12, g.poles(), rng))
+    assert report["tau_reality"].tolerance == 1e-10
+    assert report["sigma_reality"].tolerance == 1e-10
+    assert report["sigma_reality"].residual < 1e-12
+    assert report.passed
+
+
+@pytest.mark.parametrize("make, tau, sigma", [
+    (lambda: RealOnePoleFactor(0.8, pi_of([1.0, 1.0])), True, True),
+    (lambda: one_pole_factor(0.8j, pi_of([1.0, 1.0])), True, True),
+    (lambda: one_pole_factor(-0.8j, pi_of([1.0, -2.0])), True, True),
+    (lambda: one_pole_factor(0.8j, pi_of([1.0, 1.0j])), True, False),
+    (lambda: one_pole_factor(0.3 + 0.7j, pi_of([1.0, 1.0])), True, False),
+    (lambda: TwoPointFactor(0.8j, -0.8j + 1e-13, pi_of([1.0, 1.0])), True, True),
+    (lambda: TwoPointFactor(0.8j, 0.3j, pi_of([1.0, 1.0])), False, False),
+    (lambda: TwoPointFactor(0.2 + 0.6j, -0.8 + 0.1j, pi_of([1.0, 0.0])), False, False),
+    (lambda: two_pole_factor(0.4 + 0.8j, pi_of([1.0, 0.5 - 0.25j])), True, True),
+    (lambda: TranslationFactor(0.9, [0.2, -0.4]), True, True),
+], ids=["real-one-pole", "imaginary-pole", "negative-imaginary-pole", "complex-projection",
+        "complex-pole", "zero-within-axis-tol", "zero-not-conjugate", "generic", "two-pole",
+        "translation"])
+def test_reality_class_comes_from_the_factor_data(make, tau, sigma):
+    """Every factor answers is_tau_real and is_sigma_compatible from its own
+    data: a simple element is tau-real when its zero is its pole's
+    conjugate, sigma-compatible when also its pole is imaginary and its
+    projection real."""
+    factor = make()
+    assert (factor.is_tau_real, factor.is_sigma_compatible) == (tau, sigma)
+
+
+def test_real_one_pole_is_the_imaginary_pole_simple_element(rng):
+    """RealOnePoleFactor(a, pi) is the simple element with pole i a, zero
+    -i a and projection pi: the same numbers as one_pole_factor(i a, pi)."""
+    pi = pi_of([1.0, -0.3])
+    g, h = RealOnePoleFactor(0.8, pi), one_pole_factor(0.8j, pi)
+    assert isinstance(g, TwoPointFactor)
+    assert (g.alpha, g.z, g.n, g.poles()) == (0.8, 0.8j, 2, h.poles())
+    assert (g.alpha1, g.alpha2) == (h.alpha1, h.alpha2)
+    for lam in random_lambda_samples(8, g.poles(), rng):
+        assert np.array_equal(g(lam), h(lam))
+
+
 def test_reality_generic_two_point_informational(rng):
     g = TwoPointFactor(0.2 + 0.6j, -0.8 + 0.1j, pi_of([1.0, 0.0]))
     report = check_reality(g, random_lambda_samples(8, [g.alpha1, g.alpha2], rng))
@@ -141,6 +187,23 @@ def test_permute_factors_recovers_two_pole_construction():
     assert projection_distance(rho2, rho1.conjugate()) < 1e-12
     f = two_pole_factor(z, pi)
     assert projection_distance(rho2, f.rho) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_two_pole_rho_is_the_permutability_projection(n, rng):
+    """rho of f_{z,pi} is exactly rho2 of permute_factors(z, pi, -conj(z),
+    conj(pi)), and exactly the projection onto g_{z,pi}(-conj(z)) conj(im
+    pi) formed directly, for every rank from 1 to n - 1."""
+    for rank in range(1, n):
+        span = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+        pi = project_onto_span(span)
+        z = complex(rng.uniform(0.2, 1.5), rng.uniform(0.2, 1.5))
+        f = two_pole_factor(z, pi)
+        for rho in (permute_factors(z, pi, -np.conj(z), pi.conjugate())[1],
+                    project_onto_span(one_pole_factor(z, pi)(-np.conj(z)) @ pi.span.conj())):
+            assert np.array_equal(f.rho.matrix, rho.matrix)
+            assert np.array_equal(f.rho.span, rho.span)
+            assert (f.rho.rank, f.rho.is_real) == (rho.rank, rho.is_real)
 
 
 def test_permute_factors_involution(rng):
