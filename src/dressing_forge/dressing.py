@@ -42,12 +42,14 @@ the history as a flat sequence of steps, each record's ``steps``: a
 two-pole record is its two one-pole parts and holds no evaluation code.  A
 step's pole data are the arrays its ``apply`` reads, stacked over a whole
 point set: the prefix block at its poles and, for a one-pole step, the
-matrix [[pi_tilde^perp, -pi_tilde eta], [pi_tilde, pi_tilde eta]] it
-multiplies by at each point.  The frame's pole-data sweep
-(``ExtendedFrame.pole_data``) computes and memoises them per point set, and
-``take_pole_data`` reads them off the step's own rows of the stacked prefix
-block; ``rows`` views them at some of the points.  ``apply`` updates the
-block it is given in place and returns it.
+matrix [[pi_tilde^perp, -pi_tilde eta], [0, 1], [pi_tilde, pi_tilde eta]]
+(R_tilde above [pi_tilde | pi_tilde eta]) it multiplies by at each point;
+the step folds c into its left factor c blockdiag(pi, -pi^perp) once.  The
+frame's pole-data sweep (``ExtendedFrame.pole_data``) computes and
+memoises them per point set, and ``take_pole_data`` reads them off the
+step's own rows of the stacked prefix block; ``rows`` views them at some of
+the points.  ``apply`` updates the block it is given in place and returns
+it: at one point, a short fixed run of numpy calls.
 """
 
 from __future__ import annotations
@@ -91,11 +93,11 @@ class _OnePoleData:
     matrix axes, holds the prefix block [E | X] at conj(z) and [E | eta] at
     z: the update reads only E at z (the quotient of that X column is
     discarded), so the column holds eta.  ``blocks``, of shape
-    (P, 2n, n+1), holds per point the matrix the update multiplies by: the
-    top block [pi_tilde^perp | -pi_tilde eta] of R_tilde stacked above
-    [pi_tilde | pi_tilde eta].  ``eta``, ``pi_tilde`` (the transported
-    projection's matrix) and ``pe`` (pi_tilde eta) are views into them, and
-    ``rows`` views both at some of the points.
+    (P, 2n+1, n+1), holds per point the matrix the update multiplies by:
+    R_tilde, its rows [pi_tilde^perp | -pi_tilde eta] and [0 ... 0 | 1],
+    stacked above [pi_tilde | pi_tilde eta].  ``eta``, ``pi_tilde`` (the
+    transported projection's matrix) and ``pe`` (pi_tilde eta) are views
+    into them, and ``rows`` views both at some of the points.
     """
 
     F_poles: np.ndarray
@@ -108,12 +110,12 @@ class _OnePoleData:
     @property
     def pi_tilde(self) -> np.ndarray:
         n = self.blocks.shape[-1] - 1
-        return self.blocks[..., n:, :n]
+        return self.blocks[..., n + 1:, :n]
 
     @property
     def pe(self) -> np.ndarray:
         n = self.blocks.shape[-1] - 1
-        return self.blocks[..., n:, n]
+        return self.blocks[..., n + 1:, n]
 
     def rows(self, index) -> "_OnePoleData":
         """The data at the points ``index`` (an int, a slice or an index
@@ -131,17 +133,18 @@ class OnePoleRecord:
 
     Both quotients run as one stack, the pole pair next to the matrix axes,
     so that a (lambda, point) row holds them as one 2n x (n+1) matrix, and
-    one product by blockdiag(pi, -pi^perp) gives S_0 = pi dq_{conj z}(F)
-    and S_1 = -pi^perp dq_z(F).  The right factors change from point to
-    point: [S_0 | S_1], first n columns each, times the pole data's
-    ``blocks`` is both products with them at once, and S_0's last column
-    is added after, for the bottom row [0, 1] of R_tilde.  Each product is
-    grouped from the left as in the separate E update.  Every product has
-    the same shape at every row, so a row's value does not depend on how
-    many rows are stacked with it: a product over all rows at once would
-    run through BLAS kernels that compute a row by where it sits in the
-    stack.  A point set of more than ``POINT_BLOCK`` points is updated
-    block by block, so the transients stay bounded.
+    one product by the record's left factor c blockdiag(pi, -pi^perp) gives
+    S_0 = c pi dq_{conj z}(F) and S_1 = -c pi^perp dq_z(F).  The right
+    factors change from point to point: [S_0 | S_1], the first n columns of
+    S_1, times the pole data's ``blocks`` (R_tilde above [pi_tilde |
+    pi_tilde eta]) is both products with them at once, and is added to F.
+    Each product is grouped from the left as in the separate E update, and
+    pi_tilde^perp is stored, not formed as I - pi_tilde in the product.
+    Every product has the same shape at every row, so a row's value does
+    not depend on how many rows are stacked with it: a product over all
+    rows at once would run through BLAS kernels that compute a row by where
+    it sits in the stack.  A point set of more than ``POINT_BLOCK`` points
+    is updated block by block, so the transients stay bounded.
 
     ``sphere_preserving`` is set by :func:`dress_spherical`: the record
     provably preserves |h| = const.  The record is one step of a frame.
@@ -157,11 +160,12 @@ class OnePoleRecord:
         # order of its rows in a pole-data sweep; the last is the pole
         object.__setattr__(self, "pole_rows", (z.conjugate(), z))
         object.__setattr__(self, "_pair", np.array(self.pole_rows))
-        # the left factors, blockdiag(pi, -pi^perp)
+        # the left factors with c folded in, c blockdiag(pi, -pi^perp)
         n = self.projection.matrix.shape[-1]
+        c = z.conjugate() - z
         left = np.zeros((2 * n, 2 * n), dtype=complex)
-        left[:n, :n] = self.projection.matrix
-        left[n:, n:] = -self.projection.complement
+        left[:n, :n] = c * self.projection.matrix
+        left[n:, n:] = -c * self.projection.complement
         object.__setattr__(self, "_left", left)
 
     @property
@@ -196,11 +200,12 @@ class OnePoleRecord:
         # eta at the conjugate point keeps the dressed X holomorphic at zbar
         eta = F_poles[1, ..., n]
         eta[...] = solve_linear(E_zbar, F_poles[0, ..., n])
-        blocks = np.empty(F_poles.shape[1:-2] + (2 * n, n + 1), dtype=complex)
+        blocks = np.zeros(F_poles.shape[1:-2] + (2 * n + 1, n + 1), dtype=complex)
         blocks[..., :n, :n] = pi_tilde.complement
-        blocks[..., n:, :n] = pi_tilde.matrix
-        blocks[..., n:, n] = _mv(blocks[..., n:, :n], eta)
-        blocks[..., :n, n] = -blocks[..., n:, n]
+        blocks[..., n, n] = 1.0
+        blocks[..., n + 1:, :n] = pi_tilde.matrix
+        blocks[..., n + 1:, n] = _mv(blocks[..., n + 1:, :n], eta)
+        blocks[..., :n, n] = -blocks[..., n + 1:, n]
         return _OnePoleData(F_poles.swapaxes(0, 1), blocks)
 
     point_data = _point_data
@@ -220,23 +225,17 @@ class OnePoleRecord:
 
     def _update(self, F, lam, data: _OnePoleData):
         n = F.shape[-2]
-        zb, z = self.pole_rows
         # dq_{conj z}(F) and dq_z(F), the pole pair next to the matrix axes
         D = F[..., None, :, :] - data.F_poles
         d = lam[..., None] - self._pair if isinstance(lam, np.ndarray) else lam - self._pair
         D /= d[..., None, None]
-        # [S_0; S_1] = [pi dq_{conj z}(F); -pi^perp dq_z(F)], one product
-        # per (lambda, point) row
+        # [S_0; S_1] = [c pi dq_{conj z}(F); -c pi^perp dq_z(F)], one
+        # product per (lambda, point) row
         S = self._left @ D.reshape(D.shape[:-3] + (2 * n, n + 1))
         del D
-        # S_0 times R_tilde's top block plus S_1 times [pi_tilde | pi_tilde
-        # eta], one product per point; the bottom row [0, 1] of R_tilde
-        # passes the X column of S_0 through
-        W = np.concatenate((S[..., :n, :n], S[..., n:, :n]), axis=-1) @ data.blocks
-        W[..., n] += S[..., :n, n]
-        del S
-        W *= zb - z
-        F += W
+        # S_0 times R_tilde plus S_1 times [pi_tilde | pi_tilde eta], one
+        # product per point
+        F += np.concatenate((S[..., :n, :], S[..., n:, :n]), axis=-1) @ data.blocks
         return F
 
     def apply_h(self, h, data: _OnePoleData):

@@ -278,7 +278,18 @@ class VacuumSeed:
 
     def __post_init__(self):
         lo, hi = np.array([p.domain for p in self.profiles], dtype=float).reshape(-1, 2).T
-        object.__setattr__(self, "_bounds", (lo - 1e-12, hi + 1e-12))
+        # clipped to the finite floats, so the bounds alone refuse NaN and inf
+        big = np.finfo(float).max
+        object.__setattr__(self, "_bounds", (np.maximum(lo - 1e-12, -big),
+                                             np.minimum(hi + 1e-12, big)))
+        # the constant axes' radii, whose X entries the block writes in one
+        # call, and the other axes, each by its own closed form
+        constant = [j for j, p in enumerate(self.profiles) if isinstance(p, ConstantProfile)]
+        object.__setattr__(self, "_constant", (
+            np.array(constant, dtype=int),
+            np.array([self.profiles[j].r for j in constant], dtype=float)))
+        object.__setattr__(self, "_other", tuple(
+            (j, p) for j, p in enumerate(self.profiles) if j not in constant))
 
     @property
     def n(self) -> int:
@@ -297,7 +308,7 @@ class VacuumSeed:
 
     def _check_domain(self, u: np.ndarray) -> None:
         lo, hi = self._bounds
-        inside = np.isfinite(u) & (lo <= u) & (u <= hi)
+        inside = (lo <= u) & (u <= hi)
         if not inside.all():
             j = int(np.argmin(inside.reshape(-1, self.n).all(axis=0)))
             bad = np.asarray(u)[..., j][~inside[..., j]].flat[0]
@@ -313,7 +324,8 @@ class VacuumSeed:
     def block(self, u: np.ndarray, lam) -> np.ndarray:
         """The seed block [E | X], shape (..., n, n+1): E on the diagonal of
         the first n columns, X in the last, written in one pass after one
-        domain check."""
+        domain check; the constant axes' X entries are r_j times one
+        stacked exp integral."""
         u = np.asarray(u, dtype=float)
         self._check_domain(u)
         lead = u.shape[:-1]
@@ -324,7 +336,10 @@ class VacuumSeed:
         diag = np.arange(n)
         lam_u = lam[..., None] if isinstance(lam, np.ndarray) else lam
         out[..., diag, diag] = np.exp(1j * lam_u * u)
-        for j, p in enumerate(self.profiles):
+        axes, radii = self._constant
+        if axes.size:
+            out[..., axes, n] = radii * _stable_exp_integral(u[..., axes], lam_u)
+        for j, p in self._other:
             out[..., j, n] = p.position_integral(u[..., j], lam)
         return out
 
@@ -390,6 +405,8 @@ POINT_BLOCK = 2048
 # Nodes of the contour around a lambda near a sensitive point, on a leading axis
 CONTOUR_NODES = 16
 _NODES = np.exp(2j * np.pi * np.arange(CONTOUR_NODES) / CONTOUR_NODES)[:, None]
+# the radius of a lambda in no band, a numpy float as a stacked check gives
+_NO_BAND = np.float64(0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -416,7 +433,8 @@ class ExtendedFrame:
     history: tuple = ()
     steps: tuple = field(init=False, repr=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False)
-    # depth -> (points, R/2, R), unlocked: racing threads store equal values
+    # depth -> (points, R/2, R, the same per point), unlocked: racing
+    # threads store equal values
     _bands: dict = field(default_factory=dict, init=False, repr=False)
     # re-entrant: computing one step's pole data evaluates the prefix frame
     _lock: threading.RLock = field(default_factory=threading.RLock, init=False, repr=False)
@@ -509,20 +527,25 @@ class ExtendedFrame:
                         step.apply(F[g], lam[g], data[i])
             return data
 
-    def _contour_radius(self, lam, depth: int) -> np.ndarray:
+    def _contour_radius(self, lam, depth: int):
         """R(p) for each lambda within R(p)/2 of a sensitive point p of the
-        first ``depth`` steps, 0 for every other; of lam's shape.  R(p) is
-        0.05 max(1, |p|), capped at 0.45 times the distance to every other
-        sensitive point more than ``pole_tol`` away, so the bands are
-        disjoint and no contour node falls in one."""
+        first ``depth`` steps, 0 for every other; of lam's shape (a numpy
+        float for one complex).  R(p) is 0.05 max(1, |p|), capped at 0.45
+        times the distance to every other sensitive point more than
+        ``pole_tol`` away, so the bands are disjoint and no contour node
+        falls in one."""
         bands = self._bands.get(depth)
         if bands is None:
             points = np.array(self.sensitive_points(depth), dtype=complex)
             radii = np.array([min([0.05 * max(1.0, abs(p))]
                                   + [0.45 * abs(p - q) for q in points if abs(p - q) > pole_tol(p)])
                               for p in points])
-            bands = self._bands[depth] = (points, radii / 2, radii)
-        points, half, radii = bands
+            each = tuple(zip(points.tolist(), (radii / 2).tolist(), radii))
+            bands = self._bands[depth] = (points, radii / 2, radii, each)
+        points, half, radii, each = bands
+        if isinstance(lam, complex):
+            # one lambda, tested against each band in turn
+            return max((r for p, h, r in each if abs(lam - p) < h), default=_NO_BAND)
         inside = np.abs(np.subtract.outer(lam, points)) < half
         return (inside * radii).max(axis=-1, initial=0.0)
 
@@ -540,6 +563,8 @@ class ExtendedFrame:
         other lambda gets the direct updates."""
         r = self._contour_radius(lam, depth)
         data = self.pole_data(U, depth)[:depth]
+        if isinstance(lam, complex):
+            return self._contour(U, lam, r, data) if r else self._steps(U, lam, data)
         if not r.any():
             return self._steps(U, lam, data)
         if r.all():

@@ -8,9 +8,11 @@ cheap certificates where one decides exactly: a solve passes every matrix
 whose Frobenius condition number ||A||_F ||A^-1||_F, an upper bound on the
 2-norm one, is below the limit, and a one-column span needs only a nonzero
 norm.  A values-only SVD decides the rest.  The one structured value is
-:class:`HermitianProjection`, which is re-validated on every construction
-because a projection that silently fails pi^2 = pi or pi = pi* corrupts every
-downstream transformation formula.
+:class:`HermitianProjection`, which is validated on every construction from
+given matrices, because a projection that silently fails pi^2 = pi or
+pi = pi* corrupts every downstream transformation formula; one that
+:func:`project_onto_span` builds as Q Q* from an orthonormal Q is certified
+by Q and not checked again.
 """
 
 from __future__ import annotations
@@ -190,6 +192,15 @@ class HermitianProjection:
         if self.span.shape != pi.shape[:-1] + (self.rank,):
             raise ValueError("span must be n x rank")
 
+    @classmethod
+    def _from_basis(cls, matrix, rank: int, is_real: bool, span) -> "HermitianProjection":
+        """The projection Q Q* onto the span of an orthonormal Q (``span``),
+        without ``__post_init__``'s checks: Q Q* is Hermitian, idempotent
+        and of trace ``rank`` to rounding, because Q* Q = I."""
+        pi = object.__new__(cls)
+        vars(pi).update(matrix=matrix, rank=rank, is_real=is_real, span=span)
+        return pi
+
     @property
     def n(self) -> int:
         return self.matrix.shape[-1]
@@ -224,7 +235,9 @@ def project_onto_span(V: np.ndarray) -> HermitianProjection:
     = |v|, so its test is v = 0 and its basis v / |v|, with the norm scaled
     against overflow and underflow; several columns take the left singular
     vectors and singular values of a reduced SVD.  Each projection whose
-    imaginary part is below ``PROJECTION_TOL`` is snapped to real.
+    imaginary part is below ``PROJECTION_TOL`` is snapped to real.  Q's
+    orthonormality certifies the result, so it skips the stack-wide
+    idempotence, hermiticity and trace checks of a given projection.
     """
     V = cmat(V)
     if V.ndim == 1:
@@ -232,7 +245,7 @@ def project_onto_span(V: np.ndarray) -> HermitianProjection:
     n, k = V.shape[-2:]
     if k == 0:
         zero = np.zeros(V.shape[:-1] + (n,), dtype=complex)
-        return HermitianProjection(zero, 0, True, V)
+        return HermitianProjection._from_basis(zero, 0, True, V)
     if k > n:
         raise RankDeficientError(f"{k} columns cannot be independent in dimension {n}")
     if k == 1:
@@ -256,7 +269,7 @@ def project_onto_span(V: np.ndarray) -> HermitianProjection:
     pi = 0.5 * (pi + adjoint(pi))  # enforce Hermitian symmetry exactly up to roundoff
     real = np.abs(pi.imag).max(axis=(-2, -1)) < PROJECTION_TOL
     pi = np.where(real[..., None, None], pi.real, pi)
-    return HermitianProjection(pi, k, bool(real.all()), Q)
+    return HermitianProjection._from_basis(pi, k, bool(real.all()), Q)
 
 
 def projection_distance(p: HermitianProjection, q: HermitianProjection) -> float:

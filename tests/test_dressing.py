@@ -924,6 +924,31 @@ def test_no_contour_node_falls_in_a_band(chain, monkeypatch, rng):
                     assert not frame._contour_radius(w, depth).any()
 
 
+def test_one_lambda_band_check_equals_its_row_of_the_stacked_check():
+    """The contour radius at one complex, Python or numpy, equals bit for
+    bit its row of the stacked check at every depth of the mixed chain, for
+    lambda at each sensitive point, inside its band, on the band's edge,
+    one ulp inside it and 1% outside, and far from every point."""
+    frame = _sweep_chains()["mixed"]()
+    full = len(frame.steps)
+    lams = [0.9, 5.0 + 5.0j, -3.0j]
+    for p in frame.sensitive_points():
+        half = frame._contour_radius(np.array([p]), full)[0] / 2
+        for angle in np.exp(1j * np.array([0.0, 1.3, 3.9])):
+            lams += [p + s * angle for s in (0.0, 0.3 * half, half,
+                                               np.nextafter(half, 0.0), 1.01 * half)]
+    lams = np.array(lams)
+    banded = 0
+    for depth in range(full + 1):
+        rows = frame._contour_radius(lams, depth)
+        banded += np.count_nonzero(rows)
+        for lam, row in zip(lams, rows):
+            for one in (complex(lam), lam):
+                r = frame._contour_radius(one, depth)
+                assert np.ndim(r) == 0 and r == row
+    assert 0 < banded < full * len(lams)
+
+
 @pytest.mark.parametrize("chain", ["mixed", "conjugate", "two_pole_conjugate"])
 def test_evaluate_at_depth_equals_the_shorter_frame(chain, rng):
     """evaluate(u, lam, depth=k) is bit for bit the k-record frame's
@@ -988,14 +1013,18 @@ def _two_product_update(record, F, lam, data):
     ``OnePoleRecord.apply``: both quotients stacked on a leading pole-pair
     axis, times [pi, pi^perp] as a stack of n x n matrices, then times
     [R_tilde's top block, [pi_tilde | pi_tilde eta]], with c (out_0 - out_1)
-    added to F."""
+    added to F.  The right factors are built here from the data's pi_tilde
+    and pi_tilde eta, with pi_tilde^perp = I - pi_tilde, so the oracle does
+    not read the ``blocks`` layout it checks."""
     n = F.shape[-2]
     zb, z = record.pole_rows
 
     def pair(x):  # the pole pair on axis 0, against (2, ..., P, n, n+1)
         return x.reshape(x.shape[:1] + (1,) * (F.ndim + 1 - x.ndim) + x.shape[1:])
     F_poles = np.moveaxis(data.F_poles, -3, 0)
-    blocks = np.stack((data.blocks[..., :n, :], data.blocks[..., n:, :]))
+    pi_tilde, pe = data.pi_tilde, data.pe[..., None]
+    blocks = np.stack((np.concatenate((np.eye(n) - pi_tilde, -pe), axis=-1),
+                       np.concatenate((pi_tilde, pe), axis=-1)))
     left = np.stack((record.projection.matrix, record.projection.complement)).astype(complex)
     D = F - pair(F_poles)
     D /= pair(np.array((lam - zb, lam - z))[..., None, None])

@@ -143,19 +143,27 @@ def _seed_E_X(seed, u, lam):
     return E, X
 
 
-@pytest.mark.parametrize("seed_name", ["constant", "polynomial", "sampled"])
+def _three_axis_seed():
+    """Constant profiles on axes 0 and 2 around a polynomial on axis 1: the
+    block writes the constant axes' X entries in one call, the other alone."""
+    return VacuumSeed((ConstantProfile(1.2), PolynomialProfile((1.0, 0.3, -0.2), (-1.0, 1.0)),
+                       ConstantProfile(0.8)))
+
+
+@pytest.mark.parametrize("seed_name", ["constant", "polynomial", "sampled", "three_axis"])
 def test_seed_block_matches_per_profile_reference(seed_name):
     """block, E and X equal the per-profile reference bit for bit, for one
     lambda, one lambda per point, and lambdas with a leading axis (with
-    lambda = 0 among them), and at a single point."""
-    seed = SEEDS[seed_name]()
-    U = np.random.default_rng(21).uniform(-0.6, 0.6, size=(5, 2))
+    lambda = 0 among them), and at a single point; the three-axis seed has
+    constant profiles on axes 0 and 2 and a polynomial on axis 1."""
+    seed = _three_axis_seed() if seed_name == "three_axis" else SEEDS[seed_name]()
+    U = np.random.default_rng(21).uniform(-0.6, 0.6, size=(5, seed.n))
     per_point = np.array([0.9, 0.3 - 0.4j, 0.0, 1e-3j, -1.7 + 0.2j])
     stacked = np.array([0.0, 0.6j + 3e-9, 2.1 - 0.5j])[:, None]
     for u, lam in ((U, 0.7 - 0.2j), (U, 0.0), (U, per_point), (U, stacked), (U[0], 0.9)):
         E, X = _seed_E_X(seed, u, lam)
         block = seed.block(u, lam)
-        assert block.shape == E.shape[:-1] + (3,)
+        assert block.shape == E.shape[:-1] + (seed.n + 1,)
         assert np.array_equal(block, np.concatenate((E, X[..., None]), axis=-1))
         assert np.array_equal(seed.E(u, lam), E)
         assert np.array_equal(seed.X(u, lam), X)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dressing_forge import (HermitianProjection, RankDeficientError,
-                            SingularError, max_abs, project_onto_span,
+                            SingularError, linalg, max_abs, project_onto_span,
                             solve_linear, star_reduce)
 from dressing_forge.linalg import COND_MAX, RANK_TOL_FACTOR
 
@@ -47,6 +47,73 @@ def test_projection_validation_rejects_corrupt_matrix():
     bad = np.array([[0.9, 0.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(RankDeficientError):
         HermitianProjection(bad, 1, True, np.array([[1.0], [0.0]], dtype=complex))
+
+
+@pytest.mark.parametrize("matrix, rank, real, message", [
+    ([[0.9, 0.0], [0.0, 0.0]], 1, True, r"\|pi\^2-pi\|"),
+    ([[1.0, 1.0], [0.0, 0.0]], 1, True, r"\|pi-pi\*\|"),
+    ([[1.0, 0.0], [0.0, 0.0]], 2, True, "trace"),
+    ([[0.5, -0.5j], [0.5j, 0.5]], 1, True, "marked real"),
+    ([[[1.0, 0.0], [0.0, 0.0]], [[0.9, 0.0], [0.0, 0.0]]], 1, True, r"\|pi\^2-pi\|"),
+], ids=["not-idempotent", "not-hermitian", "wrong-rank", "not-real", "one-bad-in-stack"])
+def test_given_projections_are_still_validated(matrix, rank, real, message):
+    """A projection built from a given matrix is checked over the whole
+    stack, as before; only those project_onto_span builds skip the check."""
+    matrix = np.array(matrix, dtype=complex)
+    span = np.zeros(matrix.shape[:-1] + (rank,), dtype=complex)
+    with pytest.raises(RankDeficientError, match=message):
+        HermitianProjection(matrix, rank, real, span)
+
+
+def _span_projection_reference(V):
+    """project_onto_span as computed through the validating constructor:
+    Q = v / |v| (one column) or the reduced SVD's U, then Q Q*, made
+    Hermitian and snapped to real where its imaginary part is below 1e-12."""
+    V = np.asarray(V, dtype=complex)
+    V = V[:, None] if V.ndim == 1 else V
+    if V.shape[-1] == 1:
+        r, _, X = linalg._frobenius(V)
+        Q = (X / r[..., None, None]).view(complex)
+    else:
+        Q = np.linalg.svd(V, full_matrices=False)[0]
+    pi = Q @ Q.swapaxes(-1, -2).conj()
+    pi = 0.5 * (pi + pi.swapaxes(-1, -2).conj())
+    real = np.abs(pi.imag).max(axis=(-2, -1)) < linalg.PROJECTION_TOL
+    return HermitianProjection(np.where(real[..., None, None], pi.real, pi), V.shape[-1],
+                               bool(real.all()), Q)
+
+
+@pytest.mark.parametrize("case", ["vector", "real-column", "complex-columns", "stack-1",
+                                  "stack-2", "mixed-stack", "near-real", "no-columns"])
+def test_built_projections_skip_validation_and_keep_their_values(case, rng, monkeypatch):
+    """project_onto_span's projections, certified by their orthonormal Q,
+    are not validated again, and keep bit for bit the matrix, rank,
+    is_real and span that the same computation gives through the
+    validating constructor; they also pass that constructor."""
+    V = {
+        "vector": rng.normal(size=3) + 1j * rng.normal(size=3),
+        "real-column": rng.normal(size=(4, 1)),
+        "complex-columns": rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)),
+        "stack-1": rng.normal(size=(7, 3, 1)) + 1j * rng.normal(size=(7, 3, 1)),
+        "stack-2": rng.normal(size=(5, 4, 2)) + 1j * rng.normal(size=(5, 4, 2)),
+        "mixed-stack": np.stack([rng.normal(size=(3, 2)),
+                                 rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))]),
+        "near-real": rng.normal(size=(3, 1)) + 1e-14j * rng.normal(size=(3, 1)),
+        "no-columns": np.zeros((2, 3, 0)),
+    }[case]
+    want = _span_projection_reference(V) if V.shape[-1] else None
+    checks = []
+    post_init = HermitianProjection.__post_init__
+    monkeypatch.setattr(HermitianProjection, "__post_init__",
+                        lambda self: checks.append(self) or post_init(self))
+    got = project_onto_span(V)
+    assert checks == []
+    if want is not None:
+        assert np.array_equal(got.matrix, want.matrix) and got.matrix.dtype == want.matrix.dtype
+        assert np.array_equal(got.span, want.span)
+        assert (got.rank, got.is_real) == (want.rank, want.is_real)
+    HermitianProjection(got.matrix, got.rank, got.is_real, got.span)
+    assert got.is_real == (case in ("real-column", "near-real", "no-columns"))
 
 
 def test_zero_and_identity_projections():
