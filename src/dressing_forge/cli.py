@@ -588,9 +588,22 @@ def export_sweep_csv(frame, grid, lambdas, path) -> tuple:
     return _write_csv(path, ["lam_re", "lam_im"] + [f"u{j}" for j in axes] + names, table), X
 
 
+def _strict_json(value):
+    """``value`` with every non-finite float written as the string "nan",
+    "inf" or "-inf", which strict JSON parsers accept."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    if isinstance(value, dict):
+        return {key: _strict_json(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(v) for v in value]
+    return value
+
+
 def _write_report(report: VerificationReport, out_dir: Path, name: str, meta: dict):
-    payload = {"schema_version": SCHEMA_VERSION, **meta, **report.to_dict()}
-    (out_dir / name).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    payload = _strict_json({"schema_version": SCHEMA_VERSION, **meta, **report.to_dict()})
+    (out_dir / name).write_text(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+                                + "\n")
 
 
 def _grid_meta(scenario: Scenario) -> dict:
@@ -679,7 +692,8 @@ def cmd_permute_check(scenario: Scenario, out_dir: Path, args) -> int:
     frame = ExtendedFrame(scenario.seed)
     tol = scenario.tolerances["permutability"] * args.tol_scale
     f12, f21, report = dress_permuted(frame, f1.poles()[0], f1.projection,
-                                      f2.poles()[0], f2.projection, tol=tol)
+                                      f2.poles()[0], f2.projection, grid=scenario.grid,
+                                      tol=tol)
     _write_report(report, out_dir, "permute_report.json", _grid_meta(scenario))
     print("permutability discrepancy table:")
     for c in report.checks:

@@ -58,7 +58,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import frames
 from .errors import SphericalViolationError
 from .frames import ExtendedFrame, frame_dlambda_at_zero
 from .geometry import Grid
@@ -143,8 +142,7 @@ class OnePoleRecord:
     Every product has the same shape at every row, so a row's value does
     not depend on how many rows are stacked with it: a product over all
     rows at once would run through BLAS kernels that compute a row by where
-    it sits in the stack.  A point set of more than ``POINT_BLOCK`` points
-    is updated block by block, so the transients stay bounded.
+    it sits in the stack.
 
     ``sphere_preserving`` is set by :func:`dress_spherical`: the record
     provably preserves |h| = const.  The record is one step of a frame.
@@ -211,19 +209,8 @@ class OnePoleRecord:
     point_data = _point_data
 
     def apply(self, F, lam, data: _OnePoleData):
-        """Update the block F (..., P, n, n+1) in place and return it: in
-        one piece, or over blocks of at most ``POINT_BLOCK`` points."""
-        P, block = F.shape[-3], frames.POINT_BLOCK
-        if P <= block:
-            return self._update(F, lam, data)
-        per_point = np.ndim(lam) and np.shape(lam)[-1] == P
-        for i in range(0, P, block):
-            rows = slice(i, i + block)
-            self._update(F[..., rows, :, :], lam[..., rows] if per_point else lam,
-                         data.rows(rows))
-        return F
-
-    def _update(self, F, lam, data: _OnePoleData):
+        """Update the block F (..., P, n, n+1) in place and return it; each
+        (lambda, point) row's value does not depend on the others."""
         n = F.shape[-2]
         # dq_{conj z}(F) and dq_z(F), the pole pair next to the matrix axes
         D = F[..., None, :, :] - data.F_poles

@@ -20,12 +20,10 @@ The steps' poles cancel, so the block is entire in lambda; near a sensitive
 point p (a pole or its conjugate) the direct updates lose digits, so a
 lambda within R(p)/2 of p takes the block's mean over |w - lambda| = R(p),
 the trapezoid rule for Cauchy's formula (Trefethen & Weideman, SIAM Review
-56, 2014).  Every lambda-stacked evaluation, a sweep's or a contour's, goes
-in row groups of at most ``STACK_PAIRS`` (lambda, point) pairs (one lambda
-per group when the point set alone is larger).  ``POINT_BLOCK`` bounds the
-point axis the same way: a one-pole update runs over blocks of at most that
-many points, and ``potential_on_grid`` sends point sets of at most that many
-points through ``h``.
+56, 2014).  One bound, ``POINT_BLOCK``, sizes every batch: the seed block
+and the steps' updates run over blocks of at most that many (lambda, point)
+pairs, which ``_blocks`` alone cuts, and ``potential_on_grid`` sends point
+sets of at most that many points through ``h``.
 
 Every seed profile's position and energy integrals are closed forms: a
 sampled profile is a sum over its cubic spline pieces, each a
@@ -380,26 +378,36 @@ def _lambdas(lam, lead: tuple):
 # Number of most recent point sets whose pole data a frame keeps.
 MEMO_POINT_SETS = 4
 
-# Most (lambda, point) pairs one lambda-stacked evaluation or update
-# carries: a pole-data sweep or a contour stacks lambdas on a leading axis
-# against the point set, and goes through the steps in row groups of at most
-# max(1, STACK_PAIRS // P) lambdas.  Stacking saves numpy calls,
-# which pays while a call's fixed cost outweighs its work on the points;
-# beyond that a larger stack only raises the transients of every update.
-STACK_PAIRS = 64
-
-
-def row_groups(rows: int, points: int) -> list:
-    """Slices cutting ``rows`` stacked lambdas at ``points`` points into the
-    row groups that STACK_PAIRS allows."""
-    step = max(1, STACK_PAIRS // max(points, 1))
-    return [slice(i, i + step) for i in range(0, rows, step)]
-
-
-# Most points one one-pole update, or one ``potential_on_grid`` point set,
-# carries at once; a larger point set goes block by block, so the transients
-# stay bounded however many points a frame is asked about.
+# Most (lambda, point) pairs one seed block or step update carries, and most
+# points one ``potential_on_grid`` point set carries; a larger stack goes block
+# by block, so the transients stay bounded however many points it has.
 POINT_BLOCK = 2048
+
+
+def _blocks(U: np.ndarray, lam, data: list):
+    """Cut a stack against the (P, n) point set U, of leading shape (P,)
+    (``lam`` one complex or of shape (P,)) or (m, P) (``lam`` (m, 1) or
+    (m, P)), into blocks of at most ``POINT_BLOCK`` (lambda, point) pairs,
+    each (its index into the stack's leading axes, its points, its lambdas,
+    the steps' pole data ``data`` at its points).  Whole lambda rows go
+    together while the point set fits in a block, else one row of at most
+    ``POINT_BLOCK`` points; a stack that fits is one block, index ``...``."""
+    P, stacked = len(U), np.ndim(lam) == 2
+    rows = len(lam) if stacked else 1
+    if rows * P <= POINT_BLOCK:
+        yield ..., U, lam, data
+        return
+    size = min(P, POINT_BLOCK)
+    for j in range(0, P, size):
+        points = slice(j, j + size)
+        U_j, data_j = U[points], [d.rows(points) for d in data]
+        lam_j = lam[..., points] if np.shape(lam)[-1:] == (P,) else lam
+        if not stacked:
+            yield points, U_j, lam_j, data_j
+            continue
+        step = POINT_BLOCK // size
+        for i in range(0, rows, step):
+            yield (slice(i, i + step), points), U_j, lam_j[i:i + step], data_j
 
 
 # Nodes of the contour around a lambda near a sensitive point, on a leading axis
@@ -496,9 +504,11 @@ class ExtendedFrame:
         rows in place with its ``apply``.  A row in a contour band at its
         step's depth is ``_block``'s value there (a node stands in for it in
         the stack), so the data do not depend on how deep the memo ran.
-        Evaluation and updates run in the row groups ``row_groups`` allows;
-        the data keep views into their rows, so the stack is the memo's own
+        Evaluation and updates run block by block (``_blocks``); the data
+        keep views into their rows, so the stack is the memo's own
         storage."""
+        if not 0 <= depth <= len(self.steps):
+            raise ValueError(f"depth {depth} outside 0..{len(self.steps)}, the frame's steps")
         key = U.tobytes()
         with self._lock:
             data = self._memo.pop(key, None)
@@ -514,17 +524,16 @@ class ExtendedFrame:
                 near = np.concatenate([self._contour_radius(np.array(step.pole_rows), i)
                                        for i, step in enumerate(pending, start=k)])
                 lam = (rows + near)[:, None]
-                F = np.empty(lam.shape[:1] + U.shape + (self.n + 1,), dtype=complex)
-                for g in row_groups(len(lam), len(U)):
-                    F[g] = self._steps(U, lam[g], data[:k])
+                F = self._steps(U, lam, data[:k])
                 for i, step in enumerate(pending, start=k):
                     m = len(step.pole_rows)
                     for j in np.flatnonzero(near[:m]):
                         F[j] = self._block(U, complex(rows[j]), i)
                     data.append(step.take_pole_data(F[:m]))
                     F, lam, rows, near = F[m:], lam[m:], rows[m:], near[m:]
-                    for g in row_groups(len(F), len(U)):
-                        step.apply(F[g], lam[g], data[i])
+                    if len(F):
+                        for index, _, lam_b, data_b in _blocks(U, lam, data):
+                            step.apply(F[index], lam_b, data_b[i])
             return data
 
     def _contour_radius(self, lam, depth: int):
@@ -579,20 +588,25 @@ class ExtendedFrame:
     def _contour(self, U: np.ndarray, lam, r, data: list) -> np.ndarray:
         """The mean of the block over the nodes on |w - lam| = r, every
         lambda in a band (r > 0)."""
-        w = lam + r * _NODES
-        return np.concatenate([self._steps(U, w[g], data)
-                               for g in row_groups(CONTOUR_NODES, len(U))]).mean(axis=0)
+        return self._steps(U, lam + r * _NODES, data).mean(axis=0)
 
     def _steps(self, U: np.ndarray, lam, data: list) -> np.ndarray:
         """The seed block dressed by the direct updates of the steps whose
         pole data at the (P, n) point set U are ``data``, shape
-        (..., P, n, n+1).  ``lam`` is one complex or an array broadcasting
-        against (P,), possibly with leading axes of its own, which lead the
-        result: a contour's nodes or a row group of a sweep go through the
-        steps in one pass.  Each step updates F in place."""
-        F = self.seed.block(U, lam)
-        for step, step_data in zip(self.steps, data):
-            F = step.apply(F, lam, step_data)
+        (..., P, n, n+1), block by block (``_blocks``).  ``lam`` is one
+        complex or an array of shape (P,), or of shape (m, 1) or (m, P),
+        whose rows lead the result: a contour's nodes or a sweep's rows.
+        Each step updates a block in place."""
+        F = None
+        for index, U_b, lam_b, data_b in _blocks(U, lam, data):
+            block = self.seed.block(U_b, lam_b)
+            for step, step_data in zip(self.steps, data_b):
+                step.apply(block, lam_b, step_data)
+            if index is ...:
+                return block
+            if F is None:
+                F = np.empty(np.shape(lam)[:-1] + U.shape[:1] + block.shape[-2:], dtype=complex)
+            F[index] = block
         return F
 
     def evaluate(self, u, lam, depth: int | None = None):
@@ -600,7 +614,11 @@ class ExtendedFrame:
         dressing poles (each update is applied in its residue-subtracted
         form).  ``lam`` is one lambda for every point, or an array that
         broadcasts against the leading shape of u, one lambda per point.
-        ``depth`` evaluates the prefix frame of the first ``depth`` records."""
+        ``depth`` evaluates the prefix frame of the first ``depth`` records,
+        0 to all of them."""
+        if depth is not None and not 0 <= depth <= len(self.history):
+            raise ValueError(f"depth {depth} outside 0..{len(self.history)}, "
+                             "the frame's records")
         U, lead = self._point_set(u)
         upto = len(self.steps) if depth is None else self.step_count(depth)
         F = self._block(U, _lambdas(lam, lead), upto)

@@ -434,6 +434,41 @@ def test_permute_check(tmp_path, capsys):
     assert "permutability" in text
 
 
+def test_permute_check_runs_on_the_scenario_grid(tmp_path):
+    """A polynomial seed on [-0.3, 0.3] with a grid inside that domain:
+    the check runs on the scenario's own 9 x 9 grid, the one its report
+    records, not on a default grid that leaves the domain."""
+    raw = json.loads((SCENARIOS / "permute_pair.json").read_text())
+    raw["seed"] = poly_seed([1.0, 0.3, -0.2], (-0.3, 0.3))
+    raw["seed"]["profiles"][1]["domain"] = [-0.3, 0.3]
+    raw["grid"] = [[-0.3, 0.3, 9], [-0.3, 0.3, 9]]
+    out = tmp_path / "out"
+    assert run_cli("permute-check", write_scenario(tmp_path, raw), out) == 0
+    report = json.loads((out / "permute_report.json").read_text())
+    assert report["grid_points"] == [9, 9]
+    assert report["checks"][0]["details"]["grid_points"] == 81
+
+
+# the radius overflows on purpose, so numpy's overflow warnings are expected
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_report_with_a_non_finite_residual_is_strict_json(tmp_path):
+    """A seed radius of 1e300 makes some residuals NaN: report.json writes
+    them as the string "nan", parses under a parser that refuses NaN and
+    Infinity, and still fails the run."""
+    raw = json.loads((SCENARIOS / "one_soliton.json").read_text())
+    raw["seed"]["radii"] = [1e300, 1.0]
+    out = tmp_path / "out"
+    assert run_cli("run", write_scenario(tmp_path, raw), out) == 1
+
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    report = json.loads((out / "report.json").read_text(), parse_constant=refuse)
+    assert report["passed"] is False
+    residuals = {c["name"]: c["residual"] for c in report["checks"]}
+    assert residuals["lam=1/lagrangian_metric"] == "nan"
+    assert residuals["potential_agreement"] == "nan"
+
+
 def test_seed_and_dress_commands(tmp_path, capsys):
     path = str(SCENARIOS / "one_soliton.json")
     out = tmp_path / "out"

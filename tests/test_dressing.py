@@ -1,3 +1,4 @@
+import math
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -969,43 +970,76 @@ def test_evaluate_at_depth_equals_the_shorter_frame(chain, rng):
                     assert np.array_equal(a, b)
 
 
+def test_depth_out_of_range_is_refused(rng):
+    """``evaluate`` refuses a record depth outside 0..len(history), and
+    ``pole_data`` a step depth outside 0..len(steps), with a ValueError
+    naming the value; both ends of each range are accepted, and depth 0
+    is the seed."""
+    frame = _sweep_chains()["mixed"]()
+    U = rng.uniform(-0.4, 0.4, size=(2, 3))
+    records, steps = len(frame.history), len(frame.steps)
+    for k in (-1, -5, records + 1):
+        with pytest.raises(ValueError, match=f"depth {k} outside 0..{records}"):
+            frame.evaluate(U, 0.9, depth=k)
+    for depth in (-1, steps + 1):
+        with pytest.raises(ValueError, match=f"depth {depth} outside 0..{steps}"):
+            frame.pole_data(U, depth)
+    frame.pole_data(U, 0)
+    assert len(frame.pole_data(U, steps)) == steps
+    for a, b in zip(frame.evaluate(U, 0.9, depth=0), ExtendedFrame(frame.seed).evaluate(U, 0.9)):
+        assert np.array_equal(a, b)
+    for a, b in zip(frame.evaluate(U, 0.9, depth=records), frame.evaluate(U, 0.9)):
+        assert np.array_equal(a, b)
+
+
+def _lambda_shape(lam) -> str:
+    """Which lambda shape a seed block or step update was given."""
+    if np.ndim(lam) < 2:
+        return ("one", "per_point")[np.ndim(lam)]
+    return "rows" if np.shape(lam)[-1] == 1 else "rows_per_point"
+
+
 @pytest.mark.parametrize("cap", [7, 30])
 def test_stacked_evaluations_stay_within_the_cap(monkeypatch, cap, rng):
-    """With STACK_PAIRS small, no lambda-stacked evaluation or record update
-    carries more than max(P, cap) (lambda, point) pairs, which is within
-    max(one step's rows x P, cap); pole data and near-pole values are
-    bit for bit those of an uncapped run."""
+    """With POINT_BLOCK small, no seed block and no ``apply`` call of
+    either record type carries more than POINT_BLOCK (lambda, point)
+    pairs, and each gets every lambda shape the frame passes: one lambda,
+    one per point (off the bands, or a mixed band), and rows of a sweep or
+    of contour nodes at one lambda or one per point.  Pole data and values
+    off and near the poles are bit for bit those of an unblocked run."""
     chain = _sweep_chains()["mixed"]
-    U = rng.uniform(-0.4, 0.4, size=(5, 3))
-    lams = [0.9, 0.3 - 0.4j, 0.6j + 3e-9, 0.3 - 0.7j + 2e-9, 0.9j - 1e-9]
-    monkeypatch.setattr(frames, "STACK_PAIRS", 10 ** 6)
-    uncapped = chain()
-    want = _per_record_pole_data(uncapped, U)
-    _assert_same_pole_data(uncapped.pole_data(U, len(uncapped.steps)), want)
-    want_values = [uncapped.evaluate(U, lam) for lam in lams]
+    U = rng.uniform(-0.4, 0.4, size=(11, 3))
+    poles = chain().sensitive_points()
+    per_point = rng.uniform(-1, 1, 11) + 1j * rng.uniform(-0.3, 0.3, 11)
+    mixed = per_point.copy()
+    mixed[[2, 7]] = poles[1], poles[8] - 1e-9
+    lams = [0.9, 0.3 - 0.4j, 0.6j + 3e-9, 0.3 - 0.7j + 2e-9, 0.9j - 1e-9,
+            per_point, mixed, np.resize(poles, 11) + 1e-9]
+    monkeypatch.setattr(frames, "POINT_BLOCK", 10 ** 6)
+    unblocked = chain()
+    want = _per_record_pole_data(unblocked, U)
+    _assert_same_pole_data(unblocked.pole_data(U, len(unblocked.steps)), want)
+    want_values = [unblocked.evaluate(U, lam) for lam in lams]
 
-    pairs = []
-
-    def spy(owner, name, points):
-        method = getattr(owner, name)
-
-        def wrapper(self, x, lam, *rest):
-            if isinstance(lam, np.ndarray) and lam.ndim == 2:
-                pairs.append(lam.shape[0] * points(x))
-            return method(self, x, lam, *rest)
+    pairs, shapes = [], set()
+    for owner, name in ((VacuumSeed, "block"), (dressing.OnePoleRecord, "apply"),
+                        (dressing.TranslationRecord, "apply")):
+        def wrapper(self, x, lam, *rest, owner=owner, method=getattr(owner, name)):
+            F = method(self, x, lam, *rest)  # (..., n, n+1), a row per pair
+            pairs.append(np.prod(F.shape[:-2]))
+            shapes.add((owner, _lambda_shape(lam)))
+            return F
         monkeypatch.setattr(owner, name, wrapper)
-
-    spy(ExtendedFrame, "_steps", len)  # (U, lam, data), U of shape (P, n)
-    for owner in (dressing.OnePoleRecord, dressing.TranslationRecord):
-        spy(owner, "apply", lambda F: F.shape[1])  # F of shape (m, P, n, n+1)
-    monkeypatch.setattr(frames, "STACK_PAIRS", cap)
-    capped = chain()
-    _assert_same_pole_data(capped.pole_data(U, len(capped.steps)), want)
+    monkeypatch.setattr(frames, "POINT_BLOCK", cap)
+    blocked = chain()
+    _assert_same_pole_data(blocked.pole_data(U, len(blocked.steps)), want)
     for lam, (E, X) in zip(lams, want_values):
-        E1, X1 = capped.evaluate(U, lam)
+        E1, X1 = blocked.evaluate(U, lam)
         assert np.array_equal(E1, E) and np.array_equal(X1, X)
-    most_rows = max(len(step.pole_rows) for step in capped.steps)
-    assert pairs and max(pairs) <= max(len(U), cap) <= max(most_rows * len(U), cap)
+    assert pairs and max(pairs) <= cap
+    assert shapes == {(owner, shape)
+                      for owner in (VacuumSeed, dressing.OnePoleRecord, dressing.TranslationRecord)
+                      for shape in ("one", "per_point", "rows", "rows_per_point")}
 
 
 def _two_product_update(record, F, lam, data):
@@ -1068,8 +1102,9 @@ def test_one_pole_update_matches_the_two_product_form(n, rank, real, P, lam_shap
     3 and 4, rank 1 and 2, real and complex projections, every lambda
     shape a frame passes (one for all points, one per point, contour nodes
     against one lambda or one per point, sweep rows), and point sets with
-    no point, one, seven, and three more than a (small) point block.  The
-    block is updated in place and returned."""
+    no point, one, seven, and three more than a (small) point block, which
+    the record updates in one piece.  The block is updated in place and
+    returned."""
     if P == "block+3":
         monkeypatch.setattr(frames, "POINT_BLOCK", 4)
         P = frames.POINT_BLOCK + 3
@@ -1083,31 +1118,47 @@ def test_one_pole_update_matches_the_two_product_form(n, rank, real, P, lam_shap
     assert max_abs(got - want) <= 1e-14 * max_abs(want)
 
 
-@pytest.mark.parametrize("lam_kind", ["scalar", "per_point", "nodes"])
+@pytest.mark.parametrize("lam_kind", ["scalar", "per_point", "nodes", "per_point_band"])
 def test_blocked_update_equals_the_unblocked_one(lam_kind, monkeypatch, rng):
     """With POINT_BLOCK at 4, a frame evaluated on 11 points (blocks of 4,
     4 and 3) gives bit for bit the pole data and values of a frame
-    evaluated in one piece; each one-pole update is still one ``apply``
-    call, which runs one block update per block."""
+    evaluated in one piece, with one lambda, one per point (two of them in
+    a contour band) or one near a pole.  Every lambda row of a one-pole or
+    translation update of the 11 points in one piece becomes three
+    ``apply`` calls, one per block, and the 16 node rows of the two banded
+    points go two rows at a time."""
     U = rng.uniform(-0.4, 0.4, size=(11, 3))
     lam = {"scalar": 0.9 - 0.3j, "per_point": rng.uniform(-1, 1, 11) + 0.4j,
-           "nodes": 0.6j + 1e-8}[lam_kind]
+           "nodes": 0.6j + 1e-8, "per_point_band": rng.uniform(-1, 1, 11) + 0.4j}[lam_kind]
+    if lam_kind == "per_point_band":
+        lam[[1, 6]] = 0.6j, 0.3 - 0.7j + 1e-8
+    calls = []
+    for owner in (dressing.OnePoleRecord, dressing.TranslationRecord):
+        def counted(self, F, lam, data, method=owner.apply):
+            calls.append((type(self), F.shape[:-2]))
+            return method(self, F, lam, data)
+        monkeypatch.setattr(owner, "apply", counted)
     whole = _sweep_chains()["mixed"]()
     want = (whole.pole_data(U, len(whole.steps)), whole.evaluate(U, lam))
-    calls = {"apply": 0, "_update": 0}
-    for name in calls:
-        method = getattr(dressing.OnePoleRecord, name)
-
-        def counted(self, F, lam, data, name=name, method=method):
-            calls[name] += 1
-            return method(self, F, lam, data)
-        monkeypatch.setattr(dressing.OnePoleRecord, name, counted)
+    whole_calls = calls[:]
+    calls.clear()
     monkeypatch.setattr(frames, "POINT_BLOCK", 4)
     blocked = _sweep_chains()["mixed"]()
     _assert_same_pole_data(blocked.pole_data(U, len(blocked.steps)), want[0])
     for a, b in zip(blocked.evaluate(U, lam), want[1]):
         assert np.array_equal(a, b)
-    assert calls["apply"] > 0 and calls["_update"] == 3 * calls["apply"]
+
+    def blocks(lead):
+        if lead[-1] == 2:  # the banded points' contour nodes
+            assert lead == (16, 2)
+            return [(2, 2)] * 8
+        assert lead[-1] == 11
+        return [(1,) * (len(lead) - 1) + (p,) for _ in range(math.prod(lead[:-1]))
+                for p in (4, 4, 3)]
+    for owner in (dressing.OnePoleRecord, dressing.TranslationRecord):
+        want_calls = [b for kind, lead in whole_calls if kind is owner for b in blocks(lead)]
+        got_calls = [lead for kind, lead in calls if kind is owner]
+        assert want_calls and sorted(got_calls) == sorted(want_calls)
 
 
 def test_banded_lambdas_alone_take_the_contour(monkeypatch, rng):
