@@ -48,10 +48,12 @@ def scan(seed: int) -> np.ndarray:
     frame, eye = work._frame, np.eye(3)
     residual = np.empty(work.E.shape[:2])
     for i, u in enumerate(work.points):
-        for j, lam in enumerate(work.lams[i]):
-            E = work.E[i, j]
-            tau = df.max_abs(frame.evaluate(u, np.conj(lam))[0].conj().T @ E - eye)
-            sigma = df.max_abs(E.T @ frame.evaluate(u, -lam)[0] - eye)
+        # one call per point: its conj(lambda) and -lambda as a stack
+        lams = np.array(work.lams[i])
+        E_conj, E_minus = frame.E(u, np.array([lams.conj(), -lams]))
+        for j, E in enumerate(work.E[i]):
+            tau = df.max_abs(E_conj[j].conj().T @ E - eye)
+            sigma = df.max_abs(E.T @ E_minus[j] - eye)
             residual[i, j] = max(tau, sigma)
     return residual
 

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .dressing import dress, dress_permuted, dress_spherical
-from .errors import (DressingForgeError, PoleCollisionError,
+from .errors import (DressingForgeError, NonRealError, PoleCollisionError,
                      RankDeficientError, SphericalViolationError)
 from .frames import (ExtendedFrame, PolynomialProfile, SampledProfile,
                      VacuumSeed, metric_from_frame, potential_on_grid)
@@ -150,7 +150,10 @@ def _build_seed(n: int, spec) -> VacuumSeed:
             raise ValidationError(f"seed.radii: need {n} positive radii")
         if any(not _is_number(r) or r <= 0 for r in radii):
             raise ValidationError("seed.radii: radii must be positive numbers")
-        return VacuumSeed.constant(radii)
+        try:
+            return VacuumSeed.constant(radii)
+        except ValueError as exc:
+            raise ValidationError(f"seed.radii: {exc}") from exc
     if kind in ("polynomial", "sampled"):
         profs = spec.get("profiles")
         if not isinstance(profs, list) or len(profs) != n:
@@ -384,17 +387,18 @@ def _reality_check(frame, scenario, tol) -> VerificationReport:
     """tau-reality E(u, conj(lam))* E(u, lam) = I and, for sigma-compatible
     chains, sigma-reality E(u, lam)^t E(u, -lam) = I at random (u, lam)
     samples.  Every REALITY_CHUNK samples form one point set with one lambda
-    per point, so memory stays bounded however many samples are asked for."""
+    per point, evaluated once on the stack [lam, conj(lam)] (and -lam for
+    sigma), so memory stays bounded however many samples are asked for."""
     samples = _reality_samples(frame, scenario)
     eye = np.eye(frame.n)
     taus, sigmas = [], []
     while chunk := list(itertools.islice(samples, REALITY_CHUNK)):
         lams, points = zip(*chunk)
         U, lams = np.array(points), np.array(lams)
-        E = frame.E(U, lams)
-        taus.append(max_abs(frame.E(U, lams.conj()).conj().swapaxes(-1, -2) @ E - eye))
+        E = frame.E(U, np.array([lams, lams.conj()] + [-lams] * frame.is_sigma_compatible))
+        taus.append(max_abs(E[1].conj().swapaxes(-1, -2) @ E[0] - eye))
         if frame.is_sigma_compatible:
-            sigmas.append(max_abs(E.swapaxes(-1, -2) @ frame.E(U, -lams) - eye))
+            sigmas.append(max_abs(E[0].swapaxes(-1, -2) @ E[2] - eye))
     report = VerificationReport()
     report.add("reality_tau", max_abs(taus), tol, samples=scenario.reality_samples)
     if frame.is_sigma_compatible:
@@ -497,9 +501,13 @@ def run_verification(scenario: Scenario, frame: ExtendedFrame,
                        reason=f"chain[{i}]: {rec.potential_gap}")
     if checks.get("lambda_zero"):
         if frame.is_sigma_compatible:
-            _, net_report = limit_net(frame, grid, tols["lambda_zero"],
-                                      tols["lambda_zero_derivative"])
-            report.extend(net_report)
+            try:
+                report.extend(limit_net(frame, grid, tols["lambda_zero"],
+                                        tols["lambda_zero_derivative"])[1])
+            except NonRealError as exc:
+                # X(u, 0) is not real to the tolerance: the check fails
+                report.add("limit_net_imag", max_abs(frame.X(grid.points(), 0.0).imag),
+                           tols["lambda_zero"], reason=str(exc))
         else:
             report.add("lambda_zero_skipped", 0.0, None,
                        reason="history contains sigma-incompatible factors")
@@ -577,12 +585,12 @@ def export_metric_csv(metric, path) -> int:
 
 
 def export_sweep_csv(frame, grid, lambdas, path) -> tuple:
-    """Write X at every grid point for each lambda; returns the row count and
-    the X it wrote, shape (len(lambdas), points, n)."""
+    """Write X at every grid point for each lambda, one call on the lambdas
+    as a stack; returns the row count and X, shape (len(lambdas), points, n)."""
     axes = range(1, grid.n + 1)
     pts = grid.points().reshape(-1, grid.n)
     lams = np.repeat(np.asarray(lambdas, dtype=complex), len(pts))
-    X = np.array([frame.evaluate(pts, lam)[1] for lam in lambdas]).reshape(-1, len(pts), grid.n)
+    X = frame.evaluate(pts, np.reshape(lambdas, (-1, 1)))[1]
     names, cols = _re_im("X", axes, X)
     table = np.column_stack([lams.real, lams.imag, np.tile(pts, (len(lambdas), 1)), cols])
     return _write_csv(path, ["lam_re", "lam_im"] + [f"u{j}" for j in axes] + names, table), X

@@ -439,11 +439,9 @@ def dress_permuted(frame: ExtendedFrame, z1: complex, pi1: HermitianProjection,
                               for p in poles)]
 
     pts = grid.points()
-    r_frame = 0.0
-    for lam in lam_samples:
-        Ea, Xa = f12.evaluate(pts, lam)
-        Eb, Xb = f21.evaluate(pts, lam)
-        r_frame = max(r_frame, max_abs(Ea - Eb), max_abs(Xa - Xb))
+    lams = np.reshape(lam_samples, (-1,) + (1,) * grid.n)
+    (Ea, Xa), (Eb, Xb) = f12.evaluate(pts, lams), f21.evaluate(pts, lams)
+    r_frame = max(max_abs(Ea - Eb), max_abs(Xa - Xb))
     r_h = max_abs(f12.h(pts) - f21.h(pts))
     r_beta = max_abs(f12.beta(pts) - f21.beta(pts))
 

@@ -8,13 +8,13 @@ lives in :mod:`dressing_forge.oracle` as an independent cross-check.
 
 The history is evaluated as one flat sequence of steps: a one-pole or
 translation record is one step, a two-pole record its two one-pole parts.
-Evaluation works on whole point sets at once: every update is a stacked
-array operation over the points, so a grid costs a few numpy calls per step
-rather than a Python loop per point.  Each step needs the block of its
-prefix, the frame's first ``depth`` steps at the point set U, at its own
-poles; a point set gets those pole data for the whole chain from one sweep,
-which evaluates the block once on the stack of every pending step's poles
-and lets each step in turn read its rows and dress the later ones.
+Evaluation works on whole point sets and lambda stacks at once: every
+update is a stacked array operation over the (lambda, point) pairs, so a
+grid costs a few numpy calls per step, not a loop.  Each step needs the
+block of its prefix, the frame's first ``depth`` steps at the point set U,
+at its own poles; a point set gets those pole data for the whole chain
+from one sweep, which evaluates the block once on the stack of every
+pending step's poles and lets each step read its rows and dress the rest.
 
 The steps' poles cancel, so the block is entire in lambda; near a sensitive
 point p (a pole or its conjugate) the direct updates lose digits, so a
@@ -34,6 +34,7 @@ spline coefficients and is imported when a sampled profile is made.
 from __future__ import annotations
 
 import cmath
+import math
 import threading
 from dataclasses import dataclass, field
 
@@ -78,6 +79,10 @@ class ConstantProfile:
     def __post_init__(self):
         if not self.r > 0:
             raise ValueError("constant profile needs r > 0")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.square(self.r)):
+                raise ValueError(f"constant profile r = {self.r} has no finite square "
+                                 "(rule: h_j^2 finite on the profile domain)")
 
     domain = (-np.inf, np.inf)
 
@@ -131,13 +136,17 @@ class PolynomialProfile:
         lo, hi = self.domain
         if not (lo <= 0.0 <= hi and lo < hi):
             raise ValueError("profile domain must contain 0")
-        # the minimum on [lo, hi] sits at an end or at a real critical point
+        # the minimum and maximum on [lo, hi] sit at ends or real critical points
         ts = np.concatenate([[lo, hi], _critical_points(self.coeffs, lo, hi)])
         with np.errstate(all="ignore"):
-            positive = np.polynomial.polynomial.polyval(ts, self.coeffs) > 0
-        if not positive.all():
+            values = np.polynomial.polynomial.polyval(ts, self.coeffs)
+            squares = values * values
+        if not (values > 0).all():
             raise ValueError("polynomial profile must stay positive on its domain "
                              "(rule: h_j > 0 on the profile domain)")
+        if not np.isfinite(squares).all():
+            raise ValueError("polynomial profile has no finite square on its domain "
+                             "(rule: h_j^2 finite on the profile domain)")
 
     def value(self, t):
         return np.polynomial.polynomial.polyval(t, self.coeffs)
@@ -356,23 +365,28 @@ class VacuumSeed:
 
 
 def _lambdas(lam, lead: tuple):
-    """One lambda for every point as a Python complex, or one per point as
-    a flat complex array: ``lam`` broadcast against the leading shape
-    ``lead`` of the point set.  A NaN or infinite lambda is refused."""
+    """(lambdas, the result's leading shape) at points of leading shape
+    ``lead``: one lambda for all as a Python complex, or ``lam`` broadcast
+    against ``lead``, its own leading axes flattened into m rows that lead
+    the result, of shape (P,) or (m, P).  A NaN or infinite lambda is refused."""
     if not isinstance(lam, (complex, float, int)):
         lam = np.asarray(lam, dtype=complex)
         if lam.ndim:
             if not np.isfinite(lam).all():
                 raise NonFiniteError("every lambda must be finite")
+            k = max(lam.ndim - len(lead), 0)
+            shape = lam.shape[:k] + lead
             try:
-                return np.broadcast_to(lam, lead).reshape(-1)
+                lam = np.broadcast_to(lam, shape)
             except ValueError:
                 raise ValueError(f"lambdas of shape {lam.shape} do not broadcast against "
                                  f"the leading shape {lead} of the points") from None
+            rows = (math.prod(shape[:k]),) if k else ()
+            return lam.reshape(rows + (math.prod(lead),)), shape
     lam = complex(lam)
     if not cmath.isfinite(lam):
         raise NonFiniteError(f"lambda must be finite, got {lam}")
-    return lam
+    return lam, lead
 
 
 # Number of most recent point sets whose pole data a frame keeps.
@@ -424,8 +438,8 @@ class ExtendedFrame:
     Every evaluator takes a point set: ``u`` of shape (P, n), or of any shape
     (..., n), with results of shape (..., n, n) and (..., n).  A single point
     of shape (n,) is the one-point case and gives (n, n) and (n,).
-    ``evaluate``, ``E`` and ``X`` take one lambda for all points, or one per
-    point (an array broadcasting against the leading shape).  Each step's
+    ``evaluate``, ``E`` and ``X`` take one lambda for all points, or an array
+    broadcasting against the leading shape whose own axes lead.  Each step's
     pole data (the arrays its update reads) are stacked over the whole
     point set and computed once; the frame keeps them for its
     ``MEMO_POINT_SETS`` most recent point sets, so memory is bounded by the
@@ -560,29 +574,28 @@ class ExtendedFrame:
 
     def _block(self, U: np.ndarray, lam, depth: int) -> np.ndarray:
         """The frame block F = [E | X] of the first ``depth`` steps at the
-        (P, n) point set U, shape (P, n, n+1); ``lam`` is one complex or an
-        array of shape (P,).
+        (P, n) point set U, shape (..., P, n, n+1); ``lam`` is one complex or
+        an array of shape (P,) or (m, P).
 
         A lambda within R(p)/2 of a sensitive point p of these steps, where
         the direct updates lose digits (or divide by zero), gets F as its
         mean over CONTOUR_NODES nodes on |w - lambda| = R(p), stacked as
-        lambda of shape (nodes, 1) against the same points, or, with one
-        lambda per point, (nodes, B) against the B points whose lambdas are
-        in a band, which read their rows of the same pole data.  Every
-        other lambda gets the direct updates."""
+        lambda of shape (nodes, 1) against the same points, or, for an
+        array, (nodes, B) against the points of its B banded pairs, which
+        read their rows of the same pole data.  Every other lambda gets the
+        direct updates."""
         r = self._contour_radius(lam, depth)
         data = self.pole_data(U, depth)[:depth]
         if isinstance(lam, complex):
             return self._contour(U, lam, r, data) if r else self._steps(U, lam, data)
         if not r.any():
             return self._steps(U, lam, data)
-        if r.all():
-            return self._contour(U, lam, r, data)
-        # the direct updates elsewhere, with a node in place of each contour
-        # lambda, then the contour on the banded rows alone
+        # the direct updates, with a node in place of each banded lambda,
+        # then the contour on the banded (lambda, point) pairs alone
         F = self._steps(U, lam + r, data)
-        rows = np.flatnonzero(r)
-        F[rows] = self._contour(U[rows], lam[rows], r[rows], [d.rows(rows) for d in data])
+        pairs = np.nonzero(r)
+        points = pairs[-1]
+        F[pairs] = self._contour(U[points], lam[pairs], r[pairs], [d.rows(points) for d in data])
         return F
 
     def _contour(self, U: np.ndarray, lam, r, data: list) -> np.ndarray:
@@ -594,8 +607,8 @@ class ExtendedFrame:
         """The seed block dressed by the direct updates of the steps whose
         pole data at the (P, n) point set U are ``data``, shape
         (..., P, n, n+1), block by block (``_blocks``).  ``lam`` is one
-        complex or an array of shape (P,), or of shape (m, 1) or (m, P),
-        whose rows lead the result: a contour's nodes or a sweep's rows.
+        complex or an array of shape (P,), or (m, 1) or (m, P), whose rows
+        lead the result: a contour's nodes, a sweep's rows, a lambda stack.
         Each step updates a block in place."""
         F = None
         for index, U_b, lam_b, data_b in _blocks(U, lam, data):
@@ -613,16 +626,18 @@ class ExtendedFrame:
         """Dressed (E, X) at the points u; holomorphic in lambda across the
         dressing poles (each update is applied in its residue-subtracted
         form).  ``lam`` is one lambda for every point, or an array that
-        broadcasts against the leading shape of u, one lambda per point.
+        broadcasts against the leading shape of u, whose axes beyond it (a
+        lambda stack) lead the results, each row equal to its own call.
         ``depth`` evaluates the prefix frame of the first ``depth`` records,
         0 to all of them."""
         if depth is not None and not 0 <= depth <= len(self.history):
             raise ValueError(f"depth {depth} outside 0..{len(self.history)}, "
                              "the frame's records")
         U, lead = self._point_set(u)
+        lam, lead = _lambdas(lam, lead)
         upto = len(self.steps) if depth is None else self.step_count(depth)
-        F = self._block(U, _lambdas(lam, lead), upto)
-        F = F.reshape(lead + F.shape[1:])
+        F = self._block(U, lam, upto)
+        F = F.reshape(lead + F.shape[-2:])
         return F[..., :self.n], F[..., self.n]
 
     def E(self, u, lam) -> np.ndarray:
@@ -663,15 +678,14 @@ class ExtendedFrame:
 def frame_dlambda_at_zero(E_fn, u, step: float = 1e-3) -> np.ndarray:
     """dE/dlambda at lambda = 0 on the points u, by 4th-order central
     differences with one Richardson extrapolation level; ``E_fn(u, lam)`` is
-    the frame block evaluator (``frame.E`` for an extended frame)."""
+    the frame block evaluator (``frame.E`` for an extended frame) and must
+    take a lambda stack: one call gets the eight lambdas ahead of u's axes."""
     u = np.asarray(u, dtype=float)
-
-    def central(s):
-        Ep2, Ep1, Em1, Em2 = (np.asarray(E_fn(u, k * s)) for k in (2, 1, -1, -2))
-        return (-Ep2 + 8 * Ep1 - 8 * Em1 + Em2) / (12 * s)
-
-    coarse = central(step)
-    fine = central(step / 2)
+    sizes = (step, step / 2)
+    lam = np.array([k * s for s in sizes for k in (2, 1, -1, -2)])
+    E = np.asarray(E_fn(u, lam.reshape((-1,) + (1,) * (u.ndim - 1))))
+    coarse, fine = ((-E[i] + 8 * E[i + 1] - 8 * E[i + 2] + E[i + 3]) / (12 * s)
+                    for i, s in zip((0, 4), sizes))
     return (16 * fine - coarse) / 15
 
 

@@ -22,6 +22,7 @@ from dressing_forge.cli import (DEFAULT_TOLERANCES, REALITY_SAMPLE_SEED,
                                 ValidationError, _reality_check, apply_chain,
                                 export_metric_csv, load_scenario, main,
                                 validate_scenario)
+from dressing_forge.report import VerificationReport
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -160,6 +161,40 @@ def test_finite_numbers_that_overflow_exit_3(tmp_path, capsys, overrides):
     path = write_scenario(tmp_path, base_scenario(**overrides))
     assert run_cli("verify", path, tmp_path / "out") == 3
     assert "matrix entries must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [
+    {"type": "constant", "radii": [1e300, 1.0]},
+    {"type": "constant", "radii": [1e160, 1.0]},
+    poly_seed([1e200]),
+], ids=["radius-1e300", "radius-1e160", "coeff-1e200"])
+def test_seed_whose_square_overflows_exits_3(tmp_path, capsys, seed):
+    """A seed profile whose square, the energy density h_j^2, overflows is
+    refused by that rule before anything is evaluated, instead of giving
+    NaN residuals."""
+    raw = json.loads((SCENARIOS / "one_soliton.json").read_text())
+    raw["seed"] = seed
+    out = tmp_path / "out"
+    assert run_cli("run", write_scenario(tmp_path, raw), out) == 3
+    err = capsys.readouterr().err
+    assert "validation error: seed." in err and "h_j^2 finite on the profile domain" in err
+    assert not out.exists()
+
+
+def test_lambda_zero_failure_is_a_failing_check(tmp_path, capsys):
+    """X(u, 0) on breather_chain has an imaginary part near 1e-16: with a
+    lambda_zero tolerance of 1e-40 the limit net fails as a report entry
+    with its residual and tolerance (exit 1), not as an error exit."""
+    raw = json.loads((SCENARIOS / "breather_chain.json").read_text())
+    raw["checks"]["tolerances"]["lambda_zero"] = 1e-40
+    out = tmp_path / "out"
+    assert run_cli("verify", write_scenario(tmp_path, raw), out) == 1
+    report = json.loads((out / "report.json").read_text())
+    failed = [c for c in report["checks"] if c["passed"] is False]
+    assert [c["name"] for c in failed] == ["limit_net_imag"]
+    assert failed[0]["tolerance"] == 1e-40 and 0 < failed[0]["residual"] < 1e-14
+    assert "X(u, 0) has imaginary part" in failed[0]["details"]["reason"]
+    assert "limit_net_imag" in capsys.readouterr().err
 
 
 def test_spherical_violation_refused_names_condition(tmp_path, capsys):
@@ -310,8 +345,8 @@ def test_sweep_without_lambdas_writes_header_only(tmp_path):
 
 
 def test_sweep_evaluates_each_lambda_once(tmp_path, capsys, monkeypatch):
-    """The lambda = 0 line reads the X the export computed: one evaluation
-    per lambda value."""
+    """The lambda = 0 line reads the X the export computed: one evaluation,
+    with every lambda value once as a stack of shape (lambdas, 1)."""
     lams = []
     evaluate = ExtendedFrame.evaluate
 
@@ -321,7 +356,8 @@ def test_sweep_evaluates_each_lambda_once(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(ExtendedFrame, "evaluate", spy)
     assert run_cli("sweep", str(SCENARIOS / "flat_torus.json"), tmp_path / "out") == 0
-    assert lams == [1.0, 0.5, 0.1, 0.0]
+    assert len(lams) == 1 and lams[0].shape == (4, 1)
+    assert np.array_equal(lams[0][:, 0], [1.0, 0.5, 0.1, 0.0])
     assert "lambda=0 slice max |Im X| = " in capsys.readouterr().out
 
 
@@ -370,7 +406,7 @@ def test_reality_check_matches_per_sample_loop(name, chunk, monkeypatch):
         part = samples[start:start + cli.REALITY_CHUNK]
         U = np.array([u for u, _ in part])
         lams = np.array([lam for _, lam in part])
-        expected += [(U, lams), (U, lams.conj())] + ([(U, -lams)] if sigma_ok else [])
+        expected.append((U, np.array([lams, lams.conj()] + ([-lams] if sigma_ok else []))))
     assert len(calls) == len(expected)
     for (u_call, lam_call), (u_expected, lam_expected) in zip(calls, expected):
         assert np.array_equal(u_call, u_expected) and np.array_equal(lam_call, lam_expected)
@@ -449,24 +485,26 @@ def test_permute_check_runs_on_the_scenario_grid(tmp_path):
     assert report["checks"][0]["details"]["grid_points"] == 81
 
 
-# the radius overflows on purpose, so numpy's overflow warnings are expected
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_report_with_a_non_finite_residual_is_strict_json(tmp_path):
-    """A seed radius of 1e300 makes some residuals NaN: report.json writes
-    them as the string "nan", parses under a parser that refuses NaN and
-    Infinity, and still fails the run."""
-    raw = json.loads((SCENARIOS / "one_soliton.json").read_text())
-    raw["seed"]["radii"] = [1e300, 1.0]
+def test_report_with_a_non_finite_residual_is_strict_json(tmp_path, monkeypatch):
+    """A check whose residual is NaN or infinite: report.json writes it as
+    the string "nan" or "inf", parses under a parser that refuses NaN and
+    Infinity, and the run still fails."""
+    def non_finite(metric, tol, symmetric):
+        report = VerificationReport()
+        report.add("darboux_egoroff", float("nan"), tol)
+        report.add("darboux_egoroff_pair", float("inf"), tol)
+        return report
+    monkeypatch.setattr(cli, "check_darboux_egoroff", non_finite)
     out = tmp_path / "out"
-    assert run_cli("run", write_scenario(tmp_path, raw), out) == 1
+    assert run_cli("run", str(SCENARIOS / "one_soliton.json"), out) == 1
 
     def refuse(constant):
         raise ValueError(f"non-standard JSON constant {constant}")
     report = json.loads((out / "report.json").read_text(), parse_constant=refuse)
     assert report["passed"] is False
     residuals = {c["name"]: c["residual"] for c in report["checks"]}
-    assert residuals["lam=1/lagrangian_metric"] == "nan"
-    assert residuals["potential_agreement"] == "nan"
+    assert residuals["darboux_egoroff"] == "nan"
+    assert residuals["darboux_egoroff_pair"] == "inf"
 
 
 def test_seed_and_dress_commands(tmp_path, capsys):

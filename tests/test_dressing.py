@@ -1102,19 +1102,35 @@ def test_one_pole_update_matches_the_two_product_form(n, rank, real, P, lam_shap
     3 and 4, rank 1 and 2, real and complex projections, every lambda
     shape a frame passes (one for all points, one per point, contour nodes
     against one lambda or one per point, sweep rows), and point sets with
-    no point, one, seven, and three more than a (small) point block, which
-    the record updates in one piece.  The block is updated in place and
-    returned."""
-    if P == "block+3":
+    no point, one and seven, which the record updates in one piece.  The
+    block is updated in place and returned.  With three points more than
+    a (small) point block, the frame's steps dress a seed block with the
+    record block by block, and every update carries at most a block."""
+    blocked = P == "block+3"
+    if blocked:
         monkeypatch.setattr(frames, "POINT_BLOCK", 4)
         P = frames.POINT_BLOCK + 3
     record, data = _one_pole_case(n, rank, real, P, rng)
     lam = _LAMBDA_SHAPES[lam_shape](P, rng)
-    lead = np.shape(lam)[:-1] if np.ndim(lam) == 2 else ()
-    F = rng.normal(size=lead + (P, n, n + 1)) + 1j * rng.normal(size=lead + (P, n, n + 1))
-    want = _two_product_update(record, F, lam, data)
-    got = record.apply(F, lam, data)
-    assert got is F and got.shape == want.shape
+    if blocked:
+        frame = ExtendedFrame(VacuumSeed.constant(np.linspace(0.6, 1.4, n)), (record,))
+        U = rng.uniform(-0.5, 0.5, size=(P, n))
+        want = _two_product_update(record, frame.seed.block(U, lam), lam, data)
+        pairs = []
+
+        def counted(self, F, lam, data, apply=dressing.OnePoleRecord.apply):
+            pairs.append(math.prod(F.shape[:-2]))
+            return apply(self, F, lam, data)
+        monkeypatch.setattr(dressing.OnePoleRecord, "apply", counted)
+        got = frame._steps(U, lam, [data])
+        assert len(pairs) > 1 and max(pairs) <= frames.POINT_BLOCK
+    else:
+        lead = np.shape(lam)[:-1] if np.ndim(lam) == 2 else ()
+        F = rng.normal(size=lead + (P, n, n + 1)) + 1j * rng.normal(size=lead + (P, n, n + 1))
+        want = _two_product_update(record, F, lam, data)
+        got = record.apply(F, lam, data)
+        assert got is F
+    assert got.shape == want.shape
     assert max_abs(got - want) <= 1e-14 * max_abs(want)
 
 

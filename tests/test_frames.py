@@ -478,10 +478,81 @@ def test_per_point_lambda_broadcasts_against_leading_shape(torus_frame, pi_diag)
             for r in range(4):
                 E1, X1 = frame.evaluate(U[q, r], complex(full[q, r]))
                 assert max_abs(E[q, r] - E1) < 1e-13 and max_abs(X[q, r] - X1) < 1e-13
+    # one point with lambda of shape (1,) is a stack of one lambda
+    E, X = frame.evaluate(U[0, 0], per_point[0, :1])
+    assert E.shape == (1, 2, 2) and X.shape == (1, 2)
     for bad_U, bad_lam in ((U, per_point[:2]), (U, per_point.T), (U, per_point[..., None]),
-                           (U[0, 0], per_point[0, :1])):
+                           (U[:, :1], per_point), (U[:1, 0], per_point[0])):
         with pytest.raises(ValueError, match="do not broadcast"):
             frame.evaluate(bad_U, bad_lam)
+
+
+def _stack_chains():
+    """A one-pole, a two-pole and a translation chain on the constant seed,
+    each after a real one-pole record."""
+    real = dress_real(ExtendedFrame(SEEDS["constant"]()), 0.6,
+                      project_onto_span(np.array([1.0, 1.0])))
+    return {
+        "one_pole": lambda: dress_extended(real, COMPLEX_Z,
+                                           project_onto_span(np.array([1.0, 0.5 + 0.3j]))),
+        "two_pole": lambda: dress_two_pole(real, 0.5 + 1.3j,
+                                           project_onto_span(np.array([1.0, 0.2 - 0.4j]))),
+        "translation": lambda: dress_translation(real, TRANSLATION_ALPHA, [0.1, -0.2]),
+    }
+
+
+@pytest.mark.parametrize("block", [None, 4], ids=["one-block", "block-4"])
+@pytest.mark.parametrize("chain", ["one_pole", "two_pole", "translation"])
+def test_lambda_stack_rows_equal_their_own_calls(chain, block, monkeypatch):
+    """Every row of a lambda-stacked evaluation is bit for bit its own
+    one-lambda call: a stack at one point, a stack of one lambda per row at
+    11 points, and an (m, P) stack of one lambda per (row, point) pair
+    (its own call is the row's one-lambda-per-point call), with entries in
+    the contour bands of every record's poles.  With POINT_BLOCK at 4 the
+    stacks run across block boundaries."""
+    if block is not None:
+        monkeypatch.setattr(frames, "POINT_BLOCK", block)
+    frame = _stack_chains()[chain]()
+    rng = np.random.default_rng(21)
+    U = rng.uniform(-0.5, 0.5, size=(11, 2))
+    # off-pole, 0, and within 3e-9 of the real, complex, two-pole and
+    # translation poles
+    lams = np.array(LAMBDAS + [0.5 + 1.3j - 3e-9, -0.5 + 1.3j + 3e-9j])
+    # two banded pairs in each row of the (m, P) stack, and a row all in one band
+    pairs = rng.uniform(-1.5, 1.5, size=(len(lams), len(U))) + 0.2j
+    banded = lams[3:]
+    for i in range(len(lams)):
+        pairs[i, [i, (i + 5) % len(U)]] = banded[i % len(banded)], banded[(i + 1) % len(banded)]
+    pairs[-1] = banded[0]
+    for u, stack, own in ((U[4], lams, lambda i: complex(lams[i])),
+                          (U, lams[:, None], lambda i: complex(lams[i])),
+                          (U, pairs, lambda i: pairs[i])):
+        E, X = frame.evaluate(u, stack)
+        assert E.shape == (len(lams),) + np.shape(u)[:-1] + (2, 2)
+        for i in range(len(lams)):
+            E1, X1 = frame.evaluate(u, own(i))
+            assert np.array_equal(E[i], E1) and np.array_equal(X[i], X1)
+
+
+def test_lambda_stack_axes_lead_the_result():
+    """Lambda's axes beyond u's leading shape lead the results, the rest
+    broadcast against it; a lambda that would enlarge u's leading shape is
+    refused, and a stack on no points, or a stack of no lambdas, is empty."""
+    frame = _stack_chains()["one_pole"]()
+    U = np.random.default_rng(22).uniform(-0.5, 0.5, size=(3, 4, 2))
+    lam = np.arange(8).reshape(2, 1, 4) * (0.2 - 0.1j) - 0.7
+    E, X = frame.evaluate(U, lam)
+    assert E.shape == (2, 3, 4, 2, 2) and X.shape == (2, 3, 4, 2)
+    for k in range(2):
+        E1, X1 = frame.evaluate(U, np.broadcast_to(lam[k], (3, 4)))
+        assert np.array_equal(E[k], E1) and np.array_equal(X[k], X1)
+    assert frame.evaluate(U, lam[..., None, None])[0].shape == (2, 1, 4, 3, 4, 2, 2)
+    for bad_U, bad_lam in ((U[:, :1], lam[0]), (U[0, :1], lam[0, 0]), (U, lam[..., :3])):
+        with pytest.raises(ValueError, match="do not broadcast"):
+            frame.evaluate(bad_U, bad_lam)
+    E, X = frame.evaluate(np.empty((0, 2)), lam[:, :, :1])
+    assert E.shape == (2, 1, 0, 2, 2) and X.shape == (2, 1, 0, 2)
+    assert frame.evaluate(U[0], np.empty((0, 1)))[0].shape == (0, 4, 2, 2)
 
 
 def test_batched_evaluation_keeps_leading_shape(torus_frame, pi_diag):
