@@ -26,8 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from .dressing import dress, dress_permuted, dress_spherical
-from .errors import (DressingForgeError, NonRealError, PoleCollisionError,
-                     RankDeficientError, SphericalViolationError)
+from .errors import (DressingForgeError, PoleCollisionError, RankDeficientError,
+                     SphericalViolationError)
 from .frames import (ExtendedFrame, PolynomialProfile, SampledProfile,
                      VacuumSeed, metric_from_frame, potential_on_grid)
 from .geometry import (Grid, axis_gradient, check_darboux_egoroff,
@@ -412,10 +412,9 @@ def _reality_check(frame, scenario, tol) -> VerificationReport:
 def _position_equation_check(sample, h, tol) -> VerificationReport:
     """Finite-difference dX/du_i against h_i E e_i on the sample's grid."""
     report = VerificationReport()
-    worst = 0.0
-    for axis in range(sample.grid.n):
-        dX = axis_gradient(sample.X, sample.grid, axis)
-        worst = max(worst, max_abs(dX - h[..., axis, None] * sample.E[..., :, axis]))
+    worst = max_abs([max_abs(axis_gradient(sample.X, sample.grid, axis)
+                             - h[..., axis, None] * sample.E[..., :, axis])
+                     for axis in range(sample.grid.n)])
     report.add("position_equation", worst, tol, lam=sample.lam.real)
     return report
 
@@ -429,20 +428,23 @@ def _pde_frame_check(frame, grid, lambdas, tol, path_tol, step) -> VerificationR
     path = PathSpec.staircase(corner)
     E_num, X_num = integrate_frame(n, frame.beta, frame.h, lam, path, step)
     E_ref, X_ref = frame.evaluate(corner, lam)
-    residual = max(max_abs(E_num - E_ref), max_abs(X_num - X_ref))
+    residual = max_abs([max_abs(E_num - E_ref), max_abs(X_num - X_ref)])
     report.add("pde_frame", residual, tol, step=step, lam=str(lam))
     path_rev = PathSpec.staircase(corner, order=range(n - 1, -1, -1))
     E_rev, X_rev = integrate_frame(n, frame.beta, frame.h, lam, path_rev, step)
-    report.add("path_independence", max(max_abs(E_num - E_rev), max_abs(X_num - X_rev)),
+    report.add("path_independence", max_abs([max_abs(E_num - E_rev), max_abs(X_num - X_rev)]),
                path_tol, step=step)
     return report
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_verification(scenario: Scenario, frame: ExtendedFrame,
                      tol_scale: float = 1.0, step: float | None = None,
                      metric=None) -> VerificationReport:
     """Run the enabled checks on the dressed frame; ``metric`` is the frame's
-    metric on the scenario grid when the caller has already built it."""
+    metric on the scenario grid when the caller has already built it.  A
+    residual that overflows is reported as inf or NaN and fails its check,
+    without a numpy warning."""
     tols = {k: v * tol_scale for k, v in scenario.tolerances.items()}
     step = 1e-2 if step is None else step
     report = VerificationReport()
@@ -470,8 +472,7 @@ def run_verification(scenario: Scenario, frame: ExtendedFrame,
             report.add("metric_real_skipped", metric.imag_max, None,
                        reason="history contains sigma-incompatible factors")
     if checks.get("darboux_egoroff"):
-        report.extend(check_darboux_egoroff(
-            metric, tols["darboux_egoroff"], symmetric=frame.is_sigma_compatible))
+        report.extend(check_darboux_egoroff(metric, tols["darboux_egoroff"]))
     if checks.get("lagrangian"):
         for lam in real_lams:
             sub = check_lagrangian(sample(lam), metric.h, tols["lagrangian"],
@@ -501,13 +502,8 @@ def run_verification(scenario: Scenario, frame: ExtendedFrame,
                        reason=f"chain[{i}]: {rec.potential_gap}")
     if checks.get("lambda_zero"):
         if frame.is_sigma_compatible:
-            try:
-                report.extend(limit_net(frame, grid, tols["lambda_zero"],
-                                        tols["lambda_zero_derivative"])[1])
-            except NonRealError as exc:
-                # X(u, 0) is not real to the tolerance: the check fails
-                report.add("limit_net_imag", max_abs(frame.X(grid.points(), 0.0).imag),
-                           tols["lambda_zero"], reason=str(exc))
+            report.extend(limit_net(frame, grid, tols["lambda_zero"],
+                                    tols["lambda_zero_derivative"])[1])
         else:
             report.add("lambda_zero_skipped", 0.0, None,
                        reason="history contains sigma-incompatible factors")

@@ -59,8 +59,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SphericalViolationError
-from .frames import ExtendedFrame, frame_dlambda_at_zero
-from .geometry import Grid
+from .frames import ExtendedFrame
+from .geometry import Grid, frame_dlambda_at_zero
 from .linalg import (HermitianProjection, adjoint, max_abs, project_onto_span,
                      solve_linear, star_reduce)
 from .loops import (RealOnePoleFactor, TranslationFactor, TwoPointFactor,

@@ -29,10 +29,6 @@ class SphericalViolationError(DressingForgeError):
     """Sphere-preserving transformation requested with non-orthogonal data."""
 
 
-class NonRealError(DressingForgeError):
-    """A quantity asserted to be real has a non-negligible imaginary part."""
-
-
 class OutOfDomainError(DressingForgeError):
     """Evaluation point outside a seed profile's domain."""
 

@@ -10,11 +10,13 @@ The history is evaluated as one flat sequence of steps: a one-pole or
 translation record is one step, a two-pole record its two one-pole parts.
 Evaluation works on whole point sets and lambda stacks at once: every
 update is a stacked array operation over the (lambda, point) pairs, so a
-grid costs a few numpy calls per step, not a loop.  Each step needs the
-block of its prefix, the frame's first ``depth`` steps at the point set U,
-at its own poles; a point set gets those pole data for the whole chain
-from one sweep, which evaluates the block once on the stack of every
-pending step's poles and lets each step read its rows and dress the rest.
+grid costs a few numpy calls per step, not a loop.  ``evaluate`` always
+runs every step.  Each step needs the block of its prefix, the frame's
+first ``depth`` steps at the point set U, at its own poles: ``pole_data``
+is the one place a prefix is evaluated.  A point set gets those pole data
+for the whole chain from one sweep, which evaluates the block once on the
+stack of every pending step's poles and lets each step read its rows and
+dress the rest.
 
 The steps' poles cancel, so the block is entire in lambda; near a sensitive
 point p (a pole or its conjugate) the direct updates lose digits, so a
@@ -622,21 +624,16 @@ class ExtendedFrame:
             F[index] = block
         return F
 
-    def evaluate(self, u, lam, depth: int | None = None):
-        """Dressed (E, X) at the points u; holomorphic in lambda across the
-        dressing poles (each update is applied in its residue-subtracted
-        form).  ``lam`` is one lambda for every point, or an array that
-        broadcasts against the leading shape of u, whose axes beyond it (a
-        lambda stack) lead the results, each row equal to its own call.
-        ``depth`` evaluates the prefix frame of the first ``depth`` records,
-        0 to all of them."""
-        if depth is not None and not 0 <= depth <= len(self.history):
-            raise ValueError(f"depth {depth} outside 0..{len(self.history)}, "
-                             "the frame's records")
+    def evaluate(self, u, lam):
+        """Dressed (E, X) at the points u, through every step; holomorphic
+        in lambda across the dressing poles (each update is applied in its
+        residue-subtracted form).  ``lam`` is one lambda for every point, or
+        an array that broadcasts against the leading shape of u, whose axes
+        beyond it (a lambda stack) lead the results, each row equal to its
+        own call."""
         U, lead = self._point_set(u)
         lam, lead = _lambdas(lam, lead)
-        upto = len(self.steps) if depth is None else self.step_count(depth)
-        F = self._block(U, lam, upto)
+        F = self._block(U, lam, len(self.steps))
         F = F.reshape(lead + F.shape[-2:])
         return F[..., :self.n], F[..., self.n]
 
@@ -673,20 +670,6 @@ class ExtendedFrame:
             return None
         val = self._accumulate(u, self.seed.phi, "apply_phi")
         return val if val.ndim else float(val)
-
-
-def frame_dlambda_at_zero(E_fn, u, step: float = 1e-3) -> np.ndarray:
-    """dE/dlambda at lambda = 0 on the points u, by 4th-order central
-    differences with one Richardson extrapolation level; ``E_fn(u, lam)`` is
-    the frame block evaluator (``frame.E`` for an extended frame) and must
-    take a lambda stack: one call gets the eight lambdas ahead of u's axes."""
-    u = np.asarray(u, dtype=float)
-    sizes = (step, step / 2)
-    lam = np.array([k * s for s in sizes for k in (2, 1, -1, -2)])
-    E = np.asarray(E_fn(u, lam.reshape((-1,) + (1,) * (u.ndim - 1))))
-    coarse, fine = ((-E[i] + 8 * E[i + 1] - 8 * E[i + 2] + E[i + 3]) / (12 * s)
-                    for i, s in zip((0, 4), sizes))
-    return (16 * fine - coarse) / 15
 
 
 def potential_on_grid(frame: ExtendedFrame, grid: Grid, axis_order=None) -> np.ndarray:

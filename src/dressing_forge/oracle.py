@@ -3,13 +3,14 @@ connection and of the first-order dressing system, for comparison against the
 closed-form algebra.
 
 Fixed-step RK4 only --- no adaptivity --- so convergence-order arithmetic in
-the acceptance tests stays clean.
+the acceptance tests stays clean.  Each integration carries its state as one
+array: the frame F, or [pi | y] for the dressing system.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +45,7 @@ class PathSpec:
         return cls(tuple((a, u_target[a]) for a in order))
 
     def waypoints(self, n: int):
-        """Yield (u_start, axis, t_start, t_end) per segment."""
+        """The list of (u_start, axis, t_start, t_end), one per segment."""
         u = np.zeros(n)
         out = []
         for axis, target in self.segments:
@@ -66,11 +67,9 @@ class PathSpec:
 class OracleResult:
     """Outcome of an integration compared against an algebraic reference."""
 
-    value: object
     step: float
     residual: float | None = None
     order: float | None = None
-    details: dict = field(default_factory=dict)
 
 
 def estimate_order(residual_coarse: float, residual_fine: float) -> float:
@@ -102,31 +101,19 @@ def _stage_chunks(u_start, axis: int, t0: float, t1: float, step: float):
         yield U, dt, m
 
 
-def _rk4(state, rhs, dt: float, m: int, post_step=None):
-    """m classical RK4 steps of size dt; rhs(k, state) is the right-hand side
-    at stage point k = 0..2m of a chunk (step i starts at k = 2i)."""
+def _rk4(state: np.ndarray, rhs, dt: float, m: int, post_step=None) -> np.ndarray:
+    """m classical RK4 steps of size dt on one array state; rhs(k, state) is
+    the right-hand side at stage point k = 0..2m of a chunk (step i starts at
+    k = 2i)."""
     for i in range(m):
         k1 = rhs(2 * i, state)
-        k2 = rhs(2 * i + 1, _axpy(state, 0.5 * dt, k1))
-        k3 = rhs(2 * i + 1, _axpy(state, 0.5 * dt, k2))
-        k4 = rhs(2 * i + 2, _axpy(state, dt, k3))
-        state = _combine(state, dt, k1, k2, k3, k4)
+        k2 = rhs(2 * i + 1, state + 0.5 * dt * k1)
+        k3 = rhs(2 * i + 1, state + 0.5 * dt * k2)
+        k4 = rhs(2 * i + 2, state + dt * k3)
+        state = state + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
         if post_step is not None:
             state = post_step(state)
     return state
-
-
-def _axpy(state, a, k):
-    if isinstance(state, tuple):
-        return tuple(s + a * ki for s, ki in zip(state, k))
-    return state + a * k
-
-
-def _combine(state, dt, k1, k2, k3, k4):
-    if isinstance(state, tuple):
-        return tuple(s + dt / 6.0 * (a + 2 * b + 2 * c + d)
-                     for s, a, b, c, d in zip(state, k1, k2, k3, k4))
-    return state + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def integrate_frame(n: int, beta_fn, h_fn, lam: complex, path: PathSpec,
@@ -168,7 +155,7 @@ def integrate_frame_with_order(n: int, beta_fn, h_fn, lam: complex,
         raise StepTooLargeError(
             f"observed order {order:.2f} < 3 at step {step}; residuals "
             f"{r_coarse:.3e} -> {r_fine:.3e}")
-    return OracleResult(value=None, step=step, residual=r_fine, order=order)
+    return OracleResult(step=step, residual=r_fine, order=order)
 
 
 def _reproject(pi: np.ndarray):
@@ -208,8 +195,7 @@ def integrate_bf(n: int, beta_fn, h_fn, alpha: float, pi0: np.ndarray,
     dU = (alpha delta - [delta, beta]) U); integrating the mirrored
     arrangement converges to a different field entirely."""
     alpha = float(alpha)
-    pi = np.asarray(pi0, dtype=complex).copy()
-    y = np.asarray(b, dtype=complex).copy()
+    state = np.column_stack([np.asarray(pi0, dtype=complex), np.asarray(b, dtype=complex)])
     max_corr = 0.0
     total_steps = 0
 
@@ -219,10 +205,9 @@ def integrate_bf(n: int, beta_fn, h_fn, alpha: float, pi0: np.ndarray,
         corrections = []
 
         def post(state):
-            pi_now, y_now = state
-            fixed, corr = _reproject(pi_now)
+            state[:, :n], corr = _reproject(state[:, :n])
             corrections.append(corr)
-            return (fixed, y_now)
+            return state
 
         for U, dt, m in _stage_chunks(u_start, axis, t0, t1, step):
             total_steps += m
@@ -231,24 +216,26 @@ def integrate_bf(n: int, beta_fn, h_fn, alpha: float, pi0: np.ndarray,
             ha = h_fn(U)[:, axis]
 
             def rhs(k, state):
-                pi_now, y_now = state
+                pi_now, y_now = state[:, :n], state[:, n]
                 comm_a = lax_block(pi_now, axis)
-                d_pi = (pi_now @ Ba[k] - Ba[k] @ pi_now
-                        + alpha * (np.eye(n) - 2 * pi_now) @ comm_a)
+                d = np.empty_like(state)
+                d[:, :n] = (pi_now @ Ba[k] - Ba[k] @ pi_now
+                            + alpha * (np.eye(n) - 2 * pi_now) @ comm_a)
                 # [delta, beta - 2 alpha pi] along the segment axis
                 Ca = Ba[k] - 2 * alpha * comm_a
-                d_y = -Ca @ y_now + ha[k] * pi_now[:, axis]
-                d_y[axis] -= alpha * y_now[axis]
-                return (d_pi, d_y)
+                d[:, n] = -Ca @ y_now + ha[k] * pi_now[:, axis]
+                d[axis, n] -= alpha * y_now[axis]
+                return d
 
-            pi, y = _rk4((pi, y), rhs, dt, m, post_step=post)
+            state = _rk4(state, rhs, dt, m, post_step=post)
         seg_max = max(corrections)
         if seg_max > drift_tol:
             raise ProjectionDriftError(
                 f"projection correction {seg_max:.3e} exceeds {drift_tol:.1e}")
         max_corr = max(max_corr, seg_max)
 
-    return BfIntegration(pi_tilde=pi, y=y, max_correction=max_corr, steps=total_steps)
+    return BfIntegration(pi_tilde=state[:, :n], y=state[:, n], max_correction=max_corr,
+                         steps=total_steps)
 
 
 def metric_interpolators(metric):

@@ -181,6 +181,32 @@ def test_seed_whose_square_overflows_exits_3(tmp_path, capsys, seed):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", [
+    {"type": "constant", "radii": [1e154, 1.0]},
+    poly_seed([1e154]),
+], ids=["radius-1e154", "coeff-1e154"])
+def test_seed_whose_checks_overflow_fails_them(tmp_path, capsys, seed):
+    """A seed just inside the finite-square rule: the Lagrangian and
+    potential residuals overflow, and each is written as "nan" in the strict
+    JSON report and fails; run exits 1 with no numpy warning, which pytest
+    would turn into an error."""
+    raw = json.loads((SCENARIOS / "one_soliton.json").read_text())
+    raw["seed"] = seed
+    out = tmp_path / "out"
+    assert run_cli("run", write_scenario(tmp_path, raw), out) == 1
+
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    report = json.loads((out / "report.json").read_text(), parse_constant=refuse)
+    assert report["passed"] is False
+    non_finite = {c["name"]: (c["residual"], c["passed"]) for c in report["checks"]
+                  if isinstance(c["residual"], str)}
+    assert non_finite == {name: ("nan", False) for name in (
+        "lam=1/lagrangian_symplectic", "lam=1/lagrangian_metric",
+        "lam=0/lagrangian_symplectic", "lam=0/lagrangian_metric", "potential_agreement")}
+    assert "lam=1/lagrangian_symplectic" in capsys.readouterr().err
+
+
 def test_lambda_zero_failure_is_a_failing_check(tmp_path, capsys):
     """X(u, 0) on breather_chain has an imaginary part near 1e-16: with a
     lambda_zero tolerance of 1e-40 the limit net fails as a report entry
@@ -350,9 +376,9 @@ def test_sweep_evaluates_each_lambda_once(tmp_path, capsys, monkeypatch):
     lams = []
     evaluate = ExtendedFrame.evaluate
 
-    def spy(self, u, lam, depth=None):
+    def spy(self, u, lam):
         lams.append(lam)
-        return evaluate(self, u, lam, depth)
+        return evaluate(self, u, lam)
 
     monkeypatch.setattr(ExtendedFrame, "evaluate", spy)
     assert run_cli("sweep", str(SCENARIOS / "flat_torus.json"), tmp_path / "out") == 0
@@ -393,10 +419,9 @@ def test_reality_check_matches_per_sample_loop(name, chunk, monkeypatch):
     calls = []
     evaluate = ExtendedFrame.evaluate
 
-    def spy(self, u, lam, depth=None):
-        if depth is None:
-            calls.append((np.array(u), np.array(lam)))
-        return evaluate(self, u, lam, depth)
+    def spy(self, u, lam):
+        calls.append((np.array(u), np.array(lam)))
+        return evaluate(self, u, lam)
 
     monkeypatch.setattr(ExtendedFrame, "evaluate", spy)
     report = _reality_check(frame, scenario, 1e-10)
@@ -489,7 +514,7 @@ def test_report_with_a_non_finite_residual_is_strict_json(tmp_path, monkeypatch)
     """A check whose residual is NaN or infinite: report.json writes it as
     the string "nan" or "inf", parses under a parser that refuses NaN and
     Infinity, and the run still fails."""
-    def non_finite(metric, tol, symmetric):
+    def non_finite(metric, tol):
         report = VerificationReport()
         report.add("darboux_egoroff", float("nan"), tol)
         report.add("darboux_egoroff_pair", float("inf"), tol)
@@ -544,7 +569,6 @@ def test_breather_two_pole_factor_runs_sigma_checks(tmp_path):
                       ("limit_net_imag", "lambda_zero")):
         assert checks[name]["passed"] is True
         assert checks[name]["tolerance"] == DEFAULT_TOLERANCES[tol]
-    assert checks["darboux_egoroff_pair"]["details"]["symmetric_product"] is True
 
 
 def test_metric_csv_layout(tmp_path):

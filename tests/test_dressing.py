@@ -868,9 +868,8 @@ def test_pole_data_sweep_matches_per_record_prefix(chain, P, rng):
     want = _per_record_pole_data(frame, U)
     _assert_same_pole_data(frame.pole_data(U, len(frame.steps)), want)
     warm = make()
-    depth = min(3, len(warm.history) - 1)
-    warm.evaluate(U, 0.9 - 0.3j, depth=depth)
-    steps = len([s for rec in warm.history[:depth] for s in rec.steps])
+    steps = warm.step_count(min(3, len(warm.history) - 1))
+    warm.pole_data(U, steps)
     assert len(warm.pole_data(U, 0)) == steps
     _assert_same_pole_data(warm.pole_data(U, len(warm.steps)), want)
 
@@ -952,10 +951,11 @@ def test_one_lambda_band_check_equals_its_row_of_the_stacked_check():
 
 @pytest.mark.parametrize("chain", ["mixed", "conjugate", "two_pole_conjugate"])
 def test_evaluate_at_depth_equals_the_shorter_frame(chain, rng):
-    """evaluate(u, lam, depth=k) is bit for bit the k-record frame's
-    evaluate, for every k, off the poles, within 1e-8 of every sensitive
-    point of the whole chain and exactly on it, after the whole frame was
-    evaluated there, for a single point and a point set."""
+    """After the whole frame was evaluated off the poles, within 1e-8 of
+    every sensitive point of the chain and exactly on it, its pole data of
+    the first k records' steps, and its block of those steps at each of
+    these lambdas, are bit for bit the k-record frame's, for every k, at a
+    single point and at a point set."""
     frame = _sweep_chains()[chain]()
     U = rng.uniform(-0.4, 0.4, size=(5, 3))
     poles = frame.sensitive_points()
@@ -963,33 +963,28 @@ def test_evaluate_at_depth_equals_the_shorter_frame(chain, rng):
     for u in (U[0], U):
         for lam in lams:
             frame.evaluate(u, lam)
+        points = u.reshape(-1, 3)
         for k in range(1, len(frame.history) + 1):
             fresh = ExtendedFrame(frame.seed, frame.history[:k])
-            for lam in lams:
-                for a, b in zip(frame.evaluate(u, lam, depth=k), fresh.evaluate(u, lam)):
-                    assert np.array_equal(a, b)
+            steps = frame.step_count(k)
+            _assert_same_pole_data(frame.pole_data(points, steps)[:steps],
+                                   fresh.pole_data(points, steps))
+            for lam in map(complex, lams):
+                assert np.array_equal(frame._block(points, lam, steps),
+                                      fresh._block(points, lam, steps))
 
 
 def test_depth_out_of_range_is_refused(rng):
-    """``evaluate`` refuses a record depth outside 0..len(history), and
-    ``pole_data`` a step depth outside 0..len(steps), with a ValueError
-    naming the value; both ends of each range are accepted, and depth 0
-    is the seed."""
+    """``pole_data`` refuses a step depth outside 0..len(steps) with a
+    ValueError naming the value; both ends of the range are accepted."""
     frame = _sweep_chains()["mixed"]()
     U = rng.uniform(-0.4, 0.4, size=(2, 3))
-    records, steps = len(frame.history), len(frame.steps)
-    for k in (-1, -5, records + 1):
-        with pytest.raises(ValueError, match=f"depth {k} outside 0..{records}"):
-            frame.evaluate(U, 0.9, depth=k)
+    steps = len(frame.steps)
     for depth in (-1, steps + 1):
         with pytest.raises(ValueError, match=f"depth {depth} outside 0..{steps}"):
             frame.pole_data(U, depth)
     frame.pole_data(U, 0)
     assert len(frame.pole_data(U, steps)) == steps
-    for a, b in zip(frame.evaluate(U, 0.9, depth=0), ExtendedFrame(frame.seed).evaluate(U, 0.9)):
-        assert np.array_equal(a, b)
-    for a, b in zip(frame.evaluate(U, 0.9, depth=records), frame.evaluate(U, 0.9)):
-        assert np.array_equal(a, b)
 
 
 def _lambda_shape(lam) -> str:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dressing_forge import (ChartSingularError, ExtendedFrame, Grid,
-                            ImmersionSample, NonRealError, PolynomialProfile,
+                            ImmersionSample, PolynomialProfile,
                             ConstantProfile, VacuumSeed,
                             check_darboux_egoroff, check_lagrangian,
                             check_partial_invariance, check_sphere,
@@ -68,24 +68,39 @@ def test_darboux_egoroff_negative_control(torus_frame, rng):
 
 
 def test_darboux_egoroff_nonsymmetric_complex_dressing(torus3_frame):
-    """A tau-only complex dressing gives a non-symmetric coefficient matrix:
-    the flatness equations hold with the transposed product, not the
-    symmetric-case form."""
+    """A tau-only complex dressing gives a non-symmetric coefficient matrix,
+    and the flatness equations, with the product beta_ik beta_kj that every
+    chain satisfies, still converge at order 2."""
     pi = project_onto_span(np.array([1.0, 0.5 + 0.3j, -0.2j]))
     frame = dress_extended(torus3_frame, 0.3 + 0.7j, pi)
 
-    def residual(m, symmetric):
+    def residual(m):
         grid = Grid.from_specs([(-0.3, 0.3, m)] * 3)
         metric = metric_from_frame(frame, grid)
-        report = check_darboux_egoroff(metric, tol=1.0, symmetric=symmetric)
+        report = check_darboux_egoroff(metric, tol=1.0)
         return max(report["darboux_egoroff_triple"].residual,
                    report["darboux_egoroff_pair"].residual)
 
     beta = frame.beta(np.array([0.2, -0.1, 0.3]))
     assert max_abs(beta - beta.T) > 1e-3  # genuinely non-symmetric
-    r1, r2 = residual(7, False), residual(13, False)
+    r1, r2 = residual(7), residual(13)
     assert 3.2 < r1 / r2 < 4.8
-    assert residual(13, True) > 0.01  # the symmetric form is the wrong equation here
+
+
+@pytest.mark.parametrize("entry", [(0, 1), (1, 2), (2, 0)], ids=["beta12", "beta23", "beta31"])
+def test_nan_coefficient_fails_every_residual_that_reads_it(torus3_frame, entry):
+    """A NaN in one beta entry makes the Darboux-Egoroff and partial
+    invariance residuals that read it NaN, and those checks fail, whichever
+    (i, j) term of the residual it enters first."""
+    frame = dress_real(torus3_frame, 0.6, project_onto_span(np.ones(3) / np.sqrt(3.0)))
+    metric = metric_from_frame(frame, Grid.from_specs([(-0.3, 0.3, 5)] * 3))
+    metric.beta = metric.beta.copy()
+    metric.beta[(..., *entry)] = np.nan
+    report = check_darboux_egoroff(metric, tol=1.0)
+    report.extend(check_partial_invariance(metric, fd_tol=1.0, norm_tol=1.0))
+    for name in ("darboux_egoroff_triple", "darboux_egoroff_pair",
+                 "partial_invariance_offdiagonal", "partial_invariance_diagonal"):
+        assert np.isnan(report[name].residual) and report[name].passed is False, name
 
 
 def test_lagrangian_vacuum_and_dressed(torus_frame):
@@ -181,11 +196,21 @@ def test_limit_net_spherical_soliton(torus_frame, pi_perp_torus):
 
 
 def test_limit_net_nonreal_for_tau_only_history(torus_frame):
+    """A tau-only history has a complex X(u, 0): the limit net reports a
+    failing limit_net_imag entry, the largest |Im X(u, 0)|, whose reason
+    names the first grid point over the tolerance."""
     pi = project_onto_span(np.array([1.0, 0.5 + 0.3j]))
     frame = dress_extended(torus_frame, 0.3 + 0.7j, pi)
     grid = Grid.from_specs([(-0.5, 0.5, 4)] * 2)
-    with pytest.raises(NonRealError):
-        limit_net(frame, grid)
+    net, report = limit_net(frame, grid)
+    imag = np.abs(frame.X(grid.points(), 0.0).imag).max(axis=-1)
+    entry = report["limit_net_imag"]
+    assert entry.passed is False and not report.passed
+    assert entry.residual == imag.max() > 1e-10 and entry.tolerance == 1e-10
+    first = np.unravel_index(np.argmax(imag > 1e-10), imag.shape)
+    assert entry.details["reason"] == (f"X(u, 0) has imaginary part {imag[first]:.2e} > "
+                                       f"1.0e-10 at u={grid.points()[first]}")
+    assert net.shape == grid.shape + (2,) and net.dtype == float
 
 
 def test_hopf_projection_flat_torus(torus_frame):
