@@ -4,9 +4,12 @@ chain, run the verification suite, export geometry and reports.
 Scenario files are JSON with ``schema_version`` 1.  Complex numbers are
 [re, im] pairs; matrices are row-major arrays of such pairs.  Every tolerance
 used by ``verify`` comes from the scenario (``checks.tolerances``) with the
-documented defaults below; ``--tol-scale`` multiplies all of them.  Runs are
-deterministic: repeated runs on the same scenario produce byte-identical
-exports.
+documented defaults below.  Every command takes ``--scenario`` and ``--out``;
+``verify`` and ``run`` add ``--step`` (the PDE cross-check's RK4 step) and
+``--tol-scale`` (multiplies every tolerance), ``permute-check`` adds
+``--tol-scale``.  Runs are deterministic: repeated runs on the same scenario
+produce byte-identical exports.  A value that overflows is carried as inf or
+NaN, without a numpy warning, and fails the check that reads it.
 
 Exit codes: 0 all enabled checks pass; 1 check failure; 2 parse error;
 3 validation error.
@@ -178,9 +181,10 @@ def _build_seed(n: int, spec) -> VacuumSeed:
     raise ValidationError(f"seed.type: unknown seed type {kind!r}")
 
 
-def _validate_chain(n: int, chain_spec) -> list:
+def _validate_chain(seed: VacuumSeed, chain_spec) -> list:
     """The chain as (type, loop factor) pairs.  Entry fields are checked for
     shape here; the factor rules are the loop-factor constructors'."""
+    n = seed.n
     if chain_spec is None:
         return []
     if not isinstance(chain_spec, list):
@@ -193,6 +197,9 @@ def _validate_chain(n: int, chain_spec) -> list:
         kind = entry["type"]
         if kind not in ("real_one_pole", "spherical", "one_pole", "two_pole", "translation"):
             raise ValidationError(f"{where}.type: unknown factor type {kind!r}")
+        if kind == "spherical" and not seed.is_spherical:
+            raise ValidationError(f"{where}: a spherical entry needs a constant seed "
+                                  "(rule: spherical dressing on a constant-profile seed)")
         if kind in ("real_one_pole", "spherical", "translation"):
             alpha = entry.get("alpha")
             if not _is_number(alpha):
@@ -257,7 +264,7 @@ def validate_scenario(raw: dict) -> Scenario:
                               "(rule: lambdas is a list of [re, im] pairs)")
     lambdas = [_complex_pair(v, "lambdas") for v in lambdas_spec]
 
-    chain = _validate_chain(n, raw.get("chain"))
+    chain = _validate_chain(seed, raw.get("chain"))
     poles = [p for _, factor in chain for p in factor.poles()]
     try:
         check_pole_collisions(poles)
@@ -437,16 +444,12 @@ def _pde_frame_check(frame, grid, lambdas, tol, path_tol, step) -> VerificationR
     return report
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def run_verification(scenario: Scenario, frame: ExtendedFrame,
-                     tol_scale: float = 1.0, step: float | None = None,
+                     tol_scale: float = 1.0, step: float = 1e-2,
                      metric=None) -> VerificationReport:
     """Run the enabled checks on the dressed frame; ``metric`` is the frame's
-    metric on the scenario grid when the caller has already built it.  A
-    residual that overflows is reported as inf or NaN and fails its check,
-    without a numpy warning."""
+    metric on the scenario grid when the caller has already built it."""
     tols = {k: v * tol_scale for k, v in scenario.tolerances.items()}
-    step = 1e-2 if step is None else step
     report = VerificationReport()
     checks = dict(scenario.checks)
     grid = scenario.grid
@@ -623,7 +626,8 @@ def cmd_seed(scenario: Scenario, out_dir: Path, args) -> int:
     metric = metric_from_frame(frame, scenario.grid)
     count = export_metric_csv(metric, out_dir / "seed_metric.csv")
     print(f"seed metric written: {count} rows -> {out_dir / 'seed_metric.csv'}")
-    print(f"spherical seed: {scenario.seed.is_spherical}, h(0) = {scenario.seed.h0()}")
+    print(f"spherical seed: {scenario.seed.is_spherical}, "
+          f"h(0) = {scenario.seed.h(np.zeros(scenario.n))}")
     return 0
 
 
@@ -747,10 +751,12 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--scenario", required=True, help="path to a JSON scenario file")
         p.add_argument("--out", default="out", help="output directory (default: ./out)")
-        p.add_argument("--step", type=positive_float, default=None,
-                       help="RK4 step for the PDE cross-checks, > 0 (default 1e-2)")
-        p.add_argument("--tol-scale", type=positive_float, default=1.0, dest="tol_scale",
-                       help="multiply every verification tolerance by this factor (> 0)")
+        if name in ("verify", "run"):
+            p.add_argument("--step", type=positive_float, default=1e-2,
+                           help="RK4 step for the PDE cross-checks, > 0 (default 1e-2)")
+        if name in ("verify", "run", "permute-check"):
+            p.add_argument("--tol-scale", type=positive_float, default=1.0, dest="tol_scale",
+                           help="multiply every verification tolerance by this factor (> 0)")
     return parser
 
 
@@ -762,7 +768,8 @@ def main(argv=None) -> int:
         # the scenario is read by now, so an OSError is a write under --out
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
-            return COMMANDS[args.command](scenario, out_dir, args)
+            with np.errstate(over="ignore", invalid="ignore"):
+                return COMMANDS[args.command](scenario, out_dir, args)
         except OSError as exc:
             raise ParseError(f"--out {args.out}: cannot write {exc.filename}: "
                              f"{exc.strerror}") from exc

@@ -421,22 +421,19 @@ _PERMUTE_LAMBDAS = (0.9, -1.4, 0.35 + 0.6j, -0.2 - 1.1j, 1.8 + 0.25j,
 
 def dress_permuted(frame: ExtendedFrame, z1: complex, pi1: HermitianProjection,
                    z2: complex, pi2: HermitianProjection,
-                   grid: Grid | None = None, lam_samples=None,
-                   tol: float = 1e-9):
+                   grid: Grid, tol: float = 1e-9):
     """Apply the two factors in both orders with permuted projections and
-    report the discrepancy; the permutability identity makes the two frames
-    equal, so the report is the oracle."""
+    report the discrepancy on the grid, at the fixed lambda samples that keep
+    0.05 from both poles and their conjugates; the permutability identity
+    makes the two frames equal, so the report is the oracle."""
     rho1, rho2 = permute_factors(z1, pi1, z2, pi2)
     f12 = dress_extended(dress_extended(frame, z1, pi1), z2, rho2)
     f21 = dress_extended(dress_extended(frame, z2, pi2), z1, rho1)
 
-    if grid is None:
-        grid = Grid.from_specs([(-0.5, 0.5, 10)] * frame.n)
-    if lam_samples is None:
-        poles = [complex(z1), complex(z2)]
-        lam_samples = [lam for lam in _PERMUTE_LAMBDAS
-                       if all(abs(lam - p) > 0.05 and abs(lam - np.conj(p)) > 0.05
-                              for p in poles)]
+    poles = [complex(z1), complex(z2)]
+    lam_samples = [lam for lam in _PERMUTE_LAMBDAS
+                   if all(abs(lam - p) > 0.05 and abs(lam - np.conj(p)) > 0.05
+                          for p in poles)]
 
     pts = grid.points()
     lams = np.reshape(lam_samples, (-1,) + (1,) * grid.n)
@@ -483,12 +480,12 @@ class SphericalFamily:
         u = np.asarray(u, dtype=float)
         E0 = np.asarray(self.E_fn(u, 0.0))
         g = solve_linear(E0, self.c.astype(complex))
-        return -1j / lam * (np.asarray(self.E_fn(u, lam)) @ g - self.c)
+        return -1j / lam * (_mv(np.asarray(self.E_fn(u, lam)), g) - self.c)
 
-    def net(self, u, step: float = 1e-3) -> np.ndarray:
+    def net(self, u) -> np.ndarray:
         """lambda -> 0 limit: -i dE/dlambda(u, 0) h(u), real."""
-        dE = frame_dlambda_at_zero(self.E_fn, u, step)
-        return (-1j * dE @ self.h(u).astype(complex)).real
+        dE = frame_dlambda_at_zero(self.E_fn, u)
+        return (-1j * _mv(dE, self.h(u).astype(complex))).real
 
     def radius(self, lam: float) -> float:
         return float(np.linalg.norm(self.c)) / abs(lam)

@@ -267,9 +267,6 @@ class SampledProfile:
         return total[()]
 
 
-Profile = ConstantProfile | PolynomialProfile | SampledProfile
-
-
 @dataclass(frozen=True, eq=False)
 class VacuumSeed:
     """Zero rotation coefficients with per-axis positive profiles h_j.
@@ -311,9 +308,6 @@ class VacuumSeed:
     @classmethod
     def constant(cls, radii) -> "VacuumSeed":
         return cls(tuple(ConstantProfile(float(r)) for r in radii))
-
-    def h0(self) -> np.ndarray:
-        return np.array([p.value(0.0) for p in self.profiles])
 
     def _check_domain(self, u: np.ndarray) -> None:
         lo, hi = self._bounds

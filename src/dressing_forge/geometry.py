@@ -276,27 +276,26 @@ def limit_net(frame, grid: Grid, tol: float = 1e-10,
                              f"at u={pts[first]}")
     report = VerificationReport()
     report.add("limit_net_imag", imag_max, tol, **details)
-    if getattr(frame, "is_partial_invariant", False):
+    if frame.is_partial_invariant:
         dE = frame_dlambda_at_zero(frame.E, pts)
         alt = -1j * (dE @ frame.h(pts)[..., None])[..., 0]
         report.add("limit_net_derivative_agreement", max_abs(alt - X0), cross_check_tol)
     return X0.real, report
 
 
-def hopf_project(sample: ImmersionSample, c: np.ndarray, chart: int,
-                 chart_floor: float = 1e-8) -> np.ndarray:
+def hopf_project(sample: ImmersionSample, c: np.ndarray, chart: int) -> np.ndarray:
     """Affine-chart coordinates of the recentred immersion in CP^{n-1}.
 
     The sample is recentred to Y = X - i c / lam (for a spherical family this
     is -i/lam E h); the returned array holds Y_j / Y_chart for j != chart.
-    Raises ChartSingularError where |Y_chart| <= chart_floor.
+    Raises ChartSingularError where |Y_chart| <= 1e-8.
     """
     lam = sample.lam
     if abs(lam.imag) > 1e-14 or lam == 0:
         raise ValueError("Hopf projection needs real nonzero lambda")
     Y = sample.X - sphere_center(c, lam.real)
     pivot = Y[..., chart]
-    small = np.abs(pivot) <= chart_floor
+    small = np.abs(pivot) <= 1e-8
     if np.any(small):
         raise ChartSingularError(
             f"chart component {chart} vanishes on {int(small.sum())} grid points")

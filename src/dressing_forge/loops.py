@@ -267,12 +267,13 @@ def permute_factors(z1: complex, pi1: HermitianProjection,
     return rho1, rho2
 
 
-def random_lambda_samples(count: int, poles, rng, scale: float = 2.0, margin: float = 0.05):
-    """Complex sample points at distance >= margin from every listed pole."""
+def random_lambda_samples(count: int, poles, rng):
+    """Complex sample points drawn uniformly from the square |Re lam|,
+    |Im lam| <= 2, each more than 0.05 from every listed pole."""
     samples = []
     poles = [complex(p) for p in poles]
     while len(samples) < count:
-        lam = complex(rng.uniform(-scale, scale), rng.uniform(-scale, scale))
-        if all(abs(lam - p) > margin for p in poles):
+        lam = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        if all(abs(lam - p) > 0.05 for p in poles):
             samples.append(lam)
     return samples

@@ -82,11 +82,12 @@ def test_parser_is_built_once():
     """main reuses one parser; parsing leaves it unchanged, so the options
     of one call do not carry over to the next."""
     parser = cli.build_parser()
-    a = parser.parse_args(["verify", "--scenario", "a.json", "--step", "0.5", "--out", "o"])
-    b = parser.parse_args(["export", "--scenario", "b.json"])
+    a = parser.parse_args(["verify", "--scenario", "a.json", "--step", "0.5",
+                           "--tol-scale", "3", "--out", "o"])
+    b = parser.parse_args(["verify", "--scenario", "b.json"])
     assert cli.build_parser() is parser
-    assert (a.command, a.step, a.out) == ("verify", 0.5, "o")
-    assert (b.command, b.scenario, b.step, b.tol_scale, b.out) == ("export", "b.json", None, 1.0, "out")
+    assert (a.command, a.step, a.tol_scale, a.out) == ("verify", 0.5, 3.0, "o")
+    assert (b.command, b.scenario, b.step, b.tol_scale, b.out) == ("verify", "b.json", 1e-2, 1.0, "out")
 
 
 def test_validation_error_names_rule(tmp_path, capsys):
@@ -207,6 +208,29 @@ def test_seed_whose_checks_overflow_fails_them(tmp_path, capsys, seed):
     assert "lam=1/lagrangian_symplectic" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, seed", [
+    ("breather_chain", {"type": "constant", "radii": [1e154, 1.0]}),
+    ("permute_pair", {"type": "constant", "radii": [1e154, 1.0]}),
+    ("breather_chain", poly_seed([1e154])),
+], ids=["breather-radius-1e154", "permute-pair-radius-1e154", "breather-coeff-1e154"])
+def test_chain_without_closed_potential_overflows_without_a_warning(tmp_path, capsys,
+                                                                     name, seed):
+    """On a chain without a closed potential the staircase integral of a
+    seed just inside the finite-square rule overflows: run fails its
+    non-finite checks (exit 1), dress writes nan/inf into metric.csv, and
+    seed and sweep pass, each with no numpy warning, which pytest would
+    turn into an error."""
+    raw = json.loads((SCENARIOS / f"{name}.json").read_text())
+    raw["seed"] = seed
+    path = write_scenario(tmp_path, raw)
+    assert run_cli("run", path, tmp_path / "run") == 1
+    assert "FAILED checks:" in capsys.readouterr().err
+    for command in ("dress", "seed", "sweep"):
+        assert run_cli(command, path, tmp_path / command) == 0, command
+    rows = (tmp_path / "dress" / "metric.csv").read_text().splitlines()[1:]
+    assert any("nan" in row or "inf" in row for row in rows)
+
+
 def test_lambda_zero_failure_is_a_failing_check(tmp_path, capsys):
     """X(u, 0) on breather_chain has an imaginary part near 1e-16: with a
     lambda_zero tolerance of 1e-40 the limit net fails as a report entry
@@ -232,6 +256,19 @@ def test_spherical_violation_refused_names_condition(tmp_path, capsys):
     assert run_cli("verify", path, tmp_path / "out") == 3
     err = capsys.readouterr().err
     assert "orthogonal to h(0)" in err
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_spherical_entry_on_a_non_constant_seed_exits_3(tmp_path, capsys, command):
+    """Spherical dressing keeps the sphere of a constant seed only, so every
+    command refuses the entry on a polynomial seed before evaluating."""
+    raw = json.loads((SCENARIOS / "spherical_soliton.json").read_text())
+    raw["seed"] = poly_seed([1.0])
+    out = tmp_path / "out"
+    assert run_cli(command, write_scenario(tmp_path, raw), out) == 3
+    err = capsys.readouterr().err
+    assert "chain[0]: a spherical entry needs a constant seed" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_check_failure_exit_code(tmp_path, capsys):
@@ -261,6 +298,20 @@ def test_nonpositive_or_nonfinite_flag_exits_2(tmp_path, capsys, flag, value):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert flag in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command in ("seed", "dress", "export", "sweep")
+    for flag in ("--step", "--tol-scale")] + [("permute-check", "--step")])
+def test_flag_the_command_does_not_read_exits_2(tmp_path, capsys, command, flag):
+    """A command takes only the flags it reads: --step on verify and run,
+    --tol-scale on those and permute-check."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, str(SCENARIOS / "permute_pair.json"), tmp_path / "out", flag, "2")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} 2" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 

@@ -500,6 +500,21 @@ def test_spherical_family_dressed(torus_frame, pi_perp_torus, rng):
     assert np.all(np.isfinite(net))
 
 
+@pytest.mark.parametrize("shape", [(5, 5), (2,), (3,)], ids=["grid-5x5", "P=2", "P=3"])
+def test_spherical_family_on_a_point_set_matches_each_point(torus_frame, pi_perp_torus,
+                                                            rng, shape):
+    """X and the net take a point set like every evaluator, P = n points
+    included, and give each point's own value bit for bit."""
+    family = dress_spherical_family(torus_frame, RealOnePoleFactor(0.8, pi_perp_torus),
+                                    np.array([0.9, 0.5]))
+    U = rng.uniform(-0.5, 0.5, size=shape + (2,))
+    X, net = family.X(U, 0.7), family.net(U)
+    assert X.shape == net.shape == U.shape
+    for idx in np.ndindex(shape):
+        assert np.array_equal(X[idx], family.X(U[idx], 0.7))
+        assert np.array_equal(net[idx], family.net(U[idx]))
+
+
 def test_spherical_family_takes_any_sigma_compatible_one_pole(torus_frame, pi_perp_torus):
     """The family takes one_pole_factor(i alpha, pi) with a real pi, the
     same generator as RealOnePoleFactor(alpha, pi), and refuses a
