@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import frames
 from .dressing import dress, dress_permuted, dress_spherical
 from .errors import (DressingForgeError, PoleCollisionError, RankDeficientError,
                      SphericalViolationError)
@@ -38,8 +39,7 @@ from .geometry import (Grid, axis_gradient, check_darboux_egoroff,
                        check_sphere, limit_net, sample_immersion)
 from .linalg import max_abs, project_onto_span
 from .loops import (RealOnePoleFactor, TranslationFactor,
-                    check_pole_collisions, one_pole_factor, pole_tol,
-                    two_pole_factor)
+                    check_pole_collisions, one_pole_factor, two_pole_factor)
 from .oracle import PathSpec, integrate_frame
 from .report import VerificationReport
 
@@ -71,9 +71,6 @@ BASE_CHECKS = ("reality", "darboux_egoroff", "lagrangian", "position_equation",
 SPHERICAL_CHECKS = ("sphere", "partial_invariance")
 
 REALITY_SAMPLE_SEED = 20260809
-# reality-check samples evaluated as one point set; the frame memo keeps each
-# set's pole data, so this bounds the check's memory
-REALITY_CHUNK = 512
 
 
 class ParseError(DressingForgeError):
@@ -270,11 +267,6 @@ def validate_scenario(raw: dict) -> Scenario:
         check_pole_collisions(poles)
     except PoleCollisionError as exc:
         raise ValidationError(f"chain: {exc} (rule: distinct factor poles)") from None
-    for lam in lambdas:
-        for p in poles:
-            if abs(lam - p) <= pole_tol(p):
-                raise ValidationError(
-                    f"lambdas: {lam} sits on chain pole {p} (rule: lambda list avoids chain poles)")
 
     checks_spec = raw.get("checks", {})
     if not isinstance(checks_spec, dict):
@@ -319,13 +311,19 @@ def validate_scenario(raw: dict) -> Scenario:
         if (not isinstance(slice_axes, list)
                 or any(not _is_count(a, 0) or a >= n for a in slice_axes)):
             raise ValidationError(f"export.slice_axes: axis indices must lie in [0, {n})")
+        if len(set(slice_axes)) != len(slice_axes):
+            raise ValidationError(f"export.slice_axes: got {slice_axes!r} "
+                                  "(rule: slice axes are distinct)")
         export["slice_axes"] = slice_axes
         fixed = export.get("fixed", {})
         if not isinstance(fixed, dict) or not all(
-                str(k).isdecimal() and int(k) < n and _is_number(v) for k, v in fixed.items()):
+                str(k) in map(str, range(n)) and _is_number(v) for k, v in fixed.items()):
             raise ValidationError(f"export.fixed: got {fixed!r} "
                                   "(rule: fixed maps axis indices < n to finite numbers)")
         export["fixed"] = {int(k): float(v) for k, v in fixed.items()}
+        if set(export["fixed"]) & set(slice_axes):
+            raise ValidationError(f"export.fixed: got {fixed!r} "
+                                  "(rule: fixed axes are not slice axes)")
         name = export.get("path", f"immersion.{fmt}")
         if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
             raise ValidationError(f"export.path: got {name!r} "
@@ -393,13 +391,14 @@ def _reality_samples(frame, scenario):
 def _reality_check(frame, scenario, tol) -> VerificationReport:
     """tau-reality E(u, conj(lam))* E(u, lam) = I and, for sigma-compatible
     chains, sigma-reality E(u, lam)^t E(u, -lam) = I at random (u, lam)
-    samples.  Every REALITY_CHUNK samples form one point set with one lambda
-    per point, evaluated once on the stack [lam, conj(lam)] (and -lam for
-    sigma), so memory stays bounded however many samples are asked for."""
+    samples.  Every ``frames.POINT_BLOCK`` samples form one point set with
+    one lambda per point, evaluated once on the stack [lam, conj(lam)] (and
+    -lam for sigma), so memory stays bounded however many samples are asked
+    for."""
     samples = _reality_samples(frame, scenario)
     eye = np.eye(frame.n)
     taus, sigmas = [], []
-    while chunk := list(itertools.islice(samples, REALITY_CHUNK)):
+    while chunk := list(itertools.islice(samples, frames.POINT_BLOCK)):
         lams, points = zip(*chunk)
         U, lams = np.array(points), np.array(lams)
         E = frame.E(U, np.array([lams, lams.conj()] + [-lams] * frame.is_sigma_compatible))

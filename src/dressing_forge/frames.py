@@ -24,8 +24,8 @@ lambda within R(p)/2 of p takes the block's mean over |w - lambda| = R(p),
 the trapezoid rule for Cauchy's formula (Trefethen & Weideman, SIAM Review
 56, 2014).  One bound, ``POINT_BLOCK``, sizes every batch: the seed block
 and the steps' updates run over blocks of at most that many (lambda, point)
-pairs, which ``_blocks`` alone cuts, and ``potential_on_grid`` sends point
-sets of at most that many points through ``h``.
+pairs, which ``_blocks`` alone cuts, and ``potential_on_grid`` and the
+CLI's reality check hand the frame point sets of at most that many points.
 
 Every seed profile's position and energy integrals are closed forms: a
 sampled profile is a sum over its cubic spline pieces, each a
@@ -389,8 +389,9 @@ def _lambdas(lam, lead: tuple):
 MEMO_POINT_SETS = 4
 
 # Most (lambda, point) pairs one seed block or step update carries, and most
-# points one ``potential_on_grid`` point set carries; a larger stack goes block
-# by block, so the transients stay bounded however many points it has.
+# points one point set of ``potential_on_grid`` or the CLI's reality check
+# carries; a larger stack goes block by block, so the transients stay bounded
+# however many points it has.
 POINT_BLOCK = 2048
 
 
@@ -674,10 +675,9 @@ def potential_on_grid(frame: ExtendedFrame, grid: Grid, axis_order=None) -> np.n
     Each sweep axis evaluates every staircase line of that sweep (one per
     grid point of the axes already swept) on the axis knots augmented with
     0, plus the cell midpoints (the evaluator is exact off-grid, so they are
-    free), as point sets of whole lines with at most ``POINT_BLOCK`` points
-    (one line when a line alone has more), so memory stays bounded however
-    fine the grid.  Per-cell Simpson sums are then accumulated along the
-    lines.
+    free), as point sets of at most ``POINT_BLOCK`` points, so memory stays
+    bounded however fine the grid.  Per-cell Simpson sums are then
+    accumulated along the lines.
     """
     n = grid.n
     order = tuple(range(n)) if axis_order is None else tuple(axis_order)
@@ -695,10 +695,9 @@ def potential_on_grid(frame: ExtendedFrame, grid: Grid, axis_order=None) -> np.n
         U = np.zeros(mesh[-1].shape + (n,))
         for a, coord in zip(prior + (axis,), mesh):
             U[..., a] = coord
-        lines = U.reshape(-1, ts.size, n)
-        step = max(1, POINT_BLOCK // ts.size)
-        f = np.concatenate([frame.h(lines[i:i + step])[..., axis] ** 2
-                            for i in range(0, len(lines), step)]).reshape(U.shape[:-1])
+        pts = U.reshape(-1, n)
+        f = np.concatenate([frame.h(pts[i:i + POINT_BLOCK])[..., axis] ** 2
+                            for i in range(0, len(pts), POINT_BLOCK)]).reshape(U.shape[:-1])
         fa, fm = f[..., :aug.size], f[..., aug.size:]
         seg = (np.diff(aug) / 6.0) * (fa[..., :-1] + 4.0 * fm + fa[..., 1:])
         cum = np.concatenate([np.zeros(seg.shape[:-1] + (1,), dtype=complex),

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChartSingularError
-from .linalg import adjoint, max_abs
+from .linalg import adjoint, matvec, max_abs
 from .report import VerificationReport
 
 
@@ -278,7 +278,7 @@ def limit_net(frame, grid: Grid, tol: float = 1e-10,
     report.add("limit_net_imag", imag_max, tol, **details)
     if frame.is_partial_invariant:
         dE = frame_dlambda_at_zero(frame.E, pts)
-        alt = -1j * (dE @ frame.h(pts)[..., None])[..., 0]
+        alt = -1j * matvec(dE, frame.h(pts))
         report.add("limit_net_derivative_agreement", max_abs(alt - X0), cross_check_tol)
     return X0.real, report
 

@@ -44,6 +44,11 @@ def adjoint(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-1, -2).conj()
 
 
+def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Matrix-vector products over a point set: a (..., n, n), x (..., n)."""
+    return (a @ x[..., None])[..., 0]
+
+
 def max_abs(a) -> float:
     """Entrywise max-norm; the residual norm used everywhere."""
     a = np.asarray(a)

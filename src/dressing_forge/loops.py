@@ -27,7 +27,8 @@ from .errors import AtPoleError, PoleCollisionError
 from .linalg import HermitianProjection, adjoint, max_abs, project_onto_span
 from .report import VerificationReport
 
-# Evaluation refuses within pole_tol of a pole (scale-aware).
+# A factor's own g(lambda) refuses within pole_tol of its pole (scale-aware);
+# a dressed frame evaluates at any finite lambda, a pole included.
 POLE_TOL = 1e-8
 # A pole coordinate (real or imaginary part) below this is on its axis.
 AXIS_TOL = 1e-12

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from dressing_forge import (ExtendedFrame, Grid, VacuumSeed, cli,
                             dress_extended, dress_real, dress_spherical,
-                            dress_translation, dress_two_pole, max_abs,
+                            dress_translation, dress_two_pole, frames, max_abs,
                             metric_from_frame, potential_on_grid,
                             project_onto_span)
 from dressing_forge.cli import (DEFAULT_TOLERANCES, REALITY_SAMPLE_SEED,
@@ -110,6 +110,8 @@ def test_validation_error_names_rule(tmp_path, capsys):
     ({"lambdas": [[True, 0.0]]}, "pairs of finite numbers"),
     ({"export": {"format": "csv", "fixed": [1]}}, "fixed maps axis indices < n"),
     ({"export": {"format": "csv", "fixed": {"a": 1}}}, "fixed maps axis indices < n"),
+    ({"export": {"format": "csv", "slice_axes": [0], "fixed": {"1": 0.1, "01": 0.3}}},
+     "fixed maps axis indices < n"),
     ({"chain": [{"type": "real_one_pole", "alpha": float("nan"),
                  "span": [[[1.0, 0.0]], [[1.0, 0.0]]]}]}, "alpha is a finite number"),
     ({"seed": poly_seed([float("nan")])}, "coeffs is a list of finite numbers"),
@@ -123,12 +125,15 @@ def test_validation_error_names_rule(tmp_path, capsys):
     ({"export": {"format": "csv", "path": ["x.csv"]}}, "export path is a file name"),
     ({"export": {"format": "csv", "path": "sub/x.csv"}}, "export path is a file name"),
     ({"export": {"format": "csv", "path": ""}}, "export path is a file name"),
+    ({"export": {"format": "csv", "slice_axes": [0, 0]}}, "slice axes are distinct"),
+    ({"export": {"format": "csv", "slice_axes": [0, 1], "fixed": {"0": 0.3}}},
+     "fixed axes are not slice axes"),
 ], ids=["samples-text", "samples-negative", "tolerances-list", "tolerance-negative",
         "grid-points-text", "grid-two-points", "lambdas-number", "lambda-nan",
-        "lambda-bool", "fixed-list", "fixed-text-key", "alpha-nan", "coeff-nan",
-        "coeff-inf", "second-coeff-nan", "coeff-bool", "sampled-value-bool",
+        "lambda-bool", "fixed-list", "fixed-text-key", "fixed-padded-key", "alpha-nan",
+        "coeff-nan", "coeff-inf", "second-coeff-nan", "coeff-bool", "sampled-value-bool",
         "domain-bool", "schema-version-bool", "export-path-list", "export-path-subdir",
-        "export-path-empty"])
+        "export-path-empty", "slice-axes-repeated", "fixed-on-slice-axis"])
 def test_malformed_scenario_exits_3_naming_rule(tmp_path, capsys, overrides, rule):
     path = write_scenario(tmp_path, base_scenario(**overrides))
     assert run_cli("run", path, tmp_path / "out") == 3
@@ -463,7 +468,7 @@ def _reality_by_sample(frame, scenario):
 @pytest.mark.parametrize("name", ["breather_chain", "permute_pair", "spherical_soliton"])
 def test_reality_check_matches_per_sample_loop(name, chunk, monkeypatch):
     if chunk is not None:
-        monkeypatch.setattr(cli, "REALITY_CHUNK", chunk)
+        monkeypatch.setattr(frames, "POINT_BLOCK", chunk)
     scenario = load_scenario(str(SCENARIOS / f"{name}.json"))
     frame = apply_chain(scenario)
     samples, tau, sigma = _reality_by_sample(frame, scenario)
@@ -478,8 +483,8 @@ def test_reality_check_matches_per_sample_loop(name, chunk, monkeypatch):
     report = _reality_check(frame, scenario, 1e-10)
     sigma_ok = all(rec.is_sigma_compatible for rec in frame.history)
     expected = []
-    for start in range(0, len(samples), cli.REALITY_CHUNK):
-        part = samples[start:start + cli.REALITY_CHUNK]
+    for start in range(0, len(samples), frames.POINT_BLOCK):
+        part = samples[start:start + frames.POINT_BLOCK]
         U = np.array([u for u, _ in part])
         lams = np.array([lam for _, lam in part])
         expected.append((U, np.array([lams, lams.conj()] + ([-lams] if sigma_ok else []))))
@@ -656,14 +661,50 @@ def test_metric_csv_layout(tmp_path):
     assert (tmp_path / "staircase.csv").read_text().splitlines()[0] == lines[0]
 
 
-def test_lambda_on_pole_rejected(tmp_path):
-    raw = base_scenario(
-        lambdas=[[0.0, 0.6]],
-        chain=[{"type": "real_one_pole", "alpha": 0.6,
-                "span": [[[1.0, 0.0]], [[1.0, 0.0]]]}],
-    )
-    with pytest.raises(ValidationError, match="avoid"):
-        validate_scenario(raw)
+@pytest.mark.parametrize("name", ["breather_chain", "permute_pair"])
+def test_lambda_on_chain_pole_is_a_lambda(tmp_path, name):
+    """Every chain pole and its conjugate added to lambdas: run and sweep
+    exit as on the unchanged scenario (run writes the same report, as its
+    checks read only the real lambdas), and each sweep row at a pole is
+    within 1e-7 of the row at the pole + 1e-9."""
+    raw = json.loads((SCENARIOS / f"{name}.json").read_text())
+    poles = [p for _, factor in load_scenario(str(SCENARIOS / f"{name}.json")).chain
+             for q in factor.poles() for p in (q, q.conjugate())]
+    codes, sweeps = {}, {}
+    for label, extra in (("unchanged", []), ("poles", poles),
+                         ("shifted", [p + 1e-9 for p in poles])):
+        path = write_scenario(tmp_path, dict(raw, lambdas=raw["lambdas"] + [
+            [p.real, p.imag] for p in extra]), f"{label}.json")
+        out = tmp_path / label
+        codes[label] = [run_cli(command, path, out / command) for command in ("run", "sweep")]
+        sweeps[label] = np.loadtxt(out / "sweep" / "sweep.csv", delimiter=",", skiprows=1)
+    assert codes["poles"] == codes["shifted"] == codes["unchanged"]
+    assert ((tmp_path / "poles" / "run" / "report.json").read_bytes()
+            == (tmp_path / "unchanged" / "run" / "report.json").read_bytes())
+    at_pole, shifted = sweeps["poles"], sweeps["shifted"]
+    rows = len(sweeps["unchanged"])
+    points = rows // len(raw["lambdas"])
+    assert len(at_pole) == len(shifted) == rows + points * len(poles)
+    assert np.array_equal(at_pole[:rows], sweeps["unchanged"])
+    assert max_abs(at_pole[:, 2:] - shifted[:, 2:]) <= 1e-7
+
+
+def test_run_verification_under_errstate_fails_overflowing_checks():
+    """A library caller of run_verification takes the CLI's overflow rule by
+    wrapping the call in np.errstate(over="ignore", invalid="ignore"): on
+    one_soliton.json with radii [1e154, 1.0] the overflowing checks read NaN
+    and fail, with no numpy warning, which pytest would turn into an
+    error."""
+    raw = json.loads((SCENARIOS / "one_soliton.json").read_text())
+    raw["seed"] = {"type": "constant", "radii": [1e154, 1.0]}
+    scenario = validate_scenario(raw)
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = cli.run_verification(scenario, apply_chain(scenario))
+    assert not report.passed
+    assert {c.name for c in report.checks if np.isnan(c.residual)} == {
+        "lam=1/lagrangian_symplectic", "lam=1/lagrangian_metric",
+        "lam=0/lagrangian_symplectic", "lam=0/lagrangian_metric", "potential_agreement"}
+    assert all(c.passed is False for c in report.checks if np.isnan(c.residual))
 
 
 def test_pole_collision_rejected():

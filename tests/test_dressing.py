@@ -379,6 +379,19 @@ def test_dress_permuted_explicit_immersion_formula(torus_frame):
         assert max_abs(f12.X(u, lam) - outer @ inner) < 1e-10
 
 
+def test_dress_permuted_uses_every_lambda_near_a_pole(torus_frame):
+    """A pole 0.02 from the fixed sample 0.35+0.6j keeps that sample: the
+    report lists all eight lambdas and passes at 1e-9."""
+    pi1 = project_onto_span(np.array([1.0, 1.0]) / np.sqrt(2))
+    pi2 = project_onto_span(np.array([1.0, -0.4 + 0.2j]))
+    _, _, report = dress_permuted(torus_frame, 0.35 + 0.62j, pi1, -0.5 + 0.4j, pi2,
+                                  grid=Grid.from_specs([(-0.5, 0.5, 6)] * 2), tol=1e-9)
+    assert report.passed, str(report)
+    assert report["permutability_frame"].details["lam_samples"] == [
+        "0.9", "-1.4", "(0.35+0.6j)", "(-0.2-1.1j)", "(1.8+0.25j)", "(-0.8+0.9j)",
+        "(0.05+1.7j)", "(2.4-0.6j)"]
+
+
 def test_dress_permuted_trivial_when_equal(torus_frame):
     pi = project_onto_span(np.array([1.0, 1.0j]))
     f12, f21, report = dress_permuted(torus_frame, 0.3 + 0.7j, pi, -0.5 + 0.4j, pi,

@@ -358,9 +358,10 @@ def test_potential_path_order_independence(torus_frame, pi_diag):
 
 @pytest.mark.parametrize("chunk", [40, 7])
 def test_potential_on_grid_chunks_match_one_point_set(torus3_frame, monkeypatch, chunk):
-    """Chunking a sweep axis into whole staircase lines (several lines per
-    chunk, or one line when a line alone exceeds the cap) changes no value,
-    on a 3-D chain with a translation (no closed potential)."""
+    """Cutting a sweep axis's staircase points into point sets of at most
+    POINT_BLOCK points (several lines per set, or parts of a line longer
+    than the cap) changes no value, on a 3-D chain with a translation (no
+    closed potential)."""
     frame = dress_translation(
         dress_real(torus3_frame, 0.6, project_onto_span(np.ones(3) / np.sqrt(3))),
         0.9, [0.2, -0.1, 0.15])
@@ -376,7 +377,7 @@ def test_potential_on_grid_chunks_match_one_point_set(torus3_frame, monkeypatch,
     monkeypatch.setattr(frames, "POINT_BLOCK", chunk)
     chunked = potential_on_grid(frame, grid, (2, 0, 1))
     # the longest line has 13 points (7 knots with 0, 6 midpoints)
-    assert max(sizes) <= max(chunk, 13) and len(sizes) > 3
+    assert max(sizes) <= chunk and len(sizes) > 3
     assert max_abs(chunked - whole) <= 1e-15
 
 
