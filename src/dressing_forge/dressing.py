@@ -44,12 +44,15 @@ step's pole data are the arrays its ``apply`` reads, stacked over a whole
 point set: the prefix block at its poles and, for a one-pole step, the
 matrix [[pi_tilde^perp, -pi_tilde eta], [0, 1], [pi_tilde, pi_tilde eta]]
 (R_tilde above [pi_tilde | pi_tilde eta]) it multiplies by at each point;
-the step folds c into its left factor c blockdiag(pi, -pi^perp) once.  The
-frame's pole-data sweep (``ExtendedFrame.pole_data``) computes and
-memoises them per point set, and ``take_pole_data`` reads them off the
-step's own rows of the stacked prefix block; ``rows`` views them at some of
-the points.  ``apply`` updates the block it is given in place and returns
-it: at one point, a short fixed run of numpy calls.
+the step folds c into its left factor c blockdiag(pi, -pi^perp) once, with
+the rows of the two blocks interleaved, so that the left product read as
+n x (2n+2) is [c pi dq_{conj z}(F) | -c pi^perp dq_z(F)] and its first
+2n+1 columns meet that matrix without a concatenation.  The frame's
+pole-data sweep (``ExtendedFrame.pole_data``) computes and memoises them
+per point set, and ``take_pole_data`` reads them off the step's own rows
+of the stacked prefix block; ``rows`` views them at some of the points.
+``apply`` updates the block it is given in place and returns it: at one
+point, six numpy calls.
 """
 
 from __future__ import annotations
@@ -127,11 +130,15 @@ class OnePoleRecord:
 
     Both quotients run as one stack, the pole pair next to the matrix axes,
     so that a (lambda, point) row holds them as one 2n x (n+1) matrix, and
-    one product by the record's left factor c blockdiag(pi, -pi^perp) gives
-    S_0 = c pi dq_{conj z}(F) and S_1 = -c pi^perp dq_z(F).  The right
-    factors change from point to point: [S_0 | S_1], the first n columns of
-    S_1, times the pole data's ``blocks`` (R_tilde above [pi_tilde |
-    pi_tilde eta]) is both products with them at once, and is added to F.
+    one product by the record's left factor c blockdiag(pi, -pi^perp), its
+    rows interleaved, gives S_0 = c pi dq_{conj z}(F) and S_1 = -c pi^perp
+    dq_z(F) a row of each in turn: row 2i is S_0's row i, row 2i+1 is
+    S_1's.  So the product, read as an n x (2n+2) matrix without a copy, is
+    [S_0 | S_1], and its first 2n+1 columns, [S_0 | S_1's first n columns],
+    times the pole data's ``blocks`` (R_tilde above [pi_tilde | pi_tilde
+    eta]) are both products with the right factors, which change from point
+    to point, at once; the sum is added to F.  That is six numpy calls,
+    with no concatenation.
     Each product is grouped from the left as in the separate E update, and
     pi_tilde^perp is stored, not formed as I - pi_tilde in the product.
     Every product has the same shape at every row, so a row's value does
@@ -153,13 +160,14 @@ class OnePoleRecord:
         # order of its rows in a pole-data sweep; the last is the pole
         object.__setattr__(self, "pole_rows", (z.conjugate(), z))
         object.__setattr__(self, "_pair", np.array(self.pole_rows))
-        # the left factors with c folded in, c blockdiag(pi, -pi^perp)
+        # the left factors with c folded in, c blockdiag(pi, -pi^perp), its
+        # rows interleaved: row 2i is c pi's row i, row 2i+1 -c pi^perp's
         n = self.projection.matrix.shape[-1]
         c = z.conjugate() - z
-        left = np.zeros((2 * n, 2 * n), dtype=complex)
-        left[:n, :n] = c * self.projection.matrix
-        left[n:, n:] = -c * self.projection.complement
-        object.__setattr__(self, "_left", left)
+        left = np.zeros((n, 2, 2 * n), dtype=complex)
+        left[:, 0, :n] = c * self.projection.matrix
+        left[:, 1, n:] = -c * self.projection.complement
+        object.__setattr__(self, "_left", left.reshape(2 * n, 2 * n))
 
     @property
     def zbar(self) -> complex:
@@ -211,13 +219,14 @@ class OnePoleRecord:
         D = F[..., None, :, :] - data.F_poles
         d = lam[..., None] - self._pair if isinstance(lam, np.ndarray) else lam - self._pair
         D /= d[..., None, None]
-        # [S_0; S_1] = [c pi dq_{conj z}(F); -c pi^perp dq_z(F)], one
-        # product per (lambda, point) row
+        # S_0 = c pi dq_{conj z}(F) and S_1 = -c pi^perp dq_z(F), their rows
+        # interleaved, one product per (lambda, point) row; row i of S_0
+        # then row i of S_1 is row i of the n x (2n+2) view of S
         S = self._left @ D.reshape(D.shape[:-3] + (2 * n, n + 1))
         del D
-        # S_0 times R_tilde plus S_1 times [pi_tilde | pi_tilde eta], one
-        # product per point
-        F += np.concatenate((S[..., :n, :], S[..., n:, :n]), axis=-1) @ data.blocks
+        # [S_0 | S_1's first n columns] times [R_tilde; [pi_tilde | pi_tilde
+        # eta]], both right products in one per point
+        F += S.reshape(S.shape[:-2] + (n, 2 * n + 2))[..., :2 * n + 1] @ data.blocks
         return F
 
     def apply_h(self, h, data: _OnePoleData):

@@ -39,6 +39,7 @@ import cmath
 import math
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -288,14 +289,14 @@ class VacuumSeed:
         big = np.finfo(float).max
         object.__setattr__(self, "_bounds", (np.maximum(lo - 1e-12, -big),
                                              np.minimum(hi + 1e-12, big)))
-        # the constant axes' radii, whose X entries the block writes in one
-        # call, and the other axes, each by its own closed form
-        constant = [j for j, p in enumerate(self.profiles) if isinstance(p, ConstantProfile)]
-        object.__setattr__(self, "_constant", (
-            np.array(constant, dtype=int),
-            np.array([self.profiles[j].r for j in constant], dtype=float)))
+        # the constant axes' radii (0 on the other axes), by which the block
+        # writes the X column in one call, and the other axes, whose X
+        # entries it then writes each by its own closed form
+        constant = [isinstance(p, ConstantProfile) for p in self.profiles]
+        object.__setattr__(self, "_radii", np.array(
+            [p.r if c else 0.0 for p, c in zip(self.profiles, constant)], dtype=float))
         object.__setattr__(self, "_other", tuple(
-            (j, p) for j, p in enumerate(self.profiles) if j not in constant))
+            (j, p) for j, (p, c) in enumerate(zip(self.profiles, constant)) if not c))
 
     @property
     def n(self) -> int:
@@ -327,24 +328,24 @@ class VacuumSeed:
     def block(self, u: np.ndarray, lam) -> np.ndarray:
         """The seed block [E | X], shape (..., n, n+1): E on the diagonal of
         the first n columns, X in the last, written in one pass after one
-        domain check; the constant axes' X entries are r_j times one
-        stacked exp integral."""
+        domain check.  Both are strided slices of the block's flat
+        n(n+1) entries: the diagonal every n+2 entries from the first, X
+        every n+1 from entry n.  X is r_j times one stacked exp integral
+        over every axis (r_j = 0 off the constant axes), then each other
+        axis's own integral."""
         u = np.asarray(u, dtype=float)
         self._check_domain(u)
-        lead = u.shape[:-1]
+        lead, lam_u = u.shape[:-1], lam
         if isinstance(lam, np.ndarray):
-            lead = np.broadcast_shapes(lam.shape, lead)
+            lead, lam_u = np.broadcast_shapes(lam.shape, lead), lam[..., None]
         n = self.n
-        out = np.zeros(lead + (n, n + 1), dtype=complex)
-        diag = np.arange(n)
-        lam_u = lam[..., None] if isinstance(lam, np.ndarray) else lam
-        out[..., diag, diag] = np.exp(1j * lam_u * u)
-        axes, radii = self._constant
-        if axes.size:
-            out[..., axes, n] = radii * _stable_exp_integral(u[..., axes], lam_u)
+        out = np.zeros(lead + (n * (n + 1),), dtype=complex)
+        out[..., ::n + 2] = np.exp(1j * lam_u * u)
+        X = out[..., n::n + 1]
+        X[...] = self._radii * _stable_exp_integral(u, lam_u)
         for j, p in self._other:
-            out[..., j, n] = p.position_integral(u[..., j], lam)
-        return out
+            X[..., j] = p.position_integral(u[..., j], lam)
+        return out.reshape(lead + (n, n + 1))
 
     def E(self, u: np.ndarray, lam) -> np.ndarray:
         return self.block(u, lam)[..., :self.n]
@@ -364,7 +365,8 @@ def _lambdas(lam, lead: tuple):
     """(lambdas, the result's leading shape) at points of leading shape
     ``lead``: one lambda for all as a Python complex, or ``lam`` broadcast
     against ``lead``, its own leading axes flattened into m rows that lead
-    the result, of shape (P,) or (m, P).  A NaN or infinite lambda is refused."""
+    the result, of shape (P,) or (m, P), or (m, 1) for rows that are the
+    same at every point.  A NaN or infinite lambda is refused."""
     if not isinstance(lam, (complex, float, int)):
         lam = np.asarray(lam, dtype=complex)
         if lam.ndim:
@@ -373,12 +375,14 @@ def _lambdas(lam, lead: tuple):
             k = max(lam.ndim - len(lead), 0)
             shape = lam.shape[:k] + lead
             try:
-                lam = np.broadcast_to(lam, shape)
+                every = np.broadcast_to(lam, shape)
             except ValueError:
                 raise ValueError(f"lambdas of shape {lam.shape} do not broadcast against "
                                  f"the leading shape {lead} of the points") from None
             rows = (math.prod(shape[:k]),) if k else ()
-            return lam.reshape(rows + (math.prod(lead),)), shape
+            if k and lam.size == rows[0]:
+                return lam.reshape(rows + (1,)), shape
+            return every.reshape(rows + (math.prod(lead),)), shape
     lam = complex(lam)
     if not cmath.isfinite(lam):
         raise NonFiniteError(f"lambda must be finite, got {lam}")
@@ -531,9 +535,8 @@ class ExtendedFrame:
             k = len(data)
             if k < depth:
                 pending = self.steps[k:depth]
-                rows = np.array([w for step in pending for w in step.pole_rows])
-                near = np.concatenate([self._contour_radius(np.array(step.pole_rows), i)
-                                       for i, step in enumerate(pending, start=k)])
+                rows, near, ends = self._sweep_rows
+                rows, near = rows[ends[k]:ends[depth]], near[ends[k]:ends[depth]]
                 lam = (rows + near)[:, None]
                 F = self._steps(U, lam, data[:k])
                 for i, step in enumerate(pending, start=k):
@@ -546,6 +549,19 @@ class ExtendedFrame:
                         for index, _, lam_b, data_b in _blocks(U, lam, data):
                             step.apply(F[index], lam_b, data_b[i])
             return data
+
+    @cached_property
+    def _sweep_rows(self) -> tuple:
+        """(rows, R, ends): every step's pole rows in sweep order, the
+        contour radius at each at its own step's depth, and where each
+        step's rows end, after the ``ends[i]`` rows of the first i steps.
+        They do not depend on the points, so a frame checks its rows'
+        bands once."""
+        rows = np.array(self.sensitive_points(), dtype=complex)
+        near = [self._contour_radius(np.array(step.pole_rows), i)
+                for i, step in enumerate(self.steps)]
+        ends = np.cumsum([0] + [len(step.pole_rows) for step in self.steps]).tolist()
+        return rows, np.concatenate(near), ends
 
     def _contour_radius(self, lam, depth: int):
         """R(p) for each lambda within R(p)/2 of a sensitive point p of the
@@ -572,7 +588,7 @@ class ExtendedFrame:
     def _block(self, U: np.ndarray, lam, depth: int) -> np.ndarray:
         """The frame block F = [E | X] of the first ``depth`` steps at the
         (P, n) point set U, shape (..., P, n, n+1); ``lam`` is one complex or
-        an array of shape (P,) or (m, P).
+        an array of shape (P,), (m, 1) or (m, P).
 
         A lambda within R(p)/2 of a sensitive point p of these steps, where
         the direct updates lose digits (or divide by zero), gets F as its
@@ -588,8 +604,10 @@ class ExtendedFrame:
         if not r.any():
             return self._steps(U, lam, data)
         # the direct updates, with a node in place of each banded lambda,
-        # then the contour on the banded (lambda, point) pairs alone
+        # then the contour on the banded (lambda, point) pairs alone; an
+        # (m, 1) stack's banded rows are broadcast to their pairs here
         F = self._steps(U, lam + r, data)
+        lam, r = np.broadcast_to(lam, F.shape[:-2]), np.broadcast_to(r, F.shape[:-2])
         pairs = np.nonzero(r)
         points = pairs[-1]
         F[pairs] = self._contour(U[points], lam[pairs], r[pairs], [d.rows(points) for d in data])

@@ -100,8 +100,7 @@ def _frobenius(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     exact.  Returns (r, e, X) with X the real view (..., n, 2k) of the scaled
     matrix.  A zero matrix has r = 0, a non-finite one a non-finite r."""
     X = np.ascontiguousarray(M).view(float)
-    n, k2 = X.shape[-2:]
-    _, e = np.frexp(np.abs(X).reshape(X.shape[:-2] + (n * k2,)).max(axis=-1))
+    _, e = np.frexp(np.abs(X).max(axis=(-2, -1)))
     X = np.ldexp(X, -e[..., None, None])
     return np.sqrt(np.einsum("...ij,...ij->...", X, X)), e, X
 

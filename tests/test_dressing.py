@@ -1157,6 +1157,51 @@ def test_one_pole_update_matches_the_two_product_form(n, rank, real, P, lam_shap
     assert max_abs(got - want) <= 1e-14 * max_abs(want)
 
 
+def _block_diagonal_update(record, F, lam, data):
+    """The one-pole update with the block-diagonal left factor: c
+    blockdiag(pi, -pi^perp) times both quotients gives [S_0; S_1], and
+    [S_0 | S_1's first n columns], a concatenation, times the pole data's
+    ``blocks`` is added to F.  The interleaved left factor's rows are this
+    factor's, in another order."""
+    n = F.shape[-2]
+    c = record.zbar - record.z
+    left = np.zeros((2 * n, 2 * n), dtype=complex)
+    left[:n, :n] = c * record.projection.matrix
+    left[n:, n:] = -c * record.projection.complement
+    D = F[..., None, :, :] - data.F_poles
+    D /= (np.asarray(lam)[..., None] - np.array(record.pole_rows))[..., None, None]
+    S = left @ D.reshape(D.shape[:-3] + (2 * n, n + 1))
+    return F + np.concatenate((S[..., :n, :], S[..., n:, :n]), axis=-1) @ data.blocks
+
+
+@pytest.mark.parametrize("lam_kind", ["one_point", "nodes", "block+1", "rows_per_point"])
+@pytest.mark.parametrize("chain", ["real8", "two_pole"])
+def test_interleaved_update_matches_the_block_diagonal_form(chain, lam_kind):
+    """Every one-pole step of a real chain and of a chain with two-pole
+    records, applied to its own prefix block, agrees with the block-diagonal
+    left factor and concatenation within 1e-15 relative: at one point, on a
+    16-node contour stack at five points, at POINT_BLOCK + 1 points with one
+    lambda per point, and on a stack of three lambda rows of one lambda per
+    point.  The update runs on each as one piece."""
+    rng = np.random.default_rng(23)
+    frame = _sweep_chains()[chain]()
+    P = {"one_point": 1, "nodes": 5, "block+1": frames.POINT_BLOCK + 1, "rows_per_point": 7}[lam_kind]
+    U = rng.uniform(-0.4, 0.4, size=(P, 3))
+    lam = {"one_point": 0.7 - 0.4j,
+           "nodes": (0.3 + 0.5j + 0.2 * np.exp(2j * np.pi * np.arange(16) / 16))[:, None],
+           "block+1": rng.uniform(-1.5, 1.5, P) + 1j * rng.uniform(-0.3, 0.3, P),
+           "rows_per_point": rng.uniform(-1.5, 1.5, (3, P)) + 0.4j}[lam_kind]
+    data = frame.pole_data(U, len(frame.steps))
+    one_pole = [i for i, step in enumerate(frame.steps) if isinstance(step, dressing.OnePoleRecord)]
+    assert len(one_pole) == len(frame.steps)
+    for i in one_pole:
+        F = frame._steps(U, lam, data[:i])
+        want = _block_diagonal_update(frame.steps[i], F, lam, data[i])
+        got = frame.steps[i].apply(F, lam, data[i])
+        assert got.shape == want.shape == np.shape(lam)[:-1] + (P, 3, 4)
+        assert max_abs(got - want) <= 1e-15 * max_abs(want)
+
+
 @pytest.mark.parametrize("lam_kind", ["scalar", "per_point", "nodes", "per_point_band"])
 def test_blocked_update_equals_the_unblocked_one(lam_kind, monkeypatch, rng):
     """With POINT_BLOCK at 4, a frame evaluated on 11 points (blocks of 4,

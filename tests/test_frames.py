@@ -150,17 +150,24 @@ def _three_axis_seed():
                        ConstantProfile(0.8)))
 
 
-@pytest.mark.parametrize("seed_name", ["constant", "polynomial", "sampled", "three_axis"])
+@pytest.mark.parametrize("seed_name", ["constant", "constant3", "polynomial", "sampled",
+                                       "three_axis"])
 def test_seed_block_matches_per_profile_reference(seed_name):
     """block, E and X equal the per-profile reference bit for bit, for one
-    lambda, one lambda per point, and lambdas with a leading axis (with
-    lambda = 0 among them), and at a single point; the three-axis seed has
-    constant profiles on axes 0 and 2 and a polynomial on axis 1."""
-    seed = _three_axis_seed() if seed_name == "three_axis" else SEEDS[seed_name]()
+    lambda (0 among them), one lambda per point, lambdas with a leading
+    axis, each for every point (an (m, 1) stack) or one per point (an
+    (m, P) stack), with lambda = 0 among them, and at a single point; the
+    all-constant seeds write E and X through strided slices alone, and the
+    three-axis seed has constant profiles on axes 0 and 2 and a polynomial
+    on axis 1."""
+    seed = {**SEEDS, "three_axis": _three_axis_seed,
+            "constant3": lambda: VacuumSeed.constant([1.0, 0.7, 1.3])}[seed_name]()
     U = np.random.default_rng(21).uniform(-0.6, 0.6, size=(5, seed.n))
     per_point = np.array([0.9, 0.3 - 0.4j, 0.0, 1e-3j, -1.7 + 0.2j])
     stacked = np.array([0.0, 0.6j + 3e-9, 2.1 - 0.5j])[:, None]
-    for u, lam in ((U, 0.7 - 0.2j), (U, 0.0), (U, per_point), (U, stacked), (U[0], 0.9)):
+    rows = np.stack((per_point, per_point[::-1] * 1.3j, np.zeros(5)))
+    for u, lam in ((U, 0.7 - 0.2j), (U, 0.0), (U, 0j), (U, per_point), (U, stacked),
+                   (U, rows), (U[0], 0.9)):
         E, X = _seed_E_X(seed, u, lam)
         block = seed.block(u, lam)
         assert block.shape == E.shape[:-1] + (seed.n + 1,)
@@ -533,6 +540,35 @@ def test_lambda_stack_rows_equal_their_own_calls(chain, block, monkeypatch):
         for i in range(len(lams)):
             E1, X1 = frame.evaluate(u, own(i))
             assert np.array_equal(E[i], E1) and np.array_equal(X[i], X1)
+
+
+def test_a_stack_of_one_lambda_per_row_stays_one_per_row(monkeypatch):
+    """A stack of lambdas each for every point reaches the band check and
+    the seed block as (m, 1), not spread over the points; its one row in a
+    contour band is spread to its points for the contour alone.  Every
+    row is bit for bit its own one-lambda call."""
+    frame = _stack_chains()["two_pole"]()
+    U = np.random.default_rng(24).uniform(-0.5, 0.5, size=(11, 2))
+    # the third lambda is 3e-9 from the two-pole record's pole
+    lams = np.array([0.9, -0.4 + 0.7j, 0.5 + 1.3j - 3e-9, 1.7j, -2.1])
+    frame.evaluate(U, 0.9)
+    shapes = {"band": [], "block": []}
+    radius, block = ExtendedFrame._contour_radius, VacuumSeed.block
+
+    def spy_radius(self, lam, depth):
+        shapes["band"].append(np.shape(lam))
+        return radius(self, lam, depth)
+
+    def spy_block(self, u, lam):
+        shapes["block"].append(np.shape(lam))
+        return block(self, u, lam)
+    monkeypatch.setattr(ExtendedFrame, "_contour_radius", spy_radius)
+    monkeypatch.setattr(VacuumSeed, "block", spy_block)
+    E, X = frame.evaluate(U, lams[:, None])
+    assert shapes == {"band": [(5, 1)], "block": [(5, 1), (frames.CONTOUR_NODES, len(U))]}
+    for i, lam in enumerate(lams):
+        E1, X1 = frame.evaluate(U, complex(lam))
+        assert np.array_equal(E[i], E1) and np.array_equal(X[i], X1)
 
 
 def test_lambda_stack_axes_lead_the_result():
