@@ -49,8 +49,14 @@ the rows of the two blocks interleaved, so that the left product read as
 n x (2n+2) is [c pi dq_{conj z}(F) | -c pi^perp dq_z(F)] and its first
 2n+1 columns meet that matrix without a concatenation.  The frame's
 pole-data sweep (``ExtendedFrame.pole_data``) computes and memoises them
-per point set, and ``take_pole_data`` reads them off the step's own rows
-of the stacked prefix block; ``rows`` views them at some of the points.
+per point set.  It evaluates the prefix block at each step's first pole
+row alone: conj(z) for a one-pole step, the pole for a translation.  Every
+factor is tau-real, g(conj(lambda))^* g(lambda) = I, and so is every
+prefix frame: E(u, conj(lambda))^* E(u, lambda) = I.  So a one-pole step's
+``take_pole_data`` writes the block at z as E(u, z) = (E(u, conj z)^{-1})^*,
+from the inverse that its certified solve for eta (``solve_and_invert``,
+one LU solve against [B | I]) computes anyway, and reads the rest off the
+step's own row; ``rows`` views the data at some of the points.
 ``apply`` updates the block it is given in place and returns it: at one
 point, six numpy calls.
 """
@@ -65,7 +71,8 @@ from .errors import SphericalViolationError
 from .frames import ExtendedFrame
 from .geometry import Grid, frame_dlambda_at_zero
 from .linalg import (HermitianProjection, adjoint, matvec, max_abs,
-                     project_onto_span, solve_linear, star_reduce)
+                     project_onto_span, solve_and_invert, solve_linear,
+                     star_reduce)
 from .loops import (RealOnePoleFactor, TranslationFactor, TwoPointFactor,
                     TwoPoleFactor, check_pole_collisions, one_pole_factor,
                     permute_factors, two_pole_factor)
@@ -87,9 +94,12 @@ class _OnePoleData:
     update reads.
 
     ``F_poles``, of shape (P, 2, n, n+1) with the pole pair next to the
-    matrix axes, holds the prefix block [E | X] at conj(z) and [E | eta] at
-    z: the update reads only E at z (the quotient of that X column is
-    discarded), so the column holds eta.  ``blocks``, of shape
+    matrix axes, holds the prefix block [E | X] at conj(z), as the sweep
+    evaluates it, and [E | eta] at z, with E(u, z) = (E(u, conj z)^{-1})^*
+    by tau-reality, written by ``take_pole_data`` from the inverse its
+    certified solve for eta computes: the update reads only E at z (the
+    quotient of that X column is discarded), so the column holds eta.  It
+    is a view into the sweep's one array.  ``blocks``, of shape
     (P, 2n+1, n+1), holds per point the matrix the update multiplies by:
     R_tilde, its rows [pi_tilde^perp | -pi_tilde eta] and [0 ... 0 | 1],
     stacked above [pi_tilde | pi_tilde eta].  ``eta``, ``pi_tilde`` (the
@@ -156,8 +166,9 @@ class OnePoleRecord:
 
     def __post_init__(self):
         z = complex(self.z)
-        # the lambdas at which the step reads the prefix block, in the
-        # order of its rows in a pole-data sweep; the last is the pole
+        # the step's sensitive points, in the order of its rows in its
+        # pole data: a sweep evaluates the prefix block at the first, and
+        # the step writes its block at the last, the pole
         object.__setattr__(self, "pole_rows", (z.conjugate(), z))
         object.__setattr__(self, "_pair", np.array(self.pole_rows))
         # the left factors with c folded in, c blockdiag(pi, -pi^perp), its
@@ -191,16 +202,22 @@ class OnePoleRecord:
 
     def take_pole_data(self, F_poles) -> _OnePoleData:
         """Pole data off this step's rows F_poles (2, P, n, n+1) of a
-        pole-data sweep, the prefix block at conj(z) and z.  The data keep
-        views into the rows, which nothing touches afterwards."""
+        pole-data sweep: it reads row 0, the prefix block A = E(u, conj z)
+        and X(u, conj z), and writes row 1, [E(u, z) | eta].  tau-reality,
+        E(u, conj(lambda))^* E(u, lambda) = I, gives E(u, z) = (A^{-1})^*,
+        from the A^{-1} that the certified solve for eta computes with it.
+        The data keep views into the rows, which nothing touches
+        afterwards."""
         n = F_poles.shape[-2]
         E_zbar = F_poles[0, ..., :n]
-        # tau-reality gives E(u, z)^{-1} = E(u, zbar)*, so the transported
-        # image of pi is spanned by E(u, zbar)* span(pi)
+        # E(u, z)^{-1} = E(u, zbar)*, so the transported image of pi is
+        # spanned by E(u, zbar)* span(pi)
         pi_tilde = project_onto_span(adjoint(E_zbar) @ self.projection.span)
         # eta at the conjugate point keeps the dressed X holomorphic at zbar
         eta = F_poles[1, ..., n]
-        eta[...] = solve_linear(E_zbar, F_poles[0, ..., n])
+        eta[...], E_inv = solve_and_invert(E_zbar, F_poles[0, ..., n])
+        np.conjugate(E_inv.swapaxes(-1, -2), out=F_poles[1, ..., :n])
+        del E_inv  # a view that keeps the whole solve alive
         blocks = np.zeros(F_poles.shape[1:-2] + (2 * n + 1, n + 1), dtype=complex)
         blocks[..., :n, :n] = pi_tilde.complement
         blocks[..., n, n] = 1.0

@@ -15,8 +15,11 @@ runs every step.  Each step needs the block of its prefix, the frame's
 first ``depth`` steps at the point set U, at its own poles: ``pole_data``
 is the one place a prefix is evaluated.  A point set gets those pole data
 for the whole chain from one sweep, which evaluates the block once on the
-stack of every pending step's poles and lets each step read its rows and
-dress the rest.
+stack of every pending step's first pole row and lets each step read its
+row and dress the rest.  A one-pole step needs the block at z as well;
+every factor is tau-real, E(u, conj(lambda))^* E(u, lambda) = I, so it is
+E(u, z) = (E(u, conj z)^{-1})^*, which the step writes from the inverse
+its certified solve at conj(z) computes anyway.
 
 The steps' poles cancel, so the block is entire in lambda; near a sensitive
 point p (a pole or its conjugate) the direct updates lose digits, so a
@@ -325,33 +328,43 @@ class VacuumSeed:
             out[..., j] = p.value(u[..., j])
         return out
 
-    def block(self, u: np.ndarray, lam) -> np.ndarray:
+    def block(self, u: np.ndarray, lam, out: np.ndarray | None = None) -> np.ndarray:
         """The seed block [E | X], shape (..., n, n+1): E on the diagonal of
-        the first n columns, X in the last, written in one pass after one
-        domain check.  Both are strided slices of the block's flat
-        n(n+1) entries: the diagonal every n+2 entries from the first, X
-        every n+1 from entry n.  X is r_j times one stacked exp integral
-        over every axis (r_j = 0 off the constant axes), then each other
-        axis's own integral."""
+        the first n columns, X in the last, written in one pass into
+        ``out`` (a C-contiguous array of that shape) or a new array, and
+        returned.  Both are strided slices of the block's flat n(n+1)
+        entries: the diagonal every n+2 entries from the first, X every n+1
+        from entry n.  X is r_j times one stacked exp integral over every
+        axis (r_j = 0 off the constant axes), then each other axis's own
+        integral.  The points are not checked against the domain here: the
+        frame checks each point set once, ``E`` and ``X`` each call."""
         u = np.asarray(u, dtype=float)
-        self._check_domain(u)
         lead, lam_u = u.shape[:-1], lam
         if isinstance(lam, np.ndarray):
             lead, lam_u = np.broadcast_shapes(lam.shape, lead), lam[..., None]
         n = self.n
-        out = np.zeros(lead + (n * (n + 1),), dtype=complex)
-        out[..., ::n + 2] = np.exp(1j * lam_u * u)
-        X = out[..., n::n + 1]
+        if out is None:
+            out = np.zeros(lead + (n, n + 1), dtype=complex)
+        else:
+            out[...] = 0
+        flat = out.reshape(lead + (n * (n + 1),))
+        flat[..., ::n + 2] = np.exp(1j * lam_u * u)
+        X = flat[..., n::n + 1]
         X[...] = self._radii * _stable_exp_integral(u, lam_u)
         for j, p in self._other:
             X[..., j] = p.position_integral(u[..., j], lam)
-        return out.reshape(lead + (n, n + 1))
+        return out
 
     def E(self, u: np.ndarray, lam) -> np.ndarray:
-        return self.block(u, lam)[..., :self.n]
+        return self._checked_block(u, lam)[..., :self.n]
 
     def X(self, u: np.ndarray, lam) -> np.ndarray:
-        return self.block(u, lam)[..., self.n]
+        return self._checked_block(u, lam)[..., self.n]
+
+    def _checked_block(self, u, lam) -> np.ndarray:
+        u = np.asarray(u, dtype=float)
+        self._check_domain(u)
+        return self.block(u, lam)
 
     def phi(self, u: np.ndarray):
         self._check_domain(u)
@@ -510,58 +523,62 @@ class ExtendedFrame:
 
     def pole_data(self, U: np.ndarray, depth: int) -> list:
         """Pole data of the first ``depth`` steps at the (P, n) point set U,
-        memoised per point set.
+        memoised per point set; a point set new to the memo is checked
+        against the seed's domain first, once.
 
-        The missing steps' data come from one sweep: the block of the
-        memoised prefix is evaluated on the stack of their poles, lambda of
+        The missing steps' data come from one sweep, which evaluates each
+        step's prefix block at the step's first pole row only: conj(z) for
+        a one-pole step, the pole for a translation.  Every step is
+        tau-real, E(u, conj(lambda))^* E(u, lambda) = I, so a one-pole
+        step's block at z is E(u, z) = (E(u, conj z)^{-1})^*, which its
+        ``take_pole_data`` writes from the inverse its certified solve for
+        eta computes.  The sweep's one array, of shape (2, pending steps, P,
+        n, n+1), holds the evaluated rows in row 0 and what the one-pole
+        steps write in row 1.  The block of the memoised prefix is
+        evaluated into row 0 on the stack of the first pole rows, lambda of
         shape (m, 1) against the points.  Each step in turn reads its data
-        off its own rows (``take_pole_data``), and then dresses the later
-        rows in place with its ``apply``.  A row in a contour band at its
-        step's depth is ``_block``'s value there (a node stands in for it in
-        the stack), so the data do not depend on how deep the memo ran.
-        Evaluation and updates run block by block (``_blocks``); the data
-        keep views into their rows, so the stack is the memo's own
-        storage."""
+        off its own rows, and then dresses the later rows in place with its
+        ``apply``.  A row in a contour band at its step's depth is
+        ``_block``'s value there (a node stands in for it in the stack), so
+        the data do not depend on how deep the memo ran.  Evaluation and
+        updates run block by block (``_blocks``); the data keep views into
+        the array, so it is the memo's own storage."""
         if not 0 <= depth <= len(self.steps):
             raise ValueError(f"depth {depth} outside 0..{len(self.steps)}, the frame's steps")
         key = U.tobytes()
         with self._lock:
             data = self._memo.pop(key, None)
             if data is None:
+                self.seed._check_domain(U)
                 data = []
             self._memo[key] = data
             if len(self._memo) > MEMO_POINT_SETS:
                 del self._memo[next(iter(self._memo))]
             k = len(data)
             if k < depth:
-                pending = self.steps[k:depth]
-                rows, near, ends = self._sweep_rows
-                rows, near = rows[ends[k]:ends[depth]], near[ends[k]:ends[depth]]
+                rows, near = (a[k:depth] for a in self._sweep_rows)
                 lam = (rows + near)[:, None]
-                F = self._steps(U, lam, data[:k])
-                for i, step in enumerate(pending, start=k):
-                    m = len(step.pole_rows)
-                    for j in np.flatnonzero(near[:m]):
-                        F[j] = self._block(U, complex(rows[j]), i)
-                    data.append(step.take_pole_data(F[:m]))
-                    F, lam, rows, near = F[m:], lam[m:], rows[m:], near[m:]
-                    if len(F):
-                        for index, _, lam_b, data_b in _blocks(U, lam, data):
-                            step.apply(F[index], lam_b, data_b[i])
+                sweep = np.empty((2, depth - k, len(U), self.n, self.n + 1), dtype=complex)
+                F = self._steps(U, lam, data[:k], out=sweep[0])
+                for j, step in enumerate(self.steps[k:depth]):
+                    if near[j]:
+                        F[j] = self._block(U, complex(rows[j]), k + j)
+                    data.append(step.take_pole_data(sweep[:len(step.pole_rows), j]))
+                    later = F[j + 1:]
+                    if len(later):
+                        for index, _, lam_b, data_b in _blocks(U, lam[j + 1:], data):
+                            step.apply(later[index], lam_b, data_b[k + j])
             return data
 
     @cached_property
     def _sweep_rows(self) -> tuple:
-        """(rows, R, ends): every step's pole rows in sweep order, the
-        contour radius at each at its own step's depth, and where each
-        step's rows end, after the ``ends[i]`` rows of the first i steps.
-        They do not depend on the points, so a frame checks its rows'
-        bands once."""
-        rows = np.array(self.sensitive_points(), dtype=complex)
-        near = [self._contour_radius(np.array(step.pole_rows), i)
-                for i, step in enumerate(self.steps)]
-        ends = np.cumsum([0] + [len(step.pole_rows) for step in self.steps]).tolist()
-        return rows, np.concatenate(near), ends
+        """(rows, R): each step's first pole row, the one a sweep
+        evaluates, and the contour radius there at the step's own depth.
+        They do not depend on the points, so a frame checks its rows' bands
+        once."""
+        rows = [step.pole_rows[0] for step in self.steps]
+        near = [self._contour_radius(row, i) for i, row in enumerate(rows)]
+        return np.array(rows, dtype=complex), np.array(near, dtype=float)
 
     def _contour_radius(self, lam, depth: int):
         """R(p) for each lambda within R(p)/2 of a sensitive point p of the
@@ -618,24 +635,23 @@ class ExtendedFrame:
         lambda in a band (r > 0)."""
         return self._steps(U, lam + r * _NODES, data).mean(axis=0)
 
-    def _steps(self, U: np.ndarray, lam, data: list) -> np.ndarray:
+    def _steps(self, U: np.ndarray, lam, data: list, out: np.ndarray | None = None) -> np.ndarray:
         """The seed block dressed by the direct updates of the steps whose
         pole data at the (P, n) point set U are ``data``, shape
-        (..., P, n, n+1), block by block (``_blocks``).  ``lam`` is one
-        complex or an array of shape (P,), or (m, 1) or (m, P), whose rows
-        lead the result: a contour's nodes, a sweep's rows, a lambda stack.
-        Each step updates a block in place."""
-        F = None
+        (..., P, n, n+1), block by block (``_blocks``), written into ``out``
+        (a C-contiguous array of that shape) or a new array.  ``lam`` is
+        one complex or an array of shape (P,), or (m, 1) or (m, P), whose
+        rows lead the result: a contour's nodes, a sweep's rows, a lambda
+        stack.  Each block is the seed block written in place, which each
+        step then updates in place."""
         for index, U_b, lam_b, data_b in _blocks(U, lam, data):
-            block = self.seed.block(U_b, lam_b)
+            if out is None and index is not ...:
+                out = np.empty(np.shape(lam)[:-1] + U.shape[:1] + (self.n, self.n + 1),
+                               dtype=complex)
+            block = self.seed.block(U_b, lam_b, None if out is None else out[index])
             for step, step_data in zip(self.steps, data_b):
                 step.apply(block, lam_b, step_data)
-            if index is ...:
-                return block
-            if F is None:
-                F = np.empty(np.shape(lam)[:-1] + U.shape[:1] + block.shape[-2:], dtype=complex)
-            F[index] = block
-        return F
+        return block if out is None else out
 
     def evaluate(self, u, lam):
         """Dressed (E, X) at the points u, through every step; holomorphic

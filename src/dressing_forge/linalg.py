@@ -118,17 +118,18 @@ def _require_conditioned(A: np.ndarray) -> None:
         raise SingularError(f"matrix condition {worst:.3e} exceeds {COND_MAX:.1e}")
 
 
-def solve_linear(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve A X = B for a small well-conditioned square A, or for each
-    matrix of a stack A of shape (..., n, n).  B holds one right-hand side
-    vector per matrix (shape (..., n)) or one block (shape (..., n, k)).
-    The result is exactly the first k columns of ``np.linalg.solve(A, [B |
-    I])``, and ``np.linalg.solve(A, B)``'s to rounding: a BLAS kernel may
-    solve a column differently by how many are solved with it.
+def solve_and_invert(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(X, A^-1) with A X = B, for a small well-conditioned square A or for
+    each matrix of a stack A of shape (..., n, n).  B holds one right-hand
+    side vector per matrix (shape (..., n)) or one block (shape (..., n,
+    k)).  Both are views into ``np.linalg.solve(A, [B | I])``: X its first
+    k columns, and ``np.linalg.solve(A, B)``'s to rounding (a BLAS kernel
+    may solve a column differently by how many are solved with it), A^-1
+    its last n.
 
     Raises :class:`SingularError` when the 2-norm condition number of any
     matrix exceeds ``COND_MAX`` (covers exactly singular pivots as well).
-    One LU solve against [B | I] gives X and A^-1, and the certificate
+    The one LU solve against [B | I] gives X and A^-1, and the certificate
     cond_2 <= cond_F = ||A||_F ||A^-1||_F passes every matrix whose cond_F
     is at most ``COND_MAX``.  Only the others (and every matrix when the LU
     meets an exactly zero pivot) go to a values-only SVD, which decides.
@@ -157,8 +158,14 @@ def solve_linear(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     certified = cond_f <= COND_MAX  # NaN fails the certificate too
     if not certified.all():
         _require_conditioned(pair[0][~certified])
-    # a copy, so that a kept solution does not keep A^-1 alive with it
-    return np.ascontiguousarray(XI[..., 0] if vector else XI[..., :k])
+    return XI[..., 0] if vector else XI[..., :k], XI[..., k:]
+
+
+def solve_linear(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Solve A X = B: the X of :func:`solve_and_invert`, with its checks,
+    exactly the first k columns of ``np.linalg.solve(A, [B | I])``.  A copy,
+    so that a kept solution does not keep A^-1 alive with it."""
+    return np.ascontiguousarray(solve_and_invert(A, B)[0])
 
 
 @dataclass(frozen=True, eq=False)

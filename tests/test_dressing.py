@@ -631,8 +631,8 @@ def _spy_stacks(monkeypatch):
     stacks = []
     steps = ExtendedFrame._steps
 
-    def spy(self, U, lam, data):
-        F = steps(self, U, lam, data)
+    def spy(self, U, lam, data, out=None):
+        F = steps(self, U, lam, data, out)
         if isinstance(lam, np.ndarray) and lam.ndim == 2:
             stacks.append((lam, F))
         return F
@@ -860,9 +860,12 @@ def _data_arrays(data):
 
 def _record_pole_data(step, prefix):
     """The per-step path: the block of the prefix (frame, U, k) evaluated
-    once per pole, the step's data read off those rows."""
+    at the step's first pole row, the step's data read off it (a one-pole
+    step writes its second row itself)."""
     frame, U, k = prefix
-    return step.take_pole_data(np.stack([frame._block(U, w, k) for w in step.pole_rows]))
+    rows = np.empty((len(step.pole_rows), len(U), frame.n, frame.n + 1), dtype=complex)
+    rows[0] = frame._block(U, step.pole_rows[0], k)
+    return step.take_pole_data(rows)
 
 
 def _per_record_pole_data(frame, U):
@@ -902,14 +905,53 @@ def test_pole_data_sweep_matches_per_record_prefix(chain, P, rng):
     _assert_same_pole_data(warm.pole_data(U, len(warm.steps)), want)
 
 
+@pytest.mark.parametrize("chain", list(_sweep_chains()))
+def test_sweep_writes_the_block_at_z_by_tau_reality(chain, monkeypatch, rng):
+    """A sweep evaluates one row per step, lambda of shape (steps, 1), and
+    a one-pole step's E(u, z), written as (E(u, conj z)^{-1})^* from the
+    inverse of its certified solve, is the prefix block's E at z within
+    1e-13 relative (2.4e-14 measured on real8), for every chain kind,
+    conjugate and translation chains included."""
+    frame = _sweep_chains()[chain]()
+    U = rng.uniform(-0.4, 0.4, size=(5, 3))
+    stacks = _spy_stacks(monkeypatch)
+    data = frame.pole_data(U, len(frame.steps))
+    assert stacks[0][0].shape == (len(frame.steps), 1)
+    one_pole = [k for k, step in enumerate(frame.steps) if isinstance(step, dressing.OnePoleRecord)]
+    assert one_pole
+    for k in one_pole:
+        E_z = frame._block(U, complex(frame.steps[k].z), k)[..., :3]
+        assert max_abs(data[k].F_poles[:, 1, :, :3] - E_z) <= 1e-13 * max_abs(E_z)
+
+
+@pytest.mark.parametrize("chain", ["mixed", "real8"])
+def test_sweep_pole_data_are_views_of_one_array(chain, rng):
+    """Every one-pole step's ``F_poles`` from one sweep shares memory with
+    the sweep's one array, of shape (2, steps, P, n, n+1); a memo filled in
+    two sweeps, the first to the steps of 2 records, holds one array per
+    sweep."""
+    frame = _sweep_chains()[chain]()
+    U = rng.uniform(-0.4, 0.4, size=(5, 3))
+    first = frame.step_count(2)
+    frame.pole_data(U, first)
+    data = frame.pole_data(U, len(frame.steps))
+    for steps, shape in ((slice(0, first), first), (slice(first, None), len(frame.steps) - first)):
+        views = [d.F_poles for d in data[steps] if isinstance(d, dressing._OnePoleData)]
+        sweep = views[0].base
+        assert sweep.shape == (2, shape, 5, 3, 4)
+        assert all(np.shares_memory(v, sweep) and v.base is sweep for v in views)
+    assert data[0].F_poles.base is not data[-1].F_poles.base
+
+
 @pytest.mark.parametrize("chain", ["conjugate", "two_pole_conjugate"])
 def test_pole_data_sweep_takes_the_contour_on_a_conjugate_pole(chain, monkeypatch, rng):
     """A step whose poles are the previous step's conjugate poles: the sweep
-    reads that step's rows, exactly at the previous step's poles, off the
-    contour at the step's own depth (for a two-pole record's second part,
-    the depth that ends in the first), as the per-step path does.
-    dress_real(0.6) then dress_real(-0.6), and a two-pole record at z then a
-    one-pole record at conj(-conj(z))."""
+    reads the one row it evaluates for that step, conj(z), exactly at one
+    of the previous step's poles, off the contour at the step's own depth
+    (for a two-pole record's second part, the depth that ends in the
+    first), as the per-step path does; the row at z is written from it and
+    takes no contour.  dress_real(0.6) then dress_real(-0.6), and a
+    two-pole record at z then a one-pole record at conj(-conj(z))."""
     frame = _sweep_chains()[chain]()
     *_, earlier, last = frame.steps
     assert last.pole_rows == earlier.pole_rows[::-1]
@@ -924,7 +966,7 @@ def test_pole_data_sweep_takes_the_contour_on_a_conjugate_pole(chain, monkeypatc
     U = rng.uniform(-0.4, 0.4, size=(5, 3))
     got = frame.pole_data(U, len(frame.steps))
     k = len(frame.steps) - 1
-    assert contours == [(k, w) for w in last.pole_rows]
+    assert contours == [(k, last.pole_rows[0])]
     _assert_same_pole_data(got, _per_record_pole_data(frame, U))
 
 

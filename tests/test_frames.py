@@ -179,9 +179,11 @@ def test_seed_block_matches_per_profile_reference(seed_name):
 @pytest.mark.parametrize("bad, axis", [((0.1, np.nan), 2), ((np.nan, 0.1), 1),
                                        ((1.5, 0.0), 1), ((-1.2, 0.3), 1)])
 def test_seed_block_refuses_points_off_the_domain(bad, axis):
+    """E, X and a frame over the seed refuse a point off the profile
+    domain; the block itself leaves the check to them."""
     seed = SEEDS["polynomial"]()
     U = np.array([[0.2, 0.1], bad])
-    for call in (seed.block, seed.E, seed.X):
+    for call in (seed.E, seed.X, ExtendedFrame(seed).evaluate):
         with pytest.raises(OutOfDomainError, match=f"u_{axis} = "):
             call(U, 0.9)
 
@@ -200,16 +202,19 @@ def test_infinite_points_are_out_of_domain(torus_seed, pi_diag):
 
 
 def test_seed_block_checks_the_domain_once(monkeypatch):
+    """E and X check their points once per call; a frame checks a point
+    set once, when it is new to the memo, and a memoised one not again."""
     seed = SEEDS["sampled"]()
     calls = []
     check = VacuumSeed._check_domain
     monkeypatch.setattr(VacuumSeed, "_check_domain",
                         lambda self, u: calls.append(1) or check(self, u))
     U = np.random.default_rng(22).uniform(-0.6, 0.6, size=(4, 2))
-    for call in (seed.block, seed.E, seed.X, ExtendedFrame(seed).evaluate):
+    frame = ExtendedFrame(seed)
+    for call, checks in ((seed.E, 1), (seed.X, 1), (frame.evaluate, 1), (frame.evaluate, 0)):
         calls.clear()
         call(U, 0.9)
-        assert len(calls) == 1
+        assert len(calls) == checks
 
 
 def test_vacuum_phi(torus_seed):
@@ -559,9 +564,9 @@ def test_a_stack_of_one_lambda_per_row_stays_one_per_row(monkeypatch):
         shapes["band"].append(np.shape(lam))
         return radius(self, lam, depth)
 
-    def spy_block(self, u, lam):
+    def spy_block(self, u, lam, out=None):
         shapes["block"].append(np.shape(lam))
-        return block(self, u, lam)
+        return block(self, u, lam, out)
     monkeypatch.setattr(ExtendedFrame, "_contour_radius", spy_radius)
     monkeypatch.setattr(VacuumSeed, "block", spy_block)
     E, X = frame.evaluate(U, lams[:, None])
