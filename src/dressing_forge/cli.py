@@ -39,7 +39,8 @@ from .geometry import (Grid, axis_gradient, check_darboux_egoroff,
                        check_sphere, limit_net, sample_immersion)
 from .linalg import max_abs, project_onto_span
 from .loops import (RealOnePoleFactor, TranslationFactor,
-                    check_pole_collisions, one_pole_factor, two_pole_factor)
+                    check_pole_collisions, one_pole_factor, random_lambda_samples,
+                    two_pole_factor)
 from .oracle import PathSpec, integrate_frame
 from .report import VerificationReport
 
@@ -372,19 +373,16 @@ def _fmt(x: float) -> str:
 
 
 def _reality_samples(frame, scenario):
-    """The reality check's random (lam, u) samples in draw order, lam kept
-    clear of every sensitive point."""
+    """The reality check's random (lam, u) samples in draw order: each lam
+    from ``random_lambda_samples`` on the one generator, clear of every
+    sensitive point, its negative and their conjugates, then u."""
     rng = np.random.default_rng(REALITY_SAMPLE_SEED)
-    guard = [p for q in frame.sensitive_points()
-             for p in (q, -q, np.conj(q), -np.conj(q))]
+    guard = [p for q in map(complex, frame.sensitive_points())
+             for p in (q, -q, q.conjugate(), -q.conjugate())]
     lo = [a[0] for a in scenario.grid.axes]
     hi = [a[-1] for a in scenario.grid.axes]
-    drawn = 0
-    while drawn < scenario.reality_samples:
-        lam = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        if any(abs(lam - p) < 0.05 for p in guard):
-            continue
-        drawn += 1
+    for _ in range(scenario.reality_samples):
+        lam = random_lambda_samples(1, guard, rng)[0]
         yield lam, [rng.uniform(l, h) for l, h in zip(lo, hi)]
 
 
@@ -480,11 +478,17 @@ def run_verification(scenario: Scenario, frame: ExtendedFrame,
             sub = check_lagrangian(sample(lam), metric.h, tols["lagrangian"],
                                    tols["lagrangian_metric"])
             report.extend(sub, prefix=f"lam={lam:g}/")
+        if not real_lams:
+            report.add("lagrangian_skipped", 0.0, None, reason="no real lambda in lambdas "
+                       "(rule: the Lagrangian check runs at each real lambda)")
     if checks.get("sphere"):
-        for lam in real_lams:
-            if lam != 0:
-                report.extend(check_sphere(sample(lam), metric.c.real, tols["sphere"]),
-                              prefix=f"lam={lam:g}/")
+        sphere_lams = [lam for lam in real_lams if lam != 0]
+        for lam in sphere_lams:
+            report.extend(check_sphere(sample(lam), metric.c.real, tols["sphere"]),
+                          prefix=f"lam={lam:g}/")
+        if not sphere_lams:
+            report.add("sphere_skipped", 0.0, None, reason="no real nonzero lambda in lambdas "
+                       "(rule: the sphere check runs at each real lambda other than 0)")
     if checks.get("partial_invariance"):
         report.extend(check_partial_invariance(metric, tols["partial_invariance"],
                                                tols["norm_constancy"]))

@@ -84,8 +84,7 @@ def _point_data(record, frame: ExtendedFrame, index: int, u):
     at the single point u: the one-point view of the stacked data the frame
     memoises."""
     U = np.asarray(u, dtype=float).reshape(1, frame.n)
-    k = frame.step_count(index)
-    return frame.pole_data(U, k + 1)[k].rows(0)
+    return frame.pole_data(U)[frame.step_count(index)].rows(0)
 
 
 @dataclass(frozen=True, eq=False)

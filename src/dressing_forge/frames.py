@@ -11,12 +11,12 @@ translation record is one step, a two-pole record its two one-pole parts.
 Evaluation works on whole point sets and lambda stacks at once: every
 update is a stacked array operation over the (lambda, point) pairs, so a
 grid costs a few numpy calls per step, not a loop.  ``evaluate`` always
-runs every step.  Each step needs the block of its prefix, the frame's
-first ``depth`` steps at the point set U, at its own poles: ``pole_data``
-is the one place a prefix is evaluated.  A point set gets those pole data
-for the whole chain from one sweep, which evaluates the block once on the
-stack of every pending step's first pole row and lets each step read its
-row and dress the rest.  A one-pole step needs the block at z as well;
+runs every step.  A step's update reads its pole data: the block of the
+steps before it, at the point set U and at the step's own poles.
+``pole_data`` computes them for every step of the chain in one sweep per
+point set, which evaluates the seed block once on the stack of every
+step's first pole row and lets each step in turn read its row and dress
+the later ones.  A one-pole step needs the block at z as well;
 every factor is tau-real, E(u, conj(lambda))^* E(u, lambda) = I, so it is
 E(u, z) = (E(u, conj z)^{-1})^*, which the step writes from the inverse
 its certified solve at conj(z) computes anyway.
@@ -453,11 +453,12 @@ class ExtendedFrame:
     (..., n), with results of shape (..., n, n) and (..., n).  A single point
     of shape (n,) is the one-point case and gives (n, n) and (n,).
     ``evaluate``, ``E`` and ``X`` take one lambda for all points, or an array
-    broadcasting against the leading shape whose own axes lead.  Each step's
-    pole data (the arrays its update reads) are stacked over the whole
-    point set and computed once; the frame keeps them for its
-    ``MEMO_POINT_SETS`` most recent point sets, so memory is bounded by the
-    point sets, not by how many calls were made.
+    broadcasting against the leading shape whose own axes lead.  The pole
+    data (the arrays each step's update reads) of every step at a point set
+    come from one sweep of the whole chain, stacked over the point set; the
+    frame keeps them for its ``MEMO_POINT_SETS`` most recent point sets, one
+    entry per point set, so memory is bounded by the point sets, not by how
+    many calls were made.
 
     Frames and records are immutable; dressing returns a new frame sharing
     the prefix records, with an empty memo.  The memo changes only how much
@@ -472,8 +473,7 @@ class ExtendedFrame:
     # depth -> (points, R/2, R, the same per point), unlocked: racing
     # threads store equal values
     _bands: dict = field(default_factory=dict, init=False, repr=False)
-    # re-entrant: computing one step's pole data evaluates the prefix frame
-    _lock: threading.RLock = field(default_factory=threading.RLock, init=False, repr=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(s for rec in self.history for s in rec.steps))
@@ -521,54 +521,50 @@ class ExtendedFrame:
             raise ValueError(f"points need {self.n} coordinates, got shape {u.shape}")
         return np.ascontiguousarray(u.reshape(-1, self.n)), u.shape[:-1]
 
-    def pole_data(self, U: np.ndarray, depth: int) -> list:
-        """Pole data of the first ``depth`` steps at the (P, n) point set U,
-        memoised per point set; a point set new to the memo is checked
-        against the seed's domain first, once.
-
-        The missing steps' data come from one sweep, which evaluates each
-        step's prefix block at the step's first pole row only: conj(z) for
-        a one-pole step, the pole for a translation.  Every step is
-        tau-real, E(u, conj(lambda))^* E(u, lambda) = I, so a one-pole
-        step's block at z is E(u, z) = (E(u, conj z)^{-1})^*, which its
-        ``take_pole_data`` writes from the inverse its certified solve for
-        eta computes.  The sweep's one array, of shape (2, pending steps, P,
-        n, n+1), holds the evaluated rows in row 0 and what the one-pole
-        steps write in row 1.  The block of the memoised prefix is
-        evaluated into row 0 on the stack of the first pole rows, lambda of
-        shape (m, 1) against the points.  Each step in turn reads its data
-        off its own rows, and then dresses the later rows in place with its
-        ``apply``.  A row in a contour band at its step's depth is
-        ``_block``'s value there (a node stands in for it in the stack), so
-        the data do not depend on how deep the memo ran.  Evaluation and
-        updates run block by block (``_blocks``); the data keep views into
-        the array, so it is the memo's own storage."""
-        if not 0 <= depth <= len(self.steps):
-            raise ValueError(f"depth {depth} outside 0..{len(self.steps)}, the frame's steps")
+    def pole_data(self, U: np.ndarray) -> list:
+        """Pole data of every step at the (P, n) point set U, memoised per
+        point set: a point set new to the memo is checked against the
+        seed's domain, once, and one ``_sweep`` then takes every step's
+        data."""
         key = U.tobytes()
         with self._lock:
             data = self._memo.pop(key, None)
             if data is None:
                 self.seed._check_domain(U)
-                data = []
+                data = self._sweep(U) if self.steps else []
             self._memo[key] = data
             if len(self._memo) > MEMO_POINT_SETS:
                 del self._memo[next(iter(self._memo))]
-            k = len(data)
-            if k < depth:
-                rows, near = (a[k:depth] for a in self._sweep_rows)
-                lam = (rows + near)[:, None]
-                sweep = np.empty((2, depth - k, len(U), self.n, self.n + 1), dtype=complex)
-                F = self._steps(U, lam, data[:k], out=sweep[0])
-                for j, step in enumerate(self.steps[k:depth]):
-                    if near[j]:
-                        F[j] = self._block(U, complex(rows[j]), k + j)
-                    data.append(step.take_pole_data(sweep[:len(step.pole_rows), j]))
-                    later = F[j + 1:]
-                    if len(later):
-                        for index, _, lam_b, data_b in _blocks(U, lam[j + 1:], data):
-                            step.apply(later[index], lam_b, data_b[k + j])
             return data
+
+    def _sweep(self, U: np.ndarray) -> list:
+        """Every step's pole data at the (P, n) point set U from one sweep.
+
+        The sweep's one array, of shape (2, steps, P, n, n+1), holds in row
+        0 each step's prefix block at its first pole row (conj(z) for a
+        one-pole step, the pole for a translation), evaluated from the seed
+        block on the stack of those rows (lambda of shape (steps, 1)), and
+        in row 1 the block at z that a one-pole step's ``take_pole_data``
+        writes by tau-reality.  Each step in turn reads its data off its own
+        rows and dresses the later rows in place with its ``apply``.  A row
+        in a contour band at its step's depth is ``_block``'s value there,
+        from the data taken so far (a node stands in for it in the stack).
+        Evaluation and updates run block by block (``_blocks``); the data
+        keep views into the array, so it is the memo's own storage."""
+        rows, near = self._sweep_rows
+        lam = (rows + near)[:, None]
+        sweep = np.empty((2, len(rows), len(U), self.n, self.n + 1), dtype=complex)
+        F = self._steps(U, lam, [], out=sweep[0])
+        data = []
+        for j, step in enumerate(self.steps):
+            if near[j]:
+                F[j] = self._block(U, complex(rows[j]), data)
+            data.append(step.take_pole_data(sweep[:len(step.pole_rows), j]))
+            later = F[j + 1:]
+            if len(later):
+                for index, _, lam_b, data_b in _blocks(U, lam[j + 1:], data):
+                    step.apply(later[index], lam_b, data_b[j])
+        return data
 
     @cached_property
     def _sweep_rows(self) -> tuple:
@@ -602,10 +598,10 @@ class ExtendedFrame:
         inside = np.abs(np.subtract.outer(lam, points)) < half
         return (inside * radii).max(axis=-1, initial=0.0)
 
-    def _block(self, U: np.ndarray, lam, depth: int) -> np.ndarray:
-        """The frame block F = [E | X] of the first ``depth`` steps at the
-        (P, n) point set U, shape (..., P, n, n+1); ``lam`` is one complex or
-        an array of shape (P,), (m, 1) or (m, P).
+    def _block(self, U: np.ndarray, lam, data: list) -> np.ndarray:
+        """The frame block F = [E | X] of the first steps, those whose pole
+        data at the (P, n) point set U are ``data``, shape (..., P, n, n+1);
+        ``lam`` is one complex or an array of shape (P,), (m, 1) or (m, P).
 
         A lambda within R(p)/2 of a sensitive point p of these steps, where
         the direct updates lose digits (or divide by zero), gets F as its
@@ -614,8 +610,7 @@ class ExtendedFrame:
         array, (nodes, B) against the points of its B banded pairs, which
         read their rows of the same pole data.  Every other lambda gets the
         direct updates."""
-        r = self._contour_radius(lam, depth)
-        data = self.pole_data(U, depth)[:depth]
+        r = self._contour_radius(lam, len(data))
         if isinstance(lam, complex):
             return self._contour(U, lam, r, data) if r else self._steps(U, lam, data)
         if not r.any():
@@ -636,14 +631,14 @@ class ExtendedFrame:
         return self._steps(U, lam + r * _NODES, data).mean(axis=0)
 
     def _steps(self, U: np.ndarray, lam, data: list, out: np.ndarray | None = None) -> np.ndarray:
-        """The seed block dressed by the direct updates of the steps whose
-        pole data at the (P, n) point set U are ``data``, shape
-        (..., P, n, n+1), block by block (``_blocks``), written into ``out``
-        (a C-contiguous array of that shape) or a new array.  ``lam`` is
-        one complex or an array of shape (P,), or (m, 1) or (m, P), whose
-        rows lead the result: a contour's nodes, a sweep's rows, a lambda
-        stack.  Each block is the seed block written in place, which each
-        step then updates in place."""
+        """The seed block dressed by the direct updates of the frame's first
+        ``len(data)`` steps, whose pole data at the (P, n) point set U are
+        ``data``, shape (..., P, n, n+1), block by block (``_blocks``),
+        written into ``out`` (a C-contiguous array of that shape) or a new
+        array.  ``lam`` is one complex or an array of shape (P,), or (m, 1)
+        or (m, P), whose rows lead the result: a contour's nodes, a sweep's
+        rows, a lambda stack.  Each block is the seed block written in
+        place, which each step then updates in place."""
         for index, U_b, lam_b, data_b in _blocks(U, lam, data):
             if out is None and index is not ...:
                 out = np.empty(np.shape(lam)[:-1] + U.shape[:1] + (self.n, self.n + 1),
@@ -662,7 +657,7 @@ class ExtendedFrame:
         own call."""
         U, lead = self._point_set(u)
         lam, lead = _lambdas(lam, lead)
-        F = self._block(U, lam, len(self.steps))
+        F = self._block(U, lam, self.pole_data(U))
         F = F.reshape(lead + F.shape[-2:])
         return F[..., :self.n], F[..., self.n]
 
@@ -677,7 +672,7 @@ class ExtendedFrame:
         step's ``update`` method with its pole data, in u's leading shape."""
         U, lead = self._point_set(u)
         val = start(U)
-        for step, data in zip(self.steps, self.pole_data(U, len(self.steps))):
+        for step, data in zip(self.steps, self.pole_data(U)):
             val = getattr(step, update)(val, data)
         return val.reshape(lead + val.shape[1:])
 

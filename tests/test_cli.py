@@ -627,6 +627,29 @@ def test_breather_two_pole_factor_runs_sigma_checks(tmp_path):
         assert checks[name]["tolerance"] == DEFAULT_TOLERANCES[tol]
 
 
+@pytest.mark.parametrize("lambdas, skipped", [
+    ([[0.0, 0.0]], ["sphere_skipped"]),
+    ([[0.3, 0.4]], ["lagrangian_skipped", "sphere_skipped"]),
+    ([], ["lagrangian_skipped", "sphere_skipped"]),
+], ids=["zero", "complex", "none"])
+def test_check_with_no_lambda_to_run_at_says_so(lambdas, skipped, tmp_path):
+    """spherical_soliton enables the Lagrangian and sphere checks.  With no
+    real lambda (no real nonzero one for the sphere) each writes an
+    informational skip entry whose reason names its rule, instead of no
+    entry at all, and verify still exits 0."""
+    raw = json.loads((SCENARIOS / "spherical_soliton.json").read_text())
+    raw["lambdas"] = lambdas
+    out = tmp_path / "out"
+    assert run_cli("verify", write_scenario(tmp_path, raw), out) == 0
+    checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
+    assert [name for name in checks if name.endswith("_skipped")] == skipped
+    for name in skipped:
+        assert checks[name]["tolerance"] is None and checks[name]["passed"] is None
+        assert "(rule: the " + name.split("_")[0] in checks[name]["details"]["reason"].lower()
+    if "lagrangian_skipped" not in skipped:
+        assert checks["lam=0/lagrangian_symplectic"]["passed"] is True
+
+
 def test_metric_csv_layout(tmp_path):
     frame = dress_real(ExtendedFrame(VacuumSeed.constant([1.0, 0.7, 1.3])), 0.6,
                        project_onto_span(np.ones(3) / np.sqrt(3.0)))

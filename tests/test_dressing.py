@@ -28,8 +28,7 @@ def _step_data(frame, u, depth=None):
     """The pole data of the frame's first ``depth`` steps (all by default)
     at the single point u, one per step: a two-pole record's parts in turn."""
     U = np.asarray(u, dtype=float).reshape(1, frame.n)
-    depth = len(frame.steps) if depth is None else depth
-    return [d.rows(0) for d in frame.pole_data(U, depth)[:depth]]
+    return [d.rows(0) for d in frame.pole_data(U)[:depth]]
 
 
 def test_base_point_pinning(torus_frame, pi_diag):
@@ -649,7 +648,7 @@ def test_circle_values_match_node_by_node_prefix(kind, P, monkeypatch, rng):
     gives, and the block there is their mean."""
     frame = _chain_ending_in(kind)
     U = rng.uniform(-0.4, 0.4, size=(P, 3))
-    frame.pole_data(U, len(frame.steps))
+    data = frame.pole_data(U)
     stacks = _spy_stacks(monkeypatch)
     angles = np.exp(2j * np.pi * np.arange(16) / 16)
     for depth, p in _contours(frame):
@@ -657,9 +656,9 @@ def test_circle_values_match_node_by_node_prefix(kind, P, monkeypatch, rng):
             radius = frame._contour_radius(lam, depth)
             assert radius > 0
             stacks.clear()
-            F = frame._block(U, lam, depth)
+            F = frame._block(U, lam, data[:depth])
             stacked = np.concatenate([F for _, F in stacks])
-            oracle = np.stack([frame._block(U, w, depth) for w in lam + radius * angles])
+            oracle = np.stack([frame._block(U, w, data[:depth]) for w in lam + radius * angles])
             assert stacked.shape == (frames.CONTOUR_NODES, P, 3, 4)
             assert max_abs(stacked - oracle) <= 1e-15
             assert np.array_equal(F, stacked.mean(axis=0))
@@ -743,30 +742,6 @@ def test_two_pole_record_equals_its_parts(prefix, P, rng):
     assert len(got) == len(want) == 3
     for a, b in zip(got, want):
         assert np.array_equal(a.F_poles, b.F_poles) and np.array_equal(a.blocks, b.blocks)
-
-
-@pytest.mark.parametrize("warm", ["h", "evaluate", "last_record"])
-def test_point_data_after_deeper_memo(warm, rng):
-    """A record's point data do not depend on how deep the memo at u
-    already runs: after the whole frame (or the last record's point data)
-    was evaluated at u, the steps of every earlier record, one-pole,
-    two-pole and translation, give the data of a fresh frame evaluated to
-    the end of that record, bit for bit."""
-    u = rng.uniform(-0.4, 0.4, size=3)
-    frame = _sweep_chains()["mixed"]()
-    warm_up = {"h": lambda: frame.h(u),
-               "evaluate": lambda: frame.evaluate(u, 0.9),
-               "last_record": lambda: frame.history[-1].point_data(frame, len(frame.history) - 1, u)}
-    warm_up[warm]()
-    for i, record in enumerate(frame.history):
-        k, m = frame.step_count(i), len(record.steps)
-        got = _step_data(frame, u, k + m)[k:]
-        fresh = _sweep_chains()["mixed"]()
-        want = _step_data(fresh, u, k + m)[k:]
-        assert len(got) == len(want) == m
-        for a, b in zip(got, want):
-            assert type(a) is type(b)
-            assert all(np.array_equal(x, y) for x, y in zip(_data_arrays(a), _data_arrays(b)))
 
 
 @pytest.mark.parametrize("kind", ["translation", "two_pole"])
@@ -858,24 +833,17 @@ def _data_arrays(data):
     return [data.F_poles, data.blocks]
 
 
-def _record_pole_data(step, prefix):
-    """The per-step path: the block of the prefix (frame, U, k) evaluated
-    at the step's first pole row, the step's data read off it (a one-pole
-    step writes its second row itself)."""
-    frame, U, k = prefix
-    rows = np.empty((len(step.pole_rows), len(U), frame.n, frame.n + 1), dtype=complex)
-    rows[0] = frame._block(U, step.pole_rows[0], k)
-    return step.take_pole_data(rows)
-
-
 def _per_record_pole_data(frame, U):
-    """Pole data step by step (a two-pole record's parts in turn), on a
-    copy of the frame whose memo this path fills itself, so each prefix
-    evaluation sees only the steps before it."""
-    oracle = ExtendedFrame(frame.seed, frame.history)
-    data = oracle._memo.setdefault(U.tobytes(), [])
+    """Pole data step by step (a two-pole record's parts in turn): the
+    block of each step's prefix, evaluated from its own list of the data
+    before it, at the step's first pole row, and the step's data read off
+    it (a one-pole step writes its second row itself).  The frame's memo is
+    neither read nor filled."""
+    data = []
     for k, step in enumerate(frame.steps):
-        data.append(_record_pole_data(step, (oracle, U, k)))
+        rows = np.empty((len(step.pole_rows), len(U), frame.n, frame.n + 1), dtype=complex)
+        rows[0] = frame._block(U, step.pole_rows[0], data[:k])
+        data.append(step.take_pole_data(rows))
     return data
 
 
@@ -891,18 +859,10 @@ def _assert_same_pole_data(got, want):
 @pytest.mark.parametrize("chain", list(_sweep_chains()))
 def test_pole_data_sweep_matches_per_record_prefix(chain, P, rng):
     """One lambda-stacked sweep gives bit for bit the pole data that
-    evaluating each step's prefix at its own poles gives, cold and from a
-    memo already filled to the steps of 3 records."""
-    make = _sweep_chains()[chain]
+    evaluating each step's prefix at its own poles gives."""
+    frame = _sweep_chains()[chain]()
     U = rng.uniform(-0.4, 0.4, size=(P, 3))
-    frame = make()
-    want = _per_record_pole_data(frame, U)
-    _assert_same_pole_data(frame.pole_data(U, len(frame.steps)), want)
-    warm = make()
-    steps = warm.step_count(min(3, len(warm.history) - 1))
-    warm.pole_data(U, steps)
-    assert len(warm.pole_data(U, 0)) == steps
-    _assert_same_pole_data(warm.pole_data(U, len(warm.steps)), want)
+    _assert_same_pole_data(frame.pole_data(U), _per_record_pole_data(frame, U))
 
 
 @pytest.mark.parametrize("chain", list(_sweep_chains()))
@@ -915,32 +875,47 @@ def test_sweep_writes_the_block_at_z_by_tau_reality(chain, monkeypatch, rng):
     frame = _sweep_chains()[chain]()
     U = rng.uniform(-0.4, 0.4, size=(5, 3))
     stacks = _spy_stacks(monkeypatch)
-    data = frame.pole_data(U, len(frame.steps))
+    data = frame.pole_data(U)
     assert stacks[0][0].shape == (len(frame.steps), 1)
     one_pole = [k for k, step in enumerate(frame.steps) if isinstance(step, dressing.OnePoleRecord)]
     assert one_pole
     for k in one_pole:
-        E_z = frame._block(U, complex(frame.steps[k].z), k)[..., :3]
+        E_z = frame._block(U, complex(frame.steps[k].z), data[:k])[..., :3]
         assert max_abs(data[k].F_poles[:, 1, :, :3] - E_z) <= 1e-13 * max_abs(E_z)
 
 
 @pytest.mark.parametrize("chain", ["mixed", "real8"])
 def test_sweep_pole_data_are_views_of_one_array(chain, rng):
-    """Every one-pole step's ``F_poles`` from one sweep shares memory with
-    the sweep's one array, of shape (2, steps, P, n, n+1); a memo filled in
-    two sweeps, the first to the steps of 2 records, holds one array per
-    sweep."""
+    """Every one-pole step's ``F_poles`` shares memory with the sweep's one
+    array, of shape (2, steps, P, n, n+1)."""
     frame = _sweep_chains()[chain]()
     U = rng.uniform(-0.4, 0.4, size=(5, 3))
-    first = frame.step_count(2)
-    frame.pole_data(U, first)
-    data = frame.pole_data(U, len(frame.steps))
-    for steps, shape in ((slice(0, first), first), (slice(first, None), len(frame.steps) - first)):
-        views = [d.F_poles for d in data[steps] if isinstance(d, dressing._OnePoleData)]
-        sweep = views[0].base
-        assert sweep.shape == (2, shape, 5, 3, 4)
-        assert all(np.shares_memory(v, sweep) and v.base is sweep for v in views)
-    assert data[0].F_poles.base is not data[-1].F_poles.base
+    views = [d.F_poles for d in frame.pole_data(U) if isinstance(d, dressing._OnePoleData)]
+    sweep = views[0].base
+    assert sweep.shape == (2, len(frame.steps), 5, 3, 4)
+    assert all(np.shares_memory(v, sweep) and v.base is sweep for v in views)
+
+
+def test_one_sweep_serves_every_call_at_a_point(monkeypatch, rng):
+    """A record's point data, h and evaluate at one point share one memo
+    entry, filled by one sweep of the whole mixed chain: the only seed block
+    on a lambda stack is that sweep's, of shape (steps, 1), however few
+    steps the first call reads."""
+    frame = _sweep_chains()["mixed"]()
+    u = rng.uniform(-0.4, 0.4, size=3)
+    shapes = []
+    block = VacuumSeed.block
+
+    def spy(self, U, lam, out=None):
+        if np.ndim(lam) == 2:
+            shapes.append(np.shape(lam))
+        return block(self, U, lam, out)
+    monkeypatch.setattr(VacuumSeed, "block", spy)
+    frame.history[0].point_data(frame, 0, u)
+    frame.h(u)
+    frame.evaluate(u, 0.9)
+    assert shapes == [(len(frame.steps), 1)]
+    assert len(frame._memo) == 1
 
 
 @pytest.mark.parametrize("chain", ["conjugate", "two_pole_conjugate"])
@@ -958,13 +933,13 @@ def test_pole_data_sweep_takes_the_contour_on_a_conjugate_pole(chain, monkeypatc
     contours = []
     block = ExtendedFrame._block
 
-    def spy(self, U, lam, depth):
-        if self._contour_radius(lam, depth).any():
-            contours.append((depth, lam))
-        return block(self, U, lam, depth)
+    def spy(self, U, lam, data):
+        if self._contour_radius(lam, len(data)).any():
+            contours.append((len(data), lam))
+        return block(self, U, lam, data)
     monkeypatch.setattr(ExtendedFrame, "_block", spy)
     U = rng.uniform(-0.4, 0.4, size=(5, 3))
-    got = frame.pole_data(U, len(frame.steps))
+    got = frame.pole_data(U)
     k = len(frame.steps) - 1
     assert contours == [(k, last.pole_rows[0])]
     _assert_same_pole_data(got, _per_record_pole_data(frame, U))
@@ -978,7 +953,7 @@ def test_no_contour_node_falls_in_a_band(chain, monkeypatch, rng):
     the band of any sensitive point: the nodes take the direct updates."""
     frame = _sweep_chains()[chain]()
     U = rng.uniform(-0.4, 0.4, size=(2, 3))
-    frame.pole_data(U, len(frame.steps))
+    data = frame.pole_data(U)
     stacks = _spy_stacks(monkeypatch)
     for depth in range(1, len(frame.steps) + 1):
         for p in frame.steps[depth - 1].pole_rows:
@@ -987,7 +962,7 @@ def test_no_contour_node_falls_in_a_band(chain, monkeypatch, rng):
                 for angle in np.exp(1j * np.array([0.0, 0.9, 2.5, 4.4])):
                     lam = p + s * radius / 2 * angle
                     stacks.clear()
-                    frame._block(U, lam, depth)
+                    frame._block(U, lam, data[:depth])
                     w = np.concatenate([nodes for nodes, _ in stacks])
                     assert w.size == frames.CONTOUR_NODES
                     assert np.allclose(np.abs(w - lam), radius, rtol=1e-12, atol=0)
@@ -1036,25 +1011,11 @@ def test_evaluate_at_depth_equals_the_shorter_frame(chain, rng):
         points = u.reshape(-1, 3)
         for k in range(1, len(frame.history) + 1):
             fresh = ExtendedFrame(frame.seed, frame.history[:k])
-            steps = frame.step_count(k)
-            _assert_same_pole_data(frame.pole_data(points, steps)[:steps],
-                                   fresh.pole_data(points, steps))
+            data, want = frame.pole_data(points)[:frame.step_count(k)], fresh.pole_data(points)
+            _assert_same_pole_data(data, want)
             for lam in map(complex, lams):
-                assert np.array_equal(frame._block(points, lam, steps),
-                                      fresh._block(points, lam, steps))
-
-
-def test_depth_out_of_range_is_refused(rng):
-    """``pole_data`` refuses a step depth outside 0..len(steps) with a
-    ValueError naming the value; both ends of the range are accepted."""
-    frame = _sweep_chains()["mixed"]()
-    U = rng.uniform(-0.4, 0.4, size=(2, 3))
-    steps = len(frame.steps)
-    for depth in (-1, steps + 1):
-        with pytest.raises(ValueError, match=f"depth {depth} outside 0..{steps}"):
-            frame.pole_data(U, depth)
-    frame.pole_data(U, 0)
-    assert len(frame.pole_data(U, steps)) == steps
+                assert np.array_equal(frame._block(points, lam, data),
+                                      fresh._block(points, lam, want))
 
 
 def _lambda_shape(lam) -> str:
@@ -1083,7 +1044,7 @@ def test_stacked_evaluations_stay_within_the_cap(monkeypatch, cap, rng):
     monkeypatch.setattr(frames, "POINT_BLOCK", 10 ** 6)
     unblocked = chain()
     want = _per_record_pole_data(unblocked, U)
-    _assert_same_pole_data(unblocked.pole_data(U, len(unblocked.steps)), want)
+    _assert_same_pole_data(unblocked.pole_data(U), want)
     want_values = [unblocked.evaluate(U, lam) for lam in lams]
 
     pairs, shapes = [], set()
@@ -1097,7 +1058,7 @@ def test_stacked_evaluations_stay_within_the_cap(monkeypatch, cap, rng):
         monkeypatch.setattr(owner, name, wrapper)
     monkeypatch.setattr(frames, "POINT_BLOCK", cap)
     blocked = chain()
-    _assert_same_pole_data(blocked.pole_data(U, len(blocked.steps)), want)
+    _assert_same_pole_data(blocked.pole_data(U), want)
     for lam, (E, X) in zip(lams, want_values):
         E1, X1 = blocked.evaluate(U, lam)
         assert np.array_equal(E1, E) and np.array_equal(X1, X)
@@ -1233,7 +1194,7 @@ def test_interleaved_update_matches_the_block_diagonal_form(chain, lam_kind):
            "nodes": (0.3 + 0.5j + 0.2 * np.exp(2j * np.pi * np.arange(16) / 16))[:, None],
            "block+1": rng.uniform(-1.5, 1.5, P) + 1j * rng.uniform(-0.3, 0.3, P),
            "rows_per_point": rng.uniform(-1.5, 1.5, (3, P)) + 0.4j}[lam_kind]
-    data = frame.pole_data(U, len(frame.steps))
+    data = frame.pole_data(U)
     one_pole = [i for i, step in enumerate(frame.steps) if isinstance(step, dressing.OnePoleRecord)]
     assert len(one_pole) == len(frame.steps)
     for i in one_pole:
@@ -1265,12 +1226,12 @@ def test_blocked_update_equals_the_unblocked_one(lam_kind, monkeypatch, rng):
             return method(self, F, lam, data)
         monkeypatch.setattr(owner, "apply", counted)
     whole = _sweep_chains()["mixed"]()
-    want = (whole.pole_data(U, len(whole.steps)), whole.evaluate(U, lam))
+    want = (whole.pole_data(U), whole.evaluate(U, lam))
     whole_calls = calls[:]
     calls.clear()
     monkeypatch.setattr(frames, "POINT_BLOCK", 4)
     blocked = _sweep_chains()["mixed"]()
-    _assert_same_pole_data(blocked.pole_data(U, len(blocked.steps)), want[0])
+    _assert_same_pole_data(blocked.pole_data(U), want[0])
     for a, b in zip(blocked.evaluate(U, lam), want[1]):
         assert np.array_equal(a, b)
 
