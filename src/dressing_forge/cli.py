@@ -4,15 +4,16 @@ chain, run the verification suite, export geometry and reports.
 Scenario files are JSON with ``schema_version`` 1.  Complex numbers are
 [re, im] pairs; matrices are row-major arrays of such pairs.  Every tolerance
 used by ``verify`` comes from the scenario (``checks.tolerances``) with the
-documented defaults below.  Every command takes ``--scenario`` and ``--out``;
-``verify`` and ``run`` add ``--step`` (the PDE cross-check's RK4 step) and
-``--tol-scale`` (multiplies every tolerance), ``permute-check`` adds
-``--tol-scale``.  Runs are deterministic: repeated runs on the same scenario
-produce byte-identical exports.  A value that overflows is carried as inf or
-NaN, without a numpy warning, and fails the check that reads it.
+documented defaults of ``report.DEFAULT_TOLERANCES``.  Every command takes
+``--scenario`` and ``--out``; ``verify`` and ``run`` add ``--step`` (the PDE
+cross-check's RK4 step) and ``--tol-scale`` (multiplies every tolerance),
+``permute-check`` adds ``--tol-scale``.  Runs are deterministic: repeated
+runs on the same scenario produce byte-identical exports.  A value that
+overflows is carried as inf or NaN, without a numpy warning, and fails the
+check that reads it.
 
-Exit codes: 0 all enabled checks pass; 1 check failure; 2 parse error;
-3 validation error.
+Exit codes: 0 all enabled checks pass; 1 check failure, the failing checks
+named on stderr; 2 parse error; 3 validation error.
 """
 
 from __future__ import annotations
@@ -34,36 +35,17 @@ from .errors import (DressingForgeError, PoleCollisionError, RankDeficientError,
                      SphericalViolationError)
 from .frames import (ExtendedFrame, PolynomialProfile, SampledProfile,
                      VacuumSeed, metric_from_frame, potential_on_grid)
-from .geometry import (Grid, axis_gradient, check_darboux_egoroff,
+from .geometry import (EgoroffMetric, Grid, axis_gradient, check_darboux_egoroff,
                        check_lagrangian, check_partial_invariance,
                        check_sphere, limit_net, sample_immersion)
 from .linalg import max_abs, project_onto_span
-from .loops import (RealOnePoleFactor, TranslationFactor,
+from .loops import (RealOnePoleFactor, TranslationFactor, TwoPointFactor,
                     check_pole_collisions, one_pole_factor, random_lambda_samples,
                     two_pole_factor)
 from .oracle import PathSpec, integrate_frame
-from .report import VerificationReport
+from .report import DEFAULT_TOLERANCES, VerificationReport
 
 SCHEMA_VERSION = 1
-
-DEFAULT_TOLERANCES = {
-    "reality": 1e-10,
-    "darboux_egoroff": 1e-4,
-    "lagrangian": 1e-10,
-    "lagrangian_metric": 1e-10,
-    "sphere": 1e-9,
-    "partial_invariance": 5e-3,
-    "norm_constancy": 1e-10,
-    # finite-difference residual, O(grid spacing^2): tighten for fine grids
-    "position_equation": 2e-2,
-    "potential": 1e-6,
-    "metric_real": 1e-9,
-    "lambda_zero": 1e-10,
-    "lambda_zero_derivative": 1e-7,
-    "pde_frame": 1e-6,
-    "path_independence": 1e-6,
-    "permutability": 1e-9,
-}
 
 # checks run by `verify` unless the scenario toggles them; the sphere-type
 # checks default on only when the dressed chain keeps |h| constant
@@ -72,6 +54,8 @@ BASE_CHECKS = ("reality", "darboux_egoroff", "lagrangian", "position_equation",
 SPHERICAL_CHECKS = ("sphere", "partial_invariance")
 
 REALITY_SAMPLE_SEED = 20260809
+
+SIGMA_INCOMPATIBLE = "history contains sigma-incompatible factors"
 
 
 class ParseError(DressingForgeError):
@@ -408,8 +392,7 @@ def _reality_check(frame, scenario, tol) -> VerificationReport:
     if frame.is_sigma_compatible:
         report.add("reality_sigma", max_abs(sigmas), tol, samples=scenario.reality_samples)
     else:
-        report.add("reality_sigma_skipped", 0.0, None,
-                   reason="history contains sigma-incompatible factors")
+        report.add("reality_sigma_skipped", 0.0, None, reason=SIGMA_INCOMPATIBLE)
     return report
 
 
@@ -441,12 +424,11 @@ def _pde_frame_check(frame, grid, lambdas, tol, path_tol, step) -> VerificationR
     return report
 
 
-def run_verification(scenario: Scenario, frame: ExtendedFrame,
-                     tol_scale: float = 1.0, step: float = 1e-2,
-                     metric=None) -> VerificationReport:
-    """Run the enabled checks on the dressed frame; ``metric`` is the frame's
-    metric on the scenario grid when the caller has already built it."""
-    tols = {k: v * tol_scale for k, v in scenario.tolerances.items()}
+def run_verification(scenario: Scenario, frame: ExtendedFrame, metric: EgoroffMetric,
+                     step: float) -> VerificationReport:
+    """Run the enabled checks on the dressed frame, its metric on the scenario
+    grid and the PDE cross-check's RK4 step, at the scenario's tolerances."""
+    tols = scenario.tolerances
     report = VerificationReport()
     checks = dict(scenario.checks)
     grid = scenario.grid
@@ -457,8 +439,6 @@ def run_verification(scenario: Scenario, frame: ExtendedFrame,
         if checks.get(name) is None:
             checks[name] = frame.is_partial_invariant
 
-    if metric is None:
-        metric = metric_from_frame(frame, grid)
     # one immersion sample per real lambda, shared by the checks that need it
     sample = functools.cache(lambda lam: sample_immersion(frame, grid, lam))
     real_lams = [lam.real for lam in scenario.lambdas if abs(lam.imag) <= 1e-14]
@@ -469,8 +449,7 @@ def run_verification(scenario: Scenario, frame: ExtendedFrame,
         if frame.is_sigma_compatible:
             report.add("metric_real", metric.imag_max, tols["metric_real"])
         else:
-            report.add("metric_real_skipped", metric.imag_max, None,
-                       reason="history contains sigma-incompatible factors")
+            report.add("metric_real_skipped", metric.imag_max, None, reason=SIGMA_INCOMPATIBLE)
     if checks.get("darboux_egoroff"):
         report.extend(check_darboux_egoroff(metric, tols["darboux_egoroff"]))
     if checks.get("lagrangian"):
@@ -511,8 +490,7 @@ def run_verification(scenario: Scenario, frame: ExtendedFrame,
             report.extend(limit_net(frame, grid, tols["lambda_zero"],
                                     tols["lambda_zero_derivative"])[1])
         else:
-            report.add("lambda_zero_skipped", 0.0, None,
-                       reason="history contains sigma-incompatible factors")
+            report.add("lambda_zero_skipped", 0.0, None, reason=SIGMA_INCOMPATIBLE)
     if checks.get("pde_frame"):
         report.extend(_pde_frame_check(frame, grid, scenario.lambdas,
                                        tols["pde_frame"], tols["path_independence"], step))
@@ -535,8 +513,7 @@ def _slice_points(grid: Grid, slice_axes, fixed) -> np.ndarray:
 def _write_csv(path, header: list, table: np.ndarray) -> int:
     """Write the header line and one line per row of the float table, every
     value at 17 significant digits; returns the row count."""
-    lines = [",".join(header)] + [",".join(map(_fmt, row)) for row in table.tolist()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
     return len(table)
 
 
@@ -646,9 +623,10 @@ def cmd_dress(scenario: Scenario, out_dir: Path, args) -> int:
     return 0
 
 
-def _verdict(scenario: Scenario, out_dir: Path, report: VerificationReport) -> int:
-    """Write and print the verification report; the exit code it implies."""
-    _write_report(report, out_dir, "report.json", _grid_meta(scenario))
+def _verdict(scenario: Scenario, out_dir: Path, report: VerificationReport, name: str) -> int:
+    """Write the verification report to ``name`` under ``out_dir`` and print
+    it; the exit code it implies, with the failing checks named on stderr."""
+    _write_report(report, out_dir, name, _grid_meta(scenario))
     print(report)
     if not report.passed:
         failing = ", ".join(c.name for c in report.failures())
@@ -659,8 +637,8 @@ def _verdict(scenario: Scenario, out_dir: Path, report: VerificationReport) -> i
 
 def cmd_verify(scenario: Scenario, out_dir: Path, args) -> int:
     frame = apply_chain(scenario)
-    report = run_verification(scenario, frame, tol_scale=args.tol_scale, step=args.step)
-    return _verdict(scenario, out_dir, report)
+    report = run_verification(scenario, frame, metric_from_frame(frame, scenario.grid), args.step)
+    return _verdict(scenario, out_dir, report, "report.json")
 
 
 def cmd_export(scenario: Scenario, out_dir: Path, args,
@@ -695,21 +673,14 @@ def cmd_sweep(scenario: Scenario, out_dir: Path, args) -> int:
 
 
 def cmd_permute_check(scenario: Scenario, out_dir: Path, args) -> int:
-    one_pole = [factor for kind, factor in scenario.chain
-                if kind in ("real_one_pole", "spherical", "one_pole")]
+    one_pole = [factor for _, factor in scenario.chain if isinstance(factor, TwoPointFactor)]
     if len(one_pole) < 2:
         raise ValidationError("permute-check: scenario chain needs at least two one-pole factors")
     f1, f2 = one_pole[:2]
-    frame = ExtendedFrame(scenario.seed)
-    tol = scenario.tolerances["permutability"] * args.tol_scale
-    f12, f21, report = dress_permuted(frame, f1.poles()[0], f1.projection,
-                                      f2.poles()[0], f2.projection, grid=scenario.grid,
-                                      tol=tol)
-    _write_report(report, out_dir, "permute_report.json", _grid_meta(scenario))
-    print("permutability discrepancy table:")
-    for c in report.checks:
-        print(f"  {c}")
-    return 0 if report.passed else 1
+    _, _, report = dress_permuted(ExtendedFrame(scenario.seed), f1.poles()[0], f1.projection,
+                                  f2.poles()[0], f2.projection, grid=scenario.grid,
+                                  tol=scenario.tolerances["permutability"])
+    return _verdict(scenario, out_dir, report, "permute_report.json")
 
 
 def cmd_run(scenario: Scenario, out_dir: Path, args) -> int:
@@ -719,9 +690,8 @@ def cmd_run(scenario: Scenario, out_dir: Path, args) -> int:
     export_metric_csv(metric, out_dir / "metric.csv")
     if scenario.export is not None:
         cmd_export(scenario, out_dir, args, frame)
-    report = run_verification(scenario, frame, tol_scale=args.tol_scale, step=args.step,
-                              metric=metric)
-    return _verdict(scenario, out_dir, report)
+    report = run_verification(scenario, frame, metric, args.step)
+    return _verdict(scenario, out_dir, report, "report.json")
 
 
 COMMANDS = {
@@ -767,6 +737,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         scenario = load_scenario(args.scenario)
+        # --tol-scale scales every tolerance here, once; the checks read them as they are
+        scale = getattr(args, "tol_scale", 1.0)
+        scenario.tolerances = {k: v * scale for k, v in scenario.tolerances.items()}
         out_dir = Path(args.out)
         # the scenario is read by now, so an OSError is a write under --out
         try:

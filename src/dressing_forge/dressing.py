@@ -76,7 +76,7 @@ from .linalg import (HermitianProjection, adjoint, matvec, max_abs,
 from .loops import (RealOnePoleFactor, TranslationFactor, TwoPointFactor,
                     TwoPoleFactor, check_pole_collisions, one_pole_factor,
                     permute_factors, two_pole_factor)
-from .report import VerificationReport
+from .report import DEFAULT_TOLERANCES, VerificationReport
 
 
 def _point_data(record, frame: ExtendedFrame, index: int, u):
@@ -441,7 +441,7 @@ _PERMUTE_LAMBDAS = (0.9, -1.4, 0.35 + 0.6j, -0.2 - 1.1j, 1.8 + 0.25j,
 
 def dress_permuted(frame: ExtendedFrame, z1: complex, pi1: HermitianProjection,
                    z2: complex, pi2: HermitianProjection,
-                   grid: Grid, tol: float = 1e-9):
+                   grid: Grid, tol: float = DEFAULT_TOLERANCES["permutability"]):
     """Apply the two factors in both orders with permuted projections and
     report the discrepancy on the grid, at every fixed lambda sample (one on
     a pole is evaluated like any other); the permutability identity makes

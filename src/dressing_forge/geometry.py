@@ -7,9 +7,9 @@ All finite differences in u are 2nd-order central in the interior with
 refinement-ratio tests have a uniform bookkeeping; dE/dlambda at lambda = 0
 (``frame_dlambda_at_zero``) is a Richardson-extrapolated central difference.
 Checks never hard-code tolerances: each takes them as arguments whose
-defaults are the documented ones.  Every check reports its residuals; a
-residual over its tolerance fails in the report (the limit net's imaginary
-part too) and is never raised.
+defaults are the documented ones, read from ``report.DEFAULT_TOLERANCES``.
+Every check reports its residuals; a residual over its tolerance fails in
+the report (the limit net's imaginary part too) and is never raised.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ChartSingularError
 from .linalg import adjoint, matvec, max_abs
-from .report import VerificationReport
+from .report import DEFAULT_TOLERANCES, VerificationReport
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,7 +146,8 @@ def sphere_center(c: np.ndarray, lam: float) -> np.ndarray:
     return 1j * np.asarray(c) / lam
 
 
-def check_darboux_egoroff(metric: EgoroffMetric, tol: float = 1e-4) -> VerificationReport:
+def check_darboux_egoroff(metric: EgoroffMetric,
+                          tol: float = DEFAULT_TOLERANCES["darboux_egoroff"]) -> VerificationReport:
     """Finite-difference residuals of the flatness equations for beta.
 
     Family "triple": d(beta_ij)/du_k = beta_ik beta_kj for distinct i, j, k.
@@ -178,8 +179,10 @@ def check_darboux_egoroff(metric: EgoroffMetric, tol: float = 1e-4) -> Verificat
     return report
 
 
-def check_lagrangian(sample: ImmersionSample, h: np.ndarray, tol: float = 1e-10,
-                     metric_tol: float = 1e-10) -> VerificationReport:
+def check_lagrangian(sample: ImmersionSample, h: np.ndarray,
+                     tol: float = DEFAULT_TOLERANCES["lagrangian"],
+                     metric_tol: float = DEFAULT_TOLERANCES["lagrangian_metric"]
+                     ) -> VerificationReport:
     """Symplectic-form and induced-metric residuals from exact tangents.
 
     Tangents are h_i(u) E(u, lam) e_i, with E the sample's frame block and h
@@ -203,7 +206,8 @@ def check_lagrangian(sample: ImmersionSample, h: np.ndarray, tol: float = 1e-10,
     return report
 
 
-def check_sphere(sample: ImmersionSample, c: np.ndarray, tol: float = 1e-9) -> VerificationReport:
+def check_sphere(sample: ImmersionSample, c: np.ndarray,
+                 tol: float = DEFAULT_TOLERANCES["sphere"]) -> VerificationReport:
     """Deviation of |X - i c / lam| from |c| / |lam| over the grid."""
     lam = sample.lam
     if abs(lam.imag) > 1e-14 or lam == 0:
@@ -218,8 +222,10 @@ def check_sphere(sample: ImmersionSample, c: np.ndarray, tol: float = 1e-9) -> V
     return report
 
 
-def check_partial_invariance(metric: EgoroffMetric, fd_tol: float = 5e-3,
-                             norm_tol: float = 1e-10) -> VerificationReport:
+def check_partial_invariance(metric: EgoroffMetric,
+                             fd_tol: float = DEFAULT_TOLERANCES["partial_invariance"],
+                             norm_tol: float = DEFAULT_TOLERANCES["norm_constancy"]
+                             ) -> VerificationReport:
     """Residuals of the three equivalent invariance conditions for h plus the
     constancy spread of |h|^2.
 
@@ -256,8 +262,8 @@ def check_partial_invariance(metric: EgoroffMetric, fd_tol: float = 5e-3,
     return report
 
 
-def limit_net(frame, grid: Grid, tol: float = 1e-10,
-              cross_check_tol: float = 1e-7):
+def limit_net(frame, grid: Grid, tol: float = DEFAULT_TOLERANCES["lambda_zero"],
+              cross_check_tol: float = DEFAULT_TOLERANCES["lambda_zero_derivative"]):
     """Real net samples X(u, 0) on the grid, with a report.
 
     The report's ``limit_net_imag`` entry is the largest |Im X(u, 0)|; above

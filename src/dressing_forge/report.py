@@ -1,8 +1,28 @@
-"""Verification reports: named max-norm residuals with pass/fail verdicts."""
+"""Verification reports: named max-norm residuals with pass/fail verdicts,
+and the documented default of every tolerance they are judged by."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
+
+# The one table of default tolerances, a line per check: a scenario overrides
+# them by name under ``checks.tolerances``, and each check's signature
+# defaults read the ones it takes.
+DEFAULT_TOLERANCES = MappingProxyType({
+    "reality": 1e-10,
+    "darboux_egoroff": 1e-4,
+    "lagrangian": 1e-10, "lagrangian_metric": 1e-10,
+    "sphere": 1e-9,
+    "partial_invariance": 5e-3, "norm_constancy": 1e-10,
+    # finite-difference residual, O(grid spacing^2): tighten for fine grids
+    "position_equation": 2e-2,
+    "potential": 1e-6,
+    "metric_real": 1e-9,
+    "lambda_zero": 1e-10, "lambda_zero_derivative": 1e-7,
+    "pde_frame": 1e-6, "path_independence": 1e-6,
+    "permutability": 1e-9,
+})
 
 
 @dataclass

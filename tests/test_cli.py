@@ -1,4 +1,5 @@
 import copy
+import inspect
 import io
 import json
 import os
@@ -13,15 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dressing_forge import (ExtendedFrame, Grid, VacuumSeed, cli,
-                            dress_extended, dress_real, dress_spherical,
-                            dress_translation, dress_two_pole, frames, max_abs,
-                            metric_from_frame, potential_on_grid,
+from dressing_forge import (ExtendedFrame, Grid, VacuumSeed, cli, dress_extended,
+                            dress_permuted, dress_real, dress_spherical,
+                            dress_translation, dress_two_pole, frames, geometry,
+                            max_abs, metric_from_frame, potential_on_grid,
                             project_onto_span)
 from dressing_forge.cli import (DEFAULT_TOLERANCES, REALITY_SAMPLE_SEED,
                                 ValidationError, _reality_check, apply_chain,
                                 export_metric_csv, load_scenario, main,
                                 validate_scenario)
+from dressing_forge.report import DEFAULT_TOLERANCES as SHARED_TOLERANCES
 from dressing_forge.report import VerificationReport
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -289,6 +291,73 @@ def test_tol_scale_rescues_tight_tolerance(tmp_path):
     path = write_scenario(tmp_path, raw)
     assert run_cli("verify", path, tmp_path / "out") == 1
     assert run_cli("verify", path, tmp_path / "out2", "--tol-scale", "1e8") == 0
+
+
+VERDICT_RUNS = {"verify": ("one_soliton", "report.json"),
+                "run": ("one_soliton", "report.json"),
+                "permute-check": ("permute_pair", "permute_report.json")}
+
+
+@pytest.mark.parametrize("scale, code", [("1", 0), ("1e-9", 1)], ids=["pass", "fail"])
+@pytest.mark.parametrize("command", list(VERDICT_RUNS))
+def test_verdict_names_every_failing_check_on_stderr(tmp_path, capsys, command, scale, code):
+    """Every command that judges a report exits 1 on a failing check and
+    names each failing entry of the report on stderr, and leaves stderr
+    empty when every check passes."""
+    name, report_name = VERDICT_RUNS[command]
+    out = tmp_path / "out"
+    assert run_cli(command, str(SCENARIOS / f"{name}.json"), out, "--tol-scale", scale) == code
+    checks = json.loads((out / report_name).read_text())["checks"]
+    failing = [c["name"] for c in checks if c["passed"] is False]
+    assert bool(failing) == bool(code)
+    err = capsys.readouterr().err
+    assert err == (f"FAILED checks: {', '.join(failing)}\n" if failing else "")
+
+
+@pytest.mark.parametrize("command, name, report_name", [
+    ("verify", "spherical_soliton", "report.json"),
+    ("verify", "breather_chain", "report.json"),
+    ("permute-check", "permute_pair", "permute_report.json"),
+])
+def test_tol_scale_multiplies_every_written_tolerance(tmp_path, command, name, report_name):
+    """--tol-scale K writes every tolerance as exactly K times the one
+    written without it, informational entries stay without one, and the
+    residuals do not move."""
+    scale = 2.5
+    path = str(SCENARIOS / f"{name}.json")
+    run_cli(command, path, tmp_path / "one")
+    run_cli(command, path, tmp_path / "scaled", "--tol-scale", str(scale))
+    one, scaled = (json.loads((tmp_path / d / report_name).read_text())["checks"]
+                   for d in ("one", "scaled"))
+    assert [c["name"] for c in one] == [c["name"] for c in scaled]
+    assert any(c["tolerance"] is not None for c in one)
+    for a, b in zip(one, scaled):
+        assert b["residual"] == a["residual"]
+        assert b["tolerance"] == (None if a["tolerance"] is None else a["tolerance"] * scale)
+
+
+SIGNATURE_TOLERANCES = {
+    geometry.check_darboux_egoroff: {"tol": "darboux_egoroff"},
+    geometry.check_lagrangian: {"tol": "lagrangian", "metric_tol": "lagrangian_metric"},
+    geometry.check_sphere: {"tol": "sphere"},
+    geometry.check_partial_invariance: {"fd_tol": "partial_invariance",
+                                        "norm_tol": "norm_constancy"},
+    geometry.limit_net: {"tol": "lambda_zero", "cross_check_tol": "lambda_zero_derivative"},
+    dress_permuted: {"tol": "permutability"},
+}
+
+
+@pytest.mark.parametrize("fn", list(SIGNATURE_TOLERANCES), ids=lambda fn: fn.__name__)
+def test_check_signature_defaults_are_the_shared_table(fn):
+    """Each check's tolerance parameters default to the shared table's own
+    entries (the same objects, so a default written out as a number fails),
+    and the CLI reads that same table."""
+    assert DEFAULT_TOLERANCES is SHARED_TOLERANCES
+    names = SIGNATURE_TOLERANCES[fn]
+    params = inspect.signature(fn).parameters
+    assert {p for p in params if p.endswith("tol")} == set(names)
+    for param, name in names.items():
+        assert params[param].default is SHARED_TOLERANCES[name]
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -722,7 +791,9 @@ def test_run_verification_under_errstate_fails_overflowing_checks():
     raw["seed"] = {"type": "constant", "radii": [1e154, 1.0]}
     scenario = validate_scenario(raw)
     with np.errstate(over="ignore", invalid="ignore"):
-        report = cli.run_verification(scenario, apply_chain(scenario))
+        frame = apply_chain(scenario)
+        report = cli.run_verification(scenario, frame, metric_from_frame(frame, scenario.grid),
+                                      1e-2)
     assert not report.passed
     assert {c.name for c in report.checks if np.isnan(c.residual)} == {
         "lam=1/lagrangian_symplectic", "lam=1/lagrangian_metric",
