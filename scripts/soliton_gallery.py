@@ -50,7 +50,7 @@ def main(argv=None):
         rows = export_metric_csv(metric, out / f"{name}_metric.csv")
         verts = export_immersion_obj(frame, grid, args.lam, (0, 1), {}, (0, 1),
                                      out / f"{name}.obj")
-        status = "ok" if metric.h_positive else "left immersion chart"
+        status = "ok" if np.all(metric.h.real > 0) else "left immersion chart"
         print(f"{name:20s} lam={args.lam:g}: {verts} vertices, {rows} metric rows "
               f"(h > 0: {status}, max |Im| {metric.imag_max:.1e})")
 

@@ -37,13 +37,13 @@ from .frames import (ExtendedFrame, PolynomialProfile, SampledProfile,
                      VacuumSeed, metric_from_frame, potential_on_grid)
 from .geometry import (EgoroffMetric, Grid, axis_gradient, check_darboux_egoroff,
                        check_lagrangian, check_partial_invariance,
-                       check_sphere, limit_net, sample_immersion)
+                       check_sphere, is_real_lambda, limit_net, sample_immersion)
 from .linalg import max_abs, project_onto_span
 from .loops import (RealOnePoleFactor, TranslationFactor, TwoPointFactor,
                     check_pole_collisions, one_pole_factor, random_lambda_samples,
                     two_pole_factor)
 from .oracle import PathSpec, integrate_frame
-from .report import DEFAULT_TOLERANCES, VerificationReport
+from .report import DEFAULT_TOLERANCES, CheckResult, VerificationReport
 
 SCHEMA_VERSION = 1
 
@@ -441,7 +441,7 @@ def run_verification(scenario: Scenario, frame: ExtendedFrame, metric: EgoroffMe
 
     # one immersion sample per real lambda, shared by the checks that need it
     sample = functools.cache(lambda lam: sample_immersion(frame, grid, lam))
-    real_lams = [lam.real for lam in scenario.lambdas if abs(lam.imag) <= 1e-14]
+    real_lams = [lam.real for lam in scenario.lambdas if is_real_lambda(lam)]
 
     if checks.get("reality"):
         report.extend(_reality_check(frame, scenario, tols["reality"]))
@@ -462,9 +462,10 @@ def run_verification(scenario: Scenario, frame: ExtendedFrame, metric: EgoroffMe
                        "(rule: the Lagrangian check runs at each real lambda)")
     if checks.get("sphere"):
         sphere_lams = [lam for lam in real_lams if lam != 0]
+        # h at the origin fixes the sphere; only this check reads it
+        h0 = frame.h(np.zeros(grid.n)).real if sphere_lams else None
         for lam in sphere_lams:
-            report.extend(check_sphere(sample(lam), metric.c.real, tols["sphere"]),
-                          prefix=f"lam={lam:g}/")
+            report.extend(check_sphere(sample(lam), h0, tols["sphere"]), prefix=f"lam={lam:g}/")
         if not sphere_lams:
             report.add("sphere_skipped", 0.0, None, reason="no real nonzero lambda in lambdas "
                        "(rule: the sphere check runs at each real lambda other than 0)")
@@ -616,9 +617,11 @@ def cmd_dress(scenario: Scenario, out_dir: Path, args) -> int:
     metric = metric_from_frame(frame, scenario.grid)
     count = export_metric_csv(metric, out_dir / "metric.csv")
     print(f"dressed metric written: {count} rows -> {out_dir / 'metric.csv'}")
-    print(f"chain length {len(scenario.chain)}; metric real: {metric.is_real} "
-          f"(max imag {metric.imag_max:.2e}); h positive: {metric.h_positive}")
-    if not metric.h_positive and metric.is_real:
+    real = CheckResult("metric_real", metric.imag_max, scenario.tolerances["metric_real"]).passed
+    h_positive = real and bool(np.all(metric.h.real > 0))
+    print(f"chain length {len(scenario.chain)}; metric real: {real} "
+          f"(max imag {metric.imag_max:.2e}); h positive: {h_positive}")
+    if real and not h_positive:
         print("warning: h <= 0 somewhere on the grid (left the immersion chart)")
     return 0
 
@@ -733,6 +736,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one errstate over loading and the command: validation evaluates factors too
+@np.errstate(over="ignore", invalid="ignore")
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -744,8 +749,7 @@ def main(argv=None) -> int:
         # the scenario is read by now, so an OSError is a write under --out
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
-            with np.errstate(over="ignore", invalid="ignore"):
-                return COMMANDS[args.command](scenario, out_dir, args)
+            return COMMANDS[args.command](scenario, out_dir, args)
         except OSError as exc:
             raise ParseError(f"--out {args.out}: cannot write {exc.filename}: "
                              f"{exc.strerror}") from exc

@@ -502,12 +502,6 @@ class SphericalFamily:
         dE = frame_dlambda_at_zero(self.E_fn, u)
         return (-1j * matvec(dE, self.h(u).astype(complex))).real
 
-    def radius(self, lam: float) -> float:
-        return float(np.linalg.norm(self.c)) / abs(lam)
-
-    def center(self, lam: float) -> np.ndarray:
-        return 1j * self.c / lam
-
 
 def dress_spherical_family(frame: ExtendedFrame, factor: TwoPointFactor | TwoPoleFactor,
                            c_tilde) -> SphericalFamily:

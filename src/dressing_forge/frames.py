@@ -747,11 +747,7 @@ def potential_on_grid(frame: ExtendedFrame, grid: Grid, axis_order=None) -> np.n
 def metric_from_frame(frame: ExtendedFrame, grid: Grid) -> EgoroffMetric:
     """Sample h, beta and the potential from the closed-form accumulated
     updates.  A chain with a record that has no closed potential update gets
-    its potential integrated along staircase paths instead.
-
-    Nonpositive h on the grid marks the metric (``h_positive=False``): the
-    immersion chart has been left.
-    """
+    its potential integrated along staircase paths instead."""
     pts = grid.points()
     h = frame.h(pts)
     beta = frame.beta(pts)
@@ -760,12 +756,6 @@ def metric_from_frame(frame: ExtendedFrame, grid: Grid) -> EgoroffMetric:
         phi = frame.phi(pts).astype(complex)
     else:
         phi = potential_on_grid(frame, grid)
-
-    imag_max = max(max_abs(h.imag), max_abs(beta.imag))
-    is_real = imag_max < 1e-9
-    h_positive = bool(np.all(h.real > 0)) if is_real else False
-
-    c = frame.h(np.zeros(grid.n))
-    return EgoroffMetric(grid=grid, h=h, phi=phi, beta=beta, c=c,
-                         is_real=is_real, h_positive=h_positive,
-                         imag_max=imag_max, phi_is_closed=closed)
+    return EgoroffMetric(grid=grid, h=h, phi=phi, beta=beta,
+                         imag_max=max(max_abs(h.imag), max_abs(beta.imag)),
+                         phi_is_closed=closed)

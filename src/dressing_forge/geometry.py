@@ -99,17 +99,13 @@ class EgoroffMetric:
     """Grid samples of a diagonal potential metric: coefficient vector h,
     potential phi (zero at the origin), rotation coefficients beta.  phi is
     the closed form when the chain has one (``phi_is_closed``), else it is
-    path-integrated.  Arrays are complex; ``is_real`` records whether the
-    imaginary parts of h and beta are negligible (sigma-compatible dressing
-    chains)."""
+    path-integrated.  Arrays are complex and ``imag_max`` is the largest
+    imaginary part of h and beta; the checks, not the metric, judge them."""
 
     grid: Grid
     h: np.ndarray          # (*shape, n)
     phi: np.ndarray        # (*shape,)
     beta: np.ndarray       # (*shape, n, n)
-    c: np.ndarray          # h at u = 0
-    is_real: bool
-    h_positive: bool
     imag_max: float
     phi_is_closed: bool = False
 
@@ -127,17 +123,30 @@ class EgoroffMetric:
 @dataclass(eq=False)
 class ImmersionSample:
     """One member of the associated family sampled on a grid, with the frame
-    block E it came from when it was sampled from a frame."""
+    block E it came from."""
 
     lam: complex
     grid: Grid
     X: np.ndarray  # (*shape, n) complex
-    E: np.ndarray | None = None  # (*shape, n, n) complex
+    E: np.ndarray  # (*shape, n, n) complex
 
 
 def sample_immersion(frame, grid: Grid, lam: complex) -> ImmersionSample:
     E, X = frame.evaluate(grid.points(), lam)
     return ImmersionSample(complex(lam), grid, X, E)
+
+
+def is_real_lambda(lam: complex) -> bool:
+    """The real-lambda rule: only there is the family member Lagrangian, and
+    spherical when lam is also nonzero."""
+    return abs(lam.imag) <= 1e-14
+
+
+def _real_nonzero(lam: complex, what: str) -> float:
+    """lam as a float; ValueError naming ``what`` unless it is real and nonzero."""
+    if not is_real_lambda(lam) or lam == 0:
+        raise ValueError(f"{what} needs real nonzero lambda")
+    return lam.real
 
 
 def sphere_center(c: np.ndarray, lam: float) -> np.ndarray:
@@ -194,7 +203,7 @@ def check_lagrangian(sample: ImmersionSample, h: np.ndarray,
     """
     report = VerificationReport()
     lam = sample.lam
-    if abs(lam.imag) > 1e-14:
+    if not is_real_lambda(lam):
         report.add("lagrangian_skipped_nonreal_lambda", 0.0, None, lam=str(lam))
         return report
     T = sample.E * h[..., None, :]  # column i = tangent along u_i
@@ -209,10 +218,7 @@ def check_lagrangian(sample: ImmersionSample, h: np.ndarray,
 def check_sphere(sample: ImmersionSample, c: np.ndarray,
                  tol: float = DEFAULT_TOLERANCES["sphere"]) -> VerificationReport:
     """Deviation of |X - i c / lam| from |c| / |lam| over the grid."""
-    lam = sample.lam
-    if abs(lam.imag) > 1e-14 or lam == 0:
-        raise ValueError("sphere check needs real nonzero lambda")
-    lam = lam.real
+    lam = _real_nonzero(sample.lam, "sphere check")
     center = sphere_center(c, lam)
     radius = float(np.linalg.norm(c)) / abs(lam)
     dist = np.linalg.norm(sample.X - center, axis=-1)
@@ -296,10 +302,7 @@ def hopf_project(sample: ImmersionSample, c: np.ndarray, chart: int) -> np.ndarr
     is -i/lam E h); the returned array holds Y_j / Y_chart for j != chart.
     Raises ChartSingularError where |Y_chart| <= 1e-8.
     """
-    lam = sample.lam
-    if abs(lam.imag) > 1e-14 or lam == 0:
-        raise ValueError("Hopf projection needs real nonzero lambda")
-    Y = sample.X - sphere_center(c, lam.real)
+    Y = sample.X - sphere_center(c, _real_nonzero(sample.lam, "Hopf projection"))
     pivot = Y[..., chart]
     small = np.abs(pivot) <= 1e-8
     if np.any(small):

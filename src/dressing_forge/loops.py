@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import AtPoleError, PoleCollisionError
 from .linalg import HermitianProjection, adjoint, max_abs, project_onto_span
-from .report import VerificationReport
+from .report import DEFAULT_TOLERANCES, VerificationReport
 
 # A factor's own g(lambda) refuses within pole_tol of its pole (scale-aware);
 # a dressed frame evaluates at any finite lambda, a pole included.
@@ -217,7 +217,8 @@ def invert_factor(factor: TwoPointFactor) -> TwoPointFactor:
     return TwoPointFactor(factor.alpha2, factor.alpha1, factor.projection)
 
 
-def check_reality(factor: LoopFactor, lam_samples) -> VerificationReport:
+def check_reality(factor: LoopFactor, lam_samples,
+                  tol: float = DEFAULT_TOLERANCES["reality"]) -> VerificationReport:
     """Residuals of the two loop-group reality conditions over sample points.
 
     tau:   max |g(conj(lambda))* g(lambda) - I|
@@ -240,8 +241,8 @@ def check_reality(factor: LoopFactor, lam_samples) -> VerificationReport:
         else:
             sigma = max(sigma, max_abs(factor(-lam).T @ a - np.eye(n)))
     report = VerificationReport()
-    report.add("tau_reality", tau, 1e-10 if factor.is_tau_real else None)
-    report.add("sigma_reality", sigma, 1e-10 if factor.is_sigma_compatible else None,
+    report.add("tau_reality", tau, tol if factor.is_tau_real else None)
+    report.add("sigma_reality", sigma, tol if factor.is_sigma_compatible else None,
                **({"sense": "(n+1)-block conjugation symmetry"} if translation else {}))
     return report
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dressing_forge import (ExtendedFrame, Grid, VacuumSeed, cli, dress_extended,
-                            dress_permuted, dress_real, dress_spherical,
+                            check_reality, dress_permuted, dress_real, dress_spherical,
                             dress_translation, dress_two_pole, frames, geometry,
                             max_abs, metric_from_frame, potential_on_grid,
                             project_onto_span)
@@ -161,8 +161,6 @@ REAL_ONE_POLE = {"type": "real_one_pole", "alpha": 0.6, "span": [[[1.0, 0.0]], [
     {"grid": [[-0.5, 1e300, 7], [-0.5, 0.5, 7]], "chain": [REAL_ONE_POLE]},
     {"chain": [dict(REAL_ONE_POLE, alpha=1e300)]},
 ], ids=["grid-bound", "alpha"])
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 def test_finite_numbers_that_overflow_exit_3(tmp_path, capsys, overrides):
     """Numbers that pass validation but overflow the frame evaluation end
     in the error exit, not in a traceback."""
@@ -236,6 +234,41 @@ def test_chain_without_closed_potential_overflows_without_a_warning(tmp_path, ca
         assert run_cli(command, path, tmp_path / command) == 0, command
     rows = (tmp_path / "dress" / "metric.csv").read_text().splitlines()[1:]
     assert any("nan" in row or "inf" in row for row in rows)
+
+
+def test_overflowing_pole_exits_3_under_warnings_as_errors(tmp_path):
+    """A two-pole z whose real part is 1e308 overflows while the scenario is
+    validated: with every warning an error, verify still ends in the
+    validation exit, with no traceback."""
+    raw = json.loads((SCENARIOS / "breather_chain.json").read_text())
+    raw["chain"][1]["z"] = [1e308, 0.8]
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "dressing_forge.cli", "verify",
+                           "--scenario", write_scenario(tmp_path, raw),
+                           "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 3
+    assert "Traceback" not in done.stderr
+    assert "validation error: chain[1]: matrix entries must be finite" in done.stderr
+
+
+@pytest.mark.parametrize("tolerance", [None, 1e-20], ids=["default", "1e-20"])
+def test_dress_metric_real_is_the_metric_real_verdict(tmp_path, capsys, tolerance):
+    """dress prints "metric real" as verify judges metric_real, at the
+    default tolerance and at one below breather_chain's 3e-16."""
+    raw = json.loads((SCENARIOS / "breather_chain.json").read_text())
+    if tolerance is not None:
+        raw["checks"]["tolerances"]["metric_real"] = tolerance
+    path = write_scenario(tmp_path, raw)
+    run_cli("verify", path, tmp_path / "verify")
+    report = json.loads((tmp_path / "verify" / "report.json").read_text())
+    verdict = next(c["passed"] for c in report["checks"] if c["name"] == "metric_real")
+    capsys.readouterr()
+    assert run_cli("dress", path, tmp_path / "dress") == 0
+    assert f"metric real: {verdict} " in capsys.readouterr().out
+    assert verdict is (tolerance is None)
 
 
 def test_lambda_zero_failure_is_a_failing_check(tmp_path, capsys):
@@ -344,6 +377,7 @@ SIGNATURE_TOLERANCES = {
                                         "norm_tol": "norm_constancy"},
     geometry.limit_net: {"tol": "lambda_zero", "cross_check_tol": "lambda_zero_derivative"},
     dress_permuted: {"tol": "permutability"},
+    check_reality: {"tol": "reality"},
 }
 
 

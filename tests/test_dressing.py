@@ -15,7 +15,8 @@ from dressing_forge import (ExtendedFrame, Grid, HermitianProjection,
                             dress_two_pole, max_abs, metric_from_frame,
                             potential_on_grid, project_onto_span,
                             projection_distance, sample_immersion,
-                            one_pole_factor, solve_linear, two_pole_factor)
+                            one_pole_factor, solve_linear, sphere_center,
+                            two_pole_factor)
 from dressing_forge import dressing, frames
 
 
@@ -507,7 +508,7 @@ def test_spherical_family_dressed(torus_frame, pi_perp_torus, rng):
         assert abs(np.linalg.norm(h) - np.linalg.norm(c)) < 1e-10
         lam = rng.choice([0.7, -1.3, 2.1])
         X = family.X(u, lam)
-        assert abs(np.linalg.norm(X - family.center(lam)) - family.radius(lam)) < 1e-10
+        assert abs(np.linalg.norm(X - sphere_center(c, lam)) - np.linalg.norm(c) / abs(lam)) < 1e-10
     net = family.net(np.array([0.3, -0.2]))
     assert np.all(np.isfinite(net))
 
@@ -545,13 +546,13 @@ def test_spherical_family_takes_any_sigma_compatible_one_pole(torus_frame, pi_pe
 def test_spherical_family_two_pole(torus_frame):
     z = 0.4 + 0.8j
     pi = project_onto_span(np.array([1.0, 0.5 - 0.25j]))
-    family = dress_spherical_family(torus_frame, two_pole_factor(z, pi),
-                                    np.array([1.0, 0.7]))
+    c = np.array([1.0, 0.7])
+    family = dress_spherical_family(torus_frame, two_pole_factor(z, pi), c)
     u = np.array([0.3, -0.4])
     h = family.h(u)
-    assert abs(np.linalg.norm(h) - np.linalg.norm([1.0, 0.7])) < 1e-10
+    assert abs(np.linalg.norm(h) - np.linalg.norm(c)) < 1e-10
     X = family.X(u, 1.2)
-    assert abs(np.linalg.norm(X - family.center(1.2)) - family.radius(1.2)) < 1e-10
+    assert abs(np.linalg.norm(X - sphere_center(c, 1.2)) - np.linalg.norm(c) / 1.2) < 1e-10
 
 
 def _real_and_two_pole(n):

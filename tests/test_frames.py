@@ -331,13 +331,21 @@ def test_frame_dlambda_at_zero(torus_frame, pi_perp_torus):
 def test_metric_from_frame_vacuum(torus_frame):
     grid = Grid.from_specs([(-0.5, 0.5, 7), (-0.5, 0.5, 7)])
     metric = metric_from_frame(torus_frame, grid)
-    assert metric.is_real and metric.h_positive
+    assert metric.imag_max == 0.0 and np.all(metric.h.real > 0)
     assert max_abs(metric.beta) == 0.0
     assert max_abs(metric.h.real - np.array([1.0, 0.7])) < 1e-14
     pts = grid.points()
     expected_phi = pts[..., 0] * 1.0 + pts[..., 1] * 0.49
     assert max_abs(potential_on_grid(torus_frame, grid) - expected_phi) < 1e-12
     assert max_abs(metric.phi - expected_phi) < 1e-12
+
+
+def test_metric_from_frame_sweeps_only_the_grid(torus_frame, pi_diag):
+    """Sampling the metric of a chain with a closed potential takes the pole
+    data of one point set, the grid's: nothing else is evaluated."""
+    frame = dress_real(torus_frame, 0.6, pi_diag)
+    metric_from_frame(frame, Grid.from_specs([(-0.4, 0.4, 5)] * 2))
+    assert len(frame._memo) == 1
 
 
 def test_metric_sampled_seed_potential():
