@@ -217,8 +217,7 @@ def invert_factor(factor: TwoPointFactor) -> TwoPointFactor:
     return TwoPointFactor(factor.alpha2, factor.alpha1, factor.projection)
 
 
-def check_reality(factor: LoopFactor, lam_samples,
-                  tol: float = DEFAULT_TOLERANCES["reality"]) -> VerificationReport:
+def check_reality(factor: LoopFactor, lam_samples) -> VerificationReport:
     """Residuals of the two loop-group reality conditions over sample points.
 
     tau:   max |g(conj(lambda))* g(lambda) - I|
@@ -240,6 +239,7 @@ def check_reality(factor: LoopFactor, lam_samples,
             sigma = max(sigma, max_abs(factor(-lam) - a_conj.conj()))
         else:
             sigma = max(sigma, max_abs(factor(-lam).T @ a - np.eye(n)))
+    tol = DEFAULT_TOLERANCES["reality"]
     report = VerificationReport()
     report.add("tau_reality", tau, tol if factor.is_tau_real else None)
     report.add("sigma_reality", sigma, tol if factor.is_sigma_compatible else None,
