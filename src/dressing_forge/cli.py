@@ -4,16 +4,16 @@ chain, run the verification suite, export geometry and reports.
 Scenario files are JSON with ``schema_version`` 1.  Complex numbers are
 [re, im] pairs; matrices are row-major arrays of such pairs.  Every tolerance
 used by ``verify`` comes from the scenario (``checks.tolerances``) with the
-documented defaults of ``report.DEFAULT_TOLERANCES``.  Every command takes
-``--scenario`` and ``--out``; ``verify`` and ``run`` add ``--step`` (the PDE
-cross-check's RK4 step) and ``--tol-scale`` (multiplies every tolerance),
-``permute-check`` adds ``--tol-scale``.  Runs are deterministic: repeated
-runs on the same scenario produce byte-identical exports.  A value that
-overflows is carried as inf or NaN, without a numpy warning, and fails the
-check that reads it.
+documented defaults of ``report.DEFAULT_TOLERANCES``; a key the schema does
+not name is a validation error.  Every command takes ``--scenario`` and
+``--out`` and nothing else: the scenario alone configures a run.  ``verify``
+runs every check that applies to the chain.  Runs are deterministic:
+repeated runs on the same scenario produce byte-identical exports.  A value
+that overflows is carried as inf or NaN, without a numpy warning, and fails
+the check that reads it.
 
-Exit codes: 0 all enabled checks pass; 1 check failure, the failing checks
-named on stderr; 2 parse error; 3 validation error.
+Exit codes: 0 all checks pass; 1 check failure, the failing checks named on
+stderr; 2 parse error; 3 validation error.
 """
 
 from __future__ import annotations
@@ -47,11 +47,24 @@ from .report import DEFAULT_TOLERANCES, CheckResult, VerificationReport
 
 SCHEMA_VERSION = 1
 
-# checks run by `verify` unless the scenario toggles them; the sphere-type
-# checks default on only when the dressed chain keeps |h| constant
-BASE_CHECKS = ("reality", "darboux_egoroff", "lagrangian", "position_equation",
-               "potential", "metric_real", "lambda_zero", "pde_frame")
-SPHERICAL_CHECKS = ("sphere", "partial_invariance")
+# the keys of each scenario object; a seed's and a chain entry's follow its type
+TOP_KEYS = ("schema_version", "n", "seed", "grid", "lambdas", "chain", "checks",
+            "export", "reality_samples")
+SEED_KEYS = {"constant": ("type", "radii"), "polynomial": ("type", "profiles"),
+             "sampled": ("type", "profiles")}
+ENTRY_KEYS = {"real_one_pole": ("type", "alpha", "span"), "spherical": ("type", "alpha", "span"),
+              "one_pole": ("type", "z", "span"), "two_pole": ("type", "z", "span"),
+              "translation": ("type", "alpha", "b")}
+# settings an older scenario may carry, and why each is gone
+REMOVED_KEYS = {
+    **{f"checks.{name}": "every check runs where it applies" for name in (
+        "reality", "darboux_egoroff", "lagrangian", "sphere", "partial_invariance",
+        "position_equation", "potential", "metric_real", "lambda_zero", "pde_frame")},
+    **{f"export.{name}": "the export is the (u1, u2) slice through the origin"
+       for name in ("slice_axes", "fixed", "obj_components")}}
+
+# the RK4 step of the PDE cross-check
+PDE_STEP = 1e-2
 
 REALITY_SAMPLE_SEED = 20260809
 
@@ -73,7 +86,6 @@ class Scenario:
     grid: Grid
     lambdas: list
     chain: list
-    checks: dict
     tolerances: dict
     export: dict | None
     reality_samples: int
@@ -98,17 +110,25 @@ def _complex_pair(value, rule: str) -> complex:
 
 
 def _complex_matrix(rows, rule: str) -> np.ndarray:
-    if not isinstance(rows, list) or not rows:
+    if not isinstance(rows, list) or not rows or not all(isinstance(r, list) and r for r in rows):
         raise ValidationError(f"{rule}: expected a row-major matrix of [re, im] pairs")
-    out = []
-    for row in rows:
-        if not isinstance(row, list) or not row:
-            raise ValidationError(f"{rule}: expected a row-major matrix of [re, im] pairs")
-        out.append([_complex_pair(x, rule) for x in row])
-    width = {len(r) for r in out}
-    if len(width) != 1:
+    out = [[_complex_pair(x, rule) for x in row] for row in rows]
+    if len({len(r) for r in out}) != 1:
         raise ValidationError(f"{rule}: ragged matrix rows")
     return np.array(out, dtype=complex)
+
+
+def _known_keys(spec: dict, where: str, allowed) -> None:
+    """Refuse the first key of the scenario object ``spec``, named ``where``
+    ("" at the top level), that is not in ``allowed``: a misspelled or
+    removed setting is not silently ignored."""
+    for key in spec:
+        if key not in allowed:
+            name = f"{where}.{key}" if where else key
+            if name in REMOVED_KEYS:
+                raise ValidationError(f"{name}: this setting is gone ({REMOVED_KEYS[name]})")
+            raise ValidationError(f"{name}: unknown key (rule: the keys here are "
+                                  f"{', '.join(allowed)})")
 
 
 def parse_scenario(path) -> dict:
@@ -129,38 +149,38 @@ def _build_seed(n: int, spec) -> VacuumSeed:
     if not isinstance(spec, dict) or "type" not in spec:
         raise ValidationError("seed: must be an object with a 'type' field")
     kind = spec["type"]
+    if not isinstance(kind, str) or kind not in SEED_KEYS:
+        raise ValidationError(f"seed.type: unknown seed type {kind!r}")
+    _known_keys(spec, "seed", SEED_KEYS[kind])
     if kind == "constant":
         radii = spec.get("radii")
-        if not isinstance(radii, list) or len(radii) != n:
-            raise ValidationError(f"seed.radii: need {n} positive radii")
-        if any(not _is_number(r) or r <= 0 for r in radii):
-            raise ValidationError("seed.radii: radii must be positive numbers")
+        if not isinstance(radii, list) or len(radii) != n or not all(map(_is_number, radii)):
+            raise ValidationError(f"seed.radii: got {radii!r} (rule: {n} radii, finite numbers)")
         try:
             return VacuumSeed.constant(radii)
         except ValueError as exc:
             raise ValidationError(f"seed.radii: {exc}") from exc
-    if kind in ("polynomial", "sampled"):
-        profs = spec.get("profiles")
-        if not isinstance(profs, list) or len(profs) != n:
-            raise ValidationError(f"seed.profiles: need {n} per-axis profiles")
-        profile, names = ((PolynomialProfile, ("coeffs", "domain")) if kind == "polynomial"
-                          else (SampledProfile, ("knots", "values")))
-        built = []
-        for j, p in enumerate(profs):
-            where = f"seed.profiles[{j}]"
-            if not isinstance(p, dict):
-                raise ValidationError(f"{where}: must be an object with {' and '.join(names)}")
-            for name in names:
-                values = p.get(name)
-                if not isinstance(values, list) or not all(_is_number(v) for v in values):
-                    raise ValidationError(f"{where}.{name}: got {values!r} "
-                                          f"(rule: profile {name} is a list of finite numbers)")
-            try:
-                built.append(profile(*(tuple(p[name]) for name in names)))
-            except ValueError as exc:
-                raise ValidationError(f"{where}: {exc}") from exc
-        return VacuumSeed(tuple(built))
-    raise ValidationError(f"seed.type: unknown seed type {kind!r}")
+    profs = spec.get("profiles")
+    if not isinstance(profs, list) or len(profs) != n:
+        raise ValidationError(f"seed.profiles: need {n} per-axis profiles")
+    profile, names = ((PolynomialProfile, ("coeffs", "domain")) if kind == "polynomial"
+                      else (SampledProfile, ("knots", "values")))
+    built = []
+    for j, p in enumerate(profs):
+        where = f"seed.profiles[{j}]"
+        if not isinstance(p, dict):
+            raise ValidationError(f"{where}: must be an object with {' and '.join(names)}")
+        _known_keys(p, where, names)
+        for name in names:
+            values = p.get(name)
+            if not isinstance(values, list) or not all(_is_number(v) for v in values):
+                raise ValidationError(f"{where}.{name}: got {values!r} "
+                                      f"(rule: profile {name} is a list of finite numbers)")
+        try:
+            built.append(profile(*(tuple(p[name]) for name in names)))
+        except ValueError as exc:
+            raise ValidationError(f"{where}: {exc}") from exc
+    return VacuumSeed(tuple(built))
 
 
 def _validate_chain(seed: VacuumSeed, chain_spec) -> list:
@@ -177,16 +197,18 @@ def _validate_chain(seed: VacuumSeed, chain_spec) -> list:
         if not isinstance(entry, dict) or "type" not in entry:
             raise ValidationError(f"{where}: each factor spec needs a 'type'")
         kind = entry["type"]
-        if kind not in ("real_one_pole", "spherical", "one_pole", "two_pole", "translation"):
+        if not isinstance(kind, str) or kind not in ENTRY_KEYS:
             raise ValidationError(f"{where}.type: unknown factor type {kind!r}")
+        keys = ENTRY_KEYS[kind]
+        _known_keys(entry, where, keys)
         if kind == "spherical" and not seed.is_spherical:
             raise ValidationError(f"{where}: a spherical entry needs a constant seed "
                                   "(rule: spherical dressing on a constant-profile seed)")
-        if kind in ("real_one_pole", "spherical", "translation"):
+        if "alpha" in keys:
             alpha = entry.get("alpha")
             if not _is_number(alpha):
                 raise ValidationError(f"{where}.alpha: got {alpha!r} (rule: alpha is a finite number)")
-        if kind == "translation":
+        if "b" in keys:
             b = entry.get("b")
             if not isinstance(b, list) or len(b) != n or not all(_is_number(x) for x in b):
                 raise ValidationError(f"{where}.b: must be a real vector of length {n}")
@@ -198,7 +220,7 @@ def _validate_chain(seed: VacuumSeed, chain_spec) -> list:
                 projection = project_onto_span(span)
             except RankDeficientError as exc:
                 raise ValidationError(f"{where}.span: {exc} (rule: projection well-formed)") from exc
-        if kind in ("one_pole", "two_pole"):
+        if "z" in keys:
             z = _complex_pair(entry.get("z"), f"{where}.z")
         try:
             if kind == "translation":
@@ -216,6 +238,7 @@ def _validate_chain(seed: VacuumSeed, chain_spec) -> list:
 
 
 def validate_scenario(raw: dict) -> Scenario:
+    _known_keys(raw, "", TOP_KEYS)
     version = raw.get("schema_version")
     if isinstance(version, bool) or version != SCHEMA_VERSION:
         raise ValidationError(f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
@@ -255,73 +278,34 @@ def validate_scenario(raw: dict) -> Scenario:
 
     checks_spec = raw.get("checks", {})
     if not isinstance(checks_spec, dict):
-        raise ValidationError("checks: must be an object of name -> bool toggles")
+        raise ValidationError("checks: must be an object holding tolerances")
+    _known_keys(checks_spec, "checks", ("tolerances",))
     tolerances = dict(DEFAULT_TOLERANCES)
     tol_spec = checks_spec.get("tolerances", {})
     if not isinstance(tol_spec, dict):
         raise ValidationError("checks.tolerances: must be an object of tolerance name -> "
                               "number (rule: tolerances by name)")
+    _known_keys(tol_spec, "checks.tolerances", DEFAULT_TOLERANCES)
     for k, v in tol_spec.items():
-        if k not in DEFAULT_TOLERANCES:
-            raise ValidationError(f"checks.tolerances.{k}: unknown tolerance name")
         if not _is_number(v) or v <= 0:
             raise ValidationError(f"checks.tolerances.{k}: got {v!r} "
                                   "(rule: tolerances are finite positive numbers)")
         tolerances[k] = float(v)
-    # tri-state toggles: True/False when the scenario says so, None = decide
-    # from applicability (sphere-type checks need a partial-invariant chain)
-    enabled = {}
-    for name in BASE_CHECKS + SPHERICAL_CHECKS:
-        value = checks_spec.get(name)
-        if value is not None and not isinstance(value, bool):
-            raise ValidationError(f"checks.{name}: toggle must be true or false")
-        enabled[name] = value if value is not None else (None if name in SPHERICAL_CHECKS
-                                                         else True)
-    unknown = [name for name in checks_spec if name not in enabled and name != "tolerances"]
-    if unknown:
-        raise ValidationError(f"checks.{unknown[0]}: unknown check toggle (rule: a toggle "
-                              f"names one of {', '.join(enabled)})")
 
     export = raw.get("export")
     if export is not None:
         if not isinstance(export, dict):
             raise ValidationError("export: must be an object")
+        _known_keys(export, "export", ("format", "lambda", "path"))
         fmt = export.get("format")
         if fmt not in ("csv", "obj"):
             raise ValidationError("export.format: must be 'csv' or 'obj'")
         lam = _complex_pair(export.get("lambda", [1.0, 0.0]), "export.lambda")
-        export = dict(export)
-        export["lambda"] = lam
-        slice_axes = export.get("slice_axes", list(range(min(2, n))))
-        if (not isinstance(slice_axes, list)
-                or any(not _is_count(a, 0) or a >= n for a in slice_axes)):
-            raise ValidationError(f"export.slice_axes: axis indices must lie in [0, {n})")
-        if len(set(slice_axes)) != len(slice_axes):
-            raise ValidationError(f"export.slice_axes: got {slice_axes!r} "
-                                  "(rule: slice axes are distinct)")
-        export["slice_axes"] = slice_axes
-        fixed = export.get("fixed", {})
-        if not isinstance(fixed, dict) or not all(
-                str(k) in map(str, range(n)) and _is_number(v) for k, v in fixed.items()):
-            raise ValidationError(f"export.fixed: got {fixed!r} "
-                                  "(rule: fixed maps axis indices < n to finite numbers)")
-        export["fixed"] = {int(k): float(v) for k, v in fixed.items()}
-        if set(export["fixed"]) & set(slice_axes):
-            raise ValidationError(f"export.fixed: got {fixed!r} "
-                                  "(rule: fixed axes are not slice axes)")
         name = export.get("path", f"immersion.{fmt}")
         if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
             raise ValidationError(f"export.path: got {name!r} "
                                   "(rule: export path is a file name in the output directory)")
-        export["path"] = name
-        if fmt == "obj":
-            if len(slice_axes) != 2:
-                raise ValidationError("export.slice_axes: OBJ export needs exactly two slice axes")
-            comps = export.get("obj_components", [0, min(1, n - 1)])
-            if (not isinstance(comps, list) or len(comps) != 2
-                    or any(not _is_count(c, 0) or c >= n for c in comps)):
-                raise ValidationError(f"export.obj_components: need two component indices in [0, {n})")
-            export["obj_components"] = comps
+        export = {"format": fmt, "lambda": lam, "path": name}
 
     reality_samples = raw.get("reality_samples", 50)
     if not _is_count(reality_samples, 1):
@@ -329,8 +313,7 @@ def validate_scenario(raw: dict) -> Scenario:
                               "(rule: reality_samples is a positive integer)")
 
     return Scenario(n=n, seed=seed, grid=grid, lambdas=lambdas, chain=chain,
-                    checks=enabled, tolerances=tolerances, export=export,
-                    reality_samples=reality_samples)
+                    tolerances=tolerances, export=export, reality_samples=reality_samples)
 
 
 def load_scenario(path) -> Scenario:
@@ -350,10 +333,6 @@ def apply_chain(scenario: Scenario) -> ExtendedFrame:
                 f"chain[{i}]: sphere-preservation condition violated: {exc} "
                 "(rule: projection image orthogonal to h(0))") from exc
     return frame
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _reality_samples(frame, scenario):
@@ -406,61 +385,54 @@ def _position_equation_check(sample, h, tol) -> VerificationReport:
     return report
 
 
-def _pde_frame_check(frame, grid, lambdas, tol, path_tol, step) -> VerificationReport:
+def _pde_frame_check(frame, grid, lambdas, tol, path_tol) -> VerificationReport:
+    """RK4 integration of the frame's PDE along two staircase paths, at
+    ``PDE_STEP``, against the closed form and against each other."""
     report = VerificationReport()
     lams = [lam for lam in lambdas if abs(lam) > 1e-12] or [complex(1.0)]
     lam = lams[0]
     n = frame.n
     corner = np.array([0.6 * a[-1] for a in grid.axes])
     path = PathSpec.staircase(corner)
-    E_num, X_num = integrate_frame(n, frame.beta, frame.h, lam, path, step)
+    E_num, X_num = integrate_frame(n, frame.beta, frame.h, lam, path, PDE_STEP)
     E_ref, X_ref = frame.evaluate(corner, lam)
     residual = max_abs([max_abs(E_num - E_ref), max_abs(X_num - X_ref)])
-    report.add("pde_frame", residual, tol, step=step, lam=str(lam))
+    report.add("pde_frame", residual, tol, step=PDE_STEP, lam=str(lam))
     path_rev = PathSpec.staircase(corner, order=range(n - 1, -1, -1))
-    E_rev, X_rev = integrate_frame(n, frame.beta, frame.h, lam, path_rev, step)
+    E_rev, X_rev = integrate_frame(n, frame.beta, frame.h, lam, path_rev, PDE_STEP)
     report.add("path_independence", max_abs([max_abs(E_num - E_rev), max_abs(X_num - X_rev)]),
-               path_tol, step=step)
+               path_tol, step=PDE_STEP)
     return report
 
 
-def run_verification(scenario: Scenario, frame: ExtendedFrame, metric: EgoroffMetric,
-                     step: float) -> VerificationReport:
-    """Run the enabled checks on the dressed frame, its metric on the scenario
-    grid and the PDE cross-check's RK4 step, at the scenario's tolerances."""
+def run_verification(scenario: Scenario, frame: ExtendedFrame,
+                     metric: EgoroffMetric) -> VerificationReport:
+    """Run every check that applies on the dressed frame and its metric on
+    the scenario grid, at the scenario's tolerances.  A check that does not
+    apply to the chain writes a skip entry naming why; the sphere-type
+    checks run exactly when the chain keeps the metric partial-invariant."""
     tols = scenario.tolerances
     report = VerificationReport()
-    checks = dict(scenario.checks)
     grid = scenario.grid
-
-    # sphere-type checks default on exactly when the chain provably keeps the
-    # metric partial-invariant; an explicit toggle always wins
-    for name in SPHERICAL_CHECKS:
-        if checks.get(name) is None:
-            checks[name] = frame.is_partial_invariant
 
     # one immersion sample per real lambda, shared by the checks that need it
     sample = functools.cache(lambda lam: sample_immersion(frame, grid, lam))
     real_lams = [lam.real for lam in scenario.lambdas if is_real_lambda(lam)]
 
-    if checks.get("reality"):
-        report.extend(_reality_check(frame, scenario, tols["reality"]))
-    if checks.get("metric_real"):
-        if frame.is_sigma_compatible:
-            report.add("metric_real", metric.imag_max, tols["metric_real"])
-        else:
-            report.add("metric_real_skipped", metric.imag_max, None, reason=SIGMA_INCOMPATIBLE)
-    if checks.get("darboux_egoroff"):
-        report.extend(check_darboux_egoroff(metric, tols["darboux_egoroff"]))
-    if checks.get("lagrangian"):
-        for lam in real_lams:
-            sub = check_lagrangian(sample(lam), metric.h, tols["lagrangian"],
-                                   tols["lagrangian_metric"])
-            report.extend(sub, prefix=f"lam={lam:g}/")
-        if not real_lams:
-            report.add("lagrangian_skipped", 0.0, None, reason="no real lambda in lambdas "
-                       "(rule: the Lagrangian check runs at each real lambda)")
-    if checks.get("sphere"):
+    report.extend(_reality_check(frame, scenario, tols["reality"]))
+    if frame.is_sigma_compatible:
+        report.add("metric_real", metric.imag_max, tols["metric_real"])
+    else:
+        report.add("metric_real_skipped", metric.imag_max, None, reason=SIGMA_INCOMPATIBLE)
+    report.extend(check_darboux_egoroff(metric, tols["darboux_egoroff"]))
+    for lam in real_lams:
+        sub = check_lagrangian(sample(lam), metric.h, tols["lagrangian"],
+                               tols["lagrangian_metric"])
+        report.extend(sub, prefix=f"lam={lam:g}/")
+    if not real_lams:
+        report.add("lagrangian_skipped", 0.0, None, reason="no real lambda in lambdas "
+                   "(rule: the Lagrangian check runs at each real lambda)")
+    if frame.is_partial_invariant:
         sphere_lams = [lam for lam in real_lams if lam != 0]
         # h at the origin fixes the sphere; only this check reads it
         h0 = frame.h(np.zeros(grid.n)).real if sphere_lams else None
@@ -469,45 +441,33 @@ def run_verification(scenario: Scenario, frame: ExtendedFrame, metric: EgoroffMe
         if not sphere_lams:
             report.add("sphere_skipped", 0.0, None, reason="no real nonzero lambda in lambdas "
                        "(rule: the sphere check runs at each real lambda other than 0)")
-    if checks.get("partial_invariance"):
         report.extend(check_partial_invariance(metric, tols["partial_invariance"],
                                                tols["norm_constancy"]))
-    if checks.get("position_equation"):
-        lam = real_lams[0] if real_lams else 1.0
-        report.extend(_position_equation_check(sample(lam), metric.h,
-                                               tols["position_equation"]))
-    if checks.get("potential"):
-        # the staircase integral is the oracle for the closed-form metric.phi
-        if frame.has_closed_potential:
-            residual = max_abs(potential_on_grid(frame, grid) - metric.phi)
-            report.add("potential_agreement", residual, tols["potential"])
-        else:
-            i, rec = next((i, rec) for i, rec in enumerate(frame.history)
-                          if rec.potential_gap is not None)
-            report.add("potential_skipped", 0.0, None,
-                       reason=f"chain[{i}]: {rec.potential_gap}")
-    if checks.get("lambda_zero"):
-        if frame.is_sigma_compatible:
-            report.extend(limit_net(frame, grid, tols["lambda_zero"],
-                                    tols["lambda_zero_derivative"])[1])
-        else:
-            report.add("lambda_zero_skipped", 0.0, None, reason=SIGMA_INCOMPATIBLE)
-    if checks.get("pde_frame"):
-        report.extend(_pde_frame_check(frame, grid, scenario.lambdas,
-                                       tols["pde_frame"], tols["path_independence"], step))
+    lam = real_lams[0] if real_lams else 1.0
+    report.extend(_position_equation_check(sample(lam), metric.h, tols["position_equation"]))
+    # the staircase integral is the oracle for the closed-form metric.phi
+    if frame.has_closed_potential:
+        residual = max_abs(potential_on_grid(frame, grid) - metric.phi)
+        report.add("potential_agreement", residual, tols["potential"])
+    else:
+        i, rec = next((i, rec) for i, rec in enumerate(frame.history)
+                      if rec.potential_gap is not None)
+        report.add("potential_skipped", 0.0, None, reason=f"chain[{i}]: {rec.potential_gap}")
+    if frame.is_sigma_compatible:
+        report.extend(limit_net(frame, grid, tols["lambda_zero"],
+                                tols["lambda_zero_derivative"])[1])
+    else:
+        report.add("lambda_zero_skipped", 0.0, None, reason=SIGMA_INCOMPATIBLE)
+    report.extend(_pde_frame_check(frame, grid, scenario.lambdas,
+                                   tols["pde_frame"], tols["path_independence"]))
     return report
 
 
-def _slice_points(grid: Grid, slice_axes, fixed) -> np.ndarray:
-    """Grid points of the slice, shape (m, n), the last slice axis running
-    fastest: free coordinates run over the listed axes, the rest sit at their
-    fixed values (default 0)."""
-    free = list(slice_axes)
-    U = np.zeros(tuple(grid.axes[a].size for a in free) + (grid.n,))
-    for axis, val in fixed.items():
-        U[..., axis] = val
-    for a, coord in zip(free, np.meshgrid(*[grid.axes[a] for a in free], indexing="ij")):
-        U[..., a] = coord
+def _slice_points(grid: Grid) -> np.ndarray:
+    """Grid points of the (u1, u2) slice through the origin, shape (m, n),
+    u2 running fastest; every other coordinate is 0."""
+    U = np.zeros(grid.shape[:2] + (grid.n,))
+    U[..., 0], U[..., 1] = np.meshgrid(grid.axes[0], grid.axes[1], indexing="ij")
     return U.reshape(-1, grid.n)
 
 
@@ -526,29 +486,31 @@ def _re_im(name: str, labels, values) -> tuple:
     return names, np.stack([values.real, values.imag], axis=-1).reshape(len(values), len(names))
 
 
-def export_immersion_csv(frame, grid: Grid, lam: complex, slice_axes, fixed, path) -> int:
+def export_immersion_csv(frame, grid: Grid, lam: complex, path) -> int:
     axes = range(1, grid.n + 1)
-    U = _slice_points(grid, slice_axes, fixed)
+    U = _slice_points(grid)
     names, X = _re_im("X", axes, frame.evaluate(U, lam)[1])
     return _write_csv(path, [f"u{j}" for j in axes] + names, np.hstack([U, X]))
 
 
-def export_immersion_obj(frame, grid, lam, slice_axes, fixed, components, path) -> int:
-    a, b = slice_axes
-    p, q = components
-    X = frame.evaluate(_slice_points(grid, slice_axes, fixed), lam)[1]
-    lines = [f"v {_fmt(x[p].real)} {_fmt(x[p].imag)} {_fmt(x[q].real)}" for x in X]
-    m = grid.axes[b].size
-    for ia in range(grid.axes[a].size - 1):
-        for ib in range(m - 1):
-            v00 = ia * m + ib + 1
-            v01 = v00 + 1
-            v10 = v00 + m
-            v11 = v10 + 1
-            lines.append(f"f {v00} {v10} {v11}")
-            lines.append(f"f {v00} {v11} {v01}")
+def write_obj(path, vertices, shape) -> int:
+    """Write the vertices, rows of three floats on a ``shape`` grid whose
+    last axis runs fastest, as an OBJ mesh of two triangles per grid cell;
+    returns the vertex count."""
+    lines = [f"v {x:.17g} {y:.17g} {z:.17g}" for x, y, z in vertices]
+    m = shape[1]
+    for v00 in (ia * m + ib + 1 for ia in range(shape[0] - 1) for ib in range(m - 1)):
+        lines += [f"f {v00} {v00 + m} {v00 + m + 1}", f"f {v00} {v00 + m + 1} {v00 + 1}"]
     Path(path).write_text("\n".join(lines) + "\n")
-    return len(X)
+    return len(vertices)
+
+
+def export_immersion_obj(frame, grid, lam, path) -> int:
+    """The (u1, u2) slice as an OBJ mesh, each vertex embedded as
+    (Re X1, Im X1, Re X2)."""
+    X = frame.evaluate(_slice_points(grid), lam)[1]
+    return write_obj(path, np.column_stack([X[:, 0].real, X[:, 0].imag, X[:, 1].real]),
+                     grid.shape[:2])
 
 
 def export_metric_csv(metric, path) -> int:
@@ -595,14 +557,11 @@ def _write_report(report: VerificationReport, out_dir: Path, name: str, meta: di
 
 
 def _grid_meta(scenario: Scenario) -> dict:
-    return {
-        "grid_points": list(scenario.grid.shape),
-        "grid_spacing": [scenario.grid.spacing(k) for k in range(scenario.n)],
-        "n": scenario.n,
-    }
+    return {"grid_points": list(scenario.grid.shape), "n": scenario.n,
+            "grid_spacing": [scenario.grid.spacing(k) for k in range(scenario.n)]}
 
 
-def cmd_seed(scenario: Scenario, out_dir: Path, args) -> int:
+def cmd_seed(scenario: Scenario, out_dir: Path) -> int:
     frame = ExtendedFrame(scenario.seed)
     metric = metric_from_frame(frame, scenario.grid)
     count = export_metric_csv(metric, out_dir / "seed_metric.csv")
@@ -612,7 +571,7 @@ def cmd_seed(scenario: Scenario, out_dir: Path, args) -> int:
     return 0
 
 
-def cmd_dress(scenario: Scenario, out_dir: Path, args) -> int:
+def cmd_dress(scenario: Scenario, out_dir: Path) -> int:
     frame = apply_chain(scenario)
     metric = metric_from_frame(frame, scenario.grid)
     count = export_metric_csv(metric, out_dir / "metric.csv")
@@ -638,14 +597,13 @@ def _verdict(scenario: Scenario, out_dir: Path, report: VerificationReport, name
     return 0
 
 
-def cmd_verify(scenario: Scenario, out_dir: Path, args) -> int:
+def cmd_verify(scenario: Scenario, out_dir: Path) -> int:
     frame = apply_chain(scenario)
-    report = run_verification(scenario, frame, metric_from_frame(frame, scenario.grid), args.step)
+    report = run_verification(scenario, frame, metric_from_frame(frame, scenario.grid))
     return _verdict(scenario, out_dir, report, "report.json")
 
 
-def cmd_export(scenario: Scenario, out_dir: Path, args,
-               frame: ExtendedFrame | None = None) -> int:
+def cmd_export(scenario: Scenario, out_dir: Path, frame: ExtendedFrame | None = None) -> int:
     if scenario.export is None:
         raise ValidationError("export: scenario has no export block")
     if frame is None:
@@ -654,17 +612,15 @@ def cmd_export(scenario: Scenario, out_dir: Path, args,
     lam = spec["lambda"]
     out_path = out_dir / spec["path"]
     if spec["format"] == "csv":
-        count = export_immersion_csv(frame, scenario.grid, lam,
-                                     spec["slice_axes"], spec["fixed"], out_path)
+        count = export_immersion_csv(frame, scenario.grid, lam, out_path)
         print(f"immersion CSV written: {count} rows -> {out_path}")
     else:
-        count = export_immersion_obj(frame, scenario.grid, lam, spec["slice_axes"],
-                                     spec["fixed"], spec["obj_components"], out_path)
+        count = export_immersion_obj(frame, scenario.grid, lam, out_path)
         print(f"immersion OBJ written: {count} vertices -> {out_path}")
     return 0
 
 
-def cmd_sweep(scenario: Scenario, out_dir: Path, args) -> int:
+def cmd_sweep(scenario: Scenario, out_dir: Path) -> int:
     frame = apply_chain(scenario)
     count, X = export_sweep_csv(frame, scenario.grid, scenario.lambdas, out_dir / "sweep.csv")
     print(f"sweep written: {count} rows over {len(scenario.lambdas)} lambda values "
@@ -675,7 +631,7 @@ def cmd_sweep(scenario: Scenario, out_dir: Path, args) -> int:
     return 0
 
 
-def cmd_permute_check(scenario: Scenario, out_dir: Path, args) -> int:
+def cmd_permute_check(scenario: Scenario, out_dir: Path) -> int:
     one_pole = [factor for _, factor in scenario.chain if isinstance(factor, TwoPointFactor)]
     if len(one_pole) < 2:
         raise ValidationError("permute-check: scenario chain needs at least two one-pole factors")
@@ -686,34 +642,19 @@ def cmd_permute_check(scenario: Scenario, out_dir: Path, args) -> int:
     return _verdict(scenario, out_dir, report, "permute_report.json")
 
 
-def cmd_run(scenario: Scenario, out_dir: Path, args) -> int:
+def cmd_run(scenario: Scenario, out_dir: Path) -> int:
     """Full pipeline: dressed metric tables, immersion exports, verification."""
     frame = apply_chain(scenario)
     metric = metric_from_frame(frame, scenario.grid)
     export_metric_csv(metric, out_dir / "metric.csv")
     if scenario.export is not None:
-        cmd_export(scenario, out_dir, args, frame)
-    report = run_verification(scenario, frame, metric, args.step)
+        cmd_export(scenario, out_dir, frame)
+    report = run_verification(scenario, frame, metric)
     return _verdict(scenario, out_dir, report, "report.json")
 
 
-COMMANDS = {
-    "seed": cmd_seed,
-    "dress": cmd_dress,
-    "verify": cmd_verify,
-    "export": cmd_export,
-    "sweep": cmd_sweep,
-    "permute-check": cmd_permute_check,
-    "run": cmd_run,
-}
-
-
-def positive_float(text: str) -> float:
-    """argparse type: a finite number > 0."""
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number > 0")
-    return value
+COMMANDS = {"seed": cmd_seed, "dress": cmd_dress, "verify": cmd_verify, "export": cmd_export,
+            "sweep": cmd_sweep, "permute-check": cmd_permute_check, "run": cmd_run}
 
 
 @functools.cache
@@ -727,12 +668,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--scenario", required=True, help="path to a JSON scenario file")
         p.add_argument("--out", default="out", help="output directory (default: ./out)")
-        if name in ("verify", "run"):
-            p.add_argument("--step", type=positive_float, default=1e-2,
-                           help="RK4 step for the PDE cross-checks, > 0 (default 1e-2)")
-        if name in ("verify", "run", "permute-check"):
-            p.add_argument("--tol-scale", type=positive_float, default=1.0, dest="tol_scale",
-                           help="multiply every verification tolerance by this factor (> 0)")
     return parser
 
 
@@ -742,14 +677,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         scenario = load_scenario(args.scenario)
-        # --tol-scale scales every tolerance here, once; the checks read them as they are
-        scale = getattr(args, "tol_scale", 1.0)
-        scenario.tolerances = {k: v * scale for k, v in scenario.tolerances.items()}
         out_dir = Path(args.out)
         # the scenario is read by now, so an OSError is a write under --out
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
-            return COMMANDS[args.command](scenario, out_dir, args)
+            return COMMANDS[args.command](scenario, out_dir)
         except OSError as exc:
             raise ParseError(f"--out {args.out}: cannot write {exc.filename}: "
                              f"{exc.strerror}") from exc

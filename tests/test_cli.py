@@ -1,4 +1,5 @@
 import copy
+import importlib.util
 import inspect
 import io
 import json
@@ -82,14 +83,14 @@ def test_parse_error_exit_code(tmp_path, capsys):
 
 def test_parser_is_built_once():
     """main reuses one parser; parsing leaves it unchanged, so the options
-    of one call do not carry over to the next."""
+    of one call do not carry over to the next.  Every command takes the
+    scenario and the output directory and nothing else."""
     parser = cli.build_parser()
-    a = parser.parse_args(["verify", "--scenario", "a.json", "--step", "0.5",
-                           "--tol-scale", "3", "--out", "o"])
+    a = parser.parse_args(["verify", "--scenario", "a.json", "--out", "o"])
     b = parser.parse_args(["verify", "--scenario", "b.json"])
     assert cli.build_parser() is parser
-    assert (a.command, a.step, a.tol_scale, a.out) == ("verify", 0.5, 3.0, "o")
-    assert (b.command, b.scenario, b.step, b.tol_scale, b.out) == ("verify", "b.json", 1e-2, 1.0, "out")
+    assert vars(a) == {"command": "verify", "scenario": "a.json", "out": "o"}
+    assert vars(b) == {"command": "verify", "scenario": "b.json", "out": "out"}
 
 
 def test_validation_error_names_rule(tmp_path, capsys):
@@ -110,10 +111,10 @@ def test_validation_error_names_rule(tmp_path, capsys):
     ({"lambdas": 5}, "lambdas is a list of [re, im] pairs"),
     ({"lambdas": [[float("nan"), 0.0]]}, "pairs of finite numbers"),
     ({"lambdas": [[True, 0.0]]}, "pairs of finite numbers"),
-    ({"export": {"format": "csv", "fixed": [1]}}, "fixed maps axis indices < n"),
-    ({"export": {"format": "csv", "fixed": {"a": 1}}}, "fixed maps axis indices < n"),
-    ({"export": {"format": "csv", "slice_axes": [0], "fixed": {"1": 0.1, "01": 0.3}}},
-     "fixed maps axis indices < n"),
+    ({"export": {"format": "csv", "fixed": [1]}}, "export.fixed: this setting is gone"),
+    ({"export": {"format": "csv", "fixed": {"a": 1}}}, "export.fixed: this setting is gone"),
+    ({"export": {"format": "csv", "fixed": {"1": 0.1, "01": 0.3}, "slice_axes": [0]}},
+     "export.fixed: this setting is gone"),
     ({"chain": [{"type": "real_one_pole", "alpha": float("nan"),
                  "span": [[[1.0, 0.0]], [[1.0, 0.0]]]}]}, "alpha is a finite number"),
     ({"seed": poly_seed([float("nan")])}, "coeffs is a list of finite numbers"),
@@ -127,9 +128,9 @@ def test_validation_error_names_rule(tmp_path, capsys):
     ({"export": {"format": "csv", "path": ["x.csv"]}}, "export path is a file name"),
     ({"export": {"format": "csv", "path": "sub/x.csv"}}, "export path is a file name"),
     ({"export": {"format": "csv", "path": ""}}, "export path is a file name"),
-    ({"export": {"format": "csv", "slice_axes": [0, 0]}}, "slice axes are distinct"),
+    ({"export": {"format": "csv", "slice_axes": [0, 0]}}, "export.slice_axes: this setting is gone"),
     ({"export": {"format": "csv", "slice_axes": [0, 1], "fixed": {"0": 0.3}}},
-     "fixed axes are not slice axes"),
+     "export.slice_axes: this setting is gone"),
 ], ids=["samples-text", "samples-negative", "tolerances-list", "tolerance-negative",
         "grid-points-text", "grid-two-points", "lambdas-number", "lambda-nan",
         "lambda-bool", "fixed-list", "fixed-text-key", "fixed-padded-key", "alpha-nan",
@@ -143,15 +144,56 @@ def test_malformed_scenario_exits_3_naming_rule(tmp_path, capsys, overrides, rul
     assert "validation error" in err and rule in err
 
 
-@pytest.mark.parametrize("toggle, value", [("realty", False), ("permutability", True)],
-                         ids=["misspelled", "sub-tolerance"])
-def test_unknown_check_toggle_exits_3_naming_it(tmp_path, capsys, toggle, value):
-    """A check toggle that names no check, a misspelling or a sub-tolerance
-    of another check, is refused by name instead of being ignored."""
-    path = write_scenario(tmp_path, base_scenario(checks={toggle: value}))
-    assert run_cli("run", path, tmp_path / "out") == 3
+FORMER_TOGGLES = ("reality", "darboux_egoroff", "lagrangian", "sphere", "partial_invariance",
+                  "position_equation", "potential", "metric_real", "lambda_zero", "pde_frame")
+FORMER_EXPORT_KEYS = {"slice_axes": [0, 1], "fixed": {}, "obj_components": [0, 1]}
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("checks", "realty", False), ("checks", "permutability", True),
+    *[("checks", name, True) for name in FORMER_TOGGLES],
+    *[("export", name, value) for name, value in FORMER_EXPORT_KEYS.items()],
+], ids=["misspelled", "sub-tolerance", *FORMER_TOGGLES, *FORMER_EXPORT_KEYS])
+def test_unknown_check_toggle_exits_3_naming_it(tmp_path, capsys, section, key, value):
+    """A check toggle or export setting is refused by name instead of being
+    ignored: one that never existed (a misspelling, or a sub-tolerance of
+    another check) as an unknown key, and every former toggle and export
+    slice setting, even at the value that was its default, as a setting
+    that is gone."""
+    spec = {key: value, **({"format": "obj"} if section == "export" else {})}
+    out = tmp_path / "out"
+    assert run_cli("run", write_scenario(tmp_path, base_scenario(**{section: spec})), out) == 3
     err = capsys.readouterr().err
-    assert f"checks.{toggle}: unknown check toggle" in err
+    gone = key in FORMER_TOGGLES or key in FORMER_EXPORT_KEYS
+    assert f"{section}.{key}: {'this setting is gone' if gone else 'unknown key'}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mutate, name", [
+    (lambda raw: raw.update(reality_sample=40), "reality_sample"),
+    (lambda raw: raw["export"].update(slice_axis=[0, 1]), "export.slice_axis"),
+    (lambda raw: raw["checks"]["tolerances"].update(realty=1e-10), "checks.tolerances.realty"),
+    (lambda raw: raw["seed"].update(radius=1.0), "seed.radius"),
+    (lambda raw: raw.update(seed=dict(poly_seed([1.0]), radii=[1.0, 0.7])), "seed.radii"),
+    (lambda raw: raw.update(seed=poly_seed([1.0])) or raw["seed"]["profiles"][1].update(
+        knots=[0.0]), "seed.profiles[1].knots"),
+    (lambda raw: raw["chain"][0].update(z=[0.3, 0.7]), "chain[0].z"),
+    (lambda raw: raw["chain"].append(dict(TWO_POLE, alpha=0.6)), "chain[1].alpha"),
+    (lambda raw: raw["chain"].append({"type": "translation", "alpha": 0.9, "b": [0.1, 0.2],
+                                      "span": [[[1.0, 0.0]], [[1.0, 0.0]]]}), "chain[1].span"),
+], ids=["top", "export", "tolerance", "seed", "seed-of-other-type", "profile", "entry",
+        "two-pole-entry", "translation-entry"])
+def test_unknown_key_exits_3_naming_it(tmp_path, capsys, mutate, name):
+    """One rule for every object of a scenario: a key its schema does not
+    name (on a seed or a chain entry, a key of another type) exits 3 naming
+    it, where it would otherwise be ignored."""
+    raw = json.loads((SCENARIOS / "one_soliton.json").read_text())
+    mutate(raw)
+    out = tmp_path / "out"
+    assert run_cli("verify", write_scenario(tmp_path, raw), out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error: {name}: unknown") and "Traceback" not in err
+    assert not out.exists()
 
 
 REAL_ONE_POLE = {"type": "real_one_pole", "alpha": 0.6, "span": [[[1.0, 0.0]], [[1.0, 0.0]]]}
@@ -305,27 +347,33 @@ def test_check_failure_exit_code(tmp_path, capsys):
     assert report["passed"] is False
 
 
-def test_tol_scale_rescues_tight_tolerance(tmp_path):
-    raw = base_scenario(checks={"tolerances": {"reality": 1e-16}})
-    path = write_scenario(tmp_path, raw)
-    assert run_cli("verify", path, tmp_path / "out") == 1
-    assert run_cli("verify", path, tmp_path / "out2", "--tol-scale", "1e8") == 0
-
-
 VERDICT_RUNS = {"verify": ("one_soliton", "report.json"),
                 "run": ("one_soliton", "report.json"),
                 "permute-check": ("permute_pair", "permute_report.json")}
 
 
-@pytest.mark.parametrize("scale, code", [("1", 0), ("1e-9", 1)], ids=["pass", "fail"])
+def scaled_tolerances(name, scale):
+    """The shipped scenario ``name`` with every tolerance it runs at, its
+    own and the defaults, multiplied by ``scale`` under checks.tolerances."""
+    raw = json.loads((SCENARIOS / f"{name}.json").read_text())
+    checks = raw.setdefault("checks", {})
+    checks["tolerances"] = {k: v * scale for k, v in
+                            {**DEFAULT_TOLERANCES, **checks.get("tolerances", {})}.items()}
+    return raw
+
+
+@pytest.mark.parametrize("scale, code", [(1, 0), (1e-9, 1)], ids=["pass", "fail"])
 @pytest.mark.parametrize("command", list(VERDICT_RUNS))
 def test_verdict_names_every_failing_check_on_stderr(tmp_path, capsys, command, scale, code):
     """Every command that judges a report exits 1 on a failing check and
     names each failing entry of the report on stderr, and leaves stderr
-    empty when every check passes."""
+    empty when every check passes: the shipped scenario, and a copy whose
+    tolerances are 1e-9 times the ones it runs at."""
     name, report_name = VERDICT_RUNS[command]
+    path = (str(SCENARIOS / f"{name}.json") if scale == 1
+            else write_scenario(tmp_path, scaled_tolerances(name, scale)))
     out = tmp_path / "out"
-    assert run_cli(command, str(SCENARIOS / f"{name}.json"), out, "--tol-scale", scale) == code
+    assert run_cli(command, path, out) == code
     checks = json.loads((out / report_name).read_text())["checks"]
     failing = [c["name"] for c in checks if c["passed"] is False]
     assert bool(failing) == bool(code)
@@ -339,13 +387,13 @@ def test_verdict_names_every_failing_check_on_stderr(tmp_path, capsys, command, 
     ("permute-check", "permute_pair", "permute_report.json"),
 ])
 def test_tol_scale_multiplies_every_written_tolerance(tmp_path, command, name, report_name):
-    """--tol-scale K writes every tolerance as exactly K times the one
-    written without it, informational entries stay without one, and the
-    residuals do not move."""
+    """Each checks.tolerances value is the tolerance written: with every
+    tolerance of the scenario scaled by K, each entry's tolerance is exactly
+    K times the one written without it, informational entries stay without
+    one, and the residuals do not move."""
     scale = 2.5
-    path = str(SCENARIOS / f"{name}.json")
-    run_cli(command, path, tmp_path / "one")
-    run_cli(command, path, tmp_path / "scaled", "--tol-scale", str(scale))
+    run_cli(command, str(SCENARIOS / f"{name}.json"), tmp_path / "one")
+    run_cli(command, write_scenario(tmp_path, scaled_tolerances(name, scale)), tmp_path / "scaled")
     one, scaled = (json.loads((tmp_path / d / report_name).read_text())["checks"]
                    for d in ("one", "scaled"))
     assert [c["name"] for c in one] == [c["name"] for c in scaled]
@@ -385,6 +433,8 @@ def test_check_signature_defaults_are_the_shared_table(fn):
     ("--tol-scale", "nan"), ("--tol-scale", "inf"),
 ])
 def test_nonpositive_or_nonfinite_flag_exits_2(tmp_path, capsys, flag, value):
+    """The RK4 step and the tolerance scale are no flags: given to verify,
+    with any value, each is an argument error naming it."""
     path = write_scenario(tmp_path, base_scenario())
     with pytest.raises(SystemExit) as exc:
         run_cli("verify", path, tmp_path / "out", f"{flag}={value}")
@@ -395,11 +445,10 @@ def test_nonpositive_or_nonfinite_flag_exits_2(tmp_path, capsys, flag, value):
 
 
 @pytest.mark.parametrize("command, flag", [
-    (command, flag) for command in ("seed", "dress", "export", "sweep")
-    for flag in ("--step", "--tol-scale")] + [("permute-check", "--step")])
+    (command, flag) for command in cli.COMMANDS for flag in ("--step", "--tol-scale")])
 def test_flag_the_command_does_not_read_exits_2(tmp_path, capsys, command, flag):
-    """A command takes only the flags it reads: --step on verify and run,
-    --tol-scale on those and permute-check."""
+    """No command takes --step or --tol-scale: the scenario alone configures
+    a run."""
     with pytest.raises(SystemExit) as exc:
         run_cli(command, str(SCENARIOS / "permute_pair.json"), tmp_path / "out", flag, "2")
     assert exc.value.code == 2
@@ -440,13 +489,6 @@ def test_out_with_a_directory_in_place_of_an_output_file_exits_2(tmp_path, capsy
     assert f"cannot write {out / 'metric.csv'}" in err and "Is a directory" in err
 
 
-def test_step_too_small_for_rk4_exits_3(tmp_path, capsys):
-    path = write_scenario(tmp_path, base_scenario())
-    assert run_cli("verify", path, tmp_path / "out", "--step=5e-324") == 3
-    err = capsys.readouterr().err
-    assert "RK4 step 5e-324" in err and "Traceback" not in err
-
-
 def test_one_soliton_export_row_count(tmp_path):
     raw = base_scenario(
         grid=[[-0.5, 0.5, 9], [-0.5, 0.5, 11]],
@@ -480,8 +522,7 @@ def test_export_determinism(tmp_path):
 def test_obj_export_structure(tmp_path):
     raw = base_scenario(
         grid=[[-0.4, 0.4, 5], [-0.4, 0.4, 6]],
-        export={"format": "obj", "lambda": [1.0, 0.0], "path": "surf.obj",
-                "slice_axes": [0, 1], "obj_components": [0, 1]},
+        export={"format": "obj", "lambda": [1.0, 0.0], "path": "surf.obj"},
     )
     path = write_scenario(tmp_path, raw)
     out = tmp_path / "out"
@@ -491,6 +532,22 @@ def test_obj_export_structure(tmp_path):
     faces = [l for l in lines if l.startswith("f ")]
     assert len(verts) == 5 * 6
     assert len(faces) == 2 * 4 * 5
+
+
+def test_gallery_exits_1_naming_each_case_off_the_chart(tmp_path, capsys):
+    """scripts/soliton_gallery.py keeps every mesh inside the immersion
+    chart at its default half-width, and exits 1 naming each case whose
+    grid reaches h <= 0 at half-width 0.9."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "soliton_gallery.py"
+    spec = importlib.util.spec_from_file_location("soliton_gallery", path)
+    gallery = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gallery)
+    assert gallery.main(["--out", str(tmp_path / "default"), "--points", "9"]) == 0
+    assert capsys.readouterr().err == ""
+    assert gallery.main(["--out", str(tmp_path / "wide"), "--points", "9",
+                         "--half-width", "0.9"]) == 1
+    assert capsys.readouterr().err == ("left the immersion chart (h <= 0): one_soliton, "
+                                       "spherical_soliton, breather, soliton_translated\n")
 
 
 def test_sweep_final_slice_real(tmp_path, capsys):
@@ -811,8 +868,7 @@ def test_run_verification_under_errstate_fails_overflowing_checks():
     scenario = validate_scenario(raw)
     with np.errstate(over="ignore", invalid="ignore"):
         frame = apply_chain(scenario)
-        report = cli.run_verification(scenario, frame, metric_from_frame(frame, scenario.grid),
-                                      1e-2)
+        report = cli.run_verification(scenario, frame, metric_from_frame(frame, scenario.grid))
     assert not report.passed
     assert {c.name for c in report.checks if np.isnan(c.residual)} == {
         "lam=1/lagrangian_symplectic", "lam=1/lagrangian_metric",
