@@ -778,7 +778,7 @@ def test_breather_two_pole_factor_runs_sigma_checks(tmp_path):
     ([], ["lagrangian_skipped", "sphere_skipped"]),
 ], ids=["zero", "complex", "none"])
 def test_check_with_no_lambda_to_run_at_says_so(lambdas, skipped, tmp_path):
-    """spherical_soliton enables the Lagrangian and sphere checks.  With no
+    """spherical_soliton runs the Lagrangian and sphere checks.  With no
     real lambda (no real nonzero one for the sphere) each writes an
     informational skip entry whose reason names its rule, instead of no
     entry at all, and verify still exits 0."""
