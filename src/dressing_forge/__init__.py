@@ -27,6 +27,6 @@ from .dressing import (DressingRecord, OnePoleRecord, SphericalFamily,
                        dress_two_pole)
 from .oracle import (BfIntegration, OracleResult, PathSpec, estimate_order,
                      integrate_bf, integrate_frame, integrate_frame_with_order,
-                     metric_interpolators)
+                     integrate_frames, metric_interpolators)
 
 __version__ = "0.1.0"

@@ -42,7 +42,7 @@ from .linalg import max_abs, project_onto_span
 from .loops import (RealOnePoleFactor, TranslationFactor, TwoPointFactor,
                     check_pole_collisions, one_pole_factor, random_lambda_samples,
                     two_pole_factor)
-from .oracle import PathSpec, integrate_frame
+from .oracle import PathSpec, integrate_frames
 from .report import DEFAULT_TOLERANCES, CheckResult, VerificationReport
 
 SCHEMA_VERSION = 1
@@ -65,6 +65,10 @@ REMOVED_KEYS = {
 
 # the RK4 step of the PDE cross-check
 PDE_STEP = 1e-2
+
+# Most grid points in all and most reality samples a scenario may ask for
+MAX_GRID_POINTS = 100_000
+MAX_REALITY_SAMPLES = 100_000
 
 REALITY_SAMPLE_SEED = 20260809
 
@@ -261,6 +265,9 @@ def validate_scenario(raw: dict) -> Scenario:
                 "2nd-order finite differences need)")
         if not g[0] <= 0.0 <= g[1]:
             raise ValidationError(f"grid[{j}]: grid must contain the origin (path integrals anchor at u = 0)")
+    if math.prod(g[2] for g in grid_spec) > MAX_GRID_POINTS:
+        raise ValidationError(f"grid: {' x '.join(str(g[2]) for g in grid_spec)} points "
+                              f"(rule: at most {MAX_GRID_POINTS} grid points in all)")
     grid = Grid.from_specs(grid_spec)
 
     lambdas_spec = raw.get("lambdas", [[1.0, 0.0]])
@@ -308,9 +315,9 @@ def validate_scenario(raw: dict) -> Scenario:
         export = {"format": fmt, "lambda": lam, "path": name}
 
     reality_samples = raw.get("reality_samples", 50)
-    if not _is_count(reality_samples, 1):
-        raise ValidationError(f"reality_samples: got {reality_samples!r} "
-                              "(rule: reality_samples is a positive integer)")
+    if not _is_count(reality_samples, 1) or reality_samples > MAX_REALITY_SAMPLES:
+        raise ValidationError(f"reality_samples: got {reality_samples!r} (rule: reality_samples "
+                              f"is a positive integer of at most {MAX_REALITY_SAMPLES})")
 
     return Scenario(n=n, seed=seed, grid=grid, lambdas=lambdas, chain=chain,
                     tolerances=tolerances, export=export, reality_samples=reality_samples)
@@ -387,19 +394,18 @@ def _position_equation_check(sample, h, tol) -> VerificationReport:
 
 def _pde_frame_check(frame, grid, lambdas, tol, path_tol) -> VerificationReport:
     """RK4 integration of the frame's PDE along two staircase paths, at
-    ``PDE_STEP``, against the closed form and against each other."""
+    ``PDE_STEP`` in one ``integrate_frames`` call, against the closed form
+    and against each other."""
     report = VerificationReport()
-    lams = [lam for lam in lambdas if abs(lam) > 1e-12] or [complex(1.0)]
-    lam = lams[0]
+    lam = next((lam for lam in lambdas if abs(lam) > 1e-12), complex(1.0))
     n = frame.n
     corner = np.array([0.6 * a[-1] for a in grid.axes])
-    path = PathSpec.staircase(corner)
-    E_num, X_num = integrate_frame(n, frame.beta, frame.h, lam, path, PDE_STEP)
+    paths = [PathSpec.staircase(corner, order=order) for order in (range(n), range(n - 1, -1, -1))]
+    (E_num, X_num), (E_rev, X_rev) = integrate_frames(n, frame.beta, frame.h, lam, paths,
+                                                      PDE_STEP)
     E_ref, X_ref = frame.evaluate(corner, lam)
     residual = max_abs([max_abs(E_num - E_ref), max_abs(X_num - X_ref)])
     report.add("pde_frame", residual, tol, step=PDE_STEP, lam=str(lam))
-    path_rev = PathSpec.staircase(corner, order=range(n - 1, -1, -1))
-    E_rev, X_rev = integrate_frame(n, frame.beta, frame.h, lam, path_rev, PDE_STEP)
     report.add("path_independence", max_abs([max_abs(E_num - E_rev), max_abs(X_num - X_rev)]),
                path_tol, step=PDE_STEP)
     return report
@@ -454,7 +460,7 @@ def run_verification(scenario: Scenario, frame: ExtendedFrame,
                       if rec.potential_gap is not None)
         report.add("potential_skipped", 0.0, None, reason=f"chain[{i}]: {rec.potential_gap}")
     if frame.is_sigma_compatible:
-        report.extend(limit_net(frame, grid, tols["lambda_zero"],
+        report.extend(limit_net(frame, sample(0.0), tols["lambda_zero"],
                                 tols["lambda_zero_derivative"])[1])
     else:
         report.add("lambda_zero_skipped", 0.0, None, reason=SIGMA_INCOMPATIBLE)
@@ -473,8 +479,11 @@ def _slice_points(grid: Grid) -> np.ndarray:
 
 def _write_csv(path, header: list, table: np.ndarray) -> int:
     """Write the header line and one line per row of the float table, every
-    value at 17 significant digits; returns the row count."""
-    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
+    value at 17 significant digits, in one format operation; returns the row
+    count."""
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    text = row * len(table) % tuple(table.ravel().tolist())
+    Path(path).write_text(",".join(header) + "\n" + text)
     return len(table)
 
 
@@ -495,13 +504,14 @@ def export_immersion_csv(frame, grid: Grid, lam: complex, path) -> int:
 
 def write_obj(path, vertices, shape) -> int:
     """Write the vertices, rows of three floats on a ``shape`` grid whose
-    last axis runs fastest, as an OBJ mesh of two triangles per grid cell;
-    returns the vertex count."""
-    lines = [f"v {x:.17g} {y:.17g} {z:.17g}" for x, y, z in vertices]
+    last axis runs fastest, as an OBJ mesh of two triangles per grid cell,
+    in one format operation; returns the vertex count."""
     m = shape[1]
-    for v00 in (ia * m + ib + 1 for ia in range(shape[0] - 1) for ib in range(m - 1)):
-        lines += [f"f {v00} {v00 + m} {v00 + m + 1}", f"f {v00} {v00 + m + 1} {v00 + 1}"]
-    Path(path).write_text("\n".join(lines) + "\n")
+    v00 = (np.arange(shape[0] - 1)[:, None] * m + np.arange(1, m)).ravel()
+    faces = np.column_stack([v00, v00 + m, v00 + m + 1, v00, v00 + m + 1, v00 + 1])
+    text = "v %.17g %.17g %.17g\n" * len(vertices) % tuple(np.ravel(vertices).tolist())
+    text += "f %d %d %d\nf %d %d %d\n" * len(v00) % tuple(faces.ravel().tolist())
+    Path(path).write_text(text)
     return len(vertices)
 
 

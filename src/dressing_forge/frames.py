@@ -701,22 +701,23 @@ def potential_on_grid(frame: ExtendedFrame, grid: Grid, axis_order=None) -> np.n
     axis-ordered staircase paths from the origin.  Flatness makes the result
     independent of ``axis_order`` (tested, not assumed).
 
-    Each sweep axis evaluates every staircase line of that sweep (one per
-    grid point of the axes already swept) on the axis knots augmented with
-    0, plus the cell midpoints (the evaluator is exact off-grid, so they are
-    free), as point sets of at most ``POINT_BLOCK`` points, so memory stays
-    bounded however fine the grid.  Per-cell Simpson sums are then
-    accumulated along the lines.
+    Each sweep axis has one staircase line per grid point of the axes
+    already swept, on the axis knots augmented with 0 plus the cell
+    midpoints (the evaluator is exact off-grid, so they are free), and
+    per-cell Simpson sums accumulate along the lines.  The last axis's knots
+    are the grid in grid order when 0 is a knot and the axes go in order:
+    then they are one point set, whose pole data ``metric_from_frame`` left,
+    and the other points another; each goes in cuts of at most
+    ``POINT_BLOCK`` points, so memory stays bounded however fine the grid.
     """
     n = grid.n
     order = tuple(range(n)) if axis_order is None else tuple(axis_order)
     if sorted(order) != list(range(n)):
         raise ValueError("axis_order must be a permutation of the axes")
-    phi = np.zeros(grid.shape, dtype=complex)
+    lines = []
     for pos, axis in enumerate(order):
         prior = order[:pos]
-        knots = grid.axes[axis]
-        aug = np.union1d(knots, [0.0])
+        aug = np.union1d(grid.axes[axis], [0.0])
         ts = np.concatenate([aug, 0.5 * (aug[:-1] + aug[1:])])
         # points indexed (prior..., t): prior axes on the grid, the swept
         # axis at ts, the rest at 0
@@ -724,23 +725,31 @@ def potential_on_grid(frame: ExtendedFrame, grid: Grid, axis_order=None) -> np.n
         U = np.zeros(mesh[-1].shape + (n,))
         for a, coord in zip(prior + (axis,), mesh):
             U[..., a] = coord
-        pts = U.reshape(-1, n)
-        f = np.concatenate([frame.h(pts[i:i + POINT_BLOCK])[..., axis] ** 2
-                            for i in range(0, len(pts), POINT_BLOCK)]).reshape(U.shape[:-1])
-        fa, fm = f[..., :aug.size], f[..., aug.size:]
+        lines.append((prior, axis, aug, U))
+    pts = np.concatenate([U.reshape(-1, n) for *_, U in lines])
+    # the last pass's knot lattice goes alone when it is the grid in grid order
+    lattice = np.zeros(U.shape[:-1], dtype=bool)
+    lattice[..., :aug.size] = order == tuple(range(n)) and aug.size == grid.shape[-1]
+    lattice = np.concatenate([np.zeros(len(pts) - lattice.size, dtype=bool), lattice.reshape(-1)])
+    h = np.empty(pts.shape, dtype=complex)
+    for part in (np.flatnonzero(lattice), np.flatnonzero(~lattice)):
+        for i in range(0, len(part), POINT_BLOCK):
+            rows = part[i:i + POINT_BLOCK]
+            h[rows] = frame.h(pts[rows])
+    phi = np.zeros(grid.shape, dtype=complex)
+    cuts = np.cumsum([U[..., 0].size for *_, U in lines])[:-1]
+    for (prior, axis, aug, U), h_line in zip(lines, np.split(h, cuts)):
+        fa, fm = np.split(h_line.reshape(U.shape)[..., axis] ** 2, [aug.size], axis=-1)
         seg = (np.diff(aug) / 6.0) * (fa[..., :-1] + 4.0 * fm + fa[..., 1:])
         cum = np.concatenate([np.zeros(seg.shape[:-1] + (1,), dtype=complex),
                               np.cumsum(seg, axis=-1)], axis=-1)
         cum -= cum[..., int(np.searchsorted(aug, 0.0))][..., None]
-        part = cum[..., np.searchsorted(aug, knots)]
+        part = cum[..., np.searchsorted(aug, grid.axes[axis])]
         # part dims follow (prior..., axis); sort them into grid axis order,
         # then insert size-1 dims for the axes not yet visited
         src_axes = list(prior) + [axis]
         part = np.transpose(part, np.argsort(src_axes))
-        new_shape = [1] * n
-        for a in src_axes:
-            new_shape[a] = grid.shape[a]
-        phi = phi + part.reshape(new_shape)
+        phi = phi + np.expand_dims(part, [a for a in range(n) if a not in src_axes])
     return phi
 
 

@@ -268,17 +268,20 @@ def check_partial_invariance(metric: EgoroffMetric,
     return report
 
 
-def limit_net(frame, grid: Grid, tol: float = DEFAULT_TOLERANCES["lambda_zero"],
+def limit_net(frame, sample: ImmersionSample, tol: float = DEFAULT_TOLERANCES["lambda_zero"],
               cross_check_tol: float = DEFAULT_TOLERANCES["lambda_zero_derivative"]):
-    """Real net samples X(u, 0) on the grid, with a report.
+    """Real net samples X(u, 0) from ``sample``, the frame's lambda = 0
+    member of the family on a grid (ValueError at any other lambda), with a
+    report.
 
     The report's ``limit_net_imag`` entry is the largest |Im X(u, 0)|; above
     ``tol`` (a sigma-incompatible history) it fails, and its ``reason``
     names the first point where it does.  For partial-invariant frames the
     direct values are cross-checked against -i dE/dlambda(u, 0) h(u).
     """
-    pts = grid.points()
-    X0 = frame.evaluate(pts, 0.0)[1]
+    if sample.lam != 0:
+        raise ValueError(f"limit net needs the lambda = 0 sample, got lambda = {sample.lam}")
+    pts, X0 = sample.grid.points(), sample.X
     imag = np.max(np.abs(X0.imag), axis=-1)
     imag_max = max_abs(imag)
     details = {}

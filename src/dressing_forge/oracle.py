@@ -3,8 +3,9 @@ connection and of the first-order dressing system, for comparison against the
 closed-form algebra.
 
 Fixed-step RK4 only --- no adaptivity --- so convergence-order arithmetic in
-the acceptance tests stays clean.  Each integration carries its state as one
-array: the frame F, or [pi | y] for the dressing system.
+the acceptance tests stays clean.  The frame equation F' = F theta is linear,
+so a chunk's steps are stacked matrices I + M composed pairwise; the
+dressing system is reprojected after every step, so it steps [pi | y] alone.
 """
 
 from __future__ import annotations
@@ -101,40 +102,76 @@ def _stage_chunks(u_start, axis: int, t0: float, t1: float, step: float):
         yield U, dt, m
 
 
-def _rk4(state: np.ndarray, rhs, dt: float, m: int, post_step=None) -> np.ndarray:
-    """m classical RK4 steps of size dt on one array state; rhs(k, state) is
-    the right-hand side at stage point k = 0..2m of a chunk (step i starts at
-    k = 2i)."""
+def _rk4(state: np.ndarray, rhs, dt: float, m: int, post_step) -> np.ndarray:
+    """m classical RK4 steps of size dt on one array state, each followed by
+    post_step; rhs(k, state) is the right-hand side at stage point k = 0..2m
+    of a chunk (step i starts at k = 2i)."""
     for i in range(m):
         k1 = rhs(2 * i, state)
         k2 = rhs(2 * i + 1, state + 0.5 * dt * k1)
         k3 = rhs(2 * i + 1, state + 0.5 * dt * k2)
         k4 = rhs(2 * i + 2, state + dt * k3)
-        state = state + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if post_step is not None:
-            state = post_step(state)
+        state = post_step(state + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
     return state
+
+
+def _chunk_groups(n: int, paths, step: float):
+    """Lists of (path index, axis, U, dt) chunks (``_stage_chunks``) of
+    the paths' segments in order, consecutive chunks together while their
+    steps total at most RK4_CHUNK_STEPS."""
+    group, total = [], 0
+    for p, path in enumerate(paths):
+        for u_start, axis, t0, t1 in path.waypoints(n):
+            if t0 == t1:
+                continue
+            for U, dt, m in _stage_chunks(u_start, axis, t0, t1, step):
+                if total + m > RK4_CHUNK_STEPS:
+                    yield group
+                    group, total = [], 0
+                group.append((p, axis, U, dt))
+                total += m
+    if group:
+        yield group
+
+
+def _step_product(theta: np.ndarray, dt: float) -> np.ndarray:
+    """The product of a chunk's RK4 step matrices I + M of F' = F theta,
+    theta at its 2m + 1 stage points: M = dt/6 (K1 + 2 K2 + 2 K3 + K4) with
+    K1 = theta_a, K2 = theta_b + (dt/2) K1 theta_b, K3 = theta_b
+    + (dt/2) K2 theta_b and K4 = theta_c + dt K3 theta_c, composed pairwise."""
+    a, b, c = theta[:-1:2], theta[1::2], theta[2::2]
+    K2 = b + (0.5 * dt) * (a @ b)
+    K3 = b + (0.5 * dt) * (K2 @ b)
+    K4 = c + dt * (K3 @ c)
+    A = np.eye(theta.shape[-1]) + dt / 6.0 * (a + 2 * K2 + 2 * K3 + K4)
+    while len(A) > 1:
+        A = np.concatenate([A[:-1:2] @ A[1::2], A[len(A) - len(A) % 2:]])
+    return A[0]
+
+
+def integrate_frames(n: int, beta_fn, h_fn, lam: complex, paths, step: float) -> list:
+    """Path-ordered RK4 solutions of F^{-1} dF = theta_lambda, F(0) = I,
+    along each staircase of ``paths``; returns one (E, X) pair of blocks at
+    each path's end.  beta_fn and h_fn are point-set evaluators,
+    (S, n) -> (S, n, n) and (S, n) (closed-form when the metric came from
+    dressing; spline interpolants for external grids).  Consecutive chunks
+    of the segments' steps (``_chunk_groups``), across segments and paths,
+    share one beta_fn and one h_fn call."""
+    lam = complex(lam)
+    F = [np.eye(n + 1, dtype=complex) for _ in paths]
+    for group in _chunk_groups(n, paths, step):
+        U = np.concatenate([chunk[2] for chunk in group])
+        cuts = np.cumsum([len(chunk[2]) for chunk in group])[:-1]
+        betas, hs = np.split(beta_fn(U), cuts), np.split(h_fn(U), cuts)
+        for (p, axis, _, dt), beta, h in zip(group, betas, hs):
+            F[p] = F[p] @ _step_product(lax_block(beta, axis, lam, h), dt)
+    return [(f[:n, :n], f[:n, n]) for f in F]
 
 
 def integrate_frame(n: int, beta_fn, h_fn, lam: complex, path: PathSpec,
                     step: float):
-    """Path-ordered RK4 solution of F^{-1} dF = theta_lambda, F(0) = I, along
-    the given staircase; returns (E, X) blocks at the path end.  beta_fn and
-    h_fn are point-set evaluators, (S, n) -> (S, n, n) and (S, n)
-    (closed-form when the metric came from dressing; spline interpolants for
-    external grids).  Each segment's stage points are evaluated as point
-    sets, in chunks of at most RK4_CHUNK_STEPS steps."""
-    lam = complex(lam)
-    F = np.eye(n + 1, dtype=complex)
-
-    for u_start, axis, t0, t1 in path.waypoints(n):
-        if t0 == t1:
-            continue
-        for U, dt, m in _stage_chunks(u_start, axis, t0, t1, step):
-            theta = lax_block(beta_fn(U), axis, lam, h_fn(U))
-            F = _rk4(F, lambda k, F_now: F_now @ theta[k], dt, m)
-
-    return F[:n, :n], F[:n, n]
+    """``integrate_frames`` on the one path: the (E, X) blocks at its end."""
+    return integrate_frames(n, beta_fn, h_fn, lam, [path], step)[0]
 
 
 def integrate_frame_with_order(n: int, beta_fn, h_fn, lam: complex,

@@ -264,7 +264,8 @@ def test_criterion_09_lambda_zero(vacuum, chain_stages):
     record(9, "Im X(u, 0) after real/two-pole/translation chain", worst, 1e-10)
     v = np.array([RADII[1], -RADII[0]])
     spherical = dress_spherical(vacuum, 0.8, project_onto_span(v / np.linalg.norm(v)))
-    _, report = limit_net(spherical, grid, cross_check_tol=1e-7)
+    _, report = limit_net(spherical, sample_immersion(spherical, grid, 0.0),
+                          cross_check_tol=1e-7)
     record(9, "spherical net limit vs frame lambda-derivative formula",
            report["limit_net_derivative_agreement"].residual, 1e-7)
 

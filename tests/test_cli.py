@@ -996,3 +996,135 @@ def test_potential_skip_names_the_record(tmp_path):
     assert checks["potential_skipped"]["details"]["reason"] == (
         "chain[2]: sigma-incompatible pole, the eta^* pi_tilde eta update needs "
         "the sigma-real product")
+
+
+def test_pde_frame_check_asks_beta_once_for_both_paths(monkeypatch):
+    """The PDE check integrates its forward and reversed staircases in one
+    call: on one_soliton their 120 steps fit one group, so one beta call
+    carries every stage point."""
+    scenario = load_scenario(SCENARIOS / "one_soliton.json")
+    frame = apply_chain(scenario)
+    sizes, beta = [], ExtendedFrame.beta
+
+    def counting_beta(self, u):
+        sizes.append(len(u))
+        return beta(self, u)
+
+    monkeypatch.setattr(ExtendedFrame, "beta", counting_beta)
+    report = cli._pde_frame_check(frame, scenario.grid, scenario.lambdas, 1e-6, 1e-6)
+    assert sizes == [4 * (2 * 30 + 1)]
+    assert report.passed, str(report)
+
+
+def _potential_per_axis(frame, grid):
+    """The staircase potential with each sweep axis's lines, knots with 0
+    and midpoints, evaluated as their own point set."""
+    n = grid.n
+    phi = np.zeros(grid.shape, dtype=complex)
+    for axis in range(n):
+        aug = np.union1d(grid.axes[axis], [0.0])
+        ts = np.concatenate([aug, 0.5 * (aug[:-1] + aug[1:])])
+        mesh = np.meshgrid(*grid.axes[:axis], ts, indexing="ij")
+        U = np.zeros(mesh[-1].shape + (n,))
+        for a, coord in enumerate(mesh[:-1]):
+            U[..., a] = coord
+        U[..., axis] = mesh[-1]
+        f = frame.h(U)[..., axis] ** 2
+        fa, fm = f[..., :aug.size], f[..., aug.size:]
+        seg = (np.diff(aug) / 6.0) * (fa[..., :-1] + 4.0 * fm + fa[..., 1:])
+        cum = np.concatenate([np.zeros(seg.shape[:-1] + (1,), dtype=complex),
+                              np.cumsum(seg, axis=-1)], axis=-1)
+        cum -= cum[..., int(np.searchsorted(aug, 0.0))][..., None]
+        part = cum[..., np.searchsorted(aug, grid.axes[axis])]
+        phi = phi + part.reshape(part.shape + (1,) * (n - axis - 1))
+    return phi
+
+
+@pytest.mark.parametrize("points", [17, 16], ids=["zero-a-knot", "zero-off-grid"])
+def test_potential_on_grid_adds_one_sweep_after_the_metric(monkeypatch, points):
+    """After metric_from_frame, potential_on_grid on one_soliton asks the
+    frame about one new point set: its last axis's knot lattice is the grid
+    the metric sampled when 0 is a knot, and joins the other points when it
+    is not.  The values are those of evaluating each axis's lines on their
+    own, bit for bit."""
+    raw = json.loads((SCENARIOS / "one_soliton.json").read_text())
+    raw["grid"] = [[-0.5, 0.5, points]] * 2
+    scenario = validate_scenario(raw)
+    frame = apply_chain(scenario)
+    metric_from_frame(frame, scenario.grid)
+    count, sweep = [], ExtendedFrame._sweep
+
+    def counting_sweep(self, U):
+        count.append(len(U))
+        return sweep(self, U)
+
+    monkeypatch.setattr(ExtendedFrame, "_sweep", counting_sweep)
+    phi = potential_on_grid(frame, scenario.grid)
+    assert len(count) == 1
+    monkeypatch.setattr(ExtendedFrame, "_sweep", sweep)
+    assert np.array_equal(phi, _potential_per_axis(frame, scenario.grid))
+
+
+def test_csv_writer_matches_savetxt_bytes(tmp_path):
+    """One format operation writes the bytes np.savetxt writes at %.17g,
+    signed zero, subnormals, the largest doubles, 2**53 + 1 and non-finite
+    values included."""
+    special = [-0.0, 5e-324, 1e308, 2.0 ** 53 + 1, np.nan, np.inf, -np.inf, -1 / 3]
+    table = np.vstack([special, np.random.default_rng(3).normal(size=(5, len(special)))
+                       * 10.0 ** np.arange(-200, 200, 50)])
+    header = [f"c{j}" for j in range(len(special))]
+    assert cli._write_csv(tmp_path / "a.csv", header, table) == len(table)
+    np.savetxt(tmp_path / "b.csv", table, fmt="%.17g", delimiter=",",
+               header=",".join(header), comments="")
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_obj_writer_matches_per_row_lines(tmp_path):
+    """The OBJ writer's one format operation gives the per-row f-string
+    lines: each vertex at 17 significant digits, two faces per cell."""
+    shape = (4, 3)
+    vertices = np.random.default_rng(4).normal(size=(12, 3)) * 1e5
+    vertices[0] = [-0.0, 5e-324, np.nan]
+    lines = [f"v {x:.17g} {y:.17g} {z:.17g}" for x, y, z in vertices]
+    m = shape[1]
+    for ia in range(shape[0] - 1):
+        for ib in range(m - 1):
+            v00 = ia * m + ib + 1
+            lines += [f"f {v00} {v00 + m} {v00 + m + 1}", f"f {v00} {v00 + m + 1} {v00 + 1}"]
+    assert cli.write_obj(tmp_path / "a.obj", vertices, shape) == 12
+    assert (tmp_path / "a.obj").read_text() == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("overrides, rule", [
+    ({"grid": [[-0.5, 0.5, 100_000], [-0.5, 0.5, 100_000]]},
+     "rule: at most 100000 grid points in all"),
+    ({"reality_samples": 10 ** 30},
+     "rule: reality_samples is a positive integer of at most 100000"),
+], ids=["grid-1e10-points", "samples-1e30"])
+def test_scenario_over_a_work_cap_exits_3(tmp_path, capsys, monkeypatch, overrides, rule):
+    """A grid of more than MAX_GRID_POINTS points in all, or more than
+    MAX_REALITY_SAMPLES reality samples, is refused by validation before the
+    grid is built or anything is evaluated."""
+    def refuse(specs):
+        raise AssertionError("grid built for a scenario over a cap")
+
+    raw = json.loads((SCENARIOS / "one_soliton.json").read_text())
+    raw.update(overrides)
+    if "grid" in overrides:
+        monkeypatch.setattr(Grid, "from_specs", refuse)
+    out = tmp_path / "out"
+    assert run_cli("run", write_scenario(tmp_path, raw), out) == 3
+    err = capsys.readouterr().err
+    assert "validation error" in err and rule in err
+    assert not out.exists()
+
+
+def test_scenario_at_the_work_caps_validates():
+    """The caps are inclusive: MAX_GRID_POINTS points and
+    MAX_REALITY_SAMPLES samples pass validation."""
+    raw = json.loads((SCENARIOS / "one_soliton.json").read_text())
+    raw["grid"] = [[-0.5, 0.5, cli.MAX_GRID_POINTS // 100], [-0.5, 0.5, 100]]
+    raw["reality_samples"] = cli.MAX_REALITY_SAMPLES
+    scenario = validate_scenario(raw)
+    assert np.prod(scenario.grid.shape) == cli.MAX_GRID_POINTS
+    assert scenario.reality_samples == cli.MAX_REALITY_SAMPLES

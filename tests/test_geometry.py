@@ -181,7 +181,7 @@ def test_partial_invariance_negative_control():
 
 def test_limit_net_vacuum(torus_frame):
     grid = Grid.from_specs([(-0.5, 0.5, 5)] * 2)
-    net, report = limit_net(torus_frame, grid)
+    net, report = limit_net(torus_frame, sample_immersion(torus_frame, grid, 0.0))
     pts = grid.points()
     expected = pts * np.array([1.0, 0.7])
     assert max_abs(net - expected) < 1e-12
@@ -191,9 +191,18 @@ def test_limit_net_vacuum(torus_frame):
 def test_limit_net_spherical_soliton(torus_frame, pi_perp_torus):
     frame = dress_spherical(torus_frame, 0.8, pi_perp_torus)
     grid = Grid.from_specs([(-0.5, 0.5, 5)] * 2)
-    net, report = limit_net(frame, grid, cross_check_tol=1e-7)
+    net, report = limit_net(frame, sample_immersion(frame, grid, 0.0), cross_check_tol=1e-7)
     assert report.passed, str(report)
     assert report["limit_net_derivative_agreement"].residual < 1e-7
+
+
+def test_limit_net_rejects_a_nonzero_lambda_sample(torus_frame):
+    """The limit net reads the lambda = 0 member of the family; a sample at
+    any other lambda is refused, not taken for it."""
+    grid = Grid.from_specs([(-0.5, 0.5, 4)] * 2)
+    for lam in (0.9, 1e-3j):
+        with pytest.raises(ValueError, match="lambda = 0 sample"):
+            limit_net(torus_frame, sample_immersion(torus_frame, grid, lam))
 
 
 def test_limit_net_nonreal_for_tau_only_history(torus_frame):
@@ -203,7 +212,7 @@ def test_limit_net_nonreal_for_tau_only_history(torus_frame):
     pi = project_onto_span(np.array([1.0, 0.5 + 0.3j]))
     frame = dress_extended(torus_frame, 0.3 + 0.7j, pi)
     grid = Grid.from_specs([(-0.5, 0.5, 4)] * 2)
-    net, report = limit_net(frame, grid)
+    net, report = limit_net(frame, sample_immersion(frame, grid, 0.0))
     imag = np.abs(frame.X(grid.points(), 0.0).imag).max(axis=-1)
     entry = report["limit_net_imag"]
     assert entry.passed is False and not report.passed

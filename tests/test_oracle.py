@@ -5,8 +5,8 @@ from dressing_forge import (DressingForgeError, PathSpec,
                             ProjectionDriftError, StepTooLargeError,
                             dress_real, dress_translation, dress_two_pole,
                             estimate_order, integrate_bf, integrate_frame,
-                            integrate_frame_with_order, max_abs,
-                            project_onto_span, solve_linear)
+                            integrate_frame_with_order, integrate_frames,
+                            max_abs, project_onto_span, solve_linear)
 from dressing_forge.oracle import RK4_CHUNK_STEPS, _segment_steps
 
 
@@ -277,6 +277,46 @@ def test_batched_oracles_match_per_point_reference(torus_frame, chain, order):
     out = integrate_bf(2, frame.beta, frame.h, 0.6, pi0, np.array([0.3, -0.1]), path, 2e-2)
     pi_ref, y_ref = _reference_bf(frame, 0.6, pi0, np.array([0.3, -0.1]), path, 2e-2)
     assert max(max_abs(out.pi_tilde - pi_ref), max_abs(out.y - y_ref)) < 1e-13
+
+
+def test_consecutive_chunks_share_bounded_calls(torus_frame, pi_diag):
+    """Chunks of consecutive segments share one beta call while their steps
+    total at most RK4_CHUNK_STEPS, so no call carries more steps' stage
+    points than that; the product of the stacked step matrices matches the
+    per-point RK4 reference."""
+    frame = dress_real(torus_frame, 0.6, pi_diag)
+    sizes = []
+
+    def beta_spy(U):
+        sizes.append(len(U))
+        return frame.beta(U)
+
+    # 100, 100, 100 and 300 steps: [100, 100], [100], [256], [44]
+    path = PathSpec(((0, 0.1), (1, 0.1), (0, 0.2), (1, 0.4)))
+    E, X = integrate_frame(2, beta_spy, frame.h, 0.9, path, 1e-3)
+    assert sizes == [2 * 201, 201, 2 * RK4_CHUNK_STEPS + 1, 89]
+    assert sum(sizes) == 2 * 600 + 5
+    E_ref, X_ref = _reference_frame(frame, 0.9, path, 1e-3)
+    assert max(max_abs(E - E_ref), max_abs(X - X_ref)) < 1e-13
+
+
+def test_paths_integrated_together_match_each_alone(torus_frame, pi_diag):
+    """integrate_frames on two staircases makes one beta call when their
+    steps fit in one group, and gives each path's own integration."""
+    frame = dress_real(torus_frame, 0.6, pi_diag)
+    calls = []
+
+    def beta_spy(U):
+        calls.append(len(U))
+        return frame.beta(U)
+
+    corner = np.array([0.3, -0.25])
+    paths = [PathSpec.staircase(corner), PathSpec.staircase(corner, order=(1, 0))]
+    together = integrate_frames(2, beta_spy, frame.h, 0.9 + 0.2j, paths, 1e-2)
+    assert len(calls) == 1
+    for (E, X), path in zip(together, paths):
+        E_one, X_one = integrate_frame(2, frame.beta, frame.h, 0.9 + 0.2j, path, 1e-2)
+        assert max(max_abs(E - E_one), max_abs(X - X_one)) < 1e-14
 
 
 def test_long_segment_is_evaluated_in_bounded_chunks(torus_frame, pi_diag):
