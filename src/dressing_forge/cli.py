@@ -66,8 +66,10 @@ REMOVED_KEYS = {
 # the RK4 step of the PDE cross-check
 PDE_STEP = 1e-2
 
-# Most grid points in all and most reality samples a scenario may ask for
+# Most grid points in all, (lambda, grid point) pairs and reality samples a
+# scenario may ask for
 MAX_GRID_POINTS = 100_000
+MAX_LAMBDA_POINTS = 500_000
 MAX_REALITY_SAMPLES = 100_000
 
 REALITY_SAMPLE_SEED = 20260809
@@ -241,6 +243,31 @@ def _validate_chain(seed: VacuumSeed, chain_spec) -> list:
     return chain
 
 
+def _check_seed_at_poles(seed: VacuumSeed, grid: Grid, chain: list) -> None:
+    """Refuse the first entry with a pole p whose seed block at p or conj(p),
+    where the frame takes its pole data, is not finite at some grid point:
+    e^{i p u} overflows once |Im p u| passes about 709.  The block's entries
+    on axis j depend on u_j alone, so the grid's axis lines through 0 hold
+    every value it takes on the grid.  The lambdas go as one stack, the
+    points in blocks of at most ``frames.POINT_BLOCK`` pairs."""
+    rows = [(i, lam) for i, (_, factor) in enumerate(chain)
+            for p in factor.poles() for lam in (p, p.conjugate())]
+    if not rows:
+        return
+    lams = np.array([[lam] for _, lam in rows])
+    points = np.concatenate([np.eye(grid.n)[j] * axis[:, None] for j, axis in enumerate(grid.axes)])
+    size = max(frames.POINT_BLOCK // len(rows), 1)
+    finite = np.ones(len(rows), dtype=bool)
+    for j in range(0, len(points), size):
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite &= np.isfinite(seed.block(points[j:j + size], lams)).all(axis=(1, 2, 3))
+    if not finite.all():
+        i, lam = rows[np.argmin(finite)]
+        raise ValidationError(f"chain[{i}]: the seed block at the pole {lam:.6g} is not finite "
+                              "on the grid (rule: the seed block is finite at every factor pole "
+                              "and its conjugate on the grid)")
+
+
 def validate_scenario(raw: dict) -> Scenario:
     _known_keys(raw, "", TOP_KEYS)
     version = raw.get("schema_version")
@@ -265,15 +292,18 @@ def validate_scenario(raw: dict) -> Scenario:
                 "2nd-order finite differences need)")
         if not g[0] <= 0.0 <= g[1]:
             raise ValidationError(f"grid[{j}]: grid must contain the origin (path integrals anchor at u = 0)")
-    if math.prod(g[2] for g in grid_spec) > MAX_GRID_POINTS:
+    points = math.prod(g[2] for g in grid_spec)
+    if points > MAX_GRID_POINTS:
         raise ValidationError(f"grid: {' x '.join(str(g[2]) for g in grid_spec)} points "
                               f"(rule: at most {MAX_GRID_POINTS} grid points in all)")
-    grid = Grid.from_specs(grid_spec)
-
     lambdas_spec = raw.get("lambdas", [[1.0, 0.0]])
     if not isinstance(lambdas_spec, list):
         raise ValidationError(f"lambdas: got {lambdas_spec!r} "
                               "(rule: lambdas is a list of [re, im] pairs)")
+    if len(lambdas_spec) * points > MAX_LAMBDA_POINTS:
+        raise ValidationError(f"lambdas: {len(lambdas_spec)} lambdas on {points} grid points (rule: "
+                              f"at most {MAX_LAMBDA_POINTS} (lambda, grid point) pairs)")
+    grid = Grid.from_specs(grid_spec)
     lambdas = [_complex_pair(v, "lambdas") for v in lambdas_spec]
 
     chain = _validate_chain(seed, raw.get("chain"))
@@ -282,6 +312,7 @@ def validate_scenario(raw: dict) -> Scenario:
         check_pole_collisions(poles)
     except PoleCollisionError as exc:
         raise ValidationError(f"chain: {exc} (rule: distinct factor poles)") from None
+    _check_seed_at_poles(seed, grid, chain)
 
     checks_spec = raw.get("checks", {})
     if not isinstance(checks_spec, dict):

@@ -218,7 +218,7 @@ class OnePoleRecord:
         np.conjugate(E_inv.swapaxes(-1, -2), out=F_poles[1, ..., :n])
         del E_inv  # a view that keeps the whole solve alive
         blocks = np.zeros(F_poles.shape[1:-2] + (2 * n + 1, n + 1), dtype=complex)
-        blocks[..., :n, :n] = pi_tilde.complement
+        np.subtract(np.eye(n), pi_tilde.matrix, out=blocks[..., :n, :n])
         blocks[..., n, n] = 1.0
         blocks[..., n + 1:, :n] = pi_tilde.matrix
         blocks[..., n + 1:, n] = matvec(blocks[..., n + 1:, :n], eta)

@@ -4,10 +4,11 @@ Everything is a plain complex128 ``numpy.ndarray`` at small fixed dimension
 (n = 2..8 at desk scale); there is no sparse or blocked structure.  Matrix
 routines accept stacks of shape (..., n, n), one matrix per point of a point
 set, and apply their checks to every matrix in the stack.  The checks are
-cheap certificates where one decides exactly: a solve passes every matrix
+cheap certificates from plain sums of squares: a solve passes every matrix
 whose Frobenius condition number ||A||_F ||A^-1||_F, an upper bound on the
-2-norm one, is below the limit, and a one-column span needs only a nonzero
-norm.  A values-only SVD decides the rest.  The one structured value is
+2-norm one, is below the limit, and a one-column span one whose norm is in
+the normal range.  An SVD decides the rest, over- and underflows among
+them.  The one structured value is
 :class:`HermitianProjection`, which is validated on every construction from
 given matrices, because a projection that silently fails pi^2 = pi or
 pi = pi* corrupts every downstream transformation formula; one that
@@ -91,18 +92,9 @@ def lax_block(M: np.ndarray, axis: int, lam: complex | None = None,
     return out
 
 
-def _frobenius(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Frobenius norm of each matrix of a stack (..., n, k) as r * 2**e.
-
-    Each matrix is first scaled by the power of two 2**-e that brings its
-    largest |real or imaginary part| into [1/2, 1), as LAPACK's nrm2 scales,
-    so the sum of squares neither overflows nor underflows; the scaling is
-    exact.  Returns (r, e, X) with X the real view (..., n, 2k) of the scaled
-    matrix.  A zero matrix has r = 0, a non-finite one a non-finite r."""
-    X = np.ascontiguousarray(M).view(float)
-    _, e = np.frexp(np.abs(X).max(axis=(-2, -1)))
-    X = np.ldexp(X, -e[..., None, None])
-    return np.sqrt(np.einsum("...ij,...ij->...", X, X)), e, X
+def _sum_squares(X: np.ndarray) -> np.ndarray:
+    """sum x_ij^2 of each matrix of a real stack (..., n, k), unscaled."""
+    return np.einsum("...ij,...ij->...", X, X)
 
 
 def _require_conditioned(A: np.ndarray) -> None:
@@ -110,12 +102,12 @@ def _require_conditioned(A: np.ndarray) -> None:
     matrix of the stack A exceeds ``COND_MAX`` or its sigma_min is 0."""
     s = np.linalg.svd(A, compute_uv=False)
     smin = s[..., -1]
-    with np.errstate(over="ignore"):  # a condition beyond the float range reads inf
-        cond = s[..., 0] / np.maximum(smin, 1e-300)
+    # a condition beyond the float range, sigma_min = 0 among them, reads inf
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        cond = np.where(smin == 0.0, np.inf, s[..., 0] / smin)
     # an empty stack has nothing to check
-    if smin.size and (smin.min() == 0.0 or cond.max() > COND_MAX):
-        worst = np.where(smin == 0.0, np.inf, cond).max()
-        raise SingularError(f"matrix condition {worst:.3e} exceeds {COND_MAX:.1e}")
+    if cond.size and cond.max() > COND_MAX:
+        raise SingularError(f"matrix condition {cond.max():.3e} exceeds {COND_MAX:.1e}")
 
 
 def solve_and_invert(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -129,15 +121,16 @@ def solve_and_invert(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
     Raises :class:`SingularError` when the 2-norm condition number of any
     matrix exceeds ``COND_MAX`` (covers exactly singular pivots as well).
-    The one LU solve against [B | I] gives X and A^-1, and the certificate
-    cond_2 <= cond_F = ||A||_F ||A^-1||_F passes every matrix whose cond_F
-    is at most ``COND_MAX``.  Only the others (and every matrix when the LU
-    meets an exactly zero pivot) go to a values-only SVD, which decides.
+    The certificate cond_2 <= cond_F = ||A||_F ||A^-1||_F, each norm from a
+    plain sum of squares, passes every matrix whose cond_F is at most
+    ``COND_MAX``; a sum that over- or underflows makes cond_F inf or NaN and
+    fails it.  A values-only SVD decides every other matrix (and all of them
+    when the LU meets an exactly zero pivot).
     """
     A = cmat(A)
     _require_square(A, "solve_linear")
     B = np.asarray(B, dtype=complex)
-    vector = B.ndim == 1 or (A.ndim > 2 and B.ndim == A.ndim - 1)
+    vector = B.ndim in (1, A.ndim - 1)
     if vector:
         B = B[..., None]
     n, k = A.shape[-1], B.shape[-1]
@@ -149,15 +142,11 @@ def solve_and_invert(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarr
     except np.linalg.LinAlgError:
         _require_conditioned(A)
         raise
-    pair = np.empty((2,) + XI.shape[:-1] + (n,), dtype=complex)
-    pair[0], pair[1] = A, XI[..., k:]
-    r, e, _ = _frobenius(pair)
-    # cond_F = r_A r_inv 2^(e_A + e_inv), each r in [1/2, sqrt(2) n]; capping
-    # the exponent at 64 keeps cond_F finite and still fails every capped matrix
-    cond_f = np.ldexp(r[0] * r[1], np.minimum(e[0] + e[1], 64))
-    certified = cond_f <= COND_MAX  # NaN fails the certificate too
+    A_f, inv_f = (np.ascontiguousarray(M).view(float) for M in (A, XI[..., k:]))
+    with np.errstate(invalid="ignore"):  # inf * 0 reads NaN and fails
+        certified = np.sqrt(_sum_squares(A_f)) * np.sqrt(_sum_squares(inv_f)) <= COND_MAX
     if not certified.all():
-        _require_conditioned(pair[0][~certified])
+        _require_conditioned(A[~certified])
     return XI[..., 0] if vector else XI[..., :k], XI[..., k:]
 
 
@@ -243,10 +232,11 @@ def project_onto_span(V: np.ndarray) -> HermitianProjection:
     right-multiplication of V by any invertible matrix.  Raises
     :class:`RankDeficientError` when sigma_min(V) <= RANK_TOL_FACTOR *
     sigma_max(V) for any matrix.  A single column v has sigma_min = sigma_max
-    = |v|, so its test is v = 0 and its basis v / |v|, with the norm scaled
-    against overflow and underflow; several columns take the left singular
-    vectors and singular values of a reduced SVD.  Each projection whose
-    imaginary part is below ``PROJECTION_TOL`` is snapped to real.  Q's
+    = |v|, so its basis is v / |v| wherever the plain sum |v|^2 lies in
+    [1e-290, 1e290]; every other matrix (a zero column, say) takes the left
+    singular vectors of a reduced SVD, matrix by matrix, so no result
+    depends on its stack.  Each projection whose imaginary part is below
+    ``PROJECTION_TOL`` is snapped to real.  Q's
     orthonormality certifies the result, so it skips the stack-wide
     idempotence, hermiticity and trace checks of a given projection.
     """
@@ -259,18 +249,16 @@ def project_onto_span(V: np.ndarray) -> HermitianProjection:
         return HermitianProjection._from_basis(zero, 0, True, V)
     if k > n:
         raise RankDeficientError(f"{k} columns cannot be independent in dimension {n}")
-    if k == 1:
-        # sigma_min = sigma_max = |v|, so the rank test is |v| = 0
-        r, _, X = _frobenius(V)
-        if not r.all():
-            raise RankDeficientError(
-                "spanning columns are dependent: sigma_min/sigma_max = 0.00e+00 (a zero column)"
-            )
-        Q = (X / r[..., None, None]).view(complex)
-    else:
-        Q, s, _ = np.linalg.svd(V, full_matrices=False)
-        dependent = s[..., -1] <= RANK_TOL_FACTOR * s[..., 0]
-        if dependent.any():
+    # one column has sigma_min = sigma_max = |v| and the basis v / |v|, taken
+    # where the sum |v|^2 lies in [1e-290, 1e290], clear of over- and
+    # underflow; the SVD takes every other matrix, and all of several columns
+    X = np.ascontiguousarray(V).view(float)
+    ss = _sum_squares(X) if k == 1 else np.zeros(V.shape[:-2])
+    svd = (ss < 1e-290) | (ss > 1e290)
+    Q = (X / np.sqrt(np.where(svd, 1.0, ss))[..., None, None]).view(complex)
+    if svd.any():
+        Q[svd], s, _ = np.linalg.svd(V[svd], full_matrices=False)
+        if (s[..., -1] <= RANK_TOL_FACTOR * s[..., 0]).any():
             # a zero matrix has sigma_max = 0; its ratio reads 0
             ratio = np.divide(s[..., -1], s[..., 0], out=np.zeros(s.shape[:-1]), where=s[..., 0] > 0)
             raise RankDeficientError(

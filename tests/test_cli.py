@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -199,20 +200,27 @@ def test_unknown_key_exits_3_naming_it(tmp_path, capsys, mutate, name):
 REAL_ONE_POLE = {"type": "real_one_pole", "alpha": 0.6, "span": [[[1.0, 0.0]], [[1.0, 0.0]]]}
 
 
-@pytest.mark.parametrize("overrides", [
-    {"grid": [[-0.5, 1e300, 7], [-0.5, 0.5, 7]], "chain": [REAL_ONE_POLE]},
-    {"chain": [dict(REAL_ONE_POLE, alpha=1e300)]},
-    {"chain": [REAL_ONE_POLE, {"type": "two_pole", "z": [1e308, 0.8],
-                               "span": [[[1.0, 0.0]], [[0.5, -0.25]]]}]},
+SEED_AT_POLE_RULE = ("validation error: chain[0]: the seed block at the pole 0+0.6j is not "
+                     "finite on the grid (rule: the seed block is finite at every factor pole "
+                     "and its conjugate on the grid)\n")
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"grid": [[-0.5, 1e300, 7], [-0.5, 0.5, 7]], "chain": [REAL_ONE_POLE]}, SEED_AT_POLE_RULE),
+    ({"chain": [dict(REAL_ONE_POLE, alpha=1e300)]}, SEED_AT_POLE_RULE.replace("0.6j", "1e+300j")),
+    ({"chain": [REAL_ONE_POLE, {"type": "two_pole", "z": [1e308, 0.8],
+                                "span": [[[1.0, 0.0]], [[0.5, -0.25]]]}]},
+     "validation error: chain[1]: matrix entries must be finite\n"),
 ], ids=["grid-bound", "alpha", "two-pole-z"])
-def test_finite_numbers_that_overflow_exit_3(tmp_path, capsys, overrides):
-    """Numbers that pass validation but overflow the frame evaluation, or
-    overflow while the chain is validated (the two-pole z), end in the error
-    exit, not in a traceback, with no numpy warning: pytest makes every
+def test_finite_numbers_that_overflow_exit_3(tmp_path, capsys, overrides, message):
+    """Numbers that pass the number rules but overflow the seed block at a
+    pole (the grid bound, the alpha), refused at validation by the rule that
+    names it, or overflow while the chain is validated (the two-pole z), end
+    in exit 3, not in a traceback, with no numpy warning: pytest makes every
     warning an error."""
     path = write_scenario(tmp_path, base_scenario(**overrides))
     assert run_cli("verify", path, tmp_path / "out") == 3
-    assert "matrix entries must be finite" in capsys.readouterr().err
+    assert capsys.readouterr().err == message
 
 
 @pytest.mark.parametrize("seed", [
@@ -643,44 +651,66 @@ def test_reality_check_matches_per_sample_loop(name, chunk, monkeypatch):
         assert "reality_sigma_skipped" in [c.name for c in report.checks]
 
 
-def _leaves(node, path=()):
-    """Paths to every scalar leaf of a JSON tree."""
-    if isinstance(node, dict):
-        for key, value in node.items():
-            yield from _leaves(value, path + (key,))
-    elif isinstance(node, list):
-        for i, value in enumerate(node):
-            yield from _leaves(value, path + (i,))
-    else:
-        yield path
+def _nodes(node, path=()):
+    """Paths to every node of a JSON tree below its root, leaves and
+    subtrees alike."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _nodes(value, path + (key,))
 
 
 SHIPPED = {p.stem: json.loads(p.read_text()) for p in sorted(SCENARIOS.glob("*.json"))}
-LEAVES = [(name, path) for name, raw in SHIPPED.items() for path in _leaves(raw)]
-REPLACEMENTS = ["text", True, False, float("nan"), float("inf"), [1.0], None, -1, -2.5]
+REPLACEMENTS = ["text", True, False, float("nan"), float("inf"), -float("inf"), [1.0], [], [[]],
+                {}, None, -1, -2.5, 1e308, 1e154, 1e-320, 10 ** 30]
+# each command and the report whose failed checks its exit code 1 must show
+REPORTS = {"seed": None, "dress": None, "export": None, "sweep": None,
+           "verify": "report.json", "run": "report.json", "permute-check": "permute_report.json"}
 
 
-@settings(max_examples=40, derandomize=True, database=None, deadline=None)
-@given(st.sampled_from(LEAVES), st.sampled_from(REPLACEMENTS))
-def test_mutated_scenario_keeps_exit_code_contract(leaf, value):
-    """One leaf of a shipped scenario replaced by a wrong-typed, non-finite
-    or negative value: ``verify`` exits 0-3 without an uncaught exception,
-    and exits 1 only when report.json holds a failed check."""
-    name, path = leaf
+@st.composite
+def mutated_scenarios(draw):
+    """A shipped scenario with one or two mutations, each at a node of the
+    tree as mutated so far: the node replaced by a wrong-typed, non-finite,
+    negative or out-of-range value, the node deleted (a key or a list
+    entry), or a list entry duplicated in place; and the command to run."""
+    name = draw(st.sampled_from(sorted(SHIPPED)))
     raw = copy.deepcopy(SHIPPED[name])
-    node = raw
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(list(_nodes(raw))))
+        parent = raw
+        for key in path[:-1]:
+            parent = parent[key]
+        kind = draw(st.sampled_from(["replace", "delete", "duplicate"]))
+        if kind == "replace":
+            parent[path[-1]] = draw(st.sampled_from(REPLACEMENTS))
+        elif kind == "delete" or isinstance(parent, dict):
+            del parent[path[-1]]
+        else:
+            parent.insert(path[-1], copy.deepcopy(parent[path[-1]]))
+    return draw(st.sampled_from(sorted(REPORTS))), name, raw
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(mutated_scenarios())
+def test_mutated_scenario_keeps_exit_code_contract(case):
+    """One or two mutations of a shipped scenario, run through one of the
+    seven commands: it exits 0-3 without an uncaught exception or a numpy
+    warning (the suite raises every warning), and exits 1 only when its
+    report holds a failed check."""
+    command, _, raw = case
     with tempfile.TemporaryDirectory() as tmp:
         scenario = Path(tmp) / "scenario.json"
         scenario.write_text(json.dumps(raw))
         out = Path(tmp) / "out"
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-            code = run_cli("verify", str(scenario), out)
+            code = run_cli(command, str(scenario), out)
         assert code in (0, 1, 2, 3)
-        if code in (0, 1):
-            checks = json.loads((out / "report.json").read_text())["checks"]
+        report = REPORTS[command]
+        if report is None:
+            assert code != 1
+        elif code in (0, 1):
+            checks = json.loads((out / report).read_text())["checks"]
             assert any(c["passed"] is False for c in checks) == (code == 1)
 
 
@@ -1100,17 +1130,20 @@ def test_obj_writer_matches_per_row_lines(tmp_path):
      "rule: at most 100000 grid points in all"),
     ({"reality_samples": 10 ** 30},
      "rule: reality_samples is a positive integer of at most 100000"),
-], ids=["grid-1e10-points", "samples-1e30"])
+    ({"lambdas": [[1.0 + k / 2000, 0.0] for k in range(2000)]},
+     "rule: at most 500000 (lambda, grid point) pairs"),
+], ids=["grid-1e10-points", "samples-1e30", "lambdas-578000-pairs"])
 def test_scenario_over_a_work_cap_exits_3(tmp_path, capsys, monkeypatch, overrides, rule):
-    """A grid of more than MAX_GRID_POINTS points in all, or more than
-    MAX_REALITY_SAMPLES reality samples, is refused by validation before the
-    grid is built or anything is evaluated."""
+    """A grid of more than MAX_GRID_POINTS points in all, more than
+    MAX_REALITY_SAMPLES reality samples, or more than MAX_LAMBDA_POINTS
+    (lambda, grid point) pairs is refused by validation before the grid is
+    built (the first and the last) or anything is evaluated."""
     def refuse(specs):
         raise AssertionError("grid built for a scenario over a cap")
 
     raw = json.loads((SCENARIOS / "one_soliton.json").read_text())
     raw.update(overrides)
-    if "grid" in overrides:
+    if "reality_samples" not in overrides:
         monkeypatch.setattr(Grid, "from_specs", refuse)
     out = tmp_path / "out"
     assert run_cli("run", write_scenario(tmp_path, raw), out) == 3
@@ -1120,11 +1153,77 @@ def test_scenario_over_a_work_cap_exits_3(tmp_path, capsys, monkeypatch, overrid
 
 
 def test_scenario_at_the_work_caps_validates():
-    """The caps are inclusive: MAX_GRID_POINTS points and
-    MAX_REALITY_SAMPLES samples pass validation."""
+    """The caps are inclusive: MAX_GRID_POINTS points, MAX_LAMBDA_POINTS
+    (lambda, grid point) pairs and MAX_REALITY_SAMPLES samples pass
+    validation."""
     raw = json.loads((SCENARIOS / "one_soliton.json").read_text())
     raw["grid"] = [[-0.5, 0.5, cli.MAX_GRID_POINTS // 100], [-0.5, 0.5, 100]]
+    raw["lambdas"] = [[1.0 + k / 10, 0.0] for k in range(cli.MAX_LAMBDA_POINTS // cli.MAX_GRID_POINTS)]
     raw["reality_samples"] = cli.MAX_REALITY_SAMPLES
     scenario = validate_scenario(raw)
     assert np.prod(scenario.grid.shape) == cli.MAX_GRID_POINTS
+    assert len(scenario.lambdas) * cli.MAX_GRID_POINTS == cli.MAX_LAMBDA_POINTS
     assert scenario.reality_samples == cli.MAX_REALITY_SAMPLES
+
+
+@pytest.mark.parametrize("alpha", [2000.0, 1e160, 1e200])
+def test_pole_with_an_overflowing_seed_block_exits_3(tmp_path, capsys, monkeypatch, alpha):
+    """A real one-pole alpha whose seed block e^{i lambda u} at +-i alpha
+    overflows on one_soliton's grid exits 3 at validation, within a second,
+    under warnings as errors, naming its rule; no frame is dressed."""
+    def refuse(scenario):
+        raise AssertionError("chain applied for a scenario with an overflowing pole")
+
+    monkeypatch.setattr(cli, "apply_chain", refuse)
+    raw = json.loads((SCENARIOS / "one_soliton.json").read_text())
+    raw["chain"][0]["alpha"] = alpha
+    path = write_scenario(tmp_path, raw)
+    start = time.perf_counter()
+    for command in ("verify", "sweep"):
+        assert run_cli(command, path, tmp_path / "out") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: chain[0]: the seed block at the pole ")
+        assert "(rule: the seed block is finite at every factor pole and its conjugate on the grid)" in err
+    assert time.perf_counter() - start < 1.0
+
+
+def test_pole_with_a_finite_seed_block_validates():
+    """alpha = 800 keeps e^{800 u} finite on [-0.5, 0.5]: validation
+    passes it, and the solve refuses its condition later."""
+    raw = json.loads((SCENARIOS / "one_soliton.json").read_text())
+    raw["chain"][0]["alpha"] = 800.0
+    validate_scenario(raw)
+
+
+def _polynomial_seed(degree):
+    """one_soliton's seed made polynomial: 1, 0.3/k and 0.7, 0.2/k up to
+    ``degree`` on [-1, 1]."""
+    return {"type": "polynomial", "profiles": [
+        {"coeffs": [1.0] + [0.3 / k for k in range(1, degree + 1)], "domain": [-1.0, 1.0]},
+        {"coeffs": [0.7] + [0.2 / k for k in range(1, degree + 1)], "domain": [-1.0, 1.0]}]}
+
+
+def test_polynomial_seed_at_the_degree_cap_passes_the_frame_checks(tmp_path):
+    """one_soliton's chain on a polynomial seed of degree
+    MAX_POLYNOMIAL_DEGREE: the closed-form frame agrees with the RK4
+    integration to the RK4 error, as on a cubic seed."""
+    raw = json.loads((SCENARIOS / "one_soliton.json").read_text())
+    raw["seed"] = _polynomial_seed(frames.MAX_POLYNOMIAL_DEGREE)
+    out = tmp_path / "out"
+    with redirect_stdout(io.StringIO()):
+        assert run_cli("run", write_scenario(tmp_path, raw), out) == 0
+    checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
+    assert checks["pde_frame"]["residual"] < 1e-9
+    assert checks["path_independence"]["residual"] < 1e-11
+
+
+def test_polynomial_seed_over_the_degree_cap_exits_3(tmp_path, capsys):
+    raw = json.loads((SCENARIOS / "one_soliton.json").read_text())
+    raw["seed"] = _polynomial_seed(frames.MAX_POLYNOMIAL_DEGREE + 1)
+    # a zero leading coefficient does not count towards the degree
+    raw["seed"]["profiles"][1]["coeffs"] = [0.7, 0.1] + [0.0] * 20
+    assert run_cli("verify", write_scenario(tmp_path, raw), tmp_path / "out") == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error: seed.profiles[0]: polynomial profile of degree "
+                          f"{frames.MAX_POLYNOMIAL_DEGREE + 1} (rule: degree at most "
+                          f"{frames.MAX_POLYNOMIAL_DEGREE},")

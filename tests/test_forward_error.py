@@ -27,10 +27,12 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from dressing_forge import (ExtendedFrame, VacuumSeed, dress_extended, dress_real,
+from dressing_forge import (ConstantProfile, ExtendedFrame, PolynomialProfile,
+                            SampledProfile, VacuumSeed, dress_extended, dress_real,
                             dress_translation, dress_two_pole, max_abs,
                             project_onto_span)
 from dressing_forge.dressing import OnePoleRecord
+from dressing_forge.frames import MAX_POLYNOMIAL_DEGREE, POLYNOMIAL_ROUNDING_UNITS
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import DeepChain  # noqa: E402
@@ -161,3 +163,85 @@ def test_mixed_chain_forward_error():
         reference = Reference(frame, u)
         worst = max(forward_error(frame, reference, u, lam) for lam in lams)
         assert worst < 2e-13
+
+
+# --- the seed block, every profile type ---------------------------------------
+
+def _moment_integral(coeffs, s, il):
+    """int_0^s sum_m c_m t^m e^{il t} dt by parts, exact in the working
+    precision: I_m = (s^m e^{il s} - m I_{m-1}) / il, or the plain
+    polynomial integral at il = 0."""
+    if il == 0:
+        return sum(c * s ** (m + 1) / (m + 1) for m, c in enumerate(coeffs))
+    e = mp.exp(il * s)
+    I = (e - 1) / il
+    total = coeffs[0] * I
+    for m in range(1, len(coeffs)):
+        I = (s ** m * e - m * I) / il
+        total += coeffs[m] * I
+    return total
+
+
+def _piece_reference(coeffs, knot, a, b, lam):
+    """int_a^b p(t - knot) e^{i lam t} dt and its rounding scale int_a^b
+    sum_m |c_m (t - knot)^m| |e^{i lam t}| dt, for a <= b on one side of the
+    knot, in 120-digit arithmetic, where the recursion's cancellation (at
+    most about m! / |lam s|^m) leaves more than DIGITS digits."""
+    with mp.workdps(120):
+        c = [mp.mpf(x) for x in coeffs]
+        knot, a, b, lam = mp.mpf(knot), mp.mpf(a) - knot, mp.mpf(b) - knot, mp.mpc(lam)
+        phase = mp.exp(1j * lam * knot)
+        value = phase * (_moment_integral(c, b, 1j * lam) - _moment_integral(c, a, 1j * lam))
+        side = 1 if a + b >= 0 else -1
+        size = [abs(x) * side ** m for m, x in enumerate(c)]
+        scale = abs(phase) * abs(_moment_integral(size, b, -mp.im(lam))
+                                 - _moment_integral(size, a, -mp.im(lam)))
+        return value, scale
+
+
+def _profile_reference(pieces, u, lam):
+    """X_j = int_0^u h_j(t) e^{i lam t} dt and its rounding scale, for h_j
+    the piecewise polynomial ``pieces`` [(knot, lo, hi, coeffs in t - knot)]
+    from the profile's own float data, summed over the parts of [0, u]."""
+    value = scale = 0
+    for knot, lo, hi, coeffs in pieces:
+        a, b = max(min(0.0, u), lo), min(max(0.0, u), hi)
+        if a < b:
+            v, sc = _piece_reference(coeffs, knot, a, b, lam)
+            value, scale = value + (v if u > 0 else -v), scale + sc
+    return complex(value), float(scale)
+
+
+SEED_LAMBDAS = [1e-3, 0.3, 0.6, 1.0, 2.0, 5.0, 20.0, 0.6j, -0.6j, 1.37j, 0.6 + 0.6j, 3.0 - 4.0j]
+SEED_POINTS = [0.05, 0.3, 0.9, 1.0, -0.3, -1.0]
+
+
+@pytest.mark.parametrize("degree", [3, 10, MAX_POLYNOMIAL_DEGREE])
+def test_seed_block_forward_error(degree):
+    """``VacuumSeed.block`` on a constant, a polynomial (coefficients 1,
+    0.3/k up to ``degree``) and a sampled profile (9 knots of 1 + 0.3 t^2):
+    E to rounding, and each X_j within POLYNOMIAL_ROUNDING_UNITS units of
+    rounding of int_0^u |h_j(t) e^{i lam t}| dt (summed over the monomials
+    of each piece) of an exact reference, over lambdas from 1e-3 to 20, on
+    both axes and around the pole rows of the shipped chains, and points
+    across [-1, 1]."""
+    knots = np.linspace(-1.0, 1.0, 9)
+    profiles = (ConstantProfile(0.7),
+                PolynomialProfile((1.0,) + tuple(0.3 / k for k in range(1, degree + 1)), (-1.0, 1.0)),
+                SampledProfile(tuple(knots), tuple(1.0 + 0.3 * knots ** 2)))
+    pieces = ([(0.0, -np.inf, np.inf, (0.7,))],
+              [(0.0, -1.0, 1.0, profiles[1].coeffs)],
+              [(lo, lo, hi, piece.coeffs)
+               for lo, hi, piece in zip(knots, knots[1:], profiles[2]._pieces)])
+    seed = VacuumSeed(profiles)
+    U = np.repeat(np.array(SEED_POINTS)[:, None], 3, axis=1)
+    eps = np.finfo(float).eps
+    for lam in SEED_LAMBDAS:
+        block = seed.block(U, lam)
+        for i, u in enumerate(SEED_POINTS):
+            with mp.workdps(DIGITS):
+                e = complex(mp.exp(1j * mp.mpc(lam) * mp.mpf(u)))
+            assert max_abs(np.diagonal(block[i, :, :3]) - e) <= 2 * eps * abs(e)
+            for j in range(3):
+                value, scale = _profile_reference(pieces[j], u, lam)
+                assert abs(block[i, j, 3] - value) <= POLYNOMIAL_ROUNDING_UNITS * eps * scale, (j, u, lam)

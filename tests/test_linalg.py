@@ -65,14 +65,28 @@ def test_given_projections_are_still_validated(matrix, rank, real, message):
         HermitianProjection(matrix, rank, real, span)
 
 
+def _scaled_frobenius(M):
+    """Frobenius norm of each matrix of a stack (..., n, k) as r * 2**e, the
+    reference formula: each matrix scaled by the power of two 2**-e that
+    brings its largest |real or imaginary part| into [1/2, 1), as LAPACK's
+    nrm2 scales (Blue, ACM TOMS 4, 1978), so the sum of squares neither
+    overflows nor underflows.  Returns (r, e, X), X the real view (..., n,
+    2k) of the scaled matrix."""
+    X = np.ascontiguousarray(M).view(float)
+    _, e = np.frexp(np.abs(X).max(axis=(-2, -1)))
+    X = np.ldexp(X, -e[..., None, None])
+    return np.sqrt(np.einsum("...ij,...ij->...", X, X)), e, X
+
+
 def _span_projection_reference(V):
     """project_onto_span as computed through the validating constructor:
-    Q = v / |v| (one column) or the reduced SVD's U, then Q Q*, made
-    Hermitian and snapped to real where its imaginary part is below 1e-12."""
+    Q = v / |v| (one column, |v| by the scaled formula) or the reduced
+    SVD's U, then Q Q*, made Hermitian and snapped to real where its
+    imaginary part is below 1e-12."""
     V = np.asarray(V, dtype=complex)
     V = V[:, None] if V.ndim == 1 else V
     if V.shape[-1] == 1:
-        r, _, X = linalg._frobenius(V)
+        r, _, X = _scaled_frobenius(V)
         Q = (X / r[..., None, None]).view(complex)
     else:
         Q = np.linalg.svd(V, full_matrices=False)[0]
@@ -325,3 +339,110 @@ def test_solve_returns_exactly_numpy_solve(rng, n, a_batch, b_batch, k):
         near = near[..., 0] if b_batch else near
     assert X.shape == exact.shape == near.shape and np.array_equal(X, exact)
     assert max_abs(X - near) <= 1e-14 * max_abs(near)
+
+
+# --- the plain-sum certificates against the scaled reference -----------------
+
+def _conditioned_stack(rng, n, size):
+    """``size`` complex n x n matrices U diag(sigma) W* * scale with random
+    unitary U, W, 2-norm condition 10**[0, 16] and scale 10**[-300, 300],
+    both log-uniform, the largest singular value the scale."""
+    def unitary():
+        q, r = np.linalg.qr(rng.normal(size=(size, n, n)) + 1j * rng.normal(size=(size, n, n)))
+        d = np.diagonal(r, axis1=-2, axis2=-1)
+        return q * (d / np.abs(d))[:, None, :]
+
+    cond = 10.0 ** rng.uniform(0, 16, size)
+    scale = 10.0 ** rng.uniform(-300, 300, size)
+    sigma = cond[:, None] ** -np.sort(rng.uniform(0, 1, (size, n)))
+    sigma[:, 0], sigma[:, -1] = 1.0, 1.0 / cond
+    return (unitary() * sigma[:, None, :]) @ unitary().conj().swapaxes(-1, -2) * scale[:, None, None]
+
+
+@settings(deadline=None, max_examples=30, derandomize=True, database=None)
+@given(st.integers(0, 10 ** 6), st.integers(2, 4))
+def test_solve_certificate_against_the_scaled_formula(seed, n):
+    """Matrices at scales 1e-300 to 1e300 and 2-norm conditions 1 to 1e16:
+    each passes ``solve_and_invert`` exactly when its SVD condition is at
+    most COND_MAX, apart from rounding at the threshold (within 1% of it,
+    where sigma_min and the inverse carry relative errors of about
+    cond * eps = 1e-3); none that the scaled certificate refuses is
+    certified; X is bit for bit the first k columns of
+    np.linalg.solve(A, [B | I])."""
+    rng = np.random.default_rng(seed)
+    A = _conditioned_stack(rng, n, 48)
+    B = rng.normal(size=(48, n, 2)) + 1j * rng.normal(size=(48, n, 2))
+    BI = np.concatenate((B, np.broadcast_to(np.eye(n), (48, n, n))), axis=-1)
+    s = np.linalg.svd(A, compute_uv=False)
+    svd_cond = s[:, 0] / s[:, -1]
+    XI = np.linalg.solve(A, BI)
+    (rA, eA), (rI, eI) = (_scaled_frobenius(m)[:2] for m in (A, XI[..., 2:]))
+    scaled_certified = np.ldexp(rA * rI, np.minimum(eA + eI, 64)) <= COND_MAX
+    sent, passed = [], []
+    require = linalg._require_conditioned
+    linalg._require_conditioned = lambda a: sent.append(len(a)) or require(a)
+    try:
+        for a, b in zip(A, B):
+            sent.clear()
+            try:
+                linalg.solve_and_invert(a[None], b[None])
+                passed.append(True)
+            except SingularError:
+                passed.append(False)
+            certified = not sent
+            assert not certified or scaled_certified[len(passed) - 1]
+    finally:
+        linalg._require_conditioned = require
+    passed = np.array(passed)
+    near = np.abs(svd_cond / COND_MAX - 1) < 1e-2
+    assert np.array_equal(passed[~near], (svd_cond <= COND_MAX)[~near])
+    # bit for bit, the inf and NaN of an overflowing X among them
+    X, _ = linalg.solve_and_invert(A[passed], B[passed])
+    assert X.tobytes() == np.linalg.solve(A[passed], BI[passed])[..., :2].tobytes()
+
+
+def _column_stack(rng, size, n=3):
+    """``size`` complex columns of n Gaussian entries times 10**[-300, 300]."""
+    scale = 10.0 ** rng.uniform(-300, 300, size)
+    return (rng.normal(size=(size, n, 1)) + 1j * rng.normal(size=(size, n, 1))) * scale[:, None, None]
+
+
+@settings(deadline=None, max_examples=30, derandomize=True, database=None)
+@given(st.integers(0, 10 ** 6))
+def test_one_column_spans_against_the_scaled_formula(seed):
+    """One-column projections whose sum of squares lies in [1e-290, 1e290]
+    are bit for bit those of the scaled formula (no entry of these columns
+    is small enough for either formula to round a subnormal); every column,
+    in range or not, gets a unit basis and the value it gets alone."""
+    rng = np.random.default_rng(seed)
+    V = _column_stack(rng, 64)
+    r, e, _ = _scaled_frobenius(V)
+    log_ss = 2 * (np.log10(r) + e * np.log10(2.0))
+    inside = (log_ss > -290 + 1e-9) & (log_ss < 290 - 1e-9)
+    got = project_onto_span(V)
+    want = _span_projection_reference(V[inside])
+    assert np.array_equal(got.span[inside], want.span)
+    assert np.array_equal(got.matrix[inside], want.matrix)
+    assert np.abs(np.linalg.norm(got.span[..., 0], axis=-1) - 1).max() <= 1e-15
+    for v, span, matrix in zip(V[~inside], got.span[~inside], got.matrix[~inside]):
+        alone = project_onto_span(v)
+        assert np.array_equal(alone.span, span) and np.array_equal(alone.matrix, matrix)
+
+
+@pytest.mark.parametrize("scale", [1e-310, 1e200])
+def test_one_column_span_has_unit_norm_out_of_range(scale):
+    pi = project_onto_span(scale * np.array([1.0, 2.0j, -2.0]))
+    assert abs(np.linalg.norm(pi.span) - 1) <= 1e-15
+
+
+def test_one_column_stack_mixing_ranges_matches_each_alone(rng):
+    """A stack of columns in and out of the normal range: each column's
+    projection and basis are the ones it gets on its own."""
+    v = rng.normal(size=(3, 1)) + 1j * rng.normal(size=(3, 1))
+    scales = [1.0, 1e-310, 1e200, 1e-140, 1e150, 3.0]
+    V = np.stack([s * v for s in scales])
+    got = project_onto_span(V)
+    for i, s in enumerate(scales):
+        alone = project_onto_span(s * v)
+        assert np.array_equal(got.span[i], alone.span)
+        assert np.array_equal(got.matrix[i], alone.matrix)
