@@ -189,14 +189,19 @@ def _build_seed(n: int, spec) -> VacuumSeed:
     return VacuumSeed(tuple(built))
 
 
-def _validate_chain(seed: VacuumSeed, chain_spec) -> list:
+def _validate_chain(seed: VacuumSeed, grid: Grid, chain_spec) -> list:
     """The chain as (type, loop factor) pairs.  Entry fields are checked for
-    shape here; the factor rules are the loop-factor constructors'."""
+    shape here; the factor rules are the loop-factor constructors'.  The
+    seed block at each pole p and conj(p), where the frame takes its pole
+    data, must be finite on the grid: its entries on axis j grow with
+    e^{-Im(p) u_j}, which overflows past |Im p u_j| ~ 709, so the ends of
+    the grid's axes decide."""
     n = seed.n
     if chain_spec is None:
         return []
     if not isinstance(chain_spec, list):
         raise ValidationError("chain: must be a list of factor specs")
+    ends = np.concatenate([np.eye(n)[j] * axis[[0, -1], None] for j, axis in enumerate(grid.axes)])
     chain = []
     for i, entry in enumerate(chain_spec):
         where = f"chain[{i}]"
@@ -239,33 +244,15 @@ def _validate_chain(seed: VacuumSeed, chain_spec) -> list:
                 factor = RealOnePoleFactor(float(alpha), projection)
         except (ValueError, DressingForgeError) as exc:
             raise ValidationError(f"{where}: {exc}") from exc
+        lams = [q for p in factor.poles() for q in (p, p.conjugate())]
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(seed.block(ends, np.array(lams)[:, None])).all(axis=(1, 2, 3))
+        if not finite.all():
+            raise ValidationError(f"{where}: the seed block at the pole {lams[np.argmin(finite)]:.6g} "
+                                  "is not finite on the grid (rule: the seed block is finite at "
+                                  "every factor pole and its conjugate on the grid)")
         chain.append((kind, factor))
     return chain
-
-
-def _check_seed_at_poles(seed: VacuumSeed, grid: Grid, chain: list) -> None:
-    """Refuse the first entry with a pole p whose seed block at p or conj(p),
-    where the frame takes its pole data, is not finite at some grid point:
-    e^{i p u} overflows once |Im p u| passes about 709.  The block's entries
-    on axis j depend on u_j alone, so the grid's axis lines through 0 hold
-    every value it takes on the grid.  The lambdas go as one stack, the
-    points in blocks of at most ``frames.POINT_BLOCK`` pairs."""
-    rows = [(i, lam) for i, (_, factor) in enumerate(chain)
-            for p in factor.poles() for lam in (p, p.conjugate())]
-    if not rows:
-        return
-    lams = np.array([[lam] for _, lam in rows])
-    points = np.concatenate([np.eye(grid.n)[j] * axis[:, None] for j, axis in enumerate(grid.axes)])
-    size = max(frames.POINT_BLOCK // len(rows), 1)
-    finite = np.ones(len(rows), dtype=bool)
-    for j in range(0, len(points), size):
-        with np.errstate(over="ignore", invalid="ignore"):
-            finite &= np.isfinite(seed.block(points[j:j + size], lams)).all(axis=(1, 2, 3))
-    if not finite.all():
-        i, lam = rows[np.argmin(finite)]
-        raise ValidationError(f"chain[{i}]: the seed block at the pole {lam:.6g} is not finite "
-                              "on the grid (rule: the seed block is finite at every factor pole "
-                              "and its conjugate on the grid)")
 
 
 def validate_scenario(raw: dict) -> Scenario:
@@ -306,13 +293,12 @@ def validate_scenario(raw: dict) -> Scenario:
     grid = Grid.from_specs(grid_spec)
     lambdas = [_complex_pair(v, "lambdas") for v in lambdas_spec]
 
-    chain = _validate_chain(seed, raw.get("chain"))
+    chain = _validate_chain(seed, grid, raw.get("chain"))
     poles = [p for _, factor in chain for p in factor.poles()]
     try:
         check_pole_collisions(poles)
     except PoleCollisionError as exc:
         raise ValidationError(f"chain: {exc} (rule: distinct factor poles)") from None
-    _check_seed_at_poles(seed, grid, chain)
 
     checks_spec = raw.get("checks", {})
     if not isinstance(checks_spec, dict):

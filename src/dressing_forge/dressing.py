@@ -41,24 +41,11 @@ or translation.  A record keeps the facts of its factor as a whole
 the history as a flat sequence of steps, each record's ``steps``: a
 two-pole record is its two one-pole parts and holds no evaluation code.  A
 step's pole data are the arrays its ``apply`` reads, stacked over a whole
-point set: the prefix block at its poles and, for a one-pole step, the
-matrix [[pi_tilde^perp, -pi_tilde eta], [0, 1], [pi_tilde, pi_tilde eta]]
-(R_tilde above [pi_tilde | pi_tilde eta]) it multiplies by at each point;
-the step folds c into its left factor c blockdiag(pi, -pi^perp) once, with
-the rows of the two blocks interleaved, so that the left product read as
-n x (2n+2) is [c pi dq_{conj z}(F) | -c pi^perp dq_z(F)] and its first
-2n+1 columns meet that matrix without a concatenation.  The frame's
+point set (:class:`_OnePoleData`, :class:`_TranslationData`): the frame's
 pole-data sweep (``ExtendedFrame.pole_data``) computes and memoises them
-per point set.  It evaluates the prefix block at each step's first pole
-row alone: conj(z) for a one-pole step, the pole for a translation.  Every
-factor is tau-real, g(conj(lambda))^* g(lambda) = I, and so is every
-prefix frame: E(u, conj(lambda))^* E(u, lambda) = I.  So a one-pole step's
-``take_pole_data`` writes the block at z as E(u, z) = (E(u, conj z)^{-1})^*,
-from the inverse that its certified solve for eta (``solve_and_invert``,
-one LU solve against [B | I]) computes anyway, and reads the rest off the
-step's own row; ``rows`` views the data at some of the points.
-``apply`` updates the block it is given in place and returns it: at one
-point, six numpy calls.
+per point set, and each step's ``take_pole_data`` reads its own off the
+sweep; ``rows`` views the data at some of the points.  ``apply`` updates
+the block it is given in place and returns it.
 """
 
 from __future__ import annotations
@@ -382,7 +369,7 @@ def dress(frame: ExtendedFrame, factor, sphere_preserving: bool = False) -> Exte
                                OnePoleRecord(-factor.z.conjugate(), factor.rho))
     else:
         record = TranslationRecord(factor.alpha, factor.b)
-    return frame.with_record(record)
+    return ExtendedFrame(frame.seed, frame.history + (record,))
 
 
 def dress_extended(frame: ExtendedFrame, z: complex,

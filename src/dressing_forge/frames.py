@@ -152,8 +152,9 @@ class PolynomialProfile:
                              f"{MAX_POLYNOMIAL_DEGREE}, where the seed's position integral "
                              "stays within its rounding bound)")
         # the series' error, about e^{|lam u|} units, meets the recursion's,
-        # about m!/|lam u|^m, near |lam u| = m/e
-        object.__setattr__(self, "_reach", degree / math.e)
+        # about m!/|lam u|^m, near |lam u| = m/e; at degree 0 the recursion
+        # is the exact exponential integral everywhere, lambda = 0 included
+        object.__setattr__(self, "_degree", degree)
         lo, hi = self.domain
         if not (lo <= 0.0 <= hi and lo < hi):
             raise ValueError("profile domain must contain 0")
@@ -174,7 +175,7 @@ class PolynomialProfile:
 
     def position_integral(self, u, lam):
         u, lam = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(lam, dtype=complex))
-        series = np.abs(lam * u) < self._reach
+        series = np.abs(lam * u) < self._degree / math.e
         out = np.empty(u.shape, dtype=complex)
         if np.any(series):
             out[series] = self._series_integral(u[series], lam[series])
@@ -205,7 +206,7 @@ class PolynomialProfile:
         I = _stable_exp_integral(u, lam)
         total = self.coeffs[0] * I
         e = np.exp(1j * lam * u)
-        for m in range(1, len(self.coeffs)):
+        for m in range(1, self._degree + 1):
             I = (u ** m * e - m * I) / (1j * lam)
             total = total + self.coeffs[m] * I
         return total
@@ -270,18 +271,13 @@ class SampledProfile:
 
     def position_integral(self, u, lam):
         u, lam = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(lam, dtype=complex))
-        total = np.zeros(u.shape, dtype=complex)
-        for knot, piece, s0, s1 in self._parts(u):
-            total += np.exp(1j * lam * knot) * (piece.position_integral(s1, lam)
-                                                - piece.position_integral(s0, lam))
-        return total[()]
+        return sum(np.exp(1j * lam * knot) * (piece.position_integral(s1, lam)
+                                              - piece.position_integral(s0, lam))
+                   for knot, piece, s0, s1 in self._parts(u))[()]
 
     def energy_integral(self, u):
-        u = np.asarray(u, dtype=float)
-        total = np.zeros(u.shape)
-        for _, piece, s0, s1 in self._parts(u):
-            total += piece.energy_integral(s1) - piece.energy_integral(s0)
-        return total[()]
+        return sum(piece.energy_integral(s1) - piece.energy_integral(s0)
+                   for _, piece, s0, s1 in self._parts(np.asarray(u, dtype=float)))[()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -381,10 +377,7 @@ class VacuumSeed:
 
     def phi(self, u: np.ndarray):
         self._check_domain(u)
-        total = 0.0
-        for j, p in enumerate(self.profiles):
-            total = total + p.energy_integral(u[..., j])
-        return total
+        return sum(p.energy_integral(u[..., j]) for j, p in enumerate(self.profiles))
 
 
 def _lambdas(lam, lead: tuple):
@@ -510,9 +503,6 @@ class ExtendedFrame:
     def is_sigma_compatible(self) -> bool:
         """Whether every record's factor satisfies the sigma condition."""
         return all(rec.is_sigma_compatible for rec in self.history)
-
-    def with_record(self, record) -> "ExtendedFrame":
-        return ExtendedFrame(self.seed, self.history + (record,))
 
     def step_count(self, records: int) -> int:
         """Number of steps in the first ``records`` records."""

@@ -8,12 +8,11 @@ cheap certificates from plain sums of squares: a solve passes every matrix
 whose Frobenius condition number ||A||_F ||A^-1||_F, an upper bound on the
 2-norm one, is below the limit, and a one-column span one whose norm is in
 the normal range.  An SVD decides the rest, over- and underflows among
-them.  The one structured value is
-:class:`HermitianProjection`, which is validated on every construction from
-given matrices, because a projection that silently fails pi^2 = pi or
-pi = pi* corrupts every downstream transformation formula; one that
-:func:`project_onto_span` builds as Q Q* from an orthonormal Q is certified
-by Q and not checked again.
+them.  The one structured value is :class:`HermitianProjection`, which is
+validated on every construction from given matrices, because a projection
+that silently fails pi^2 = pi or pi = pi* corrupts every downstream
+transformation formula; one that :func:`project_onto_span` builds as Q Q*
+from an orthonormal Q is certified by Q and not checked again.
 """
 
 from __future__ import annotations
@@ -236,9 +235,9 @@ def project_onto_span(V: np.ndarray) -> HermitianProjection:
     [1e-290, 1e290]; every other matrix (a zero column, say) takes the left
     singular vectors of a reduced SVD, matrix by matrix, so no result
     depends on its stack.  Each projection whose imaginary part is below
-    ``PROJECTION_TOL`` is snapped to real.  Q's
-    orthonormality certifies the result, so it skips the stack-wide
-    idempotence, hermiticity and trace checks of a given projection.
+    ``PROJECTION_TOL`` is snapped to real.  Q's orthonormality certifies
+    the result, so it skips the stack-wide idempotence, hermiticity and
+    trace checks of a given projection.
     """
     V = cmat(V)
     if V.ndim == 1:
@@ -252,12 +251,17 @@ def project_onto_span(V: np.ndarray) -> HermitianProjection:
     # one column has sigma_min = sigma_max = |v| and the basis v / |v|, taken
     # where the sum |v|^2 lies in [1e-290, 1e290], clear of over- and
     # underflow; the SVD takes every other matrix, and all of several columns
-    X = np.ascontiguousarray(V).view(float)
-    ss = _sum_squares(X) if k == 1 else np.zeros(V.shape[:-2])
-    svd = (ss < 1e-290) | (ss > 1e290)
-    Q = (X / np.sqrt(np.where(svd, 1.0, ss))[..., None, None]).view(complex)
+    svd = np.True_
+    if k == 1:
+        X = np.ascontiguousarray(V).view(float)
+        ss = _sum_squares(X)
+        svd = (ss < 1e-290) | (ss > 1e290)
+        Q = (X / np.sqrt(np.where(svd, 1.0, ss))[..., None, None]).view(complex)
     if svd.any():
-        Q[svd], s, _ = np.linalg.svd(V[svd], full_matrices=False)
+        if svd.all():
+            Q, s, _ = np.linalg.svd(V, full_matrices=False)
+        else:
+            Q[svd], s, _ = np.linalg.svd(V[svd], full_matrices=False)
         if (s[..., -1] <= RANK_TOL_FACTOR * s[..., 0]).any():
             # a zero matrix has sigma_max = 0; its ratio reads 0
             ratio = np.divide(s[..., -1], s[..., 0], out=np.zeros(s.shape[:-1]), where=s[..., 0] > 0)

@@ -90,6 +90,22 @@ def test_sampled_profile_against_quadrature():
         assert abs(p.energy_integral(u) - e) < 1e-13
 
 
+@pytest.mark.parametrize("lam", [0.0, 1e-200, 1e-9, 0.8 - 0.3j])
+def test_degree_zero_profiles_match_the_constant_profile(lam):
+    """A polynomial whose only nonzero coefficient is the constant one, and
+    a sampled profile of constant samples (every spline piece (v, 0, 0, 0)),
+    integrate as the constant profile does, lambda = 0 and 1e-200 included
+    (the suite turns a 0/0 warning into an error)."""
+    u = np.array([0.6, -0.45, 0.0, 1.0])
+    want = ConstantProfile(0.7).position_integral(u, lam)
+    if abs(lam) < 1e-100:
+        assert max_abs(want - 0.7 * u) < 1e-15
+    for coeffs in ((0.7,), (0.7, 0.0), (0.7, 0.0, 0.0, 0.0)):
+        assert np.array_equal(PolynomialProfile(coeffs, (-1.0, 1.0)).position_integral(u, lam), want)
+    sampled = SampledProfile(tuple(np.linspace(-1.0, 1.0, 5)), (0.7,) * 5)
+    assert max_abs(sampled.position_integral(u, lam) - want) < 1e-15
+
+
 def test_profile_validation():
     with pytest.raises(ValueError):
         ConstantProfile(-1.0)
