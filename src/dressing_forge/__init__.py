@@ -5,7 +5,7 @@ verification of every structural invariant."""
 from .errors import (AtPoleError, ChartSingularError, DressingForgeError,
                      NonFiniteError, OutOfDomainError, PoleCollisionError,
                      ProjectionDriftError, RankDeficientError, SingularError,
-                     SphericalViolationError, StepTooLargeError)
+                     SphericalViolationError)
 from .linalg import (HermitianProjection, max_abs, project_onto_span,
                      projection_distance, solve_linear, star_reduce)
 from .loops import (RealOnePoleFactor, TranslationFactor, TwoPointFactor,
@@ -25,8 +25,7 @@ from .dressing import (DressingRecord, OnePoleRecord, SphericalFamily,
                        dress_permuted, dress_real, dress_spherical,
                        dress_spherical_family, dress_translation,
                        dress_two_pole)
-from .oracle import (BfIntegration, OracleResult, PathSpec, estimate_order,
-                     integrate_bf, integrate_frame, integrate_frame_with_order,
-                     integrate_frames, metric_interpolators)
+from .oracle import (BfIntegration, PathSpec, doubling_estimate, estimate_order,
+                     integrate_bf, integrate_frame, integrate_frames, metric_interpolators)
 
 __version__ = "0.1.0"

@@ -37,9 +37,5 @@ class ProjectionDriftError(DressingForgeError):
     """Integrated projection drifted too far off the projection manifold."""
 
 
-class StepTooLargeError(DressingForgeError):
-    """Integrator step too coarse: observed convergence order degraded."""
-
-
 class ChartSingularError(DressingForgeError):
     """Affine chart coordinate too close to zero for a stable quotient."""

@@ -2,10 +2,12 @@
 connection and of the first-order dressing system, for comparison against the
 closed-form algebra.
 
-Fixed-step RK4 only --- no adaptivity --- so convergence-order arithmetic in
-the acceptance tests stays clean.  The frame equation F' = F theta is linear,
-so a chunk's steps are stacked matrices I + M composed pairwise; the
-dressing system is reprojected after every step, so it steps [pi | y] alone.
+Fixed-step RK4 only --- no adaptivity --- so convergence-order arithmetic
+stays clean, and integrating at step h and 2h estimates the error
+(``doubling_estimate``; the CLI's PDE check gates by it).  The frame
+equation F' = F theta is linear, so a chunk's steps are stacked matrices
+I + M composed pairwise; the dressing system is reprojected after every
+step, so it steps [pi | y] alone.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DressingForgeError, ProjectionDriftError, StepTooLargeError
+from .errors import DressingForgeError, ProjectionDriftError
 from .linalg import lax_block, max_abs
 
 # Most RK4 steps whose stage points one point-set call evaluates, so memory
@@ -64,15 +66,6 @@ class PathSpec:
         return u
 
 
-@dataclass(eq=False)
-class OracleResult:
-    """Outcome of an integration compared against an algebraic reference."""
-
-    step: float
-    residual: float | None = None
-    order: float | None = None
-
-
 def estimate_order(residual_coarse: float, residual_fine: float) -> float:
     """log2 of the residual drop under step halving (inf when the fine
     residual underflows to zero)."""
@@ -82,11 +75,24 @@ def estimate_order(residual_coarse: float, residual_fine: float) -> float:
 
 
 def _segment_steps(t0: float, t1: float, step: float) -> int:
+    """The segment's RK4 step count at ``step``, rounded up with a relative
+    slack, so at 2 ``step`` it is exactly half, rounded up."""
     steps = abs(t1 - t0) / step
     if not steps <= MAX_SEGMENT_STEPS:  # also refuses an overflow to inf
         raise DressingForgeError(
             f"RK4 step {step!r} needs more than {MAX_SEGMENT_STEPS} steps on one path segment")
-    return max(1, int(math.ceil(steps - 1e-12)))
+    return max(1, math.ceil(steps * (1 - 1e-12)))
+
+
+def doubling_estimate(n: int, path: PathSpec, step: float, fine, coarse) -> float:
+    """Richardson's error estimate for ``fine``, the path's end at ``step``,
+    from ``coarse``, its end at 2 ``step``: |coarse - fine| / (r^4 - 1) for
+    RK4 (Hairer, Norsett & Wanner, Solving ODEs I, II.4), r the least ratio
+    of a segment's step counts (2 at even counts) but for segments of one
+    step at both, which doubling cannot see."""
+    r = min((m / _segment_steps(t0, t1, 2 * step) for _, _, t0, t1 in path.waypoints(n)
+             if t0 != t1 and (m := _segment_steps(t0, t1, step)) > 1), default=2.0)
+    return max_abs(coarse - fine) / (r ** 4 - 1)
 
 
 def _stage_chunks(u_start, axis: int, t0: float, t1: float, step: float):
@@ -115,12 +121,12 @@ def _rk4(state: np.ndarray, rhs, dt: float, m: int, post_step) -> np.ndarray:
     return state
 
 
-def _chunk_groups(n: int, paths, step: float):
+def _chunk_groups(n: int, paths, steps):
     """Lists of (path index, axis, U, dt) chunks (``_stage_chunks``) of
-    the paths' segments in order, consecutive chunks together while their
-    steps total at most RK4_CHUNK_STEPS."""
+    the paths' segments in order, each path at its own step, consecutive
+    chunks together while their steps total at most RK4_CHUNK_STEPS."""
     group, total = [], 0
-    for p, path in enumerate(paths):
+    for p, (path, step) in enumerate(zip(paths, steps, strict=True)):
         for u_start, axis, t0, t1 in path.waypoints(n):
             if t0 == t1:
                 continue
@@ -149,17 +155,17 @@ def _step_product(theta: np.ndarray, dt: float) -> np.ndarray:
     return A[0]
 
 
-def integrate_frames(n: int, beta_fn, h_fn, lam: complex, paths, step: float) -> list:
+def integrate_frames(n: int, beta_fn, h_fn, lam: complex, paths, steps) -> list:
     """Path-ordered RK4 solutions of F^{-1} dF = theta_lambda, F(0) = I,
-    along each staircase of ``paths``; returns one (E, X) pair of blocks at
-    each path's end.  beta_fn and h_fn are point-set evaluators,
-    (S, n) -> (S, n, n) and (S, n) (closed-form when the metric came from
-    dressing; spline interpolants for external grids).  Consecutive chunks
-    of the segments' steps (``_chunk_groups``), across segments and paths,
-    share one beta_fn and one h_fn call."""
+    along each staircase of ``paths`` at its own RK4 step of ``steps``;
+    returns one (E, X) pair of blocks at each path's end.  beta_fn and h_fn
+    are point-set evaluators, (S, n) -> (S, n, n) and (S, n) (closed-form
+    when the metric came from dressing; spline interpolants for external
+    grids).  Consecutive chunks of the segments' steps (``_chunk_groups``),
+    across segments and paths, share one beta_fn and one h_fn call."""
     lam = complex(lam)
     F = [np.eye(n + 1, dtype=complex) for _ in paths]
-    for group in _chunk_groups(n, paths, step):
+    for group in _chunk_groups(n, paths, steps):
         U = np.concatenate([chunk[2] for chunk in group])
         cuts = np.cumsum([len(chunk[2]) for chunk in group])[:-1]
         betas, hs = np.split(beta_fn(U), cuts), np.split(h_fn(U), cuts)
@@ -171,28 +177,7 @@ def integrate_frames(n: int, beta_fn, h_fn, lam: complex, paths, step: float) ->
 def integrate_frame(n: int, beta_fn, h_fn, lam: complex, path: PathSpec,
                     step: float):
     """``integrate_frames`` on the one path: the (E, X) blocks at its end."""
-    return integrate_frames(n, beta_fn, h_fn, lam, [path], step)[0]
-
-
-def integrate_frame_with_order(n: int, beta_fn, h_fn, lam: complex,
-                               path: PathSpec, step: float,
-                               reference) -> OracleResult:
-    """Integrate at step and step/2 against an algebraic reference (E, X)
-    pair; raises StepTooLargeError when the observed order drops below 3."""
-    E_ref, X_ref = reference
-
-    def run(s):
-        E, X = integrate_frame(n, beta_fn, h_fn, lam, path, s)
-        return max(max_abs(E - E_ref), max_abs(X - X_ref))
-
-    r_coarse = run(step)
-    r_fine = run(step / 2)
-    order = estimate_order(r_coarse, r_fine)
-    if order < 3.0:
-        raise StepTooLargeError(
-            f"observed order {order:.2f} < 3 at step {step}; residuals "
-            f"{r_coarse:.3e} -> {r_fine:.3e}")
-    return OracleResult(step=step, residual=r_fine, order=order)
+    return integrate_frames(n, beta_fn, h_fn, lam, [path], [step])[0]
 
 
 def _reproject(pi: np.ndarray):
@@ -212,7 +197,6 @@ class BfIntegration:
     pi_tilde: np.ndarray
     y: np.ndarray
     max_correction: float
-    steps: int
 
 
 def integrate_bf(n: int, beta_fn, h_fn, alpha: float, pi0: np.ndarray,
@@ -234,7 +218,6 @@ def integrate_bf(n: int, beta_fn, h_fn, alpha: float, pi0: np.ndarray,
     alpha = float(alpha)
     state = np.column_stack([np.asarray(pi0, dtype=complex), np.asarray(b, dtype=complex)])
     max_corr = 0.0
-    total_steps = 0
 
     for u_start, axis, t0, t1 in path.waypoints(n):
         if t0 == t1:
@@ -247,7 +230,6 @@ def integrate_bf(n: int, beta_fn, h_fn, alpha: float, pi0: np.ndarray,
             return state
 
         for U, dt, m in _stage_chunks(u_start, axis, t0, t1, step):
-            total_steps += m
             # [delta, beta] and h along the segment axis at every stage point
             Ba = lax_block(beta_fn(U), axis)
             ha = h_fn(U)[:, axis]
@@ -271,8 +253,7 @@ def integrate_bf(n: int, beta_fn, h_fn, alpha: float, pi0: np.ndarray,
                 f"projection correction {seg_max:.3e} exceeds {drift_tol:.1e}")
         max_corr = max(max_corr, seg_max)
 
-    return BfIntegration(pi_tilde=state[:, :n], y=state[:, n], max_correction=max_corr,
-                         steps=total_steps)
+    return BfIntegration(pi_tilde=state[:, :n], y=state[:, n], max_correction=max_corr)
 
 
 def metric_interpolators(metric):

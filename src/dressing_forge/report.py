@@ -20,7 +20,6 @@ DEFAULT_TOLERANCES = MappingProxyType({
     "potential": 1e-6,
     "metric_real": 1e-9,
     "lambda_zero": 1e-10, "lambda_zero_derivative": 1e-7,
-    "pde_frame": 1e-6, "path_independence": 1e-6,
     "permutability": 1e-9,
 })
 

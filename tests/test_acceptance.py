@@ -11,8 +11,7 @@ from dressing_forge import (ExtendedFrame, Grid, PathSpec,
                             check_sphere, dress_permuted, dress_real,
                             dress_spherical, dress_translation,
                             dress_two_pole, estimate_order,
-                            integrate_bf, integrate_frame,
-                            integrate_frame_with_order, limit_net, max_abs,
+                            integrate_bf, integrate_frame, limit_net, max_abs,
                             metric_from_frame, one_pole_factor,
                             permute_factors, potential_on_grid,
                             project_onto_span, sample_immersion,
@@ -220,12 +219,15 @@ def test_criterion_07_pde_agreement(soliton):
     target = np.array([0.5, -0.4])
     path = PathSpec.staircase(target)
     ref = soliton.evaluate(target, lam)
-    result = integrate_frame_with_order(2, soliton.beta, soliton.h, lam, path,
-                                        2e-2, ref)
-    record_flag(7, f"RK4 frame integration order {result.order:.2f} within 4 +/- 0.8",
-                3.2 < result.order < 4.8)
-    E, X = integrate_frame(2, soliton.beta, soliton.h, lam, path, 1e-2)
-    endpoint = max(max_abs(E - ref[0]), max_abs(X - ref[1]))
+
+    def residual(step):
+        E, X = integrate_frame(2, soliton.beta, soliton.h, lam, path, step)
+        return E, X, max(max_abs(E - ref[0]), max_abs(X - ref[1]))
+
+    E, X, endpoint = residual(1e-2)
+    order = estimate_order(residual(2e-2)[2], endpoint)
+    record_flag(7, f"RK4 frame integration order {order:.2f} within 4 +/- 0.8",
+                3.2 < order < 4.8)
     record(7, "endpoint residual at step 1e-2", endpoint, 1e-6)
     E2, X2 = integrate_frame(2, soliton.beta, soliton.h, lam,
                              PathSpec.staircase(target, order=(1, 0)), 1e-2)

@@ -30,12 +30,36 @@ def test_grid_basics():
         Grid((np.array([0.0, 0.1, 0.5]),))
 
 
-def test_darboux_egoroff_vacuum_exact(torus_frame):
-    grid = Grid.from_specs([(-0.5, 0.5, 7)] * 2)
-    metric = metric_from_frame(torus_frame, grid)
-    report = check_darboux_egoroff(metric, tol=1e-12)
-    assert report["darboux_egoroff_triple"].residual == 0.0
-    assert report["darboux_egoroff_pair"].residual == 0.0
+def test_darboux_egoroff_vacuum_exact(torus_frame, torus3_frame):
+    for frame in (torus_frame, torus3_frame):
+        grid = Grid.from_specs([(-0.5, 0.5, 7)] * frame.n)
+        report = check_darboux_egoroff(metric_from_frame(frame, grid), tol=1e-12)
+        if frame.n > 2:
+            assert report["darboux_egoroff_triple"].residual == 0.0
+        assert report["darboux_egoroff_pair"].residual == 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_darboux_egoroff_triple_runs_from_n_3(n):
+    """n = 2 has no three distinct indices, so the triple family writes a
+    skip entry naming that rule instead of a vacuous 0.0 that counts as
+    passed; at n = 3 it is the real, gated entry."""
+    frame = dress_real(ExtendedFrame(VacuumSeed.constant([1.0, 0.7, 1.3][:n])), 0.6,
+                       project_onto_span(np.ones(n) / np.sqrt(n)))
+    grid = Grid.from_specs([(-0.3, 0.3, 9)] * n)
+    report = check_darboux_egoroff(metric_from_frame(frame, grid), tol=1e-2)
+    names = [c.name for c in report.checks]
+    if n == 2:
+        assert names == ["darboux_egoroff_triple_skipped", "darboux_egoroff_pair"]
+        skip = report["darboux_egoroff_triple_skipped"]
+        assert skip.tolerance is None and skip.passed is None
+        assert skip.details == {"reason": "n = 2 has no three distinct indices (rule: the "
+                                          "Darboux-Egoroff triple family runs at n >= 3)"}
+    else:
+        assert names == ["darboux_egoroff_triple", "darboux_egoroff_pair"]
+        triple = report["darboux_egoroff_triple"]
+        assert triple.tolerance == 1e-2 and triple.passed is True and triple.residual > 0
+        assert triple.details == {"spacing": [grid.spacing(k) for k in range(n)]}
 
 
 def test_darboux_egoroff_soliton_refinement(torus3_frame):

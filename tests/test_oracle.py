@@ -1,13 +1,18 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from dressing_forge import (DressingForgeError, PathSpec,
-                            ProjectionDriftError, StepTooLargeError,
+from dressing_forge import (DressingForgeError, ExtendedFrame, Grid, PathSpec,
+                            ProjectionDriftError, VacuumSeed, doubling_estimate,
                             dress_real, dress_translation, dress_two_pole,
                             estimate_order, integrate_bf, integrate_frame,
-                            integrate_frame_with_order, integrate_frames,
-                            max_abs, project_onto_span, solve_linear)
+                            integrate_frames, max_abs, project_onto_span,
+                            solve_linear)
+from dressing_forge import cli
 from dressing_forge.oracle import RK4_CHUNK_STEPS, _segment_steps
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def test_pathspec_staircase_and_endpoint():
@@ -22,6 +27,11 @@ def test_pathspec_staircase_and_endpoint():
 
 def test_segment_step_count_is_bounded():
     assert _segment_steps(0.0, 0.3, 1e-2) == 30
+    # at twice the step, exactly half the steps, rounded up, even where the
+    # length is a hair past a whole number of steps
+    for length in (0.3, 0.24, 0.31, 0.05, 0.006, 0.01 * (31 + 2e-12), 0.01 * (30 + 1.5e-12)):
+        fine = _segment_steps(0.0, length, 1e-2)
+        assert _segment_steps(0.0, length, 2e-2) == -(-fine // 2), length
     # 3e299 steps, or an overflow to inf, are refused rather than attempted
     for step in (1e-300, 5e-324):
         with pytest.raises(DressingForgeError, match="RK4 step"):
@@ -43,12 +53,14 @@ def test_integrate_frame_dressed_order4(torus_frame, pi_diag):
     lam = 0.9
     target = np.array([0.5, -0.4])
     path = PathSpec.staircase(target)
-    result = integrate_frame_with_order(2, frame.beta, frame.h, lam, path, 2e-2,
-                                        frame.evaluate(target, lam))
-    assert 3.2 < result.order < 4.8
-    E, X = integrate_frame(2, frame.beta, frame.h, lam, path, 1e-2)
     E_ref, X_ref = frame.evaluate(target, lam)
-    assert max(max_abs(E - E_ref), max_abs(X - X_ref)) < 1e-6
+
+    def residual(step):
+        E, X = integrate_frame(2, frame.beta, frame.h, lam, path, step)
+        return max(max_abs(E - E_ref), max_abs(X - X_ref))
+
+    assert 3.2 < estimate_order(residual(2e-2), residual(1e-2)) < 4.8
+    assert residual(1e-2) < 1e-6
 
 
 def test_integrate_frame_path_independence(torus_frame, pi_diag):
@@ -62,15 +74,81 @@ def test_integrate_frame_path_independence(torus_frame, pi_diag):
     assert max(max_abs(Ef - Er), max_abs(Xf - Xr)) < 1e-6
 
 
-def test_step_too_large_raises(torus_frame, pi_diag):
-    # a fast soliton integrated at a coarse step: observed order degrades
+@pytest.mark.parametrize("step", [0.45, cli.PDE_STEP])
+def test_step_too_large_fails_the_pde_gate(torus_frame, pi_diag, monkeypatch, step):
+    """A fast soliton integrated at a coarse step: the observed order
+    degrades, step doubling no longer estimates the error, and the PDE
+    check fails; at PDE_STEP the same frame passes at order 4."""
     frame = dress_real(torus_frame, 8.0, pi_diag)
-    lam = 0.9
-    target = np.array([0.5, -0.4])
-    path = PathSpec.staircase(target)
-    with pytest.raises(StepTooLargeError):
-        integrate_frame_with_order(2, frame.beta, frame.h, lam, path, 0.45,
-                                   frame.evaluate(target, lam))
+    # the check's corner is 0.6 of each axis's end: (0.5, 0.4)
+    grid = Grid.from_specs([(-1.0, 0.5 / 0.6, 5), (-1.0, 0.4 / 0.6, 5)])
+    monkeypatch.setattr(cli, "PDE_STEP", step)
+    report = cli._pde_frame_check(frame, grid, [0.9])
+    order = report["pde_frame"].details["order"]
+    if step == 0.45:
+        assert order < 3 and report["pde_frame"].passed is False
+    else:
+        assert 3.8 < order < 4.2 and report.passed, str(report)
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIOS.glob("*.json")))
+def test_pde_frame_gate_catches_a_1e_8_fault_in_the_closed_form(monkeypatch, name):
+    """A closed-form frame off by 1e-8 at the check's corner fails
+    pde_frame on every shipped scenario, while the former absolute
+    tolerance of 1e-6 passed it; unperturbed, every one passes at order 4
+    with its residual within the step-doubling estimate."""
+    scenario = cli.load_scenario(SCENARIOS / f"{name}.json")
+    frame = cli.apply_chain(scenario)
+    check = cli._pde_frame_check(frame, scenario.grid, scenario.lambdas)["pde_frame"]
+    assert check.passed and 3.9 < check.details["order"] < 4.1
+    assert check.residual <= 1.01 * check.details["estimate"]
+    evaluate = ExtendedFrame.evaluate
+
+    def perturbed(self, u, lam):
+        E, X = evaluate(self, u, lam)
+        return E + 1e-8, X
+    monkeypatch.setattr(ExtendedFrame, "evaluate", perturbed)
+    faulty = cli._pde_frame_check(frame, scenario.grid, scenario.lambdas)["pde_frame"]
+    assert faulty.passed is False and faulty.residual < 1e-6
+
+
+@pytest.mark.parametrize("corner, ratio, tight", [([0.03, 0.03], 1.5, True),
+                                                  ([0.03, 0.5], 1.5, False),
+                                                  ([0.005, 0.5], 2.0, True),
+                                                  ([0.5, 0.4], 2.0, True)])
+def test_doubling_estimate_divides_by_the_least_segment_step_ratio(torus_frame, pi_diag,
+                                                                    corner, ratio, tight):
+    """Three steps of 1e-2 become two at 2e-2, a step ratio of 1.5, so the
+    estimate divides by 1.5^4 - 1 rather than 15 (which reads a quarter of
+    the error at three steps); a one-step segment, the same at both steps,
+    is left out.  The estimate is within 10% of the error, or above it where
+    the segments' ratios differ (0.03 at 1.5, 0.5 at 2)."""
+    frame = dress_real(torus_frame, 8.0, pi_diag)
+    corner = np.array(corner)
+    path = PathSpec.staircase(corner)
+    fine, coarse, ref = (np.column_stack(end) for end in integrate_frames(
+        2, frame.beta, frame.h, 0.9, [path, path], [1e-2, 2e-2]) + [frame.evaluate(corner, 0.9)])
+    estimate = doubling_estimate(2, path, 1e-2, fine, coarse)
+    assert estimate == max_abs(coarse - fine) / (ratio ** 4 - 1)
+    error = max_abs(fine - ref)
+    assert error < 1.1 * estimate and (error > 0.9 * estimate or not tight)
+
+
+def test_path_gate_takes_the_reversed_paths_own_estimate():
+    """Eight real one-poles at n = 3 (a random chain) at lambda = 0.37, the
+    corner at 1.2: at 2h the reversed staircase errs 22 times the forward
+    one, so the 2h ends lie more than ten times the gate's multiple of the
+    forward 2h end's error bound, 16 e, apart.  The gate adds the reversed
+    path's own estimate and passes."""
+    rng = np.random.default_rng(40)
+    frame = ExtendedFrame(VacuumSeed.constant(rng.uniform(0.6, 1.4, 3)))
+    for k in range(8):
+        v = rng.normal(size=3)
+        frame = dress_real(frame, 0.5 + 0.2 * k, project_onto_span(v / np.linalg.norm(v)))
+    report = cli._pde_frame_check(frame, Grid.from_specs([(-1.0, 2.0, 3)] * 3), [0.37])
+    paths = report["path_independence"]
+    assert paths.residual > 10 * cli.PDE_ERROR_MULTIPLE * 16 * report["pde_frame"].details["estimate"]
+    assert report.passed and paths.residual < 0.5 * paths.tolerance, str(report)
 
 
 def test_bf_fixed_points(torus_frame, pi_diag):
@@ -301,8 +379,9 @@ def test_consecutive_chunks_share_bounded_calls(torus_frame, pi_diag):
 
 
 def test_paths_integrated_together_match_each_alone(torus_frame, pi_diag):
-    """integrate_frames on two staircases makes one beta call when their
-    steps fit in one group, and gives each path's own integration."""
+    """integrate_frames on two staircases, each at its own step, makes one
+    beta call when their steps fit in one group, and gives each path's own
+    integration."""
     frame = dress_real(torus_frame, 0.6, pi_diag)
     calls = []
 
@@ -312,10 +391,12 @@ def test_paths_integrated_together_match_each_alone(torus_frame, pi_diag):
 
     corner = np.array([0.3, -0.25])
     paths = [PathSpec.staircase(corner), PathSpec.staircase(corner, order=(1, 0))]
-    together = integrate_frames(2, beta_spy, frame.h, 0.9 + 0.2j, paths, 1e-2)
-    assert len(calls) == 1
-    for (E, X), path in zip(together, paths):
-        E_one, X_one = integrate_frame(2, frame.beta, frame.h, 0.9 + 0.2j, path, 1e-2)
+    steps = [1e-2, 2e-2]
+    together = integrate_frames(2, beta_spy, frame.h, 0.9 + 0.2j, paths, steps)
+    # 30 and 25 steps at 1e-2, then 13 and 15 at 2e-2
+    assert calls == [(2 * 30 + 1) + (2 * 25 + 1) + (2 * 13 + 1) + (2 * 15 + 1)]
+    for (E, X), path, step in zip(together, paths, steps):
+        E_one, X_one = integrate_frame(2, frame.beta, frame.h, 0.9 + 0.2j, path, step)
         assert max(max_abs(E - E_one), max_abs(X - X_one)) < 1e-14
 
 
