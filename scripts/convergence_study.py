@@ -40,7 +40,7 @@ def main(argv=None):
     for m in (9, 17, 33, 65):
         grid = Grid.from_specs([(-0.5, 0.5, m)] * 2)
         metric = metric_from_frame(frame, grid)
-        rep = check_darboux_egoroff(metric, tol=1.0)
+        rep = check_darboux_egoroff(metric)
         rows.append((f"{m} pts/axis", rep["darboux_egoroff_pair"].residual))
     table("flatness (rotation-coefficient equations), central differences", rows)
 

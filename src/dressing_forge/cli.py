@@ -3,12 +3,12 @@ chain, run the verification suite, export geometry and reports.
 
 Scenario files are JSON with ``schema_version`` 1.  Complex numbers are
 [re, im] pairs; matrices are row-major arrays of such pairs.  Every tolerance
-used by ``verify`` but the RK4 check's, which gates by its own error
-estimate, comes from the scenario (``checks.tolerances``) with the defaults
-of ``report.DEFAULT_TOLERANCES``; a key the schema does not name is a
-validation error.  Every command takes ``--scenario`` and ``--out`` and
-nothing else: the scenario alone configures a run.  ``verify``
-runs every check that applies to the chain.  Runs are deterministic:
+used by ``verify`` but those of the RK4 and finite-difference checks, which
+gate by their own step-doubling error estimates, comes from the scenario
+(``checks.tolerances``) with the defaults of ``report.DEFAULT_TOLERANCES``;
+a key the schema does not name is a validation error.  Every command takes
+``--scenario`` and ``--out`` and nothing else: the scenario alone configures
+a run.  ``verify`` runs every check that applies to the chain.  Runs are deterministic:
 repeated runs on the same scenario produce byte-identical exports.  A value
 that overflows is carried as inf or NaN, without a numpy warning, and fails
 the check that reads it.
@@ -36,8 +36,8 @@ from .errors import (DressingForgeError, PoleCollisionError, RankDeficientError,
                      SphericalViolationError)
 from .frames import (ExtendedFrame, PolynomialProfile, SampledProfile,
                      VacuumSeed, metric_from_frame, potential_on_grid)
-from .geometry import (EgoroffMetric, Grid, axis_gradient, check_darboux_egoroff,
-                       check_lagrangian, check_partial_invariance,
+from .geometry import (EgoroffMetric, Grid, add_doubling_entry, axis_gradient,
+                       check_darboux_egoroff, check_lagrangian, check_partial_invariance,
                        check_sphere, is_real_lambda, limit_net, sample_immersion)
 from .linalg import max_abs, project_onto_span
 from .loops import (RealOnePoleFactor, TranslationFactor, TwoPointFactor,
@@ -61,8 +61,9 @@ REMOVED_KEYS = {
     **{f"checks.{name}": "every check runs where it applies" for name in (
         "reality", "darboux_egoroff", "lagrangian", "sphere", "partial_invariance",
         "position_equation", "potential", "metric_real", "lambda_zero", "pde_frame")},
-    **{f"checks.tolerances.{name}": "the RK4 check gates by its own step-doubling error estimate"
-       for name in ("pde_frame", "path_independence")},
+    **{f"checks.tolerances.{name}": "the RK4 and finite-difference checks gate by their own "
+       "step-doubling error estimates" for name in ("pde_frame", "path_independence",
+       "darboux_egoroff", "position_equation", "partial_invariance")},
     **{f"export.{name}": "the export is the (u1, u2) slice through the origin"
        for name in ("slice_axes", "fixed", "obj_components")}}
 
@@ -406,14 +407,13 @@ def _reality_check(frame, scenario, tol) -> VerificationReport:
     return report
 
 
-def _position_equation_check(sample, h, tol) -> VerificationReport:
-    """Finite-difference dX/du_i against h_i E e_i on the sample's grid."""
-    report = VerificationReport()
-    worst = max_abs([max_abs(axis_gradient(sample.X, sample.grid, axis)
-                             - h[..., axis, None] * sample.E[..., :, axis])
-                     for axis in range(sample.grid.n)])
-    report.add("position_equation", worst, tol, lam=sample.lam.real)
-    return report
+def _position_equation_check(sample, h) -> VerificationReport:
+    """Finite-difference dX/du_i against h_i E e_i on the sample's grid,
+    gated by its step-doubling estimate (``add_doubling_entry``)."""
+    return add_doubling_entry(
+        VerificationReport(), "position_equation", lambda grid, X, E, h: np.stack([
+            axis_gradient(X, grid, k) - h[..., k, None] * E[..., :, k] for k in range(grid.n)],
+            axis=-2), sample.grid, sample.X, sample.E, h, lam=sample.lam.real)
 
 
 def _pde_frame_check(frame, grid, lambdas) -> VerificationReport:
@@ -464,7 +464,7 @@ def run_verification(scenario: Scenario, frame: ExtendedFrame,
         report.add("metric_real", metric.imag_max, tols["metric_real"])
     else:
         report.add("metric_real_skipped", metric.imag_max, None, reason=SIGMA_INCOMPATIBLE)
-    report.extend(check_darboux_egoroff(metric, tols["darboux_egoroff"]))
+    report.extend(check_darboux_egoroff(metric))
     for lam in real_lams:
         sub = check_lagrangian(sample(lam), metric.h, tols["lagrangian"],
                                tols["lagrangian_metric"])
@@ -481,10 +481,9 @@ def run_verification(scenario: Scenario, frame: ExtendedFrame,
         if not sphere_lams:
             report.add("sphere_skipped", 0.0, None, reason="no real nonzero lambda in lambdas "
                        "(rule: the sphere check runs at each real lambda other than 0)")
-        report.extend(check_partial_invariance(metric, tols["partial_invariance"],
-                                               tols["norm_constancy"]))
+        report.extend(check_partial_invariance(metric, tols["norm_constancy"]))
     lam = real_lams[0] if real_lams else 1.0
-    report.extend(_position_equation_check(sample(lam), metric.h, tols["position_equation"]))
+    report.extend(_position_equation_check(sample(lam), metric.h))
     # the staircase integral is the oracle for the closed-form metric.phi
     if frame.has_closed_potential:
         residual = max_abs(potential_on_grid(frame, grid) - metric.phi)

@@ -759,7 +759,8 @@ def potential_on_grid(frame: ExtendedFrame, grid: Grid, axis_order=None) -> np.n
 def metric_from_frame(frame: ExtendedFrame, grid: Grid) -> EgoroffMetric:
     """Sample h, beta and the potential from the closed-form accumulated
     updates.  A chain with a record that has no closed potential update gets
-    its potential integrated along staircase paths instead."""
+    its potential integrated along staircase paths instead, or NaN if it is
+    not sigma-compatible (beta is not symmetric, so no potential exists)."""
     pts = grid.points()
     h = frame.h(pts)
     beta = frame.beta(pts)
@@ -767,7 +768,8 @@ def metric_from_frame(frame: ExtendedFrame, grid: Grid) -> EgoroffMetric:
     if closed:
         phi = frame.phi(pts).astype(complex)
     else:
-        phi = potential_on_grid(frame, grid)
+        phi = (potential_on_grid(frame, grid) if frame.is_sigma_compatible
+               else np.full(grid.shape, complex(np.nan, np.nan)))
     return EgoroffMetric(grid=grid, h=h, phi=phi, beta=beta,
                          imag_max=max(max_abs(h.imag), max_abs(beta.imag)),
                          phi_is_closed=closed)

@@ -6,8 +6,9 @@ All finite differences in u are 2nd-order central in the interior with
 ``edge_order=2``), so every residual check converges at order 2 and
 refinement-ratio tests have a uniform bookkeeping; dE/dlambda at lambda = 0
 (``frame_dlambda_at_zero``) is a Richardson-extrapolated central difference.
-Checks never hard-code tolerances: each takes them as arguments whose
-defaults are the documented ones, read from ``report.DEFAULT_TOLERANCES``.
+Checks never hard-code tolerances: a finite-difference check gates by its
+own step-doubling estimate (``add_doubling_entry``), every other one takes
+tolerances whose defaults are read from ``report.DEFAULT_TOLERANCES``.
 Every check reports its residuals; a residual over its tolerance fails in
 the report (the limit net's imaginary part too) and is never raised.
 """
@@ -21,7 +22,15 @@ import numpy as np
 
 from .errors import ChartSingularError
 from .linalg import adjoint, matvec, max_abs
+from .oracle import estimate_order
 from .report import DEFAULT_TOLERANCES, VerificationReport
+
+# The finite-difference gate (``add_doubling_entry``): FD_ERROR_MULTIPLE
+# step-doubling estimates plus FD_ROUNDING_FLOOR max(1, max|sample|) / least
+# grid spacing, on grids of at least FD_MIN_POINTS points per axis
+FD_ERROR_MULTIPLE = 6.0
+FD_ROUNDING_FLOOR = 1e-13
+FD_MIN_POINTS = 5
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,6 +89,32 @@ def axis_gradient(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     return np.gradient(values, grid.spacing(axis), axis=axis, edge_order=2)
 
 
+def add_doubling_entry(report: VerificationReport, name: str, residual, grid: Grid,
+                       *samples, **details) -> VerificationReport:
+    """Add to the report, and return it, the entry ``name``: the largest
+    entry of ``residual(grid, *samples)``, a 2nd-order finite-difference
+    residual field (grid axes first) of samples on the grid, gated by step
+    doubling (Hairer, Norsett & Wanner, Solving ODEs I, II.4).  The same
+    field on the every-other-knot subgrid, from the samples sliced [::2],
+    errs 4 times as much, so max|R(2h) - R(h)| / 3 at the shared knots
+    estimates the error.  A grid axis of fewer than FD_MIN_POINTS points
+    writes a skip entry naming that rule."""
+    if min(grid.shape) < FD_MIN_POINTS:
+        report.add(f"{name}_skipped", 0.0, None, reason=f"grid shape {grid.shape} (rule: "
+                   f"step doubling needs at least {FD_MIN_POINTS} points on every grid axis)")
+        return report
+    every_other = (slice(None, None, 2),) * grid.n
+    fine = residual(grid, *samples)
+    coarse = residual(Grid(tuple(a[::2] for a in grid.axes)), *(s[every_other] for s in samples))
+    estimate = max_abs(fine[every_other] - coarse) / 3
+    floor = (FD_ROUNDING_FLOOR * max(1.0, *map(max_abs, samples))
+             / min(map(grid.spacing, range(grid.n))))
+    worst = max_abs(fine)
+    report.add(name, worst, FD_ERROR_MULTIPLE * estimate + floor, estimate=estimate,
+               order=estimate_order(max_abs(coarse), worst), **details)
+    return report
+
+
 def frame_dlambda_at_zero(E_fn, u, step: float = 1e-3) -> np.ndarray:
     """dE/dlambda at lambda = 0 on the points u, by 4th-order central
     differences with one Richardson extrapolation level; ``E_fn(u, lam)`` is
@@ -99,8 +134,9 @@ class EgoroffMetric:
     """Grid samples of a diagonal potential metric: coefficient vector h,
     potential phi (zero at the origin), rotation coefficients beta.  phi is
     the closed form when the chain has one (``phi_is_closed``), else it is
-    path-integrated.  Arrays are complex and ``imag_max`` is the largest
-    imaginary part of h and beta; the checks, not the metric, judge them."""
+    path-integrated, or NaN where no potential exists (``metric_from_frame``).
+    Arrays are complex and ``imag_max`` is the largest imaginary part of h
+    and beta; the checks, not the metric, judge them."""
 
     grid: Grid
     h: np.ndarray          # (*shape, n)
@@ -155,9 +191,9 @@ def sphere_center(c: np.ndarray, lam: float) -> np.ndarray:
     return 1j * np.asarray(c) / lam
 
 
-def check_darboux_egoroff(metric: EgoroffMetric,
-                          tol: float = DEFAULT_TOLERANCES["darboux_egoroff"]) -> VerificationReport:
-    """Finite-difference residuals of the flatness equations for beta.
+def check_darboux_egoroff(metric: EgoroffMetric) -> VerificationReport:
+    """Finite-difference residuals of the flatness equations for beta, each
+    gated by its step-doubling estimate (``add_doubling_entry``).
 
     Family "triple": d(beta_ij)/du_k = beta_ik beta_kj for distinct i, j, k
                      (a skip entry at n = 2).
@@ -167,26 +203,19 @@ def check_darboux_egoroff(metric: EgoroffMetric,
     complex dressings (non-symmetric beta) included; for symmetric beta the
     pair family is Egoroff's sum_k beta_ik beta_jk form.
     """
-    beta = metric.beta
-    n = metric.n
-    grid = metric.grid
-    db = [axis_gradient(beta, grid, k) for k in range(n)]
-
     report = VerificationReport()
-    # residual lists reduced by max_abs, so a NaN anywhere fails the check
-    if n == 2:
+    if metric.n == 2:
         report.add("darboux_egoroff_triple_skipped", 0.0, None, reason="n = 2 has no three "
                    "distinct indices (rule: the Darboux-Egoroff triple family runs at n >= 3)")
     else:
-        report.add("darboux_egoroff_triple", max_abs([
-            max_abs(db[k][..., i, j] - beta[..., i, k] * beta[..., k, j])
-            for i, j, k in itertools.permutations(range(n), 3)]), tol,
-            spacing=[grid.spacing(k) for k in range(n)])
-    r_pair = [max_abs(db[i][..., i, j] + db[j][..., i, j]
-                      + sum(beta[..., i, k] * beta[..., k, j] for k in range(n)))
-              for i, j in itertools.permutations(range(n), 2)]
-    report.add("darboux_egoroff_pair", max_abs(r_pair), tol)
-    return report
+        add_doubling_entry(report, "darboux_egoroff_triple", lambda grid, beta: np.stack([
+            axis_gradient(beta[..., i, j], grid, k) - beta[..., i, k] * beta[..., k, j]
+            for i, j, k in itertools.permutations(range(grid.n), 3)], axis=-1),
+            metric.grid, metric.beta)
+    return add_doubling_entry(report, "darboux_egoroff_pair", lambda grid, beta: np.stack([
+        axis_gradient(beta[..., i, j], grid, i) + axis_gradient(beta[..., i, j], grid, j)
+        + sum(beta[..., i, k] * beta[..., k, j] for k in range(grid.n))
+        for i, j in itertools.permutations(range(grid.n), 2)], axis=-1), metric.grid, metric.beta)
 
 
 def check_lagrangian(sample: ImmersionSample, h: np.ndarray,
@@ -205,7 +234,9 @@ def check_lagrangian(sample: ImmersionSample, h: np.ndarray,
     report = VerificationReport()
     lam = sample.lam
     if not is_real_lambda(lam):
-        report.add("lagrangian_skipped_nonreal_lambda", 0.0, None, lam=str(lam))
+        report.add("lagrangian_skipped_nonreal_lambda", 0.0, None, lam=str(lam),
+                   reason="the frame is not unitary off the real axis (rule: the "
+                   "Lagrangian check runs at real lambda)")
         return report
     T = sample.E * h[..., None, :]  # column i = tangent along u_i
     G = adjoint(T) @ T
@@ -230,42 +261,30 @@ def check_sphere(sample: ImmersionSample, c: np.ndarray,
 
 
 def check_partial_invariance(metric: EgoroffMetric,
-                             fd_tol: float = DEFAULT_TOLERANCES["partial_invariance"],
                              norm_tol: float = DEFAULT_TOLERANCES["norm_constancy"]
                              ) -> VerificationReport:
-    """Residuals of the three equivalent invariance conditions for h plus the
+    """Residuals of the three equivalent invariance conditions for h, each
+    gated by its step-doubling estimate (``add_doubling_entry``), plus the
     constancy spread of |h|^2.
 
     directional: sum_j d(h_i)/du_j = 0
     off-diagonal: d(h_i)/du_j = beta_ij h_j  (i != j)
     diagonal:     d(h_i)/du_i + sum_j beta_ij h_j = 0
     """
-    grid = metric.grid
-    n = metric.n
-    h = metric.h
-    beta = metric.beta
-    dh = [axis_gradient(h, grid, j) for j in range(n)]
+    n, off = metric.n, ~np.eye(metric.n, dtype=bool)
 
-    # residual lists reduced by max_abs, so a NaN anywhere fails the check
-    r_dir, r_off, r_diag = [], [], []
-    for i in range(n):
-        total = np.zeros(grid.shape, dtype=complex)
-        for j in range(n):
-            total += dh[j][..., i]
-            if i != j:
-                r_off.append(max_abs(dh[j][..., i] - beta[..., i, j] * h[..., j]))
-        r_dir.append(max_abs(total))
-        diag = dh[i][..., i] + np.einsum("...j,...j->...", beta[..., i, :], h)
-        r_diag.append(max_abs(diag))
-
-    norm2 = np.sum(np.abs(h) ** 2, axis=-1)
-    spread = float(norm2.max() - norm2.min())
-
+    def dh(grid, h):  # d(h_i)/du_j at [..., i, j]
+        return np.stack([axis_gradient(h, grid, j) for j in range(n)], axis=-1)
     report = VerificationReport()
-    report.add("partial_invariance_directional", max_abs(r_dir), fd_tol)
-    report.add("partial_invariance_offdiagonal", max_abs(r_off), fd_tol)
-    report.add("partial_invariance_diagonal", max_abs(r_diag), fd_tol)
-    report.add("norm_h_constancy", spread, norm_tol)
+    for name, residual in (
+            ("directional", lambda grid, h, beta: dh(grid, h).sum(axis=-1)),
+            ("offdiagonal", lambda grid, h, beta: (dh(grid, h) - beta * h[..., None, :])[..., off]),
+            ("diagonal", lambda grid, h, beta: (np.diagonal(dh(grid, h), axis1=-2, axis2=-1)
+                                                + matvec(beta, h)))):
+        add_doubling_entry(report, f"partial_invariance_{name}", residual, metric.grid,
+                           metric.h, metric.beta)
+    norm2 = np.sum(np.abs(metric.h) ** 2, axis=-1)
+    report.add("norm_h_constancy", float(norm2.max() - norm2.min()), norm_tol)
     return report
 
 

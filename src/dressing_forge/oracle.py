@@ -68,10 +68,11 @@ class PathSpec:
 
 def estimate_order(residual_coarse: float, residual_fine: float) -> float:
     """log2 of the residual drop under step halving (inf when the fine
-    residual underflows to zero)."""
+    residual underflows to zero, -inf when their ratio does)."""
     if residual_fine == 0.0:
         return math.inf
-    return math.log2(residual_coarse / residual_fine)
+    ratio = residual_coarse / residual_fine
+    return -math.inf if ratio == 0.0 else math.log2(ratio)
 
 
 def _segment_steps(t0: float, t1: float, step: float) -> int:

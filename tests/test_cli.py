@@ -169,21 +169,23 @@ def test_unknown_check_toggle_exits_3_naming_it(tmp_path, capsys, section, key, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key", ["pde_frame", "path_independence"])
+@pytest.mark.parametrize("key", ["pde_frame", "path_independence", "darboux_egoroff",
+                                 "position_equation", "partial_invariance"])
 def test_former_rk4_tolerance_exits_3_saying_why(tmp_path, capsys, key):
-    """The RK4 check's two tolerances left the table: a scenario that still
-    sets one, even at its old default, is refused with the reason."""
-    raw = base_scenario(checks={"tolerances": {key: 1e-6}})
+    """The tolerances of the RK4 check and of the finite-difference checks
+    left the table: a scenario that still sets one, even at a value its run
+    used to need, is refused with the reason."""
+    raw = base_scenario(checks={"tolerances": {key: 1e-1}})
     assert run_cli("run", write_scenario(tmp_path, raw), tmp_path / "out") == 3
-    assert (f"checks.tolerances.{key}: this setting is gone (the RK4 check gates by its own "
-            "step-doubling error estimate)") in capsys.readouterr().err
-    assert len(DEFAULT_TOLERANCES) == 13 and key not in DEFAULT_TOLERANCES
+    assert (f"checks.tolerances.{key}: this setting is gone (the RK4 and finite-difference "
+            "checks gate by their own step-doubling error estimates)") in capsys.readouterr().err
+    assert len(DEFAULT_TOLERANCES) == 10 and key not in DEFAULT_TOLERANCES
 
 
 @pytest.mark.parametrize("mutate, name", [
     (lambda raw: raw.update(reality_sample=40), "reality_sample"),
     (lambda raw: raw["export"].update(slice_axis=[0, 1]), "export.slice_axis"),
-    (lambda raw: raw["checks"]["tolerances"].update(realty=1e-10), "checks.tolerances.realty"),
+    (lambda raw: raw.update(checks={"tolerances": {"realty": 1e-10}}), "checks.tolerances.realty"),
     (lambda raw: raw["seed"].update(radius=1.0), "seed.radius"),
     (lambda raw: raw.update(seed=dict(poly_seed([1.0]), radii=[1.0, 0.7])), "seed.radii"),
     (lambda raw: raw.update(seed=poly_seed([1.0])) or raw["seed"]["profiles"][1].update(
@@ -285,7 +287,8 @@ def test_seed_whose_checks_overflow_fails_them(tmp_path, capsys, seed):
 def test_chain_without_closed_potential_overflows_without_a_warning(tmp_path, capsys,
                                                                      name, seed):
     """On a chain without a closed potential the staircase integral of a
-    seed just inside the finite-square rule overflows: run fails its
+    seed just inside the finite-square rule overflows (permute_pair, not
+    sigma-compatible, has a NaN potential instead): run fails its
     non-finite checks (exit 1), dress writes nan/inf into metric.csv, and
     seed and sweep pass, each with no numpy warning, which pytest would
     turn into an error."""
@@ -306,7 +309,7 @@ def test_dress_metric_real_is_the_metric_real_verdict(tmp_path, capsys, toleranc
     default tolerance and at one below breather_chain's 3e-16."""
     raw = json.loads((SCENARIOS / "breather_chain.json").read_text())
     if tolerance is not None:
-        raw["checks"]["tolerances"]["metric_real"] = tolerance
+        raw["checks"] = {"tolerances": {"metric_real": tolerance}}
     path = write_scenario(tmp_path, raw)
     run_cli("verify", path, tmp_path / "verify")
     report = json.loads((tmp_path / "verify" / "report.json").read_text())
@@ -322,7 +325,7 @@ def test_lambda_zero_failure_is_a_failing_check(tmp_path, capsys):
     lambda_zero tolerance of 1e-40 the limit net fails as a report entry
     with its residual and tolerance (exit 1), not as an error exit."""
     raw = json.loads((SCENARIOS / "breather_chain.json").read_text())
-    raw["checks"]["tolerances"]["lambda_zero"] = 1e-40
+    raw["checks"] = {"tolerances": {"lambda_zero": 1e-40}}
     out = tmp_path / "out"
     assert run_cli("verify", write_scenario(tmp_path, raw), out) == 1
     report = json.loads((out / "report.json").read_text())
@@ -408,8 +411,8 @@ def test_tol_scale_multiplies_every_written_tolerance(tmp_path, command, name, r
     """Each checks.tolerances value is the tolerance written: with every
     tolerance of the scenario scaled by K, each entry's tolerance is exactly
     K times the one written without it, informational entries stay without
-    one, and the residuals do not move.  The RK4 check's entries, gated by
-    the integration's own error estimate, keep their tolerance."""
+    one, and the residuals do not move.  The RK4 and finite-difference
+    entries, gated by their own error estimates, keep their tolerance."""
     scale = 2.5
     run_cli(command, str(SCENARIOS / f"{name}.json"), tmp_path / "one")
     run_cli(command, write_scenario(tmp_path, scaled_tolerances(name, scale)), tmp_path / "scaled")
@@ -419,18 +422,17 @@ def test_tol_scale_multiplies_every_written_tolerance(tmp_path, command, name, r
     assert any(c["tolerance"] is not None for c in one)
     for a, b in zip(one, scaled):
         assert b["residual"] == a["residual"]
-        if a["name"] in ("pde_frame", "path_independence"):
+        if "estimate" in a["details"]:
             assert b["tolerance"] == a["tolerance"]
         else:
             assert b["tolerance"] == (None if a["tolerance"] is None else a["tolerance"] * scale)
 
 
 SIGNATURE_TOLERANCES = {
-    geometry.check_darboux_egoroff: {"tol": "darboux_egoroff"},
+    geometry.check_darboux_egoroff: {},
     geometry.check_lagrangian: {"tol": "lagrangian", "metric_tol": "lagrangian_metric"},
     geometry.check_sphere: {"tol": "sphere"},
-    geometry.check_partial_invariance: {"fd_tol": "partial_invariance",
-                                        "norm_tol": "norm_constancy"},
+    geometry.check_partial_invariance: {"norm_tol": "norm_constancy"},
     geometry.limit_net: {"tol": "lambda_zero", "cross_check_tol": "lambda_zero_derivative"},
     dress_permuted: {"tol": "permutability"},
 }
@@ -531,7 +533,6 @@ def test_export_determinism(tmp_path):
         chain=[{"type": "real_one_pole", "alpha": 0.6,
                 "span": [[[1.0, 0.0]], [[1.0, 0.0]]]}],
         export={"format": "csv", "lambda": [1.0, 0.0], "path": "immersion.csv"},
-        checks={"tolerances": {"darboux_egoroff": 0.1, "position_equation": 0.1}},
     )
     path = write_scenario(tmp_path, raw)
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -707,9 +708,10 @@ def mutated_scenarios(draw):
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(mutated_scenarios())
-# two cases that reach exit 1: permute_pair's grid-limited
-# darboux_egoroff_pair, and a permutability tolerance below rounding
-@example(("run", "permute_pair", SHIPPED["permute_pair"]))
+# two cases that reach exit 1: a reality tolerance, and a permutability
+# tolerance, below rounding
+@example(("run", "permute_pair",
+          {**SHIPPED["permute_pair"], "checks": {"tolerances": {"reality": 1e-30}}}))
 @example(("permute-check", "permute_pair",
           {**SHIPPED["permute_pair"], "checks": {"tolerances": {"permutability": 1e-18}}}))
 def test_mutated_scenario_keeps_exit_code_contract(case):
@@ -764,10 +766,10 @@ def test_report_with_a_non_finite_residual_is_strict_json(tmp_path, monkeypatch)
     """A check whose residual is NaN or infinite: report.json writes it as
     the string "nan" or "inf", parses under a parser that refuses NaN and
     Infinity, and the run still fails."""
-    def non_finite(metric, tol):
+    def non_finite(metric):
         report = VerificationReport()
-        report.add("darboux_egoroff", float("nan"), tol)
-        report.add("darboux_egoroff_pair", float("inf"), tol)
+        report.add("darboux_egoroff", float("nan"), 1.0)
+        report.add("darboux_egoroff_pair", float("inf"), 1.0)
         return report
     monkeypatch.setattr(cli, "check_darboux_egoroff", non_finite)
     out = tmp_path / "out"
@@ -801,10 +803,12 @@ def test_seed_and_dress_commands(tmp_path, capsys):
 
 
 def test_shipped_scenarios_verify(tmp_path):
-    for name in ("flat_torus.json", "one_soliton.json", "spherical_soliton.json",
-                 "breather_chain.json"):
-        out = tmp_path / ("out_" + name)
-        assert run_cli("verify", str(SCENARIOS / name), out) == 0, name
+    """run, the verification with the exports, exits 0 on every shipped
+    scenario, each at the tolerances it ships with."""
+    paths = sorted(SCENARIOS.glob("*.json"))
+    assert len(paths) == 8
+    for path in paths:
+        assert run_cli("run", str(path), tmp_path / path.stem) == 0, path.name
 
 
 def test_breather_two_pole_factor_runs_sigma_checks(tmp_path):
@@ -880,6 +884,36 @@ def test_metric_csv_layout(tmp_path):
     assert not staircase.phi_is_closed
     assert export_metric_csv(staircase, tmp_path / "staircase.csv") == 27
     assert (tmp_path / "staircase.csv").read_text().splitlines()[0] == lines[0]
+
+
+def test_no_potential_where_the_form_is_not_closed(tmp_path, monkeypatch):
+    """permute_pair's two complex one-poles are not sigma-compatible: beta
+    is not symmetric, so sum h_i^2 du_i is not closed, and its two
+    staircase orders differ by 0.19.  metric_from_frame writes a NaN
+    potential without integrating a staircase, and metric.csv keeps its
+    layout, with nan in both phi columns."""
+    path = str(SCENARIOS / "permute_pair.json")
+    scenario = load_scenario(path)
+    frame = apply_chain(scenario)
+    beta = frame.beta(np.array([0.2, -0.1]))
+    assert not frame.is_sigma_compatible and max_abs(beta - beta.T) > 1e-2
+    orders = [potential_on_grid(frame, scenario.grid, order) for order in ((0, 1), (1, 0))]
+    assert max_abs(orders[0] - orders[1]) > 0.1
+
+    def refuse(*args):
+        raise AssertionError("potential_on_grid called for a chain without a potential")
+    monkeypatch.setattr(frames, "potential_on_grid", refuse)
+    metric = metric_from_frame(frame, scenario.grid)
+    assert not metric.phi_is_closed and metric.phi_closed is None
+    assert metric.phi.shape == scenario.grid.shape and np.isnan(metric.phi).all()
+    out = tmp_path / "out"
+    assert run_cli("dress", path, out) == 0
+    lines = (out / "metric.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    assert header == ["u1", "u2", "Reh1", "Imh1", "Reh2", "Imh2", "Rephi", "Imphi",
+                      "Rebeta12", "Imbeta12", "Rebeta21", "Imbeta21"]
+    assert len(lines) == 1 + 10 * 10
+    assert all(line.split(",")[6:8] == ["nan", "nan"] for line in lines[1:])
 
 
 @pytest.mark.parametrize("name", ["breather_chain", "permute_pair"])
@@ -1024,12 +1058,10 @@ TWO_POLE = {"type": "two_pole", "z": [0.4, 0.8], "span": [[[1.0, 0.0]], [[0.5, -
 
 def test_two_pole_chain_runs_potential_agreement(tmp_path):
     """A real one-pole plus two-pole chain has a closed-form potential: the
-    check compares it with the staircase integral at the default tolerance.
-    The grid's O(h^2) finite-difference checks get breather_chain's bounds."""
+    check compares it with the staircase integral at the default tolerance,
+    and the finite-difference checks pass with no override."""
     raw = base_scenario(grid=[[-0.4, 0.4, 17], [-0.4, 0.4, 17]],
-                        chain=[REAL_ONE_POLE, TWO_POLE],
-                        checks={"tolerances": {"darboux_egoroff": 0.1,
-                                               "position_equation": 0.1}})
+                        chain=[REAL_ONE_POLE, TWO_POLE])
     out = tmp_path / "out"
     assert run_cli("run", write_scenario(tmp_path, raw), out) == 0
     checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
@@ -1039,6 +1071,23 @@ def test_two_pole_chain_runs_potential_agreement(tmp_path):
     # n = 2: only the triple family, which needs three indices, skips
     assert [name for name in checks if name.endswith("_skipped")] == [
         "darboux_egoroff_triple_skipped"]
+
+
+def test_grid_axis_of_four_points_runs_with_the_skip_entries(tmp_path):
+    """A grid axis of 4 points, as every axis at n = 8 under the grid cap:
+    each finite-difference check writes a skip entry naming the
+    step-doubling rule instead of a verdict.  The one failure is
+    potential_agreement, whose fixed 1e-6 tolerance reads Simpson's error
+    on the 4-point axis (4.3e-6)."""
+    raw = base_scenario(grid=[[-0.5, 0.5, 4], [-0.5, 0.5, 7]], chain=[REAL_ONE_POLE])
+    out = tmp_path / "out"
+    assert run_cli("run", write_scenario(tmp_path, raw), out) == 1
+    checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
+    assert [name for name, c in checks.items() if c["passed"] is False] == ["potential_agreement"]
+    for name in ("darboux_egoroff_pair_skipped", "position_equation_skipped"):
+        assert checks[name]["passed"] is None
+        assert checks[name]["details"]["reason"] == ("grid shape (4, 7) (rule: step doubling "
+                                                     "needs at least 5 points on every grid axis)")
 
 
 def test_potential_skip_names_the_record(tmp_path):

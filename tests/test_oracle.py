@@ -259,6 +259,9 @@ def test_estimate_order_values():
         return abs((g(0.001 + h) - g(0.001 - h)) / (2 * h) - 1.0)
     assert estimate_order(fd_bad(1e-2), fd_bad(5e-3)) < 1.2
     assert estimate_order(1.0, 0.0) == np.inf
+    # a ratio that underflows reads -inf, not a math domain error
+    assert estimate_order(0.0, 1e-16) == estimate_order(1.0, np.inf) == -np.inf
+    assert estimate_order(1e-200, 1e200) == -np.inf
 
 
 # -- batched stage points against a per-point RK4 reference ------------------
